@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import morse, riccati, specfun, susy, verify
-from .morse import BoundStateConvention, MorseParameters, ParameterMap
+from .morse import MorseParameters, ParameterMap
 from .riccati import MorseRiccati, RiccatiSign
 from .susy import ExtensionParams, Sector
 from .verify import Grid1D, ResidualReport
@@ -70,18 +71,10 @@ def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
         for sector in Sector:
             for kind in ("m", "w"):
                 p = _solution_params(K, kind)
-
-                def Q(x, p=p, sector=sector):
-                    return morse.ode_coefficient(p, sector, x)
-
-                def w(x, p=p, sector=sector):
-                    return morse.wavefunction_derivs(p, sector, pmap, x)[0]
-
-                def d2w(x, p=p, sector=sector):
-                    return morse.wavefunction_derivs(p, sector, pmap, x)[2]
-
+                Q = partial(morse.ode_coefficient, p, sector)
+                derivs = partial(morse.wavefunction_derivs_row, p, sector, pmap)
                 try:
-                    rep = verify.ode_residual(Q, w, grid, d2w=d2w, tol=tol)
+                    rep = verify.ode_residual(Q, derivs, grid, tol=tol)
                 except Exception as exc:  # noqa: BLE001 - recorded, not hidden
                     skipped.append(f"K={K} {sector.value} {kind}: {type(exc).__name__}")
                     continue
@@ -198,23 +191,11 @@ def check_wronskian(tol: float = 1e-8) -> ResidualReport:
     grid = Grid1D(0.2, 3.0, 57)
     worst = 0.0
     for sector in Sector:
-        pm = _solution_params(1.0, "m")
-        pw = _solution_params(1.0, "w")
-        pmap = ParameterMap.DERIVED
-
-        def f(x, p=pm, sector=sector):
-            return morse.wavefunction_derivs(p, sector, pmap, x)[0]
-
-        def df(x, p=pm, sector=sector):
-            return morse.wavefunction_derivs(p, sector, pmap, x)[1]
-
-        def g(x, p=pw, sector=sector):
-            return morse.wavefunction_derivs(p, sector, pmap, x)[0]
-
-        def dg(x, p=pw, sector=sector):
-            return morse.wavefunction_derivs(p, sector, pmap, x)[1]
-
-        rep = verify.wronskian_constancy(f, df, g, dg, grid, tol=tol)
+        f, g = (
+            partial(morse.wavefunction_derivs_row, _solution_params(1.0, kind), sector, ParameterMap.DERIVED)
+            for kind in ("m", "w")
+        )
+        rep = verify.wronskian_constancy(f, g, grid, tol=tol)
         worst = max(worst, rep.max_rel_residual)
     return _report("wronskian", worst, tol, grid_size=114)
 

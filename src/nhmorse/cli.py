@@ -8,9 +8,8 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,42 +56,41 @@ class GridSpec:
     nK: int = 41
 
 
-def _grid_value(spec: GridSpec, K: float, x: float) -> complex:
+def _grid_row(spec: GridSpec, K: float, xs: np.ndarray) -> np.ndarray:
+    """Values along x of one K row: Laguerre form for the M solution,
+    the superposed Whittaker form for w and mix."""
+    alpha = 0.0 if spec.solution == "w" else spec.alpha
+    beta = 0.0 if spec.solution == "m" else spec.beta
+    p = MorseParameters(
+        A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
+        alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta,
+    )
     if spec.solution == "m":
-        p = MorseParameters(
-            A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
-            alpha1=spec.alpha, beta1=0.0, alpha2=spec.alpha, beta2=0.0,
-        )
-        return morse.wavefunction_laguerre_form(p, spec.component, spec.param_map, x)
-    if spec.solution == "w":
-        p = MorseParameters(
-            A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
-            alpha1=0.0, beta1=spec.beta, alpha2=0.0, beta2=spec.beta,
-        )
-    else:
-        p = MorseParameters(
-            A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
-            alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta,
-        )
-    return morse.wavefunction(p, spec.component, spec.param_map, x)
+        return morse.wavefunction_laguerre_form_row(p, spec.component, spec.param_map, xs)
+    return morse.wavefunction_derivs_row(p, spec.component, spec.param_map, xs)[0]
 
 
 def render_grid(spec: GridSpec) -> str:
-    """CSV text for the grid: K outer loop ascending, x inner ascending."""
-    shape = MorseRiccati(A=spec.A, B=spec.B, a=spec.a)
+    """CSV text for the grid: K outer loop ascending, x inner ascending;
+    each K row is evaluated along x in one call."""
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     Ks = np.linspace(spec.K_min, spec.K_max, spec.nK)
+    ys = morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
+    x_text = [_fmt(x) for x in xs.tolist()]
+    y_text = [_fmt(y) for y in ys.tolist()]
     lines = [HEADER]
-    for K in Ks:
-        for x in xs:
-            try:
-                w = _grid_value(spec, float(K), float(x))
-            except Exception as exc:
-                raise RuntimeError(f"evaluation failed at x={x:.17g}, K={K:.17g}: {exc}") from exc
-            y = morse_y(shape, float(x))
-            lines.append(
-                f"{_fmt(float(x))},{_fmt(float(K))},{_fmt(y)},{_fmt(w.real)},{_fmt(w.imag)}"
-            )
+    for K in Ks.tolist():
+        try:
+            w = _grid_row(spec, K, xs)
+        except Exception as exc:
+            raise RuntimeError(
+                f"evaluation failed on the row K={K:.17g}, x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
+            ) from exc
+        k_text = _fmt(K)
+        lines.extend(
+            f"{x},{k_text},{y},{_fmt(re)},{_fmt(im)}"
+            for x, y, re, im in zip(x_text, y_text, w.real.tolist(), w.imag.tolist())
+        )
     return "\n".join(lines) + "\n"
 
 

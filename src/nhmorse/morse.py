@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import riccati, specfun
 from .errors import NonNormalizable
 from .riccati import MorseRiccati, RiccatiSign
@@ -94,11 +96,6 @@ class Indices:
         return WhittakerIndices(kappa=kappa, mu=self.mu)
 
 
-def _principal_sqrt(z: complex) -> complex:
-    # cmath.sqrt already selects Re >= 0 with Im >= 0 on the branch cut
-    return cmath.sqrt(z)
-
-
 def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
     """Whittaker indices (kappa_1, kappa_2, mu) for the chosen map.
 
@@ -112,26 +109,38 @@ def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
     under = complex(Kp * Kp - K * K, -2.0 * K * A)
     if pmap is ParameterMap.DERIVED:
         under += A * A
-    mu = _principal_sqrt(under) / a
+    # cmath.sqrt is the principal root: Re >= 0, with Im >= 0 on the branch cut
+    mu = cmath.sqrt(under) / a
     return Indices(kappa1=kappa1, kappa2=kappa2, mu=mu)
 
 
-def ode_coefficient(params: MorseParameters, sector: Sector, x: float) -> complex:
+def ode_coefficient(params: MorseParameters, sector: Sector, x) -> complex:
     """Expanded coefficient of the Morse second-order equation.
 
     -(B_bar e^{-2ax} - C_i e^{-ax}) + (K^2 - K'^2) - A^2 + 2iK(A - B e^{-ax});
     identical (to roundoff) to the generic bracket evaluated on the Morse
-    superpotential.
+    superpotential. x may be a float or an array of x.
     """
     A, B, a, K, Kp = params.A, params.B, params.a, params.K, params.Kprime
     C = params.C1_bar if sector is Sector.FERMIONIC else params.C2_bar
-    e = math.exp(-a * x)
+    e = np.exp(-a * x) if isinstance(x, np.ndarray) else math.exp(-a * x)
     return (
         -(params.B_bar * e * e - C * e)
         + (K * K - Kp * Kp)
         - A * A
         + 2j * K * (A - B * e)
     )
+
+
+def _chain_rule(a: float, g, y, f, f1, f2):
+    """(w, w', w'') in x of w = g F(y) with g = e^{ax/2}, y' = -a y,
+    y'' = a^2 y, from F and its y-derivatives; floats or arrays alike."""
+    yp = -a * y
+    ypp = a * a * y
+    w = g * f
+    dw = g * (0.5 * a * f + f1 * yp)
+    d2w = g * (0.25 * a * a * f + a * f1 * yp + f2 * yp * yp + f1 * ypp)
+    return w, dw, d2w
 
 
 def _whittaker_wave_derivs(
@@ -142,8 +151,8 @@ def _whittaker_wave_derivs(
 ) -> tuple[complex, complex, complex]:
     """(w, w', w'') in x for w(x) = e^{ax/2} F(y(x)), F a Whittaker function.
 
-    Chain rule with y' = -a y, y'' = a^2 y; F-derivatives are analytic
-    (never obtained from the differential equation).
+    F-derivatives are analytic (never obtained from the differential
+    equation).
     """
     a = shape.a
     y = riccati.morse_y(shape, x)
@@ -153,13 +162,7 @@ def _whittaker_wave_derivs(
         f, f1, f2 = specfun.whittaker_w_derivs(idx, y)
     else:
         raise ValueError(f"unknown solution kind {kind!r}")
-    g = math.exp(0.5 * a * x)
-    yp = -a * y
-    ypp = a * a * y
-    w = g * f
-    dw = g * (0.5 * a * f + f1 * yp)
-    d2w = g * (0.25 * a * a * f + a * f1 * yp + f2 * yp * yp + f1 * ypp)
-    return w, dw, d2w
+    return _chain_rule(a, math.exp(0.5 * a * x), y, f, f1, f2)
 
 
 def wavefunction_derivs(
@@ -188,6 +191,28 @@ def wavefunction_derivs(
     return w, dw, d2w
 
 
+def wavefunction_derivs_row(
+    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """wavefunction_derivs at every x of an array, as three arrays.
+
+    The indices and the Morse shape are computed once for the row, and
+    each Kummer/Tricomi series is summed once over all of its y.
+    """
+    xs = np.asarray(xs, dtype=float)
+    alpha, beta = params.amplitudes(sector)
+    idx = indices(params, pmap).for_sector(sector)
+    shape = params.shape()
+    y = riccati.morse_y(shape, xs)
+    g = np.exp(0.5 * shape.a * xs)
+    w = dw = d2w = np.zeros(xs.shape, dtype=complex)
+    for amp, kernel in ((alpha, specfun.whittaker_m_derivs_row), (beta, specfun.whittaker_w_derivs_row)):
+        if amp != 0.0:
+            v, v1, v2 = _chain_rule(shape.a, g, y, *kernel(idx, y))
+            w, dw, d2w = w + amp * v, dw + amp * v1, d2w + amp * v2
+    return w, dw, d2w
+
+
 def wavefunction(params: MorseParameters, sector: Sector, pmap: ParameterMap, x: float) -> complex:
     """Superposed closed-form wavefunction for the chosen sector and map."""
     return wavefunction_derivs(params, sector, pmap, x)[0]
@@ -208,6 +233,20 @@ def wavefunction_laguerre_form(
     core = specfun.kummer_core(idx.kappa - idx.mu - 0.5, 2.0 * idx.mu, y)
     pre = math.sqrt(2.0 * params.B / params.a)
     return alpha * pre * cmath.exp(idx.mu * math.log(y) - 0.5 * y) * core
+
+
+def wavefunction_laguerre_form_row(
+    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
+) -> np.ndarray:
+    """wavefunction_laguerre_form at every x of an array; the indices are
+    computed once and the Kummer core is one series summed over the row."""
+    alpha, _ = params.amplitudes(sector)
+    idx = indices(params, pmap).for_sector(sector)
+    y = riccati.morse_y(params.shape(), np.asarray(xs, dtype=float))
+    # kummer_core(nu, alpha, y) = 1F1(-nu; alpha + 1; y)
+    core = specfun.kummer_m_row(-(idx.kappa - idx.mu - 0.5), 2.0 * idx.mu + 1.0, y)
+    pre = math.sqrt(2.0 * params.B / params.a)
+    return alpha * pre * np.exp(idx.mu * np.log(y) - 0.5 * y) * core
 
 
 def bound_state_exponent(A: float, a: float, n: int, convention: BoundStateConvention) -> float:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 
 class RiccatiSign(Enum):
     """Which sign the Riccati combination R' +/- R^2 carries."""
@@ -89,9 +91,13 @@ def riccati_residual(sol: RiccatiSolution, x: float) -> float:
     return abs(sol.eval_dR(x) + sol.sign.value * sol.eval_R(x) ** 2 - sol.eval_u(x))
 
 
-def morse_y(params: MorseRiccati, x: float) -> float:
-    """The Morse substitution y = (2B/a) e^{-a x}; positive, decreasing in x."""
-    return 2.0 * params.B / params.a * math.exp(-params.a * x)
+def morse_y(params: MorseRiccati, x):
+    """The Morse substitution y = (2B/a) e^{-a x}; positive, decreasing in x.
+
+    x may be a float or an array of x.
+    """
+    e = np.exp(-params.a * x) if isinstance(x, np.ndarray) else math.exp(-params.a * x)
+    return 2.0 * params.B / params.a * e
 
 
 def morse_x(params: MorseRiccati, y: float) -> float:

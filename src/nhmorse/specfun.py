@@ -5,6 +5,11 @@ hypergeometric functions with complex parameters, Whittaker M/W and their
 derivatives, classical associated Laguerre polynomials and their analytic
 continuation to complex degree/order.
 
+Each Kummer, Tricomi and Whittaker triple function has a `_row` form that
+takes a numpy array of arguments sharing one parameter set and sums each
+series once over the whole array; the scalar forms are the reference the
+row forms are tested against, and the fast path for single points.
+
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
     is taken on the principal branch (argument in (-pi, pi]);
@@ -19,6 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import IntegerB, NonConvergence, ParameterPole, PoleError
 
@@ -49,10 +56,11 @@ _LANCZOS = (
 )
 
 
-def _nonpositive_int_near(z: complex, tol: float):
-    """Return the nonpositive integer within tol of z, or None."""
+def _integer_near(z: complex, tol: float, nonpositive: bool = False):
+    """Return the integer within tol of z (only a nonpositive one when
+    nonpositive is set), or None."""
     r = round(z.real)
-    if r <= 0 and abs(z - r) <= tol:
+    if abs(z - r) <= tol and not (nonpositive and r > 0):
         return r
     return None
 
@@ -66,7 +74,7 @@ def log_gamma(z: complex) -> complex:
     exponentiates).
     """
     z = complex(z)
-    if _nonpositive_int_near(z, 1e-12) is not None:
+    if _integer_near(z, 1e-12, nonpositive=True) is not None:
         raise PoleError(f"log_gamma pole at z = {z}")
     if z.real < 0.5:
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
@@ -82,14 +90,14 @@ def log_gamma(z: complex) -> complex:
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z); exactly 0 at the poles (nonpositive integers)."""
     z = complex(z)
-    if _nonpositive_int_near(z, 1e-12) is not None:
+    if _integer_near(z, 1e-12, nonpositive=True) is not None:
         return 0.0 + 0.0j
     return cmath.exp(-log_gamma(z))
 
 
 def _terminating_degree(a: complex):
     """If a is (numerically) a nonpositive integer -n, return n, else None."""
-    r = _nonpositive_int_near(a, 1e-12)
+    r = _integer_near(a, 1e-12, nonpositive=True)
     return None if r is None else -r
 
 
@@ -119,6 +127,43 @@ def _kummer_series(a: complex, b: complex, z: complex) -> complex:
     raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
 
 
+def _kummer_series_row(a: complex, b: complex, zs: np.ndarray) -> np.ndarray:
+    """_kummer_series summed over an array of z at once.
+
+    Same term recurrence and terminating-series rule; the sum stops once
+    three consecutive terms fall below _STOP_REL of the running sum at
+    every z, so no element stops earlier than its scalar sum would.
+    """
+    n_term = _terminating_degree(a)
+    term = np.ones(zs.shape, dtype=complex)
+    total = term.copy()
+    if n_term is not None:
+        for n in range(n_term):
+            term *= (a + n) / (b + n) / (n + 1) * zs
+            total += term
+        return total
+    small = 0
+    for n in range(_MAX_TERMS):
+        term *= (a + n) / (b + n) / (n + 1) * zs
+        total += term
+        if (np.abs(term) <= _STOP_REL * np.abs(total)).all():
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+    raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z up to {zs.max()}")
+
+
+def _check_kummer_b(a: complex, b: complex, name: str) -> None:
+    """Reject b at a nonpositive integer unless the series terminates first."""
+    pole = _integer_near(b, 1e-12, nonpositive=True)
+    if pole is not None:
+        n_term = _terminating_degree(a)
+        if n_term is None or n_term > -pole:
+            raise ParameterPole(f"{name}: b = {b} at a nonpositive integer")
+
+
 def kummer_m(a: complex, b: complex, z: float) -> complex:
     """Confluent hypergeometric function 1F1(a; b; z), real argument z.
 
@@ -128,24 +173,21 @@ def kummer_m(a: complex, b: complex, z: float) -> complex:
     a = complex(a)
     b = complex(b)
     z = float(z)
-    pole = _nonpositive_int_near(b, 1e-12)
-    if pole is not None:
-        n_term = _terminating_degree(a)
-        if n_term is None or n_term > -pole:
-            raise ParameterPole(f"kummer_m: b = {b} at a nonpositive integer")
+    _check_kummer_b(a, b, "kummer_m")
     if z < _TRANSFORM_BELOW:
         return cmath.exp(z) * _kummer_series(b - a, b, -z)
     return _kummer_series(a, b, z)
 
 
-def kummer_m_dz(a: complex, b: complex, z: float) -> complex:
-    """d/dz 1F1(a; b; z) = (a/b) 1F1(a+1; b+1; z)."""
-    return complex(a) / complex(b) * kummer_m(complex(a) + 1, complex(b) + 1, z)
-
-
-def _near_integer(z: complex, tol: float):
-    r = round(z.real)
-    return r if abs(z - r) <= tol else None
+def kummer_m_row(a: complex, b: complex, zs) -> np.ndarray:
+    """kummer_m at every z >= 0 of an array, one series summed over all of them."""
+    a = complex(a)
+    b = complex(b)
+    zs = np.asarray(zs, dtype=float)
+    if np.any(zs < 0.0):
+        raise ValueError(f"kummer_m_row requires z >= 0, got min z = {zs.min()}")
+    _check_kummer_b(a, b, "kummer_m_row")
+    return _kummer_series_row(a, b, zs)
 
 
 # The connection formula cancels like e^z; beyond this argument the
@@ -171,6 +213,13 @@ def _tricomi_asymptotic(a: complex, b: complex, z: float) -> complex:
     return cmath.exp(-a * math.log(z)) * total
 
 
+def _check_tricomi_b(b: complex, name: str) -> None:
+    """Reject b within 1e-6 of any integer: the connection formula
+    degenerates there and this library does not take limits."""
+    if _integer_near(b, 1e-6) is not None:
+        raise IntegerB(f"{name}: b = {b} within 1e-6 of an integer")
+
+
 def tricomi_u(a: complex, b: complex, z: float) -> complex:
     """Tricomi confluent hypergeometric function U(a, b, z), z > 0.
 
@@ -184,8 +233,7 @@ def tricomi_u(a: complex, b: complex, z: float) -> complex:
     z = float(z)
     if z <= 0.0:
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
-    if _near_integer(b, 1e-6) is not None:
-        raise IntegerB(f"tricomi_u: b = {b} within 1e-6 of an integer")
+    _check_tricomi_b(b, "tricomi_u")
     if z >= _TRICOMI_ASYMPTOTIC_FROM:
         return _tricomi_asymptotic(a, b, z)
     c1 = cmath.exp(log_gamma(1.0 - b)) * reciprocal_gamma(a - b + 1.0)
@@ -195,9 +243,32 @@ def tricomi_u(a: complex, b: complex, z: float) -> complex:
     return first + second
 
 
-def tricomi_u_dz(a: complex, b: complex, z: float) -> complex:
-    """d/dz U(a, b, z) = -a U(a+1, b+1, z)."""
-    return -complex(a) * tricomi_u(complex(a) + 1, complex(b) + 1, z)
+def tricomi_u_row(a: complex, b: complex, zs) -> np.ndarray:
+    """tricomi_u at every z > 0 of an array.
+
+    The same branch per element as tricomi_u: the connection formula below
+    z = 20, with its gamma coefficients computed once and both 1F1 series
+    summed over the array, and the asymptotic series at and above it.
+    """
+    a = complex(a)
+    b = complex(b)
+    zs = np.asarray(zs, dtype=float)
+    if np.any(zs <= 0.0):
+        raise ValueError(f"tricomi_u_row requires z > 0, got min z = {zs.min()}")
+    _check_tricomi_b(b, "tricomi_u_row")
+    out = np.zeros(zs.shape, dtype=complex)
+    far = zs >= _TRICOMI_ASYMPTOTIC_FROM
+    out[far] = [_tricomi_asymptotic(a, b, z) for z in zs[far].tolist()]
+    near = ~far
+    if near.any():
+        z = zs[near]
+        c1 = cmath.exp(log_gamma(1.0 - b)) * reciprocal_gamma(a - b + 1.0)
+        c2 = cmath.exp(log_gamma(b - 1.0)) * reciprocal_gamma(a)
+        if c1 != 0.0:
+            out[near] += c1 * kummer_m_row(a, b, z)
+        if c2 != 0.0:
+            out[near] += c2 * np.exp((1.0 - b) * np.log(z)) * kummer_m_row(a - b + 1.0, 2.0 - b, z)
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,13 +288,15 @@ class WhittakerIndices:
 
     def check(self) -> None:
         """Reject 2*mu + 1 near a nonpositive integer unless terminating."""
-        pole = _nonpositive_int_near(complex(self.series_b), 1e-6)
+        pole = _integer_near(complex(self.series_b), 1e-6, nonpositive=True)
         if pole is not None and _terminating_degree(complex(self.series_a)) is None:
             raise ParameterPole(f"inadmissible Whittaker indices: 2*mu+1 = {self.series_b}")
 
 
-def _whittaker_prefactor(mu: complex, y: float) -> complex:
-    # e^{-y/2} y^{mu + 1/2}, principal branch of the power
+def _whittaker_prefactor(mu: complex, y):
+    # e^{-y/2} y^{mu + 1/2}, principal branch of the power; y a float or an array
+    if isinstance(y, np.ndarray):
+        return np.exp(-0.5 * y + (mu + 0.5) * np.log(y))
     return cmath.exp(-0.5 * y + (mu + 0.5) * math.log(y))
 
 
@@ -244,8 +317,9 @@ def whittaker_w(idx: WhittakerIndices, y: float) -> complex:
     return _whittaker_prefactor(idx.mu, y) * tricomi_u(idx.series_a, idx.series_b, y)
 
 
-def _core_derivs(core, core_d1, core_d2, mu: complex, y: float) -> tuple[complex, complex, complex]:
-    """Value and first two y-derivatives of e^{-y/2} y^{mu+1/2} F(y).
+def _core_derivs(core, core_d1, core_d2, mu: complex, y):
+    """Value and first two y-derivatives of e^{-y/2} y^{mu+1/2} F(y), at a
+    float y or elementwise over an array.
 
     The core derivatives are supplied analytically (contiguous-parameter
     identities), never through the differential equation, so residual
@@ -261,6 +335,13 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y: float) -> tuple[complex
     return f, d1, d2
 
 
+def _positive_row(ys, name: str) -> np.ndarray:
+    ys = np.asarray(ys, dtype=float)
+    if np.any(ys <= 0.0):
+        raise ValueError(f"{name} requires y > 0, got min y = {ys.min()}")
+    return ys
+
+
 def whittaker_m_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, complex, complex]:
     """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core."""
     y = float(y)
@@ -274,9 +355,15 @@ def whittaker_m_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, comple
     return _core_derivs(core, core_d1, core_d2, idx.mu, y)
 
 
-def whittaker_m_dy(idx: WhittakerIndices, y: float) -> complex:
-    """dM_{kappa,mu}/dy, exact product rule plus the 1F1 derivative identity."""
-    return whittaker_m_derivs(idx, y)[1]
+def whittaker_m_derivs_row(idx: WhittakerIndices, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """whittaker_m_derivs at every y > 0 of an array, each series summed once."""
+    ys = _positive_row(ys, "whittaker_m_derivs_row")
+    idx.check()
+    a, b = idx.series_a, idx.series_b
+    core = kummer_m_row(a, b, ys)
+    core_d1 = a / b * kummer_m_row(a + 1, b + 1, ys)
+    core_d2 = a * (a + 1) / (b * (b + 1)) * kummer_m_row(a + 2, b + 2, ys)
+    return _core_derivs(core, core_d1, core_d2, idx.mu, ys)
 
 
 def whittaker_w_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, complex, complex]:
@@ -291,8 +378,14 @@ def whittaker_w_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, comple
     return _core_derivs(core, core_d1, core_d2, idx.mu, y)
 
 
-def whittaker_w_dy(idx: WhittakerIndices, y: float) -> complex:
-    return whittaker_w_derivs(idx, y)[1]
+def whittaker_w_derivs_row(idx: WhittakerIndices, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """whittaker_w_derivs at every y > 0 of an array, each series summed once."""
+    ys = _positive_row(ys, "whittaker_w_derivs_row")
+    a, b = idx.series_a, idx.series_b
+    core = tricomi_u_row(a, b, ys)
+    core_d1 = -a * tricomi_u_row(a + 1, b + 1, ys)
+    core_d2 = a * (a + 1) * tricomi_u_row(a + 2, b + 2, ys)
+    return _core_derivs(core, core_d1, core_d2, idx.mu, ys)
 
 
 def laguerre_poly(n: int, p: float, y: float) -> float:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .riccati import RiccatiSolution
 
 
@@ -96,16 +98,16 @@ def hamiltonian_eigen_residual(
     R: RiccatiSolution,
     ext: ExtensionParams,
     sector: Sector,
-    w: Callable[[float], complex],
-    d2w: Callable[[float], complex] | None,
+    derivs: Callable,
     grid,
     tol: float = 1e-8,
     name: str = "hamiltonian-eigen",
 ):
-    """Residual of w'' + Q_i w = 0 over a grid; delegates to verify.ode_residual."""
+    """Residual of w'' + Q_i w = 0 over a grid, with derivs(xs) giving
+    (w, w', w'') at the grid points; delegates to verify.ode_residual."""
     from . import verify
 
-    def Q(x: float) -> complex:
-        return complex_potential_coefficient(R, ext, sector, x)
+    def Q(xs):
+        return np.array([complex_potential_coefficient(R, ext, sector, x) for x in xs.tolist()])
 
-    return verify.ode_residual(Q, w, grid, d2w=d2w, tol=tol, name=name)
+    return verify.ode_residual(Q, derivs, grid, tol=tol, name=name)

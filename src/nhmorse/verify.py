@@ -5,23 +5,28 @@ code paths: a compensated-summation Kummer reference with a majorized
 tail bound (deliberately different accumulation order and stopping rule
 than specfun.kummer_m), a fixed-step RK4 integrator for complex linear
 second-order equations, residual/Wronskian/intertwining evaluators.
+
+The grid oracles take grid callables: Q(xs) returns the coefficient at
+every point of a grid, and derivs(xs) returns (w, w', w'') there, so a
+grid costs one evaluation of each.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import morse as morse_mod
-from . import riccati as riccati_mod
 from . import susy as susy_mod
 from .errors import NonConvergence, ParameterPole
 
 ComplexMap = Callable[[float], complex]
+GridMap = Callable[[np.ndarray], np.ndarray]
+GridDerivs = Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
 @dataclass(frozen=True)
@@ -114,43 +119,44 @@ def reference_kummer(a: complex, b: complex, z: float, target_rel: float = 1e-13
     raise NonConvergence(f"reference_kummer did not converge: a={a}, b={b}, z={z}")
 
 
-def _fd_second_derivative(w: ComplexMap, x: float) -> complex:
-    """5-point central second derivative, step 1e-4 (1 + |x|)."""
-    h = 1e-4 * (1.0 + abs(x))
-    return (
-        -w(x - 2 * h) + 16 * w(x - h) - 30 * w(x) + 16 * w(x + h) - w(x + 2 * h)
-    ) / (12.0 * h * h)
+def fd_derivs(w: GridMap) -> GridDerivs:
+    """derivs callable from a value-only one: (w, w', w'') with w' and w''
+    from 5-point central differences, step 1e-4 (1 + |x|)."""
+
+    def derivs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        h = 1e-4 * (1.0 + np.abs(xs))
+        wm2, wm1, w0, wp1, wp2 = (w(xs + k * h) for k in (-2, -1, 0, 1, 2))
+        d1 = (wm2 - 8 * wm1 + 8 * wp1 - wp2) / (12.0 * h)
+        d2 = (-wm2 + 16 * wm1 - 30 * w0 + 16 * wp1 - wp2) / (12.0 * h * h)
+        return w0, d1, d2
+
+    return derivs
 
 
 def ode_residual(
-    Q: ComplexMap,
-    w: ComplexMap,
+    Q: GridMap,
+    derivs: GridDerivs,
     grid: Grid1D,
-    d2w: ComplexMap | None = None,
     tol: float = 1e-8,
     name: str = "ode-residual",
 ) -> ResidualReport:
     """Residual of w'' + Q w = 0 over a grid.
 
-    The second derivative comes from d2w when supplied (it must be
-    analytic, not a rearrangement of the equation itself) or from a
-    5-point finite difference otherwise. The relative residual is
+    derivs(xs) gives (w, w', w'') at the grid points; its w'' must be
+    analytic, not a rearrangement of the equation itself (fd_derivs
+    supplies a finite-difference one). The relative residual is
     normalized by 1 + |Q||w| so decaying tails do not blow it up.
     """
     xs = grid.points()
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
-        qx = Q(x)
-        wx = w(x)
-        second = d2w(x) if d2w is not None else _fd_second_derivative(w, x)
-        r = abs(second + qx * wx)
-        max_abs = max(max_abs, r)
-        max_rel = max(max_rel, r / (1.0 + abs(qx) * abs(wx)))
+    q = Q(xs)
+    w, _, d2w = derivs(xs)
+    r = np.abs(d2w + q * w)
+    rel = r / (1.0 + np.abs(q) * np.abs(w))
+    max_rel = float(rel.max())
     return ResidualReport(
         name=name,
         grid_size=len(xs),
-        max_abs_residual=max_abs,
+        max_abs_residual=float(r.max()),
         max_rel_residual=max_rel,
         passed=max_rel <= tol,
         tolerance=tol,
@@ -190,37 +196,39 @@ def integrate_ode(
 
 
 def wronskian_constancy(
-    f: ComplexMap,
-    df: ComplexMap,
-    g: ComplexMap,
-    dg: ComplexMap,
+    f: GridDerivs,
+    g: GridDerivs,
     grid: Grid1D,
     tol: float = 1e-8,
     name: str = "wronskian",
 ) -> ResidualReport:
     """Relative standard deviation of the Wronskian f g' - g f' over the grid.
 
-    For equations without a first-derivative term the Wronskian of any
-    two solutions is x-independent, so the deviation should vanish.
+    f(xs) and g(xs) give (value, derivative, ...) at the grid points. For
+    equations without a first-derivative term the Wronskian of any two
+    solutions is x-independent, so the deviation should vanish. The
+    absolute residual is the RMS deviation itself.
     """
     xs = grid.points()
-    vals = np.array([f(x) * dg(x) - g(x) * df(x) for x in xs])
+    fv, df = f(xs)[:2]
+    gv, dg = g(xs)[:2]
+    vals = fv * dg - gv * df
     scale = float(np.max(np.abs(vals)))
+    mean = vals.mean()
+    dev = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)))
     note = ""
     if scale == 0.0:
         rel = 0.0
         note = "zero-scale: Wronskian identically zero"
+    elif abs(mean) <= 1e-13 * scale:
+        rel = math.inf
+        note = "degenerate: zero-mean Wronskian"
     else:
-        mean = vals.mean()
-        if abs(mean) <= 1e-13 * scale:
-            rel = math.inf
-            note = "degenerate: zero-mean Wronskian"
-        else:
-            rel = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)) / abs(mean))
+        rel = dev / float(abs(mean))
     return ResidualReport(
         name=name,
         grid_size=len(xs),
-        max_abs_residual=rel * (abs(vals.mean()) if scale else 0.0),
+        max_abs_residual=dev,
         max_rel_residual=rel,
         passed=rel <= tol,
         tolerance=tol,
@@ -234,31 +242,30 @@ def intertwining_check(
     grid: Grid1D,
     tol: float = 1e-8,
     name: str = "intertwining",
-    w2_override: ComplexMap | None = None,
+    w2_override: GridMap | None = None,
 ) -> ResidualReport:
     """Constancy of (A+ w_1) / w_2 over the grid.
 
     Uses analytic derivatives of the closed-form fermionic component and
     reports the mean ratio divided by K' as a note (the claimed
-    proportionality constant). w2_override substitutes the bosonic
+    proportionality constant). w2_override(xs) substitutes the bosonic
     component, e.g. to inject a defect and confirm the check fails.
     """
     R = morse_mod.morse_solution(params)
     xs = grid.points()
-    ratios = []
-    for x in xs:
-        w1, dw1, _ = morse_mod.wavefunction_derivs(params, susy_mod.Sector.FERMIONIC, pmap, x)
-        if w2_override is not None:
-            w2 = w2_override(x)
-        else:
-            w2 = morse_mod.wavefunction(params, susy_mod.Sector.BOSONIC, pmap, x)
-        if abs(w2) <= 1e-12:
-            continue
-        num = susy_mod.apply_first_order(susy_mod.Ladder.RAISE, R, params.K, w1, dw1, x)
-        ratios.append(num / w2)
-    if not ratios:
+    w1, dw1, _ = morse_mod.wavefunction_derivs_row(params, susy_mod.Sector.FERMIONIC, pmap, xs)
+    if w2_override is not None:
+        w2 = w2_override(xs)
+    else:
+        w2 = morse_mod.wavefunction_derivs_row(params, susy_mod.Sector.BOSONIC, pmap, xs)[0]
+    keep = np.abs(w2) > 1e-12
+    if not keep.any():
         raise ValueError("all grid points degenerate (|w2| <= 1e-12)")
-    arr = np.array(ratios)
+    num = np.array([
+        susy_mod.apply_first_order(susy_mod.Ladder.RAISE, R, params.K, f, df, x)
+        for f, df, x in zip(w1[keep].tolist(), dw1[keep].tolist(), xs[keep].tolist())
+    ])
+    arr = num / w2[keep]
     mean = arr.mean()
     rel = float(np.sqrt(np.mean(np.abs(arr - mean) ** 2)) / abs(mean))
     note = ""
@@ -267,7 +274,7 @@ def intertwining_check(
         note = f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i"
     return ResidualReport(
         name=name,
-        grid_size=len(ratios),
+        grid_size=len(arr),
         max_abs_residual=float(np.max(np.abs(arr - mean))),
         max_rel_residual=rel,
         passed=rel <= tol,
@@ -289,16 +296,17 @@ def bound_state_residual(
 ) -> ResidualReport:
     """Residual of the hermitic bound-state candidate in the K = 0 bosonic
     equation with the given eigenvalue K'^2 (which may be negative)."""
-    params = morse_mod.MorseParameters(A=A, B=B, a=a, K=0.0, Kprime=2.0)
+    B_bar, C2_bar = B * B, B * (2.0 * A - a)
 
-    def Q(x: float) -> complex:
-        e = math.exp(-a * x)
-        return complex(-(params.B_bar * e * e - params.C2_bar * e) - kprime_sq - A * A)
+    def Q(xs: np.ndarray) -> np.ndarray:
+        e = np.exp(-a * xs)
+        return -(B_bar * e * e - C2_bar * e) - kprime_sq - A * A + 0j
 
-    def w(x: float) -> complex:
-        return morse_mod.bound_state_wave_derivs(A, B, a, n, convention, x)[0]
+    def derivs(xs: np.ndarray) -> np.ndarray:
+        # the scalar path, once per point: it keeps the residual table of
+        # `nhmorse bound-states` bit-identical, down to its roundoff-level rows
+        return np.array(
+            [morse_mod.bound_state_wave_derivs(A, B, a, n, convention, x) for x in xs.tolist()]
+        ).T
 
-    def d2w(x: float) -> complex:
-        return morse_mod.bound_state_wave_derivs(A, B, a, n, convention, x)[2]
-
-    return ode_residual(Q, w, grid, d2w=d2w, tol=tol, name=name)
+    return ode_residual(Q, derivs, grid, tol=tol, name=name)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nhmorse import cli, morse
@@ -49,11 +50,12 @@ class TestGrid:
         _, out, _ = run(capsys, "grid")
         first_row = out.splitlines()[1].split(",")
         assert float(first_row[0]) == 0.0 and float(first_row[1]) == 0.0
-        expected = morse.wavefunction_laguerre_form(
-            MorseParameters(), Sector.BOSONIC, ParameterMap.PRINTED, 0.0
-        )
-        assert float(first_row[3]) == expected.real
-        assert float(first_row[4]) == expected.imag
+        args = (MorseParameters(), Sector.BOSONIC, ParameterMap.PRINTED)
+        value = morse.wavefunction_laguerre_form_row(*args, np.linspace(0.0, 3.0, 61))[0]
+        assert float(first_row[3]) == value.real
+        assert float(first_row[4]) == value.imag
+        expected = morse.wavefunction_laguerre_form(*args, 0.0)
+        assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_param_maps_differ(self, capsys):
         _, printed, _ = run(capsys, "grid", "--nx", "5", "--nK", "3", "--param-map", "printed")

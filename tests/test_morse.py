@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nhmorse import morse, riccati, susy, verify
-from nhmorse.errors import NonNormalizable
+from nhmorse.errors import IntegerB, NonNormalizable
 from nhmorse.morse import BoundStateConvention, MorseParameters, ParameterMap
 from nhmorse.susy import ExtensionParams, Sector
 from nhmorse.verify import Grid1D
@@ -85,16 +85,13 @@ class TestWavefunction:
         p = MorseParameters(K=1.0)
         grid = Grid1D(0.0, 3.0, 61)
         for sector in Sector:
-            def Q(x, sector=sector):
-                return morse.ode_coefficient(p, sector, x)
+            def Q(xs, sector=sector):
+                return morse.ode_coefficient(p, sector, xs)
 
-            def w(x, sector=sector):
-                return morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)[0]
+            def derivs(xs, sector=sector):
+                return morse.wavefunction_derivs_row(p, sector, ParameterMap.DERIVED, xs)
 
-            def d2w(x, sector=sector):
-                return morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)[2]
-
-            rep = verify.ode_residual(Q, w, grid, d2w=d2w, tol=1e-8)
+            rep = verify.ode_residual(Q, derivs, grid, tol=1e-8)
             assert rep.passed, rep.line()
 
     def test_k_to_zero_continuity(self):
@@ -113,6 +110,63 @@ class TestWavefunction:
             wm = morse.wavefunction(p, sector, ParameterMap.DERIVED, x - h)
             assert abs((wp - wm) / (2 * h) - dw) <= 1e-7 * max(1.0, abs(dw))
             assert abs((wp - 2 * w + wm) / (h * h) - d2w) <= 1e-4 * max(1.0, abs(d2w))
+
+
+def _row_or_error(fn):
+    try:
+        return fn(), None
+    except IntegerB as exc:
+        return None, type(exc)
+
+
+class TestRowPath:
+    def test_residual_sweep_rows_match_scalar(self):
+        # every row of the residual-sweep checks: both maps, K in
+        # {0, 0.5, 1, 2}, both sectors, M and W, 301 x
+        xs = Grid1D(0.0, 3.0, 301).points()
+        worst = 0.0
+        integer_b_rows = []
+        for pmap in ParameterMap:
+            for K in (0.0, 0.5, 1.0, 2.0):
+                for sector in Sector:
+                    for kind, (alpha, beta) in (("m", (1, 0)), ("w", (0, 1))):
+                        p = MorseParameters(K=K, alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta)
+                        row, row_err = _row_or_error(
+                            lambda: morse.wavefunction_derivs_row(p, sector, pmap, xs)
+                        )
+                        ref, ref_err = _row_or_error(
+                            lambda: [morse.wavefunction_derivs(p, sector, pmap, x) for x in xs]
+                        )
+                        assert row_err is ref_err
+                        if ref_err is not None:
+                            integer_b_rows.append((pmap, K, sector, kind))
+                            continue
+                        for i, x_ref in enumerate(ref):
+                            for j in range(3):
+                                worst = max(worst, abs(row[j][i] - x_ref[j]) / abs(x_ref[j]))
+        assert worst <= 1e-12
+        assert integer_b_rows == [
+            (ParameterMap.PRINTED, 0.0, Sector.FERMIONIC, "w"),
+            (ParameterMap.PRINTED, 0.0, Sector.BOSONIC, "w"),
+        ]
+
+    def test_ode_coefficient_row_is_the_scalar_expression(self):
+        p = MorseParameters(K=1.3)
+        xs = np.linspace(0.0, 3.0, 31)
+        for sector in Sector:
+            row = morse.ode_coefficient(p, sector, xs)
+            for x, q in zip(xs, row):
+                assert abs(q - morse.ode_coefficient(p, sector, x)) <= 1e-14 * abs(q)
+
+    def test_laguerre_form_figure_rows_match_scalar(self):
+        xs = np.linspace(0.0, 3.0, 61)
+        for K in np.linspace(0.0, 2.0, 41).tolist():
+            p = MorseParameters(K=K)
+            for sector in Sector:
+                row = morse.wavefunction_laguerre_form_row(p, sector, ParameterMap.PRINTED, xs)
+                for x, v in zip(xs, row):
+                    ref = morse.wavefunction_laguerre_form(p, sector, ParameterMap.PRINTED, x)
+                    assert abs(v - ref) <= 1e-14 * abs(ref)
 
 
 class TestLaguerreForm:

@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,7 +121,88 @@ class TestKummer:
         a, b, z = 1.2 + 0.4j, 2.5 - 1j, 3.0
         h = 1e-6
         fd = (specfun.kummer_m(a, b, z + h) - specfun.kummer_m(a, b, z - h)) / (2 * h)
-        assert_close(specfun.kummer_m_dz(a, b, z), fd, rel=1e-8)
+        # d/dz 1F1(a; b; z) = (a/b) 1F1(a+1; b+1; z)
+        assert_close(a / b * specfun.kummer_m(a + 1, b + 1, z), fd, rel=1e-8)
+
+
+def _abs_term_sum(a, b, z):
+    """sum_n |t_n| of the 1F1(a; b; z) series: the scale of its roundoff."""
+    term = total = 1.0
+    for n in range(10_000):
+        if (a + n) == 0:
+            break
+        term *= abs((a + n) / (b + n)) * z / (n + 1)
+        total += term
+        if term <= 1e-20 * total:
+            break
+    return total
+
+
+class TestKummerRow:
+    def test_agrees_with_scalar_on_oracle_distribution(self):
+        # the kummer-oracle check's sampling: a, b in [-7, 7]^2, z in (0, 30]
+        rng = random.Random(20060515)
+        worst = 0.0
+        for _ in range(200):
+            a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            if not _admissible_b(b):
+                continue
+            zs = np.array([rng.uniform(1e-6, 30.0) for _ in range(16)])
+            row = specfun.kummer_m_row(a, b, zs)
+            for z, v in zip(zs.tolist(), row.tolist()):
+                worst = max(worst, abs(v - specfun.kummer_m(a, b, z)) / _abs_term_sum(a, b, z))
+        assert worst <= 1e-14
+
+    def test_terminating_series_is_the_finite_sum(self):
+        zs = np.linspace(0.0, 30.0, 31)
+        for n in range(7):
+            for b in (2.0, 0.5 + 1.5j, -3.5 - 2.0j):
+                row = specfun.kummer_m_row(-n, b, zs)
+                for z, v in zip(zs.tolist(), row.tolist()):
+                    bound = 1e-14 * _abs_term_sum(-n, b, z)
+                    assert abs(v - specfun.kummer_m(-n, b, z)) <= bound
+        # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24, summed to roundoff
+        row = specfun.kummer_m_row(-3.0, 2.0, zs)
+        exact = 1.0 - 1.5 * zs + 0.5 * zs**2 - zs**3 / 24.0
+        assert np.all(np.abs(row - exact) <= 1e-14 * (1.0 + 1.5 * zs + 0.5 * zs**2 + zs**3 / 24.0))
+        # a within 1e-12 of -3 still stops after the same four terms
+        a = -3.0 + 1e-13
+        row = specfun.kummer_m_row(a, 2.0, zs)
+        for z, v in zip(zs.tolist(), row.tolist()):
+            assert abs(v - specfun.kummer_m(a, 2.0, z)) <= 1e-14 * _abs_term_sum(-3.0, 2.0, z)
+
+    def test_rejections_match_scalar(self):
+        with pytest.raises(ParameterPole):
+            specfun.kummer_m_row(0.7, -2.0, np.array([1.0]))
+        assert specfun.kummer_m_row(-2.0, -4.0, np.array([1.0]))[0] == pytest.approx(
+            specfun.kummer_m(-2.0, -4.0, 1.0), rel=1e-15
+        )
+        with pytest.raises(ValueError):
+            specfun.kummer_m_row(1.0, 2.0, np.array([1.0, -1.0]))
+
+
+class TestTricomiRow:
+    def test_branch_per_element(self):
+        # the same branch per z as tricomi_u: the asymptotic side of the
+        # z = 20 switch is the scalar series itself, the connection side
+        # agrees to roundoff where the formula does not cancel
+        a, b = 0.5 + 0.5j, 2.3 - 1.1j
+        zs = np.array([0.5, 2.0, 4.0, 8.0, 20.0, 25.0, 40.0])
+        row = specfun.tricomi_u_row(a, b, zs)
+        for z, v in zip(zs.tolist(), row.tolist()):
+            ref = specfun.tricomi_u(a, b, z)
+            if z >= 20.0:
+                assert v == ref
+            else:
+                assert_close(v, ref, rel=1e-12)
+
+    def test_integer_b_rejected_like_scalar(self):
+        for b in (2.0, 2.0 + 5e-7, -3.0):
+            with pytest.raises(IntegerB):
+                specfun.tricomi_u_row(1.0, b, np.array([3.0, 25.0]))
+        with pytest.raises(ValueError):
+            specfun.tricomi_u_row(1.0, 1.5, np.array([2.0, 0.0]))
 
 
 class TestTricomi:
@@ -217,14 +300,14 @@ class TestWhittaker:
 
     def test_m_derivative_closed_form(self):
         idx = WhittakerIndices(kappa=0.0, mu=0.5)
-        assert_close(specfun.whittaker_m_dy(idx, 2.0), math.cosh(1.0))
+        assert_close(specfun.whittaker_m_derivs(idx, 2.0)[1], math.cosh(1.0))
 
     def test_m_derivative_finite_difference(self):
         idx = WhittakerIndices(kappa=1.7 - 0.9j, mu=1.1 + 0.4j)
         y = 3.7
         h = 1e-5
         fd = (specfun.whittaker_m(idx, y + h) - specfun.whittaker_m(idx, y - h)) / (2 * h)
-        assert_close(specfun.whittaker_m_dy(idx, y), fd, rel=1e-7)
+        assert_close(specfun.whittaker_m_derivs(idx, y)[1], fd, rel=1e-7)
 
     def test_m_second_derivative_finite_difference(self):
         idx = WhittakerIndices(kappa=1.7 - 0.9j, mu=1.1 + 0.4j)
@@ -240,7 +323,19 @@ class TestWhittaker:
         idx = WhittakerIndices(kappa=0.3, mu=0.8)
         y = 1e-6
         lead = (idx.mu + 0.5) * cmath.exp((idx.mu - 0.5) * math.log(y))
-        assert abs(specfun.whittaker_m_dy(idx, y) / lead - 1.0) < 1e-5
+        assert abs(specfun.whittaker_m_derivs(idx, y)[1] / lead - 1.0) < 1e-5
+
+    def test_derivative_rows_match_scalar(self):
+        ys = np.linspace(0.05, 8.0, 41)
+        idx = WhittakerIndices(kappa=1.2 + 0.3j, mu=0.7 - 0.2j)
+        for row_fn, scalar_fn in (
+            (specfun.whittaker_m_derivs_row, specfun.whittaker_m_derivs),
+            (specfun.whittaker_w_derivs_row, specfun.whittaker_w_derivs),
+        ):
+            rows = row_fn(idx, ys)
+            for i, y in enumerate(ys.tolist()):
+                for row, ref in zip(rows, scalar_fn(idx, y)):
+                    assert_close(row[i], ref, rel=1e-12)
 
     def test_inadmissible_indices(self):
         with pytest.raises(ParameterPole):

@@ -154,11 +154,8 @@ def test_hamiltonian_eigen_residual(morse_sol):
     p = MorseParameters(K=1.0)
     ext = ExtensionParams(K=1.0, Kprime=2.0)
 
-    def w(x):
-        return morse_mod.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)[0]
+    def derivs(xs):
+        return morse_mod.wavefunction_derivs_row(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs)
 
-    def d2w(x):
-        return morse_mod.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)[2]
-
-    rep = susy.hamiltonian_eigen_residual(morse_sol, ext, Sector.FERMIONIC, w, d2w, Grid1D(0.0, 3.0, 51))
+    rep = susy.hamiltonian_eigen_residual(morse_sol, ext, Sector.FERMIONIC, derivs, Grid1D(0.0, 3.0, 51))
     assert rep.passed

@@ -1,6 +1,7 @@
-import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from nhmorse import morse, specfun, verify
@@ -60,51 +61,43 @@ class TestReferenceKummer:
             assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-300)
 
 
+def const(c):
+    return lambda xs: np.full(xs.shape, complex(c))
+
+
+def exp_derivs(xs):
+    e = np.exp(xs) + 0j
+    return e, e, e
+
+
+def sin_derivs(xs):
+    return np.sin(xs) + 0j, np.cos(xs) + 0j, -np.sin(xs) + 0j
+
+
 class TestOdeResidual:
     def test_exponential_solution(self):
         # w'' - w = 0 with Q = -1 and w = e^x
-        rep = verify.ode_residual(
-            lambda x: -1.0 + 0.0j,
-            lambda x: cmath.exp(x),
-            Grid1D(0.0, 2.0, 21),
-            d2w=lambda x: cmath.exp(x),
-        )
+        rep = verify.ode_residual(const(-1.0), exp_derivs, Grid1D(0.0, 2.0, 21))
         assert rep.max_rel_residual <= 1e-14
 
     def test_sine_solution_analytic(self):
-        rep = verify.ode_residual(
-            lambda x: 1.0 + 0.0j,
-            lambda x: complex(math.sin(x)),
-            Grid1D(0.0, 3.0, 31),
-            d2w=lambda x: complex(-math.sin(x)),
-        )
+        rep = verify.ode_residual(const(1.0), sin_derivs, Grid1D(0.0, 3.0, 31))
         assert rep.max_rel_residual <= 1e-10
 
     def test_finite_difference_fallback(self):
-        rep = verify.ode_residual(
-            lambda x: 1.0 + 0.0j,
-            lambda x: complex(math.sin(x)),
-            Grid1D(0.5, 3.0, 11),
-        )
+        rep = verify.ode_residual(const(1.0), verify.fd_derivs(np.sin), Grid1D(0.5, 3.0, 11))
         assert rep.passed, rep.line()
 
     def test_detects_non_solution(self):
-        rep = verify.ode_residual(
-            lambda x: 1.0 + 0.0j,
-            lambda x: cmath.exp(x),
-            Grid1D(0.0, 1.0, 11),
-            d2w=lambda x: cmath.exp(x),
-            tol=1e-8,
-        )
+        rep = verify.ode_residual(const(1.0), exp_derivs, Grid1D(0.0, 1.0, 11), tol=1e-8)
         assert not rep.passed
 
     def test_morse_derived_map(self):
         p = MorseParameters(K=1.0)
         rep = verify.ode_residual(
-            lambda x: morse.ode_coefficient(p, Sector.FERMIONIC, x),
-            lambda x: morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)[0],
+            lambda xs: morse.ode_coefficient(p, Sector.FERMIONIC, xs),
+            lambda xs: morse.wavefunction_derivs_row(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs),
             Grid1D(0.0, 3.0, 61),
-            d2w=lambda x: morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)[2],
         )
         assert rep.passed
 
@@ -158,20 +151,30 @@ class TestIntegrator:
 class TestWronskian:
     def test_sin_cos(self):
         rep = verify.wronskian_constancy(
-            lambda x: complex(math.sin(x)),
-            lambda x: complex(math.cos(x)),
-            lambda x: complex(math.cos(x)),
-            lambda x: complex(-math.sin(x)),
+            lambda xs: (np.sin(xs) + 0j, np.cos(xs) + 0j),
+            lambda xs: (np.cos(xs) + 0j, -np.sin(xs) + 0j),
             Grid1D(0.0, 3.0, 31),
         )
         assert rep.passed
         assert rep.max_rel_residual <= 1e-14
 
     def test_degenerate_pair_flagged(self):
-        f = lambda x: complex(math.sin(x))
-        df = lambda x: complex(math.cos(x))
-        rep = verify.wronskian_constancy(f, df, f, df, Grid1D(0.0, 3.0, 11))
+        f = lambda xs: (np.sin(xs) + 0j, np.cos(xs) + 0j)
+        rep = verify.wronskian_constancy(f, f, Grid1D(0.0, 3.0, 11))
         assert "zero-scale" in rep.note
+
+    def test_zero_mean_reports_finite_deviation(self):
+        # W = f g' - g f' = cos x takes 1, 0, -1 on [0, pi]: zero mean, scale 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify.wronskian_constancy(
+                lambda xs: (np.ones_like(xs), np.zeros_like(xs)),
+                lambda xs: (np.zeros_like(xs), np.cos(xs)),
+                Grid1D(0.0, math.pi, 3),
+            )
+        assert "degenerate" in rep.note and not rep.passed
+        assert type(rep.max_abs_residual) is float
+        assert rep.max_abs_residual == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
 
     def test_morse_m_w_pair(self):
         p = MorseParameters(K=1.0, alpha1=1, beta1=0)
@@ -179,10 +182,8 @@ class TestWronskian:
         pmap = ParameterMap.DERIVED
         sector = Sector.FERMIONIC
         rep = verify.wronskian_constancy(
-            lambda x: morse.wavefunction_derivs(p, sector, pmap, x)[0],
-            lambda x: morse.wavefunction_derivs(p, sector, pmap, x)[1],
-            lambda x: morse.wavefunction_derivs(q, sector, pmap, x)[0],
-            lambda x: morse.wavefunction_derivs(q, sector, pmap, x)[1],
+            lambda xs: morse.wavefunction_derivs_row(p, sector, pmap, xs),
+            lambda xs: morse.wavefunction_derivs_row(q, sector, pmap, xs),
             Grid1D(0.2, 3.0, 29),
         )
         assert rep.passed, rep.line()
@@ -193,7 +194,7 @@ class TestIntertwiningCheck:
         # multiplying w2 by x destroys the proportionality
         p = MorseParameters(K=1.0)
         pmap = ParameterMap.DERIVED
-        corrupted = lambda x: x * morse.wavefunction(p, Sector.BOSONIC, pmap, x)
+        corrupted = lambda xs: xs * morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
         rep = verify.intertwining_check(
             p, pmap, Grid1D(0.2, 3.0, 29), w2_override=corrupted
         )
@@ -206,22 +207,12 @@ class TestIntertwiningCheck:
 
 class TestReportInvariants:
     def test_pass_iff_within_tolerance(self):
-        rep = verify.ode_residual(
-            lambda x: -1.0 + 0.0j,
-            lambda x: cmath.exp(x),
-            Grid1D(0.0, 1.0, 11),
-            d2w=lambda x: cmath.exp(x),
-            tol=1e-8,
-        )
+        rep = verify.ode_residual(const(-1.0), exp_derivs, Grid1D(0.0, 1.0, 11), tol=1e-8)
         assert rep.passed == (rep.max_rel_residual <= rep.tolerance)
         assert rep.max_abs_residual >= 0.0 and rep.max_rel_residual >= 0.0
 
     def test_deterministic(self):
-        args = (
-            lambda x: 1.0 + 0.0j,
-            lambda x: complex(math.sin(x)),
-            Grid1D(0.0, 3.0, 21),
-        )
+        args = (const(1.0), verify.fd_derivs(np.sin), Grid1D(0.0, 3.0, 21))
         a = verify.ode_residual(*args)
         b = verify.ode_residual(*args)
         assert a.max_rel_residual == b.max_rel_residual
@@ -229,8 +220,6 @@ class TestReportInvariants:
     def test_fd_residual_order(self):
         # FD residual of a true solution drops ~h^4 until roundoff; compare
         # the built-in step with a 10x larger one
-        import numpy as np
-
         def resid(h_scale):
             worst = 0.0
             for x in np.linspace(0.5, 2.5, 9):
