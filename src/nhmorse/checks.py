@@ -111,10 +111,7 @@ def check_integration_cross(tol: float = 1e-6) -> ResidualReport:
     p = MorseParameters(K=1.0)
     pmap = ParameterMap.DERIVED
     sector = Sector.FERMIONIC
-
-    def Q(x):
-        return morse.ode_coefficient(p, sector, x)
-
+    Q = partial(morse.ode_coefficient, p, sector)
     w0, dw0, _ = morse.wavefunction_derivs(p, sector, pmap, 1.0)
     w1, _ = verify.integrate_ode(Q, 1.0, w0, dw0, 2.0, step=1e-4)
     exact = morse.wavefunction(p, sector, pmap, 2.0)
@@ -233,8 +230,8 @@ def check_rk4_order(tol: float = 0.25) -> ResidualReport:
     Reported residual is |ratio/16 - 1|; tolerance 0.25 corresponds to
     the acceptance window [12, 20].
     """
-    def Q(x):
-        return 1.0 + 0.0j
+    def Q(xs):
+        return np.full(xs.shape, 1.0 + 0.0j)
 
     # endpoint 1.0: at pi/2 the leading error term of the w component
     # vanishes (superconvergence) and the measured order jumps to 5

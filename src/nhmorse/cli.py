@@ -56,40 +56,36 @@ class GridSpec:
     nK: int = 41
 
 
-def _grid_row(spec: GridSpec, K: float, xs: np.ndarray) -> np.ndarray:
-    """Values along x of one K row: Laguerre form for the M solution,
-    the superposed Whittaker form for w and mix."""
-    alpha = 0.0 if spec.solution == "w" else spec.alpha
-    beta = 0.0 if spec.solution == "m" else spec.beta
-    p = MorseParameters(
-        A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
-        alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta,
-    )
-    if spec.solution == "m":
-        return morse.wavefunction_laguerre_form_row(p, spec.component, spec.param_map, xs)
-    return morse.wavefunction_derivs_row(p, spec.component, spec.param_map, xs)[0]
-
-
 def render_grid(spec: GridSpec) -> str:
     """CSV text for the grid: K outer loop ascending, x inner ascending;
-    each K row is evaluated along x in one call."""
+    the whole K x x block is evaluated in one call."""
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
-    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK)
+    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
+    alpha = 0.0 if spec.solution == "w" else spec.alpha
+    beta = 0.0 if spec.solution == "m" else spec.beta
+    rows = [
+        MorseParameters(
+            A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
+            alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta,
+        )
+        for K in Ks
+    ]
+    try:
+        w = morse.wavefunction_grid(rows, spec.component, spec.param_map, xs)
+    except Exception as exc:
+        raise RuntimeError(
+            f"evaluation failed on the grid K={Ks[0]:.17g} to {Ks[-1]:.17g}, "
+            f"x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
+        ) from exc
     ys = morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
     x_text = [_fmt(x) for x in xs.tolist()]
     y_text = [_fmt(y) for y in ys.tolist()]
     lines = [HEADER]
-    for K in Ks.tolist():
-        try:
-            w = _grid_row(spec, K, xs)
-        except Exception as exc:
-            raise RuntimeError(
-                f"evaluation failed on the row K={K:.17g}, x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
-            ) from exc
+    for K, row in zip(Ks, w):
         k_text = _fmt(K)
         lines.extend(
             f"{x},{k_text},{y},{_fmt(re)},{_fmt(im)}"
-            for x, y, re, im in zip(x_text, y_text, w.real.tolist(), w.imag.tolist())
+            for x, y, re, im in zip(x_text, y_text, row.real.tolist(), row.imag.tolist())
         )
     return "\n".join(lines) + "\n"
 

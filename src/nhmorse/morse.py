@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -235,18 +236,37 @@ def wavefunction_laguerre_form(
     return alpha * pre * cmath.exp(idx.mu * math.log(y) - 0.5 * y) * core
 
 
-def wavefunction_laguerre_form_row(
-    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
+def wavefunction_grid(
+    rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs
 ) -> np.ndarray:
-    """wavefunction_laguerre_form at every x of an array; the indices are
-    computed once and the Kummer core is one series summed over the row."""
-    alpha, _ = params.amplitudes(sector)
-    idx = indices(params, pmap).for_sector(sector)
-    y = riccati.morse_y(params.shape(), np.asarray(xs, dtype=float))
-    # kummer_core(nu, alpha, y) = 1F1(-nu; alpha + 1; y)
-    core = specfun.kummer_m_row(-(idx.kappa - idx.mu - 0.5), 2.0 * idx.mu + 1.0, y)
-    pre = math.sqrt(2.0 * params.B / params.a)
-    return alpha * pre * np.exp(idx.mu * np.log(y) - 0.5 * y) * core
+    """Values alpha (Laguerre-form M) + beta (e^{ax/2} W) of every parameter
+    row at every x, as an (R, N) block for R rows and N values of x.
+
+    Both terms are (2B/a)^{1/2} y^mu e^{-y/2} times a core, 1F1 and U
+    with the same (mu - kappa + 1/2, 2 mu + 1), so each term is one block
+    series over the rows whose amplitude for it is nonzero; a row with a
+    zero amplitude never reaches that term's rejections. The rows share
+    one Morse variable y, so B and a must agree; the indices are computed
+    per row.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not rows:
+        return np.zeros((0, xs.size), dtype=complex)
+    if len({(p.B, p.a) for p in rows}) != 1:
+        raise ValueError("wavefunction_grid rows must share one B and one a")
+    shape = rows[0].shape()
+    y = riccati.morse_y(shape, xs)
+    idx = [indices(p, pmap).for_sector(sector) for p in rows]
+    mu = np.array([[i.mu] for i in idx])
+    a = np.array([[i.series_a] for i in idx])
+    b = np.array([[i.series_b] for i in idx])
+    alpha, beta = (np.array(c)[:, None] for c in zip(*(p.amplitudes(sector) for p in rows)))
+    core = np.zeros((len(rows), xs.size), dtype=complex)
+    for amp, kernel in ((alpha, specfun.kummer_m_row), (beta, specfun.tricomi_u_row)):
+        on = amp[:, 0] != 0.0
+        if on.any():
+            core[on] += amp[on] * kernel(a[on], b[on], y)
+    return math.sqrt(2.0 * shape.B / shape.a) * np.exp(mu * np.log(y) - 0.5 * y) * core
 
 
 def bound_state_exponent(A: float, a: float, n: int, convention: BoundStateConvention) -> float:

@@ -7,8 +7,10 @@ continuation to complex degree/order.
 
 Each Kummer, Tricomi and Whittaker triple function has a `_row` form that
 takes a numpy array of arguments sharing one parameter set and sums each
-series once over the whole array; the scalar forms are the reference the
-row forms are tested against, and the fast path for single points.
+series once over the whole array. `kummer_m_row` and `tricomi_u_row` also
+take (R, 1) columns of per-row parameters and sum one series over the
+whole (R, N) block. The scalar forms are the reference the row forms are
+tested against, and the fast path for single points.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -33,6 +35,8 @@ from .errors import IntegerB, NonConvergence, ParameterPole, PoleError
 # _STOP_REL of the running sum, give up at _MAX_TERMS.
 _MAX_TERMS = 10_000
 _STOP_REL = 1e-17
+# The array series computes its term ratios this many terms at a time.
+_RATIO_CHUNK = 64
 
 # For negative argument the direct series is alternating and can cancel
 # catastrophically (relative error amplified by ~e^{|z|}); sum the Kummer
@@ -127,32 +131,44 @@ def _kummer_series(a: complex, b: complex, z: complex) -> complex:
     raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
 
 
-def _kummer_series_row(a: complex, b: complex, zs: np.ndarray) -> np.ndarray:
-    """_kummer_series summed over an array of z at once.
+def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """_kummer_series summed over a block of z at once, a and b of one shape
+    (a single row, or a column of per-row values) broadcast against zs.
 
-    Same term recurrence and terminating-series rule; the sum stops once
+    Same term recurrence and terminating-series rule per row: a row whose a
+    is a nonpositive integer -n stops after its n terms. The sum stops once
     three consecutive terms fall below _STOP_REL of the running sum at
-    every z, so no element stops earlier than its scalar sum would.
+    every element, so no element stops earlier than its scalar sum would.
     """
-    n_term = _terminating_degree(a)
-    term = np.ones(zs.shape, dtype=complex)
+    degrees = [_terminating_degree(x) for x in a.ravel().tolist()]
+    n_stop = np.reshape([math.inf if d is None else d for d in degrees], a.shape)
+    n_last = max((d for d in degrees if d is not None), default=0)
+    terminating = None not in degrees
+    term = np.ones(np.broadcast(a, zs).shape, dtype=complex)
     total = term.copy()
-    if n_term is not None:
-        for n in range(n_term):
-            term *= (a + n) / (b + n) / (n + 1) * zs
-            total += term
-        return total
     small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) / (b + n) / (n + 1) * zs
+    for n in range(n_last if terminating else max(_MAX_TERMS, n_last + 3)):
+        k = n % _RATIO_CHUNK
+        if k == 0:
+            # term ratios of the next _RATIO_CHUNK terms, ratios[k] of the
+            # shape of a; rows past their last term get a zero ratio,
+            # without dividing by the b + n that may vanish there
+            ns = np.arange(n, n + _RATIO_CHUNK).reshape((-1,) + (1,) * a.ndim)
+            live = ns < n_stop
+            ratios = np.where(live, (a + ns) / np.where(live, b + ns, 1.0), 0.0) / (ns + 1)
+        term *= ratios[k] * zs
         total += term
-        if (np.abs(term) <= _STOP_REL * np.abs(total)).all():
+        if n + 1 >= n_last and (np.abs(term) <= _STOP_REL * np.abs(total)).all():
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
-    raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z up to {zs.max()}")
+    if terminating:
+        return total
+    i = np.unravel_index(np.argmax(np.abs(term) > _STOP_REL * np.abs(total)), term.shape)
+    a_i, b_i, z_i = (np.broadcast_to(v, term.shape)[i] for v in (a, b, zs))
+    raise NonConvergence(f"kummer series did not converge: a={a_i}, b={b_i}, z={z_i}")
 
 
 def _check_kummer_b(a: complex, b: complex, name: str) -> None:
@@ -179,14 +195,19 @@ def kummer_m(a: complex, b: complex, z: float) -> complex:
     return _kummer_series(a, b, z)
 
 
-def kummer_m_row(a: complex, b: complex, zs) -> np.ndarray:
-    """kummer_m at every z >= 0 of an array, one series summed over all of them."""
-    a = complex(a)
-    b = complex(b)
+def kummer_m_row(a, b, zs) -> np.ndarray:
+    """kummer_m at every z >= 0 of an array, one series summed over all of them.
+
+    a and b are scalars, giving an array of the shape of zs, or (R, 1)
+    columns of per-row values, giving an (R, N) block for N values of z.
+    Each row is checked like kummer_m, and a rejection names that row's b.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     zs = np.asarray(zs, dtype=float)
     if np.any(zs < 0.0):
         raise ValueError(f"kummer_m_row requires z >= 0, got min z = {zs.min()}")
-    _check_kummer_b(a, b, "kummer_m_row")
+    for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
+        _check_kummer_b(ai, bi, "kummer_m_row")
     return _kummer_series_row(a, b, zs)
 
 
@@ -243,31 +264,45 @@ def tricomi_u(a: complex, b: complex, z: float) -> complex:
     return first + second
 
 
-def tricomi_u_row(a: complex, b: complex, zs) -> np.ndarray:
-    """tricomi_u at every z > 0 of an array.
+def tricomi_u_row(a, b, zs) -> np.ndarray:
+    """tricomi_u at every z > 0 of a one-dimensional array.
 
-    The same branch per element as tricomi_u: the connection formula below
-    z = 20, with its gamma coefficients computed once and both 1F1 series
-    summed over the array, and the asymptotic series at and above it.
+    a and b are scalars or (R, 1) columns of per-row values, as for
+    kummer_m_row. The same branch per element as tricomi_u: the connection
+    formula below z = 20, with its gamma coefficients computed once per
+    row and both 1F1 series summed over the block, and the asymptotic
+    series at and above it.
     """
-    a = complex(a)
-    b = complex(b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     zs = np.asarray(zs, dtype=float)
     if np.any(zs <= 0.0):
         raise ValueError(f"tricomi_u_row requires z > 0, got min z = {zs.min()}")
-    _check_tricomi_b(b, "tricomi_u_row")
-    out = np.zeros(zs.shape, dtype=complex)
+    pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    for _, bi in pairs:
+        _check_tricomi_b(bi, "tricomi_u_row")
+    out = np.zeros(np.broadcast(a, zs).shape, dtype=complex)
     far = zs >= _TRICOMI_ASYMPTOTIC_FROM
-    out[far] = [_tricomi_asymptotic(a, b, z) for z in zs[far].tolist()]
+    if far.any():
+        z_far = zs[far].tolist()
+        values = [[_tricomi_asymptotic(ai, bi, z) for z in z_far] for ai, bi in pairs]
+        out[..., far] = np.reshape(values, a.shape[:-1] + (-1,))
     near = ~far
     if near.any():
         z = zs[near]
-        c1 = cmath.exp(log_gamma(1.0 - b)) * reciprocal_gamma(a - b + 1.0)
-        c2 = cmath.exp(log_gamma(b - 1.0)) * reciprocal_gamma(a)
-        if c1 != 0.0:
-            out[near] += c1 * kummer_m_row(a, b, z)
-        if c2 != 0.0:
-            out[near] += c2 * np.exp((1.0 - b) * np.log(z)) * kummer_m_row(a - b + 1.0, 2.0 - b, z)
+        coefs = [
+            (
+                cmath.exp(log_gamma(1.0 - bi)) * reciprocal_gamma(ai - bi + 1.0),
+                cmath.exp(log_gamma(bi - 1.0)) * reciprocal_gamma(ai),
+            )
+            for ai, bi in pairs
+        ]
+        c1, c2 = (np.reshape(c, a.shape) for c in zip(*coefs))
+        u = 0.0
+        if np.any(c1 != 0.0):
+            u = c1 * kummer_m_row(a, b, z)
+        if np.any(c2 != 0.0):
+            u = u + c2 * np.exp((1.0 - b) * np.log(z)) * kummer_m_row(a - b + 1.0, 2.0 - b, z)
+        out[..., near] = u
     return out
 
 

@@ -24,9 +24,11 @@ from . import morse as morse_mod
 from . import susy as susy_mod
 from .errors import NonConvergence, ParameterPole
 
-ComplexMap = Callable[[float], complex]
 GridMap = Callable[[np.ndarray], np.ndarray]
 GridDerivs = Callable[[np.ndarray], tuple[np.ndarray, ...]]
+
+# integrate_ode evaluates its coefficient this many steps at a time.
+_RK4_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -164,14 +166,20 @@ def ode_residual(
 
 
 def integrate_ode(
-    Q: ComplexMap,
+    Q: GridMap,
     x0: float,
     w0: complex,
     dw0: complex,
     x1: float,
     step: float = 1e-4,
 ) -> tuple[complex, complex]:
-    """Fixed-step classical RK4 for (w, w')' = (w', -Q w) from x0 to x1."""
+    """Fixed-step classical RK4 for (w, w')' = (w', -Q w) from x0 to x1.
+
+    Q(xs) gives the coefficient at every point of an array. It is
+    evaluated once per block of _RK4_BLOCK steps, on all the stage points
+    x, x + h/2 and x + h of the block, before those steps run; the block
+    bounds the memory a long integration holds.
+    """
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     if x1 == x0:
@@ -180,18 +188,19 @@ def integrate_ode(
     h = (x1 - x0) / n
     w = complex(w0)
     dw = complex(dw0)
-    for i in range(n):
-        x = x0 + i * h
-        k1w, k1d = dw, -Q(x) * w
-        qm = Q(x + 0.5 * h)
-        k2w, k2d = dw + 0.5 * h * k1d, -qm * (w + 0.5 * h * k1w)
-        k3w, k3d = dw + 0.5 * h * k2d, -qm * (w + 0.5 * h * k2w)
-        qe = Q(x + h)
-        k4w, k4d = dw + h * k3d, -qe * (w + h * k3w)
-        w = w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        dw = dw + h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
-        if not (cmath.isfinite(w) and cmath.isfinite(dw)):
-            raise OverflowError(f"integration overflowed near x = {x + h}")
+    for start in range(0, n, _RK4_BLOCK):
+        xs = x0 + np.arange(start, min(start + _RK4_BLOCK, n)) * h
+        m = len(xs)
+        q = Q(np.concatenate([xs, xs + 0.5 * h, xs + h])).tolist()
+        for x, qs, qm, qe in zip(xs.tolist(), q[:m], q[m : 2 * m], q[2 * m :]):
+            k1w, k1d = dw, -qs * w
+            k2w, k2d = dw + 0.5 * h * k1d, -qm * (w + 0.5 * h * k1w)
+            k3w, k3d = dw + 0.5 * h * k2d, -qm * (w + 0.5 * h * k2w)
+            k4w, k4d = dw + h * k3d, -qe * (w + h * k3w)
+            w = w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            dw = dw + h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
+            if not (cmath.isfinite(w) and cmath.isfinite(dw)):
+                raise OverflowError(f"integration overflowed near x = {x + h}")
     return w, dw
 
 

@@ -50,11 +50,12 @@ class TestGrid:
         _, out, _ = run(capsys, "grid")
         first_row = out.splitlines()[1].split(",")
         assert float(first_row[0]) == 0.0 and float(first_row[1]) == 0.0
-        args = (MorseParameters(), Sector.BOSONIC, ParameterMap.PRINTED)
-        value = morse.wavefunction_laguerre_form_row(*args, np.linspace(0.0, 3.0, 61))[0]
+        rows = [MorseParameters(K=K) for K in np.linspace(0.0, 2.0, 41).tolist()]
+        block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, np.linspace(0.0, 3.0, 61))
+        value = block[0, 0]
         assert float(first_row[3]) == value.real
         assert float(first_row[4]) == value.imag
-        expected = morse.wavefunction_laguerre_form(*args, 0.0)
+        expected = morse.wavefunction_laguerre_form(rows[0], Sector.BOSONIC, ParameterMap.PRINTED, 0.0)
         assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_param_maps_differ(self, capsys):
@@ -81,6 +82,20 @@ class TestGrid:
     def test_flag_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "grid", "--component", "spinless")
         assert code == 2
+
+    @pytest.mark.parametrize("solution, beta", [("w", "1,0"), ("mix", "0.5,-0.25")])
+    def test_recessive_grids_match_scalar_wavefunction(self, capsys, solution, beta):
+        # K' = 1.9 keeps b = 2 mu + 1 off the integers on every row
+        code, out, _ = run(capsys, "grid", "--solution", solution, "--beta", beta, "--alpha", "0.75,0.5",
+                           "--Kprime", "1.9", "--nx", "7", "--nK", "5", "--component", "fermionic")
+        assert code == 0
+        alpha = 0.0 if solution == "w" else 0.75 + 0.5j
+        beta = complex(*map(float, beta.split(",")))
+        for line in out.splitlines()[1:]:
+            x, K, _, re, im = map(float, line.split(","))
+            p = MorseParameters(K=K, Kprime=1.9, alpha1=alpha, beta1=beta)
+            ref = morse.wavefunction(p, Sector.FERMIONIC, ParameterMap.PRINTED, x)
+            assert abs(complex(re, im) - ref) <= 1e-12 * abs(ref)
 
     def test_evaluation_error_exits_1(self, capsys):
         # printed map at K'=1, K=0 gives integer 2*mu+1; the W solution

@@ -159,14 +159,33 @@ class TestRowPath:
                 assert abs(q - morse.ode_coefficient(p, sector, x)) <= 1e-14 * abs(q)
 
     def test_laguerre_form_figure_rows_match_scalar(self):
+        # the default 61 x 41 figure grid as one block, M solution only
         xs = np.linspace(0.0, 3.0, 61)
-        for K in np.linspace(0.0, 2.0, 41).tolist():
-            p = MorseParameters(K=K)
-            for sector in Sector:
-                row = morse.wavefunction_laguerre_form_row(p, sector, ParameterMap.PRINTED, xs)
-                for x, v in zip(xs, row):
+        rows = [MorseParameters(K=K) for K in np.linspace(0.0, 2.0, 41).tolist()]
+        for sector in Sector:
+            block = morse.wavefunction_grid(rows, sector, ParameterMap.PRINTED, xs)
+            assert block.shape == (41, 61)
+            for p, values in zip(rows, block.tolist()):
+                for x, v in zip(xs.tolist(), values):
                     ref = morse.wavefunction_laguerre_form(p, sector, ParameterMap.PRINTED, x)
                     assert abs(v - ref) <= 1e-14 * abs(ref)
+
+    def test_grid_skips_zero_amplitude_terms_per_row(self):
+        # printed map, K' = 1, K = 0 gives integer b = 5: the W term of that
+        # row raises, but a row with beta = 0 never evaluates it
+        xs = np.linspace(0.0, 3.0, 7)
+        m_row = MorseParameters(K=0.0, Kprime=1.0)
+        w_row = MorseParameters(K=1.0, Kprime=1.0, alpha2=0.5, beta2=1.0 - 1.0j)
+        block = morse.wavefunction_grid([m_row, w_row], Sector.BOSONIC, ParameterMap.PRINTED, xs)
+        for p, values in zip((m_row, w_row), block.tolist()):
+            for x, v in zip(xs.tolist(), values):
+                ref = morse.wavefunction(p, Sector.BOSONIC, ParameterMap.PRINTED, x)
+                assert abs(v - ref) <= 1e-12 * abs(ref)
+        bad = MorseParameters(K=0.0, Kprime=1.0, beta2=1.0)
+        with pytest.raises(IntegerB):
+            morse.wavefunction_grid([w_row, bad], Sector.BOSONIC, ParameterMap.PRINTED, xs)
+        with pytest.raises(ValueError):
+            morse.wavefunction_grid([m_row, MorseParameters(B=3.0)], Sector.BOSONIC, ParameterMap.PRINTED, xs)
 
 
 class TestLaguerreForm:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ def _abs_term_sum(a, b, z):
             break
     return total
 
+def _connection_term_sum(a, b, z):
+    """Roundoff scale of the U(a, b, z) connection formula: each 1F1
+    term sum weighted by the size of its coefficient."""
+    c1 = cmath.exp(specfun.log_gamma(1.0 - b)) * specfun.reciprocal_gamma(a - b + 1.0)
+    c2 = cmath.exp(specfun.log_gamma(b - 1.0)) * specfun.reciprocal_gamma(a) * z ** (1.0 - b)
+    return abs(c1) * _abs_term_sum(a, b, z) + abs(c2) * _abs_term_sum(a - b + 1.0, 2.0 - b, z)
+
 
 class TestKummerRow:
     def test_agrees_with_scalar_on_oracle_distribution(self):
@@ -182,6 +190,50 @@ class TestKummerRow:
             specfun.kummer_m_row(1.0, 2.0, np.array([1.0, -1.0]))
 
 
+    def test_block_agrees_with_scalar_on_oracle_distribution(self):
+        # one (R, 1) column of parameter rows against a shared z array
+        rng = random.Random(20060516)
+        rows = []
+        while len(rows) < 40:
+            a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            if _admissible_b(b):
+                rows.append((a, b))
+        zs = np.array([rng.uniform(1e-6, 30.0) for _ in range(16)])
+        a_col, b_col = (np.array(c)[:, None] for c in zip(*rows))
+        block = specfun.kummer_m_row(a_col, b_col, zs)
+        assert block.shape == (40, 16)
+        worst = 0.0
+        for (a, b), values in zip(rows, block.tolist()):
+            for z, v in zip(zs.tolist(), values):
+                worst = max(worst, abs(v - specfun.kummer_m(a, b, z)) / _abs_term_sum(a, b, z))
+        assert worst <= 1e-14
+
+    def test_block_terminating_rows_are_their_finite_sums(self):
+        # terminating rows (one with b at a nonpositive integer past its
+        # last term, one with a within 1e-12 of -5) between series that
+        # need many more terms
+        rows = [(-3.0, 2.0), (0.7 + 0.2j, 1.5 - 0.5j), (-2.0, -4.0), (-5.0 + 1e-13, 0.5 + 1.5j), (2.0 - 1.0j, 3.0)]
+        zs = np.linspace(0.0, 30.0, 31)
+        a_col, b_col = (np.array(c)[:, None] for c in zip(*rows))
+        block = specfun.kummer_m_row(a_col, b_col, zs)
+        for (a, b), values in zip(rows, block.tolist()):
+            for z, v in zip(zs.tolist(), values):
+                bound = 1e-14 * _abs_term_sum(round(a.real) if a.real < 0 else a, b, z)
+                assert abs(v - specfun.kummer_m(a, b, z)) <= bound
+        # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24, summed to roundoff
+        exact = 1.0 - 1.5 * zs + 0.5 * zs**2 - zs**3 / 24.0
+        assert np.all(np.abs(block[0] - exact) <= 1e-14 * (1.0 + 1.5 * zs + 0.5 * zs**2 + zs**3 / 24.0))
+        # 1F1(-2; -4; z) = 1 + z/2 + z^2/12
+        assert np.all(np.abs(block[2] - (1.0 + zs / 2.0 + zs**2 / 12.0)) <= 1e-14 * (1.0 + zs + zs**2))
+
+    def test_block_pole_row_named(self):
+        a_col = np.array([[0.5 + 0.5j], [0.7], [1.0]])
+        b_col = np.array([[1.5], [-2.0 + 1e-13j], [2.0]])
+        with pytest.raises(ParameterPole, match=re.escape(str(complex(b_col[1, 0])))):
+            specfun.kummer_m_row(a_col, b_col, np.array([1.0, 2.0]))
+
+
 class TestTricomiRow:
     def test_branch_per_element(self):
         # the same branch per z as tricomi_u: the asymptotic side of the
@@ -203,6 +255,35 @@ class TestTricomiRow:
                 specfun.tricomi_u_row(1.0, b, np.array([3.0, 25.0]))
         with pytest.raises(ValueError):
             specfun.tricomi_u_row(1.0, 1.5, np.array([2.0, 0.0]))
+
+    def test_block_agrees_with_scalar_on_oracle_distribution(self):
+        # rows from the kummer-oracle distribution, z on both sides of the
+        # z = 20 switch: the asymptotic side is the scalar series itself,
+        # the connection side agrees to the roundoff of its two 1F1 sums
+        rng = random.Random(20060517)
+        rows = []
+        while len(rows) < 30:
+            a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            if _admissible_b(b) and _admissible_b(2.0 - b):
+                rows.append((a, b))
+        zs = np.sort([rng.uniform(1e-6, 30.0) for _ in range(16)])
+        a_col, b_col = (np.array(c)[:, None] for c in zip(*rows))
+        block = specfun.tricomi_u_row(a_col, b_col, zs)
+        assert block.shape == (30, 16)
+        for (a, b), values in zip(rows, block.tolist()):
+            for z, v in zip(zs.tolist(), values):
+                ref = specfun.tricomi_u(a, b, z)
+                if z >= 20.0:
+                    assert v == ref
+                else:
+                    assert abs(v - ref) <= 1e-14 * _connection_term_sum(a, b, z)
+
+    def test_block_integer_b_row_named(self):
+        a_col = np.array([[1.0], [0.5 + 0.5j], [2.0]])
+        b_col = np.array([[1.5], [3.0 + 4e-7j], [2.5 - 1.0j]])
+        with pytest.raises(IntegerB, match=re.escape(str(complex(b_col[1, 0])))):
+            specfun.tricomi_u_row(a_col, b_col, np.array([3.0, 25.0]))
 
 
 class TestTricomi:

@@ -102,22 +102,27 @@ class TestOdeResidual:
         assert rep.passed
 
 
+def _one(xs):
+    """Q = 1 at every point: w'' + w = 0."""
+    return np.full(xs.shape, 1.0 + 0.0j)
+
+
 class TestIntegrator:
     def test_sine(self):
-        w, dw = verify.integrate_ode(lambda x: 1.0 + 0.0j, 0.0, 0.0, 1.0, math.pi / 2.0, step=1e-4)
+        w, dw = verify.integrate_ode(_one, 0.0, 0.0, 1.0, math.pi / 2.0, step=1e-4)
         assert abs(w - 1.0) <= 1e-9
         assert abs(dw) <= 1e-9
 
     def test_backward_integration(self):
-        w, _ = verify.integrate_ode(lambda x: 1.0 + 0.0j, math.pi / 2.0, 1.0, 0.0, 0.0, step=1e-3)
+        w, _ = verify.integrate_ode(_one, math.pi / 2.0, 1.0, 0.0, 0.0, step=1e-3)
         assert abs(w) <= 1e-8
 
     def test_morse_cross_check(self):
         p = MorseParameters(K=1.0)
         pmap = ParameterMap.DERIVED
 
-        def Q(x):
-            return morse.ode_coefficient(p, Sector.FERMIONIC, x)
+        def Q(xs):
+            return morse.ode_coefficient(p, Sector.FERMIONIC, xs)
 
         w0, dw0, _ = morse.wavefunction_derivs(p, Sector.FERMIONIC, pmap, 1.0)
         w, _ = verify.integrate_ode(Q, 1.0, w0, dw0, 2.0, step=1e-4)
@@ -127,20 +132,20 @@ class TestIntegrator:
     def test_order_four_step_halving(self):
         errs = []
         for h in (0.02, 0.01):
-            w, dw = verify.integrate_ode(lambda x: 1.0 + 0.0j, 0.0, 0.0, 1.0, 1.0, step=h)
+            w, dw = verify.integrate_ode(_one, 0.0, 0.0, 1.0, 1.0, step=h)
             errs.append(math.hypot(abs(w - math.sin(1.0)), abs(dw - math.cos(1.0))))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):
-            verify.integrate_ode(lambda x: 1.0 + 0.0j, 0.0, 0.0, 1.0, 1.0, step=-1.0)
+            verify.integrate_ode(_one, 0.0, 0.0, 1.0, 1.0, step=-1.0)
 
     def test_whittaker_equation_cross_check(self):
         # integrate the Whittaker normal form in y, seeded at y=1
         idx = WhittakerIndices(kappa=2.5, mu=4.0)
 
-        def Q(y):
-            return -0.25 + idx.kappa / y + (0.25 - idx.mu * idx.mu) / (y * y)
+        def Q(ys):
+            return -0.25 + idx.kappa / ys + (0.25 - idx.mu * idx.mu) / (ys * ys)
 
         f0, f1, _ = specfun.whittaker_m_derivs(idx, 1.0)
         f, _ = verify.integrate_ode(Q, 1.0, f0, f1, 8.0, step=1e-4)
