@@ -141,7 +141,7 @@ def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarr
     every element, so no element stops earlier than its scalar sum would.
     """
     degrees = [_terminating_degree(x) for x in a.ravel().tolist()]
-    n_stop = np.reshape([math.inf if d is None else d for d in degrees], a.shape)
+    n_stop = np.array([math.inf if d is None else d for d in degrees]).reshape(a.shape)
     n_last = max((d for d in degrees if d is not None), default=0)
     terminating = None not in degrees
     term = np.ones(np.broadcast(a, zs).shape, dtype=complex)
@@ -150,13 +150,13 @@ def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarr
     for n in range(n_last if terminating else max(_MAX_TERMS, n_last + 3)):
         k = n % _RATIO_CHUNK
         if k == 0:
-            # term ratios of the next _RATIO_CHUNK terms, ratios[k] of the
+            # term ratios of the next _RATIO_CHUNK terms, ratios[k, ...] of the
             # shape of a; rows past their last term get a zero ratio,
             # without dividing by the b + n that may vanish there
             ns = np.arange(n, n + _RATIO_CHUNK).reshape((-1,) + (1,) * a.ndim)
             live = ns < n_stop
             ratios = np.where(live, (a + ns) / np.where(live, b + ns, 1.0), 0.0) / (ns + 1)
-        term *= ratios[k] * zs
+        term *= ratios[k, ...] * zs
         total += term
         if n + 1 >= n_last and (np.abs(term) <= _STOP_REL * np.abs(total)).all():
             small += 1
@@ -296,7 +296,7 @@ def tricomi_u_row(a, b, zs) -> np.ndarray:
             )
             for ai, bi in pairs
         ]
-        c1, c2 = (np.reshape(c, a.shape) for c in zip(*coefs))
+        c1, c2 = np.array(coefs).T.reshape((2,) + a.shape)
         u = 0.0
         if np.any(c1 != 0.0):
             u = c1 * kummer_m_row(a, b, z)
