@@ -12,6 +12,11 @@ take (R, 1) columns of per-row parameters and sum one series over the
 whole (R, N) block. The scalar forms are the reference the row forms are
 tested against, and the fast path for single points.
 
+The Whittaker triples (value and first two derivatives) take their
+derivatives from the term-by-term differentiated series: one pass over the
+1F1 terms gives all three sums, and the derivatives of U come from
+differentiating its connection formula with the coefficients computed once.
+
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
     is taken on the principal branch (argument in (-pi, pi]);
@@ -131,6 +136,75 @@ def _kummer_series(a: complex, b: complex, z: complex) -> complex:
     raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
 
 
+def _kummer_pass(a: complex, b: complex, z: float, s: complex = 0.0):
+    """(S0, S1, S2) = sums of t_n, (n+s) t_n and (n+s)(n+s-1) t_n over the
+    terms t_n of 1F1(a; b; z), in one pass.
+
+    z^s 1F1(a; b; z) then has value z^s S0, first derivative z^{s-1} S1 and
+    second derivative z^{s-2} S2. Terminating series are summed exactly
+    over their n terms; otherwise the pass stops once three consecutive
+    terms fall below _STOP_REL of the running sum in each of the three sums.
+    """
+    n_term = _terminating_degree(a)
+    term = 1.0 + 0.0j
+    s0, s1, s2 = term, s * term, s * (s - 1.0) * term
+    small = 0
+    for n in range(_MAX_TERMS if n_term is None else n_term):
+        term *= (a + n) / (b + n) * z / (n + 1)
+        m = n + 1 + s
+        d1 = m * term
+        d2 = (m - 1.0) * d1
+        s0 += term
+        s1 += d1
+        s2 += d2
+        if (
+            n_term is None
+            and abs(term) <= _STOP_REL * abs(s0)
+            and abs(d1) <= _STOP_REL * abs(s1)
+            and abs(d2) <= _STOP_REL * abs(s2)
+        ):
+            small += 1
+            if small >= 3:
+                return s0, s1, s2
+        else:
+            small = 0
+    if n_term is None:
+        raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
+    return s0, s1, s2
+
+
+def _kummer_pass_row(a: complex, b: complex, zs: np.ndarray, s: complex = 0.0):
+    """_kummer_pass at every z of an array, (a, b, s) scalars: the same
+    terms, summed once over the whole array, and the stopping rule holding
+    at every element."""
+    n_term = _terminating_degree(a)
+    term = np.ones(zs.shape, dtype=complex)
+    s0, s1, s2 = term.copy(), s * term, s * (s - 1.0) * term
+    small = 0
+    for n in range(_MAX_TERMS if n_term is None else n_term):
+        term *= (a + n) / (b + n) / (n + 1) * zs
+        m = n + 1 + s
+        d1 = m * term
+        d2 = (m - 1.0) * d1
+        s0 += term
+        s1 += d1
+        s2 += d2
+        if (
+            n_term is None
+            and (np.abs(term) <= _STOP_REL * np.abs(s0)).all()
+            and (np.abs(d1) <= _STOP_REL * np.abs(s1)).all()
+            and (np.abs(d2) <= _STOP_REL * np.abs(s2)).all()
+        ):
+            small += 1
+            if small >= 3:
+                return s0, s1, s2
+        else:
+            small = 0
+    if n_term is None:
+        raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z up to {zs.max()}")
+    return s0, s1, s2
+
+
 def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """_kummer_series summed over a block of z at once, a and b of one shape
     (a single row, or a column of per-row values) broadcast against zs.
@@ -241,6 +315,13 @@ def _check_tricomi_b(b: complex, name: str) -> None:
         raise IntegerB(f"{name}: b = {b} within 1e-6 of an integer")
 
 
+def _tricomi_connection(a: complex, b: complex) -> tuple[complex, complex]:
+    """(c1, c2) of U(a, b, z) = c1 M(a, b, z) + c2 z^{1-b} M(a-b+1, 2-b, z)."""
+    c1 = cmath.exp(log_gamma(1.0 - b)) * reciprocal_gamma(a - b + 1.0)
+    c2 = cmath.exp(log_gamma(b - 1.0)) * reciprocal_gamma(a)
+    return c1, c2
+
+
 def tricomi_u(a: complex, b: complex, z: float) -> complex:
     """Tricomi confluent hypergeometric function U(a, b, z), z > 0.
 
@@ -257,8 +338,8 @@ def tricomi_u(a: complex, b: complex, z: float) -> complex:
     _check_tricomi_b(b, "tricomi_u")
     if z >= _TRICOMI_ASYMPTOTIC_FROM:
         return _tricomi_asymptotic(a, b, z)
-    c1 = cmath.exp(log_gamma(1.0 - b)) * reciprocal_gamma(a - b + 1.0)
-    c2 = cmath.exp(log_gamma(b - 1.0)) * reciprocal_gamma(a) * cmath.exp((1.0 - b) * math.log(z))
+    c1, c2 = _tricomi_connection(a, b)
+    c2 *= cmath.exp((1.0 - b) * math.log(z))
     first = c1 * kummer_m(a, b, z) if c1 != 0.0 else 0.0j
     second = c2 * kummer_m(a - b + 1.0, 2.0 - b, z) if c2 != 0.0 else 0.0j
     return first + second
@@ -289,13 +370,7 @@ def tricomi_u_row(a, b, zs) -> np.ndarray:
     near = ~far
     if near.any():
         z = zs[near]
-        coefs = [
-            (
-                cmath.exp(log_gamma(1.0 - bi)) * reciprocal_gamma(ai - bi + 1.0),
-                cmath.exp(log_gamma(bi - 1.0)) * reciprocal_gamma(ai),
-            )
-            for ai, bi in pairs
-        ]
+        coefs = [_tricomi_connection(ai, bi) for ai, bi in pairs]
         c1, c2 = np.array(coefs).T.reshape((2,) + a.shape)
         u = 0.0
         if np.any(c1 != 0.0):
@@ -356,9 +431,9 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
     """Value and first two y-derivatives of e^{-y/2} y^{mu+1/2} F(y), at a
     float y or elementwise over an array.
 
-    The core derivatives are supplied analytically (contiguous-parameter
-    identities), never through the differential equation, so residual
-    checks built on these stay non-circular.
+    The core derivatives are supplied analytically (term-by-term
+    differentiated series), never through the differential equation, so
+    residual checks built on these stay non-circular.
     """
     pre = _whittaker_prefactor(mu, y)
     s = mu + 0.5
@@ -377,6 +452,12 @@ def _positive_row(ys, name: str) -> np.ndarray:
     return ys
 
 
+def _check_kummer_triple(a: complex, b: complex, name: str) -> None:
+    # the rejections of 1F1 at (a, b), (a+1, b+1) and (a+2, b+2)
+    for k in range(3):
+        _check_kummer_b(a + k, b + k, name)
+
+
 def whittaker_m_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, complex, complex]:
     """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core."""
     y = float(y)
@@ -384,21 +465,36 @@ def whittaker_m_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, comple
         raise ValueError(f"whittaker_m_derivs requires y > 0, got {y}")
     idx.check()
     a, b = idx.series_a, idx.series_b
-    core = kummer_m(a, b, y)
-    core_d1 = a / b * kummer_m(a + 1, b + 1, y)
-    core_d2 = a * (a + 1) / (b * (b + 1)) * kummer_m(a + 2, b + 2, y)
-    return _core_derivs(core, core_d1, core_d2, idx.mu, y)
+    _check_kummer_triple(a, b, "kummer_m")
+    s0, s1, s2 = _kummer_pass(a, b, y)
+    return _core_derivs(s0, s1 / y, s2 / (y * y), idx.mu, y)
 
 
 def whittaker_m_derivs_row(idx: WhittakerIndices, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """whittaker_m_derivs at every y > 0 of an array, each series summed once."""
+    """whittaker_m_derivs at every y > 0 of an array, the series summed once."""
     ys = _positive_row(ys, "whittaker_m_derivs_row")
     idx.check()
     a, b = idx.series_a, idx.series_b
-    core = kummer_m_row(a, b, ys)
-    core_d1 = a / b * kummer_m_row(a + 1, b + 1, ys)
-    core_d2 = a * (a + 1) / (b * (b + 1)) * kummer_m_row(a + 2, b + 2, ys)
-    return _core_derivs(core, core_d1, core_d2, idx.mu, ys)
+    _check_kummer_triple(a, b, "kummer_m_row")
+    s0, s1, s2 = _kummer_pass_row(a, b, ys)
+    return _core_derivs(s0, s1 / ys, s2 / (ys * ys), idx.mu, ys)
+
+
+def _tricomi_derivs(a: complex, b: complex, z):
+    """(U, dU/dz, d2U/dz2) from the connection formula differentiated term by
+    term: U^(k) = (c1 S_k + c2 z^{1-b} S'_k) / z^k, with S_k the sums of the
+    pass over M(a, b, z) and S'_k over M(a-b+1, 2-b, z) with s = 1 - b.
+    z is a float below the asymptotic switch, or an array of them."""
+    row = isinstance(z, np.ndarray)
+    kummer_pass = _kummer_pass_row if row else _kummer_pass
+    c1, c2 = _tricomi_connection(a, b)
+    u = [0.0, 0.0, 0.0]
+    if c1 != 0.0:
+        u = [c1 * v for v in kummer_pass(a, b, z)]
+    if c2 != 0.0:
+        c2 *= np.exp((1.0 - b) * np.log(z)) if row else cmath.exp((1.0 - b) * math.log(z))
+        u = [ui + c2 * v for ui, v in zip(u, kummer_pass(a - b + 1.0, 2.0 - b, z, 1.0 - b))]
+    return u[0], u[1] / z, u[2] / (z * z)
 
 
 def whittaker_w_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, complex, complex]:
@@ -407,20 +503,32 @@ def whittaker_w_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, comple
     if y <= 0.0:
         raise ValueError(f"whittaker_w_derivs requires y > 0, got {y}")
     a, b = idx.series_a, idx.series_b
-    core = tricomi_u(a, b, y)
-    core_d1 = -a * tricomi_u(a + 1, b + 1, y)
-    core_d2 = a * (a + 1) * tricomi_u(a + 2, b + 2, y)
-    return _core_derivs(core, core_d1, core_d2, idx.mu, y)
+    if y >= _TRICOMI_ASYMPTOTIC_FROM:
+        core = tricomi_u(a, b, y)
+        core_d1 = -a * tricomi_u(a + 1, b + 1, y)
+        core_d2 = a * (a + 1) * tricomi_u(a + 2, b + 2, y)
+        return _core_derivs(core, core_d1, core_d2, idx.mu, y)
+    _check_tricomi_b(b, "tricomi_u")
+    return _core_derivs(*_tricomi_derivs(a, b, y), idx.mu, y)
 
 
 def whittaker_w_derivs_row(idx: WhittakerIndices, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """whittaker_w_derivs at every y > 0 of an array, each series summed once."""
+    """whittaker_w_derivs at every y > 0 of an array, each series summed once
+    over the y below the asymptotic switch."""
     ys = _positive_row(ys, "whittaker_w_derivs_row")
     a, b = idx.series_a, idx.series_b
-    core = tricomi_u_row(a, b, ys)
-    core_d1 = -a * tricomi_u_row(a + 1, b + 1, ys)
-    core_d2 = a * (a + 1) * tricomi_u_row(a + 2, b + 2, ys)
-    return _core_derivs(core, core_d1, core_d2, idx.mu, ys)
+    _check_tricomi_b(b, "tricomi_u_row")
+    core = [np.zeros(ys.shape, dtype=complex) for _ in range(3)]
+    far = ys >= _TRICOMI_ASYMPTOTIC_FROM
+    if far.any():
+        y_far = ys[far].tolist()
+        for k, factor in enumerate((1.0, -a, a * (a + 1))):
+            core[k][far] = [factor * _tricomi_asymptotic(a + k, b + k, y) for y in y_far]
+    near = ~far
+    if near.any():
+        for c, v in zip(core, _tricomi_derivs(a, b, ys[near])):
+            c[near] = v
+    return _core_derivs(*core, idx.mu, ys)
 
 
 def laguerre_poly(n: int, p: float, y: float) -> float:

@@ -22,7 +22,7 @@ def _run(name, runtime_limit=None):
 
 
 def test_criterion_01_kummer_oracle():
-    rep = _run("kummer-oracle", runtime_limit=5.0)
+    rep = _run("kummer-oracle", runtime_limit=1.0)
     assert rep.passed and rep.tolerance == 1e-10
 
 
@@ -46,7 +46,7 @@ def test_criterion_04_integration_cross_check():
 
 
 def test_criterion_05_intertwining():
-    rep = _run("intertwining")
+    rep = _run("intertwining", runtime_limit=1.0)
     assert rep.passed and rep.tolerance == 1e-8
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -110,6 +111,31 @@ class TestWavefunction:
             wm = morse.wavefunction(p, sector, ParameterMap.DERIVED, x - h)
             assert abs((wp - wm) / (2 * h) - dw) <= 1e-7 * max(1.0, abs(dw))
             assert abs((wp - 2 * w + wm) / (h * h) - d2w) <= 1e-4 * max(1.0, abs(d2w))
+
+    def test_recessive_branch_residual_below_the_asymptotic_switch(self):
+        # the W branch where y = (2B/a) e^{-ax} < 20, i.e. through the
+        # differentiated connection formula: B in {5, 10, 20}, K in [0, 2],
+        # both sectors, W-only and M + beta W, derived map
+        rng = random.Random(20061018)
+        worst = 0.0
+        for _ in range(2000):
+            B = rng.choice((5.0, 10.0, 20.0))
+            K = rng.uniform(0.0, 2.0)
+            x = rng.uniform(max(0.0, 2.0 * math.log(B / 5.0)) + 1e-9, 3.0)
+            sector = rng.choice((Sector.FERMIONIC, Sector.BOSONIC))
+            if rng.random() < 0.5:
+                alpha, beta = 0.0j, 1.0 + 0.0j
+            else:
+                alpha, beta = 1.0 + 0.0j, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            p = MorseParameters(
+                A=1.0, B=B, a=0.5, K=K, Kprime=2.0,
+                alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta,
+            )
+            assert 2.0 * B / p.a * math.exp(-p.a * x) < 20.0
+            w, _, d2w = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)
+            q = morse.ode_coefficient(p, sector, x)
+            worst = max(worst, abs(d2w + q * w) / (1.0 + abs(q) * abs(w)))
+        assert worst <= 1e-8
 
 
 def _row_or_error(fn):

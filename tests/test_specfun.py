@@ -422,6 +422,100 @@ class TestWhittaker:
         with pytest.raises(ParameterPole):
             specfun.whittaker_m(WhittakerIndices(kappa=0.3, mu=-1.0), 2.0)
 
+    def test_triples_match_mpmath(self):
+        # (W, W', W'') of both kinds against mpmath's whitm/whitw, derivatives
+        # by mp.diff, at 40 digits: |Re kappa| <= 2, Re mu in [0.2, 2],
+        # imaginary parts within 1.5, y in [0.2, 5], b = 2mu+1 at least 1e-3
+        # from an integer (the W connection formula cancels like 1/sin(pi b))
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20060519)
+        worst = {specfun.whittaker_m_derivs: 0.0, specfun.whittaker_w_derivs: 0.0}
+        n = 0
+        with mp.workdps(40):
+            while n < 16:
+                kappa = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5))
+                mu = complex(rng.uniform(0.2, 2.0), rng.uniform(-1.5, 1.5))
+                b = 2.0 * mu + 1.0
+                if abs(b - round(b.real)) < 1e-3:
+                    continue
+                n += 1
+                y = rng.uniform(0.2, 5.0)
+                for fn, ref in ((specfun.whittaker_m_derivs, mp.whitm), (specfun.whittaker_w_derivs, mp.whitw)):
+                    def f(t, ref=ref):
+                        return ref(mp.mpc(kappa), mp.mpc(mu), t)
+                    refs = [complex(f(mp.mpf(y)))] + [complex(mp.diff(f, mp.mpf(y), k)) for k in (1, 2)]
+                    for got, r in zip(fn(WhittakerIndices(kappa=kappa, mu=mu), y), refs):
+                        worst[fn] = max(worst[fn], abs(got - r) / abs(r))
+        assert worst[specfun.whittaker_m_derivs] <= 1e-13
+        assert worst[specfun.whittaker_w_derivs] <= 1e-8
+
+    def test_terminating_m_triple_is_the_differentiated_finite_sum(self):
+        # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24 and its derivatives,
+        # through the M triple's pass: exactly four terms, no stopping rule
+        zs = np.linspace(0.0, 30.0, 31)
+        exact = (
+            1.0 - 1.5 * zs + 0.5 * zs**2 - zs**3 / 24.0,
+            -1.5 + zs - zs**2 / 8.0,
+            1.0 - zs / 4.0,
+        )
+        scale = (1.0 + 1.5 * zs + 0.5 * zs**2 + zs**3 / 24.0, 1.5 + zs + zs**2 / 8.0, 1.0 + zs / 4.0)
+        for z, i in zip(zs.tolist()[1:], range(1, 31)):
+            s0, s1, s2 = specfun._kummer_pass(-3.0, 2.0, z)
+            for got, ref, sc in zip((s0, s1 / z, s2 / (z * z)), exact, scale):
+                assert abs(got - ref[i]) <= 1e-14 * sc[i]
+        s0, s1, s2 = specfun._kummer_pass_row(-3.0, 2.0, zs[1:])
+        for got, ref, sc in zip((s0, s1 / zs[1:], s2 / zs[1:] ** 2), exact, scale):
+            assert np.all(np.abs(got - ref[1:]) <= 1e-14 * sc[1:])
+        # dyadic case summed without rounding: 1F1(-2; 1; 2) = 1 - 2z + z^2/2
+        # at z = 2, with derivatives -2 + z = 0 and 1
+        assert specfun._kummer_pass(-2.0, 1.0, 2.0) == (-1.0, 0.0, 4.0)
+        assert [v.tolist() for v in specfun._kummer_pass_row(-2.0, 1.0, np.array([2.0]))] == [[-1.0], [0.0], [4.0]]
+        # a terminating triple whose b is a nonpositive integer past its
+        # last term: 1F1(-2; -4; y) = 1 + y/2 + y^2/12
+        idx = WhittakerIndices(kappa=0.0, mu=-2.5)
+        y = 1.5
+        pre, pre1, pre2 = specfun._core_derivs(1.0, 0.0, 0.0, idx.mu, y)
+        core = (1.0 + y / 2.0 + y * y / 12.0, 0.5 + y / 6.0, 1.0 / 6.0)
+        expected = (pre * core[0], pre1 * core[0] + pre * core[1],
+                    pre2 * core[0] + 2.0 * pre1 * core[1] + pre * core[2])
+        for got, ref in zip(specfun.whittaker_m_derivs(idx, y), expected):
+            assert_close(got, ref, rel=1e-14)
+
+    def test_pass_derivative_sums_match_shifted_series(self):
+        # S1/z = (a/b) M(a+1, b+1, z) and S2/z^2 = a(a+1)/(b(b+1)) M(a+2, b+2, z):
+        # the contiguous identities the term-by-term sums replace, on the
+        # kummer-oracle distribution with z <= 5
+        rng = random.Random(20060518)
+        worst = 0.0
+        for _ in range(200):
+            a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            if not _admissible_b(b):
+                continue
+            z = rng.uniform(1e-6, 5.0)
+            _, s1, s2 = specfun._kummer_pass(a, b, z)
+            d1 = a / b * specfun.kummer_m(a + 1, b + 1, z)
+            d2 = a * (a + 1) / (b * (b + 1)) * specfun.kummer_m(a + 2, b + 2, z)
+            worst = max(worst, abs(s1 / z - d1) / abs(d1), abs(s2 / (z * z) - d2) / abs(d2))
+        assert worst <= 1e-12
+
+    def test_triple_rejections_unchanged(self):
+        # the rejections of the shifted-parameter series the triples used to
+        # sum: 1F1(0; b+1) and 1F1(-1; b+2) past a nonpositive b
+        for kappa, mu in ((-0.5, -1.0), (0.0, -1.5)):
+            idx = WhittakerIndices(kappa=kappa, mu=mu)
+            with pytest.raises(ParameterPole, match="^kummer_m: b = "):
+                specfun.whittaker_m_derivs(idx, 1.0)
+            with pytest.raises(ParameterPole, match="^kummer_m_row: b = "):
+                specfun.whittaker_m_derivs_row(idx, np.array([1.0]))
+        idx = WhittakerIndices(kappa=0.3, mu=0.5)
+        with pytest.raises(IntegerB, match="^tricomi_u: b = "):
+            specfun.whittaker_w_derivs(idx, 1.0)
+        with pytest.raises(IntegerB, match="^tricomi_u: b = "):
+            specfun.whittaker_w_derivs(idx, 25.0)
+        with pytest.raises(IntegerB, match="^tricomi_u_row: b = "):
+            specfun.whittaker_w_derivs_row(idx, np.array([1.0, 25.0]))
+
 
 def _laguerre_series(n, p, y):
     # independent evaluation: L_n^p(y) = sum_k (-1)^k C(n+p, n-k) y^k / k!
