@@ -453,7 +453,8 @@ def _positive_row(ys, name: str) -> np.ndarray:
 
 
 def _check_kummer_triple(a: complex, b: complex, name: str) -> None:
-    # the rejections of 1F1 at (a, b), (a+1, b+1) and (a+2, b+2)
+    # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
+    # reject the triple wherever one of those three series is rejected
     for k in range(3):
         _check_kummer_b(a + k, b + k, name)
 
