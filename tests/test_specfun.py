@@ -452,20 +452,20 @@ class TestWhittaker:
     def test_terminating_m_triple_is_the_differentiated_finite_sum(self):
         # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24 and its derivatives,
         # through the M triple's pass: exactly four terms, no stopping rule
-        zs = np.linspace(0.0, 30.0, 31)
+        zs = np.linspace(1.0, 30.0, 30)
         exact = (
             1.0 - 1.5 * zs + 0.5 * zs**2 - zs**3 / 24.0,
             -1.5 + zs - zs**2 / 8.0,
             1.0 - zs / 4.0,
         )
         scale = (1.0 + 1.5 * zs + 0.5 * zs**2 + zs**3 / 24.0, 1.5 + zs + zs**2 / 8.0, 1.0 + zs / 4.0)
-        for z, i in zip(zs.tolist()[1:], range(1, 31)):
+        for i, z in enumerate(zs.tolist()):
             s0, s1, s2 = specfun._kummer_pass(-3.0, 2.0, z)
             for got, ref, sc in zip((s0, s1 / z, s2 / (z * z)), exact, scale):
                 assert abs(got - ref[i]) <= 1e-14 * sc[i]
-        s0, s1, s2 = specfun._kummer_pass_row(-3.0, 2.0, zs[1:])
-        for got, ref, sc in zip((s0, s1 / zs[1:], s2 / zs[1:] ** 2), exact, scale):
-            assert np.all(np.abs(got - ref[1:]) <= 1e-14 * sc[1:])
+        s0, s1, s2 = specfun._kummer_pass_row(-3.0, 2.0, zs)
+        for got, ref, sc in zip((s0, s1 / zs, s2 / zs**2), exact, scale):
+            assert np.all(np.abs(got - ref) <= 1e-14 * sc)
         # dyadic case summed without rounding: 1F1(-2; 1; 2) = 1 - 2z + z^2/2
         # at z = 2, with derivatives -2 + z = 0 and 1
         assert specfun._kummer_pass(-2.0, 1.0, 2.0) == (-1.0, 0.0, 4.0)
