@@ -114,7 +114,7 @@ def check_integration_cross(tol: float = 1e-6) -> ResidualReport:
     Q = partial(morse.ode_coefficient, p, sector)
     w0, dw0, _ = morse.wavefunction_derivs(p, sector, pmap, 1.0)
     w1, _ = verify.integrate_ode(Q, 1.0, w0, dw0, 2.0, step=1e-4)
-    exact = morse.wavefunction(p, sector, pmap, 2.0)
+    exact = morse.wavefunction_derivs(p, sector, pmap, 2.0)[0]
     rel = abs(w1 - exact) / abs(exact)
     return _report("integration-cross-check", rel, tol)
 
@@ -148,7 +148,7 @@ def check_expansion_identity(tol: float = 1e-12) -> ResidualReport:
                 for K in (0.0, 1.0, 2.0):
                     for Kp in (0.0, 2.0):
                         p = MorseParameters(A=A, B=B, a=a, K=K, Kprime=Kp)
-                        sol = morse.morse_solution(p)
+                        sol = riccati.morse_riccati(p.shape(), RiccatiSign.PLUS)
                         ext = ExtensionParams(K=K, Kprime=Kp)
                         for sector in Sector:
                             for x in np.linspace(0.0, 3.0, 11):

@@ -228,6 +228,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag in ("B", "a", "nx", "nK"):
+        value = getattr(args, flag, 1)
+        if not value > 0:
+            print(f"error: --{flag} must be > 0, got {value:g}", file=sys.stderr)
+            return 2
     if args.command == "grid":
         return cmd_grid(args)
     if args.command == "params":

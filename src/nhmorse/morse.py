@@ -27,7 +27,7 @@ import numpy as np
 
 from . import riccati, specfun
 from .errors import NonNormalizable
-from .riccati import MorseRiccati, RiccatiSign
+from .riccati import MorseRiccati
 from .specfun import WhittakerIndices
 from .susy import Sector
 
@@ -144,52 +144,33 @@ def _chain_rule(a: float, g, y, f, f1, f2):
     return w, dw, d2w
 
 
-def _whittaker_wave_derivs(
-    idx: WhittakerIndices,
-    shape: MorseRiccati,
-    x: float,
-    kind: str,
-) -> tuple[complex, complex, complex]:
-    """(w, w', w'') in x for w(x) = e^{ax/2} F(y(x)), F a Whittaker function.
-
-    F-derivatives are analytic (never obtained from the differential
-    equation).
+def _wave_derivs(idx: WhittakerIndices, shape: MorseRiccati, alpha: complex, beta: complex, x):
+    """(w, w', w'') in x of w = alpha e^{ax/2} M(y) + beta e^{ax/2} W(y), at a
+    float x or elementwise over an array of them; a term with a zero
+    amplitude is not evaluated. The Whittaker derivatives are analytic
+    (never obtained from the differential equation).
     """
-    a = shape.a
     y = riccati.morse_y(shape, x)
-    if kind == "m":
-        f, f1, f2 = specfun.whittaker_m_derivs(idx, y)
-    elif kind == "w":
-        f, f1, f2 = specfun.whittaker_w_derivs(idx, y)
-    else:
-        raise ValueError(f"unknown solution kind {kind!r}")
-    return _chain_rule(a, math.exp(0.5 * a * x), y, f, f1, f2)
+    g = np.exp(0.5 * shape.a * x) if isinstance(x, np.ndarray) else math.exp(0.5 * shape.a * x)
+    w = dw = d2w = 0j * g  # zero, or zeros of the shape of x
+    for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
+        if amp != 0.0:
+            v, v1, v2 = _chain_rule(shape.a, g, y, *kernel(idx, y))
+            w, dw, d2w = w + amp * v, dw + amp * v1, d2w + amp * v2
+    return w, dw, d2w
 
 
 def wavefunction_derivs(
     params: MorseParameters, sector: Sector, pmap: ParameterMap, x: float
 ) -> tuple[complex, complex, complex]:
     """Value and first two x-derivatives of the superposed wavefunction
-    alpha e^{ax/2} M + beta e^{ax/2} W.
+    alpha e^{ax/2} M + beta e^{ax/2} W at one x.
 
     The W branch is only evaluated when beta is nonzero, so purely M-type
     parameter sets never trip the integer-b rejection of the Tricomi core.
     """
-    alpha, beta = params.amplitudes(sector)
     idx = indices(params, pmap).for_sector(sector)
-    shape = params.shape()
-    w = dw = d2w = 0.0 + 0.0j
-    if alpha != 0.0:
-        m, m1, m2 = _whittaker_wave_derivs(idx, shape, x, "m")
-        w += alpha * m
-        dw += alpha * m1
-        d2w += alpha * m2
-    if beta != 0.0:
-        v, v1, v2 = _whittaker_wave_derivs(idx, shape, x, "w")
-        w += beta * v
-        dw += beta * v1
-        d2w += beta * v2
-    return w, dw, d2w
+    return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), x)
 
 
 def wavefunction_derivs_row(
@@ -200,23 +181,8 @@ def wavefunction_derivs_row(
     The indices and the Morse shape are computed once for the row, and
     each Kummer/Tricomi series is summed once over all of its y.
     """
-    xs = np.asarray(xs, dtype=float)
-    alpha, beta = params.amplitudes(sector)
     idx = indices(params, pmap).for_sector(sector)
-    shape = params.shape()
-    y = riccati.morse_y(shape, xs)
-    g = np.exp(0.5 * shape.a * xs)
-    w = dw = d2w = np.zeros(xs.shape, dtype=complex)
-    for amp, kernel in ((alpha, specfun.whittaker_m_derivs_row), (beta, specfun.whittaker_w_derivs_row)):
-        if amp != 0.0:
-            v, v1, v2 = _chain_rule(shape.a, g, y, *kernel(idx, y))
-            w, dw, d2w = w + amp * v, dw + amp * v1, d2w + amp * v2
-    return w, dw, d2w
-
-
-def wavefunction(params: MorseParameters, sector: Sector, pmap: ParameterMap, x: float) -> complex:
-    """Superposed closed-form wavefunction for the chosen sector and map."""
-    return wavefunction_derivs(params, sector, pmap, x)[0]
+    return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), np.asarray(xs, dtype=float))
 
 
 def wavefunction_laguerre_form(
@@ -317,7 +283,7 @@ def bound_state_wave_derivs(
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
     idx = WhittakerIndices(kappa=complex(s + n + 0.5), mu=complex(s))
-    return _whittaker_wave_derivs(idx, MorseRiccati(A=A, B=B, a=a), x, "m")
+    return _wave_derivs(idx, MorseRiccati(A=A, B=B, a=a), 1.0, 0.0, x)
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -342,8 +308,3 @@ def whittaker_laguerre_identity(n: int, p: float, y: float) -> tuple[complex, fl
     rhs_printed = y ** (0.5 * (p + 1.0)) * math.exp(-0.5 * y) * specfun.laguerre_poly(n, p, y)
     rhs_corrected = rhs_printed * math.factorial(n) / pochhammer(p + 1.0, n)
     return lhs, rhs_printed, rhs_corrected
-
-
-def morse_solution(params: MorseParameters, sign: RiccatiSign = RiccatiSign.PLUS):
-    """Convenience: the Morse Riccati bundle for these parameters."""
-    return riccati.morse_riccati(params.shape(), sign)

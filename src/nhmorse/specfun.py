@@ -5,17 +5,19 @@ hypergeometric functions with complex parameters, Whittaker M/W and their
 derivatives, classical associated Laguerre polynomials and their analytic
 continuation to complex degree/order.
 
-Each Kummer, Tricomi and Whittaker triple function has a `_row` form that
-takes a numpy array of arguments sharing one parameter set and sums each
-series once over the whole array. `kummer_m_row` and `tricomi_u_row` also
-take (R, 1) columns of per-row parameters and sum one series over the
-whole (R, N) block. The scalar forms are the reference the row forms are
-tested against, and the fast path for single points.
+`kummer_m` and `tricomi_u` evaluate one argument and are the reference for
+their `_row` forms, which take a numpy array of arguments sharing one
+parameter set (or (R, 1) columns of per-row parameters, giving an (R, N)
+block) and sum each series once over the whole array.
 
-The Whittaker triples (value and first two derivatives) take their
-derivatives from the term-by-term differentiated series: one pass over the
-1F1 terms gives all three sums, and the derivatives of U come from
-differentiating its connection formula with the coefficients computed once.
+The Whittaker triples (value and first two derivatives) take a float or a
+numpy array of y; only the series pass underneath differs, a loop over the
+terms for a float and numpy arrays over every y at once. Their derivatives
+come from the term-by-term differentiated series: one pass over the 1F1
+terms gives all three sums, and the derivatives of U come from
+differentiating its connection formula with the coefficients computed
+once, or, past the asymptotic switch, from U^(k)(a, b, z) =
+(-1)^k (a)_k U(a+k, b+k, z).
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -136,7 +138,7 @@ def _kummer_series(a: complex, b: complex, z: complex) -> complex:
     raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
 
 
-def _kummer_pass(a: complex, b: complex, z: float, s: complex = 0.0):
+def _kummer_pass(a: complex, b: complex, z, s: complex = 0.0):
     """(S0, S1, S2) = sums of t_n, (n+s) t_n and (n+s)(n+s-1) t_n over the
     terms t_n of 1F1(a; b; z), in one pass.
 
@@ -144,7 +146,10 @@ def _kummer_pass(a: complex, b: complex, z: float, s: complex = 0.0):
     second derivative z^{s-2} S2. Terminating series are summed exactly
     over their n terms; otherwise the pass stops once three consecutive
     terms fall below _STOP_REL of the running sum in each of the three sums.
+    A numpy array z is summed by _kummer_pass_row, a float by the loop here.
     """
+    if isinstance(z, np.ndarray):
+        return _kummer_pass_row(a, b, z, s)
     n_term = _terminating_degree(a)
     term = 1.0 + 0.0j
     s0, s1, s2 = term, s * term, s * (s - 1.0) * term
@@ -445,40 +450,27 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
     return f, d1, d2
 
 
-def _positive_row(ys, name: str) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    if np.any(ys <= 0.0):
-        raise ValueError(f"{name} requires y > 0, got min y = {ys.min()}")
-    return ys
+def _positive(y, name: str):
+    """y as a float, or as a float array when it is one; y > 0 throughout."""
+    row = isinstance(y, np.ndarray)
+    y = y.astype(float, copy=False) if row else float(y)
+    if np.any(y <= 0.0) if row else y <= 0.0:
+        raise ValueError(f"{name} requires y > 0, got min y = {np.min(y)}")
+    return y
 
 
-def _check_kummer_triple(a: complex, b: complex, name: str) -> None:
+def whittaker_m_derivs(idx: WhittakerIndices, y):
+    """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core, at
+    a float y > 0 or elementwise over an array of them (one series pass)."""
+    y = _positive(y, "whittaker_m_derivs")
+    idx.check()
+    a, b = idx.series_a, idx.series_b
     # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
     # reject the triple wherever one of those three series is rejected
     for k in range(3):
-        _check_kummer_b(a + k, b + k, name)
-
-
-def whittaker_m_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, complex, complex]:
-    """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core."""
-    y = float(y)
-    if y <= 0.0:
-        raise ValueError(f"whittaker_m_derivs requires y > 0, got {y}")
-    idx.check()
-    a, b = idx.series_a, idx.series_b
-    _check_kummer_triple(a, b, "kummer_m")
+        _check_kummer_b(a + k, b + k, "kummer_m")
     s0, s1, s2 = _kummer_pass(a, b, y)
     return _core_derivs(s0, s1 / y, s2 / (y * y), idx.mu, y)
-
-
-def whittaker_m_derivs_row(idx: WhittakerIndices, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """whittaker_m_derivs at every y > 0 of an array, the series summed once."""
-    ys = _positive_row(ys, "whittaker_m_derivs_row")
-    idx.check()
-    a, b = idx.series_a, idx.series_b
-    _check_kummer_triple(a, b, "kummer_m_row")
-    s0, s1, s2 = _kummer_pass_row(a, b, ys)
-    return _core_derivs(s0, s1 / ys, s2 / (ys * ys), idx.mu, ys)
 
 
 def _tricomi_derivs(a: complex, b: complex, z):
@@ -487,49 +479,51 @@ def _tricomi_derivs(a: complex, b: complex, z):
     pass over M(a, b, z) and S'_k over M(a-b+1, 2-b, z) with s = 1 - b.
     z is a float below the asymptotic switch, or an array of them."""
     row = isinstance(z, np.ndarray)
-    kummer_pass = _kummer_pass_row if row else _kummer_pass
     c1, c2 = _tricomi_connection(a, b)
     u = [0.0, 0.0, 0.0]
     if c1 != 0.0:
-        u = [c1 * v for v in kummer_pass(a, b, z)]
+        u = [c1 * v for v in _kummer_pass(a, b, z)]
     if c2 != 0.0:
         c2 *= np.exp((1.0 - b) * np.log(z)) if row else cmath.exp((1.0 - b) * math.log(z))
-        u = [ui + c2 * v for ui, v in zip(u, kummer_pass(a - b + 1.0, 2.0 - b, z, 1.0 - b))]
+        u = [ui + c2 * v for ui, v in zip(u, _kummer_pass(a - b + 1.0, 2.0 - b, z, 1.0 - b))]
     return u[0], u[1] / z, u[2] / (z * z)
 
 
-def whittaker_w_derivs(idx: WhittakerIndices, y: float) -> tuple[complex, complex, complex]:
-    """(W, dW/dy, d2W/dy2) with analytic derivatives of the Tricomi core."""
-    y = float(y)
-    if y <= 0.0:
-        raise ValueError(f"whittaker_w_derivs requires y > 0, got {y}")
+def _tricomi_far_derivs(a: complex, b: complex, z: float):
+    """(U, dU/dz, d2U/dz2) at a float z at or above the asymptotic switch,
+    from U^(k)(a, b, z) = (-1)^k (a)_k U(a+k, b+k, z) (DLMF §13.3), each U
+    an asymptotic sum."""
+    return (
+        _tricomi_asymptotic(a, b, z),
+        -a * _tricomi_asymptotic(a + 1, b + 1, z),
+        a * (a + 1) * _tricomi_asymptotic(a + 2, b + 2, z),
+    )
+
+
+def whittaker_w_derivs(idx: WhittakerIndices, y):
+    """(W, dW/dy, d2W/dy2) with analytic derivatives of the Tricomi core, at
+    a float y > 0 or elementwise over an array of them.
+
+    Below y = 20 the differentiated connection formula, each 1F1 summed in
+    one pass over every such y; at and above it the asymptotic series of U
+    and its shifts, point by point, so that an array call gives there
+    exactly what float calls give.
+    """
+    y = _positive(y, "whittaker_w_derivs")
     a, b = idx.series_a, idx.series_b
-    if y >= _TRICOMI_ASYMPTOTIC_FROM:
-        core = tricomi_u(a, b, y)
-        core_d1 = -a * tricomi_u(a + 1, b + 1, y)
-        core_d2 = a * (a + 1) * tricomi_u(a + 2, b + 2, y)
-        return _core_derivs(core, core_d1, core_d2, idx.mu, y)
     _check_tricomi_b(b, "tricomi_u")
-    return _core_derivs(*_tricomi_derivs(a, b, y), idx.mu, y)
-
-
-def whittaker_w_derivs_row(idx: WhittakerIndices, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """whittaker_w_derivs at every y > 0 of an array, each series summed once
-    over the y below the asymptotic switch."""
-    ys = _positive_row(ys, "whittaker_w_derivs_row")
-    a, b = idx.series_a, idx.series_b
-    _check_tricomi_b(b, "tricomi_u_row")
-    core = [np.zeros(ys.shape, dtype=complex) for _ in range(3)]
-    far = ys >= _TRICOMI_ASYMPTOTIC_FROM
+    if not isinstance(y, np.ndarray):
+        derivs = _tricomi_far_derivs if y >= _TRICOMI_ASYMPTOTIC_FROM else _tricomi_derivs
+        return _core_derivs(*derivs(a, b, y), idx.mu, y)
+    out = np.zeros((3,) + y.shape, dtype=complex)
+    far = y >= _TRICOMI_ASYMPTOTIC_FROM
     if far.any():
-        y_far = ys[far].tolist()
-        for k, factor in enumerate((1.0, -a, a * (a + 1))):
-            core[k][far] = [factor * _tricomi_asymptotic(a + k, b + k, y) for y in y_far]
-    near = ~far
-    if near.any():
-        for c, v in zip(core, _tricomi_derivs(a, b, ys[near])):
-            c[near] = v
-    return _core_derivs(*core, idx.mu, ys)
+        far_y = y[far].tolist()
+        out[:, far] = np.transpose([_core_derivs(*_tricomi_far_derivs(a, b, v), idx.mu, v) for v in far_y])
+    if not far.all():
+        near = ~far
+        out[:, near] = _core_derivs(*_tricomi_derivs(a, b, y[near]), idx.mu, y[near])
+    return tuple(out)
 
 
 def laguerre_poly(n: int, p: float, y: float) -> float:

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import morse as morse_mod
+from . import riccati as riccati_mod
 from . import susy as susy_mod
 from .errors import NonConvergence, ParameterPole
 
@@ -260,7 +261,7 @@ def intertwining_check(
     proportionality constant). w2_override(xs) substitutes the bosonic
     component, e.g. to inject a defect and confirm the check fails.
     """
-    R = morse_mod.morse_solution(params)
+    R = riccati_mod.morse_riccati(params.shape(), riccati_mod.RiccatiSign.PLUS)
     xs = grid.points()
     w1, dw1, _ = morse_mod.wavefunction_derivs_row(params, susy_mod.Sector.FERMIONIC, pmap, xs)
     if w2_override is not None:

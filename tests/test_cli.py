@@ -94,7 +94,7 @@ class TestGrid:
         for line in out.splitlines()[1:]:
             x, K, _, re, im = map(float, line.split(","))
             p = MorseParameters(K=K, Kprime=1.9, alpha1=alpha, beta1=beta)
-            ref = morse.wavefunction(p, Sector.FERMIONIC, ParameterMap.PRINTED, x)
+            ref = morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.PRINTED, x)[0]
             assert abs(complex(re, im) - ref) <= 1e-12 * abs(ref)
 
     def test_evaluation_error_exits_1(self, capsys):
@@ -175,6 +175,17 @@ class TestMisc:
     def test_no_command_exits_2(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        "grid --nx -1", "grid --nK -2", "grid --B -1", "params --B 0", "params --a -1",
+        "bound-states --B 0", "bound-states --a 0", "bound-states --a -1",
+    ])
+    def test_nonpositive_parameter_exits_2(self, capsys, argv):
+        # B, a and the grid sizes must be positive: one error line, no output
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --") and err.count("\n") == 1
 
     def test_parse_complex(self):
         assert cli._parse_complex("1.5") == 1.5 + 0.0j

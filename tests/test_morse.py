@@ -68,7 +68,7 @@ class TestOdeCoefficient:
 
     def test_matches_generic_bracket(self):
         p = MorseParameters(A=0.7, B=1.3, a=0.9, K=1.4, Kprime=0.3)
-        sol = morse.morse_solution(p)
+        sol = riccati.morse_riccati(p.shape(), riccati.RiccatiSign.PLUS)
         ext = ExtensionParams(K=p.K, Kprime=p.Kprime)
         for sector in Sector:
             for x in np.linspace(0.0, 3.0, 100):
@@ -79,7 +79,7 @@ class TestOdeCoefficient:
 
 class TestWavefunction:
     def test_real_at_k_zero_printed(self):
-        w = morse.wavefunction(FIG, Sector.BOSONIC, ParameterMap.PRINTED, 0.0)
+        w = morse.wavefunction_derivs(FIG, Sector.BOSONIC, ParameterMap.PRINTED, 0.0)[0]
         assert w.imag == 0.0
 
     def test_derived_map_solves_printed_ode(self):
@@ -98,8 +98,8 @@ class TestWavefunction:
     def test_k_to_zero_continuity(self):
         small = MorseParameters(K=1e-8)
         for sector in Sector:
-            a = morse.wavefunction(small, sector, ParameterMap.PRINTED, 1.0)
-            b = morse.wavefunction(FIG, sector, ParameterMap.PRINTED, 1.0)
+            a = morse.wavefunction_derivs(small, sector, ParameterMap.PRINTED, 1.0)[0]
+            b = morse.wavefunction_derivs(FIG, sector, ParameterMap.PRINTED, 1.0)[0]
             assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
     def test_derivatives_match_finite_difference(self):
@@ -107,8 +107,8 @@ class TestWavefunction:
         x, h = 1.3, 1e-5
         for sector in Sector:
             w, dw, d2w = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)
-            wp = morse.wavefunction(p, sector, ParameterMap.DERIVED, x + h)
-            wm = morse.wavefunction(p, sector, ParameterMap.DERIVED, x - h)
+            wp = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x + h)[0]
+            wm = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x - h)[0]
             assert abs((wp - wm) / (2 * h) - dw) <= 1e-7 * max(1.0, abs(dw))
             assert abs((wp - 2 * w + wm) / (h * h) - d2w) <= 1e-4 * max(1.0, abs(d2w))
 
@@ -205,7 +205,7 @@ class TestRowPath:
         block = morse.wavefunction_grid([m_row, w_row], Sector.BOSONIC, ParameterMap.PRINTED, xs)
         for p, values in zip((m_row, w_row), block.tolist()):
             for x, v in zip(xs.tolist(), values):
-                ref = morse.wavefunction(p, Sector.BOSONIC, ParameterMap.PRINTED, x)
+                ref = morse.wavefunction_derivs(p, Sector.BOSONIC, ParameterMap.PRINTED, x)[0]
                 assert abs(v - ref) <= 1e-12 * abs(ref)
         bad = MorseParameters(K=0.0, Kprime=1.0, beta2=1.0)
         with pytest.raises(IntegerB):
@@ -221,7 +221,7 @@ class TestLaguerreForm:
             for sector in Sector:
                 for x in np.linspace(0.0, 3.0, 13):
                     lhs = morse.wavefunction_laguerre_form(p, sector, pmap, x)
-                    rhs = morse.wavefunction(p, sector, pmap, x)  # beta = 0
+                    rhs = morse.wavefunction_derivs(p, sector, pmap, x)[0]  # beta = 0
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_figure_box_evaluates(self):

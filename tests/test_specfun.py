@@ -407,16 +407,28 @@ class TestWhittaker:
         assert abs(specfun.whittaker_m_derivs(idx, y)[1] / lead - 1.0) < 1e-5
 
     def test_derivative_rows_match_scalar(self):
-        ys = np.linspace(0.05, 8.0, 41)
+        # array calls against float calls on both sides of the W triple's
+        # switch at y = 20. Below y = 8 both sum the same series, to 1e-12
+        # (between 8 and 20 the connection formula's e^y cancellation
+        # amplifies the different rounding of the array and float loops).
+        # At and past the switch the W triple takes the same asymptotic sums
+        # point by point, so the two agree exactly, and they are the shifted
+        # tricomi_u values U^(k)(a, b, y) = (-1)^k (a)_k U(a+k, b+k, y).
+        near, far = np.linspace(0.05, 8.0, 41), np.linspace(20.0, 40.0, 41)
+        ys = np.concatenate((near, far))
         idx = WhittakerIndices(kappa=1.2 + 0.3j, mu=0.7 - 0.2j)
-        for row_fn, scalar_fn in (
-            (specfun.whittaker_m_derivs_row, specfun.whittaker_m_derivs),
-            (specfun.whittaker_w_derivs_row, specfun.whittaker_w_derivs),
-        ):
-            rows = row_fn(idx, ys)
+        for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs):
+            rows = fn(idx, ys)
             for i, y in enumerate(ys.tolist()):
-                for row, ref in zip(rows, scalar_fn(idx, y)):
-                    assert_close(row[i], ref, rel=1e-12)
+                for row, ref in zip(rows, fn(idx, y)):
+                    if fn is specfun.whittaker_w_derivs and y >= 20.0:
+                        assert row[i] == ref
+                    else:
+                        assert_close(row[i], ref, rel=1e-12)
+        a, b, u = idx.series_a, idx.series_b, specfun.tricomi_u
+        for y in far.tolist():
+            core = (u(a, b, y), -a * u(a + 1, b + 1, y), a * (a + 1) * u(a + 2, b + 2, y))
+            assert specfun.whittaker_w_derivs(idx, y) == specfun._core_derivs(*core, idx.mu, y)
 
     def test_inadmissible_indices(self):
         with pytest.raises(ParameterPole):
@@ -506,15 +518,15 @@ class TestWhittaker:
             idx = WhittakerIndices(kappa=kappa, mu=mu)
             with pytest.raises(ParameterPole, match="^kummer_m: b = "):
                 specfun.whittaker_m_derivs(idx, 1.0)
-            with pytest.raises(ParameterPole, match="^kummer_m_row: b = "):
-                specfun.whittaker_m_derivs_row(idx, np.array([1.0]))
+            with pytest.raises(ParameterPole, match="^kummer_m: b = "):
+                specfun.whittaker_m_derivs(idx, np.array([1.0]))
         idx = WhittakerIndices(kappa=0.3, mu=0.5)
         with pytest.raises(IntegerB, match="^tricomi_u: b = "):
             specfun.whittaker_w_derivs(idx, 1.0)
         with pytest.raises(IntegerB, match="^tricomi_u: b = "):
             specfun.whittaker_w_derivs(idx, 25.0)
-        with pytest.raises(IntegerB, match="^tricomi_u_row: b = "):
-            specfun.whittaker_w_derivs_row(idx, np.array([1.0, 25.0]))
+        with pytest.raises(IntegerB, match="^tricomi_u: b = "):
+            specfun.whittaker_w_derivs(idx, np.array([1.0, 25.0]))
 
 
 def _laguerre_series(n, p, y):

@@ -126,7 +126,7 @@ class TestIntegrator:
 
         w0, dw0, _ = morse.wavefunction_derivs(p, Sector.FERMIONIC, pmap, 1.0)
         w, _ = verify.integrate_ode(Q, 1.0, w0, dw0, 2.0, step=1e-4)
-        exact = morse.wavefunction(p, Sector.FERMIONIC, pmap, 2.0)
+        exact = morse.wavefunction_derivs(p, Sector.FERMIONIC, pmap, 2.0)[0]
         assert abs(w - exact) <= 1e-6 * abs(exact)
 
     def test_order_four_step_halving(self):
