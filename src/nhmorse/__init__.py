@@ -9,7 +9,6 @@ constancy and intertwining constancy.
 
 from .errors import (
     EvaluationError,
-    IntegerB,
     NonConvergence,
     NonNormalizable,
     ParameterPole,
@@ -26,7 +25,6 @@ __all__ = [
     "EvaluationError",
     "ExtensionParams",
     "Grid1D",
-    "IntegerB",
     "Ladder",
     "MorseParameters",
     "MorseRiccati",

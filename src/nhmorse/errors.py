@@ -14,11 +14,7 @@ class ParameterPole(EvaluationError):
 
 
 class NonConvergence(EvaluationError):
-    """Series failed to converge within the term cap."""
-
-
-class IntegerB(EvaluationError):
-    """Tricomi connection formula rejected: b too close to an integer."""
+    """A series or quadrature did not converge within its term or step limit."""
 
 
 class NonNormalizable(EvaluationError):

@@ -166,8 +166,8 @@ def wavefunction_derivs(
     """Value and first two x-derivatives of the superposed wavefunction
     alpha e^{ax/2} M + beta e^{ax/2} W at one x.
 
-    The W branch is only evaluated when beta is nonzero, so purely M-type
-    parameter sets never trip the integer-b rejection of the Tricomi core.
+    A term is only evaluated when its amplitude is nonzero, so W-only
+    parameter sets never reach the rejections of the Kummer core.
     """
     idx = indices(params, pmap).for_sector(sector)
     return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), x)
@@ -178,8 +178,9 @@ def wavefunction_derivs_row(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """wavefunction_derivs at every x of an array, as three arrays.
 
-    The indices and the Morse shape are computed once for the row, and
-    each Kummer/Tricomi series is summed once over all of its y.
+    The indices and the Morse shape are computed once for the row; the
+    Kummer series is summed, and the Tricomi quadrature taken, once over
+    all of its y.
     """
     idx = indices(params, pmap).for_sector(sector)
     return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), np.asarray(xs, dtype=float))
@@ -209,11 +210,12 @@ def wavefunction_grid(
     row at every x, as an (R, N) block for R rows and N values of x.
 
     Both terms are (2B/a)^{1/2} y^mu e^{-y/2} times a core, 1F1 and U
-    with the same (mu - kappa + 1/2, 2 mu + 1), so each term is one block
-    series over the rows whose amplitude for it is nonzero; a row with a
-    zero amplitude never reaches that term's rejections. The rows share
-    one Morse variable y, so B and a must agree; the indices are computed
-    per row.
+    with the same (mu - kappa + 1/2, 2 mu + 1). The M term is one block
+    series over the rows whose alpha is nonzero; the W term is one U
+    quadrature per row whose beta is nonzero, so it holds one row's
+    (x, node) block at a time. A row with a zero amplitude never evaluates
+    that term. The rows share one Morse variable y, so B and a must agree;
+    the indices are computed per row.
     """
     xs = np.asarray(xs, dtype=float)
     if not rows:
@@ -228,10 +230,11 @@ def wavefunction_grid(
     b = np.array([[i.series_b] for i in idx])
     alpha, beta = (np.array(c)[:, None] for c in zip(*(p.amplitudes(sector) for p in rows)))
     core = np.zeros((len(rows), xs.size), dtype=complex)
-    for amp, kernel in ((alpha, specfun.kummer_m_row), (beta, specfun.tricomi_u_row)):
-        on = amp[:, 0] != 0.0
-        if on.any():
-            core[on] += amp[on] * kernel(a[on], b[on], y)
+    on = alpha[:, 0] != 0.0
+    if on.any():
+        core[on] = alpha[on] * specfun.kummer_m_row(a[on], b[on], y)
+    for r in np.flatnonzero(beta[:, 0]).tolist():
+        core[r] += beta[r, 0] * specfun.tricomi_u(a[r, 0], b[r, 0], y)
     return math.sqrt(2.0 * shape.B / shape.a) * np.exp(mu * np.log(y) - 0.5 * y) * core
 
 
@@ -273,7 +276,8 @@ def hermitic_bound_state(
 def bound_state_wave_derivs(
     A: float, B: float, a: float, n: int, convention: BoundStateConvention, x: float
 ) -> tuple[complex, complex, complex]:
-    """(w, w', w'') of the bound-state candidate, up to its constant amplitude.
+    """(w, w', w'') of the bound-state candidate, up to its constant
+    amplitude, at a float x or elementwise over an array of them.
 
     Uses the exact proportionality of the candidate to
     e^{ax/2} M_{s+n+1/2, s}(y) (terminating Kummer series), so the

@@ -5,19 +5,18 @@ hypergeometric functions with complex parameters, Whittaker M/W and their
 derivatives, classical associated Laguerre polynomials and their analytic
 continuation to complex degree/order.
 
-`kummer_m` and `tricomi_u` evaluate one argument and are the reference for
-their `_row` forms, which take a numpy array of arguments sharing one
-parameter set (or (R, 1) columns of per-row parameters, giving an (R, N)
-block) and sum each series once over the whole array.
+`kummer_m` evaluates one argument and is the reference for its `_row`
+form, which takes a numpy array of arguments sharing one parameter set (or
+(R, 1) columns of per-row parameters, giving an (R, N) block) and sums the
+series once over the whole array.
 
 The Whittaker triples (value and first two derivatives) take a float or a
-numpy array of y; only the series pass underneath differs, a loop over the
-terms for a float and numpy arrays over every y at once. Their derivatives
-come from the term-by-term differentiated series: one pass over the 1F1
-terms gives all three sums, and the derivatives of U come from
-differentiating its connection formula with the coefficients computed
-once, or, past the asymptotic switch, from U^(k)(a, b, z) =
-(-1)^k (a)_k U(a+k, b+k, z).
+numpy array of y. M's derivatives come from the term-by-term
+differentiated series: one pass over the 1F1 terms gives all three sums.
+U and its derivatives come from one kernel, its Laplace integral summed on
+exp-sinh nodes, whose weights gain a factor -t per derivative; it serves
+`tricomi_u`, `whittaker_w` and `whittaker_w_derivs`, for every complex a
+and b and any z > 0, a float or an array.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegerB, NonConvergence, ParameterPole, PoleError
+from .errors import NonConvergence, ParameterPole, PoleError
 
 # Kummer series controls: stop once three consecutive terms fall below
 # _STOP_REL of the running sum, give up at _MAX_TERMS.
@@ -290,100 +289,140 @@ def kummer_m_row(a, b, zs) -> np.ndarray:
     return _kummer_series_row(a, b, zs)
 
 
-# The connection formula cancels like e^z; beyond this argument the
-# divergent asymptotic series truncated at its smallest term is far more
-# accurate than the cancellation-dominated exact formula.
-_TRICOMI_ASYMPTOTIC_FROM = 20.0
+# Tricomi U and its first two derivatives come from the Laplace integral
+# (DLMF 13.4.4)
+#   U^(k)(a, b, z) = (-1)^k / Gamma(a) int_0^inf e^{-zt} t^{a-1+k} (1+t)^{b-a-1} dt,
+# summed by the trapezoidal rule on exp-sinh nodes t = exp(pi/2 sinh s),
+# s in [-5, 5] (Takahasi and Mori, 1974). The table holds the nodes of the
+# finest step 2^-_ES_FINEST; those of step 2^-k are every 2^(_ES_FINEST-k)-th
+# of them, so halving the step adds only the midpoints. Far out (z beyond
+# about 1e-20 or 1e20) even the finest step no longer resolves the
+# integrand's peak, and the quadrature raises NonConvergence rather than
+# return a wrong sum.
+_ES_FIRST = 3
+_ES_FINEST = 8
+# Halve the step until no sum moves by more than this share of itself; the
+# trapezoidal error falls roughly as its square with each halving.
+_ES_TOL = 1e-7
+# Nodes whose integrand is below e^-_ES_CUT of its largest are dropped.
+_ES_CUT = 40.0
+_es_s = np.arange(-5 * 2**_ES_FINEST, 5 * 2**_ES_FINEST + 1) / 2**_ES_FINEST
+_es_log_t = 0.5 * math.pi * np.sinh(_es_s)
+_ES_T = np.exp(_es_log_t)
+# log t, log(1+t), log dt/ds, -t and 1 at every node: their dot product with
+# (a-1, b-a-1, 1, z, -log Gamma(a)) is the log of the integrand times dt/ds
+_ES_LOGS = np.stack((
+    _es_log_t,
+    np.log1p(_ES_T),
+    np.log(0.5 * math.pi * np.cosh(_es_s)) + _es_log_t,
+    -_ES_T,
+    np.ones_like(_ES_T),
+))
+# t^k and t^k t/(1+t), k = 0, 1, 2: the factors that turn the integrand of U
+# at a into those of its derivatives and of U at a + 1 (times a)
+_es_r = _ES_T / (1.0 + _ES_T)
+_ES_POWERS = np.stack((np.ones_like(_ES_T), _ES_T, _ES_T**2, _es_r, _es_r * _ES_T, _es_r * _ES_T**2))
 
 
-def _tricomi_asymptotic(a: complex, b: complex, z: float) -> complex:
-    # U(a,b,z) ~ z^{-a} sum_n (a)_n (a-b+1)_n / (n! (-z)^n), optimal truncation
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    smallest = abs(term)
-    for n in range(200):
-        nxt = term * (a + n) * (a - b + 1.0 + n) / (-(n + 1) * z)
-        if abs(nxt) >= smallest:
-            break
-        term = nxt
-        smallest = abs(term)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return cmath.exp(-a * math.log(z)) * total
+def _positive(y, name: str):
+    """y as a float, or as a float array when it is one; y > 0 throughout."""
+    row = isinstance(y, np.ndarray)
+    y = y.astype(float, copy=False) if row else float(y)
+    if np.any(y <= 0.0) if row else y <= 0.0:
+        raise ValueError(f"{name} requires arguments > 0, got min = {np.min(y)}")
+    return y
 
 
-def _check_tricomi_b(b: complex, name: str) -> None:
-    """Reject b within 1e-6 of any integer: the connection formula
-    degenerates there and this library does not take limits."""
-    if _integer_near(b, 1e-6) is not None:
-        raise IntegerB(f"{name}: b = {b} within 1e-6 of an integer")
+def _tricomi_quadrature(a: complex, b: complex, z):
+    """(U, U', U'') at a and at a + 1, Re a >= 1, from one set of nodes: the
+    weights of the derivatives gain factors of -t, and those at a + 1 a
+    factor t / ((1+t) a). z is a float or an array.
 
-
-def _tricomi_connection(a: complex, b: complex) -> tuple[complex, complex]:
-    """(c1, c2) of U(a, b, z) = c1 M(a, b, z) + c2 z^{1-b} M(a-b+1, 2-b, z)."""
-    c1 = cmath.exp(log_gamma(1.0 - b)) * reciprocal_gamma(a - b + 1.0)
-    c2 = cmath.exp(log_gamma(b - 1.0)) * reciprocal_gamma(a)
-    return c1, c2
-
-
-def tricomi_u(a: complex, b: complex, z: float) -> complex:
-    """Tricomi confluent hypergeometric function U(a, b, z), z > 0.
-
-    Two-term connection formula through 1F1 for moderate z; b within 1e-6
-    of any integer is rejected (the formula degenerates there and this
-    library does not take limits). For large z the asymptotic series is
-    used instead, truncated at its smallest term.
+    The nodes serve the whole z range: where the integrands of U at the
+    largest z and of U'' at the smallest z are below e^-_ES_CUT of their
+    peaks, every z's integrand is, so those nodes are dropped.
     """
-    a = complex(a)
-    b = complex(b)
-    z = float(z)
-    if z <= 0.0:
-        raise ValueError(f"tricomi_u requires z > 0, got {z}")
-    _check_tricomi_b(b, "tricomi_u")
-    if z >= _TRICOMI_ASYMPTOTIC_FROM:
-        return _tricomi_asymptotic(a, b, z)
-    c1, c2 = _tricomi_connection(a, b)
-    c2 *= cmath.exp((1.0 - b) * math.log(z))
-    first = c1 * kummer_m(a, b, z) if c1 != 0.0 else 0.0j
-    second = c2 * kummer_m(a - b + 1.0, 2.0 - b, z) if c2 != 0.0 else 0.0j
-    return first + second
+    row = isinstance(z, np.ndarray)
+    if row and z.size == 0:
+        return (np.zeros(z.shape, dtype=complex),) * 6
+    z_lo, z_hi = (float(z.min()), float(z.max())) if row else (z, z)
+    c = b - a - 1.0
+    step = 2 ** (_ES_FINEST - _ES_FIRST)
+    # log sizes, on the coarsest nodes, of the integrands of U at z_hi and of
+    # U'' at z_lo; the kept window reaches one coarse node past each
+    env = np.array([[a.real - 1.0, c.real, 1.0, z_hi, 0.0], [a.real + 1.0, c.real, 1.0, z_lo, 0.0]])
+    env = env @ _ES_LOGS[:, ::step]
+    last = env.shape[1] - 1
+    i = max(np.argmax(env[0] >= env[0].max() - _ES_CUT) - 1, 0) * step
+    j = min(last + 1 - np.argmax(env[1, ::-1] >= env[1].max() - _ES_CUT), last) * step
+    coef = np.array([a - 1.0, c, 1.0, z_lo, -log_gamma(a)])
+
+    def node_sum(nodes: slice):
+        # the six sums over the given nodes, each integrand taken at z_lo
+        # and carried to every z by e^{(z_lo - z) t} <= 1
+        w = np.exp(coef @ _ES_LOGS[:, nodes])
+        if not row:
+            return _ES_POWERS[:, nodes] @ w
+        # a real product for the (z, node) block: real and imaginary parts
+        # of the weights side by side
+        x = _ES_POWERS[:, nodes] * w
+        s = np.exp(np.multiply.outer(z_lo - z, _ES_T[nodes])) @ np.concatenate((x.real, x.imag)).T
+        return s[:, :6] + 1j * s[:, 6:]
+
+    h = 2.0**-_ES_FIRST
+    sums = h * node_sum(slice(i, j + 1, step))
+    for _ in range(_ES_FIRST, _ES_FINEST):
+        step //= 2
+        h /= 2.0
+        halved = 0.5 * sums + h * node_sum(slice(i + step, j, 2 * step))
+        done = np.all(np.abs(halved - sums) <= _ES_TOL * np.abs(halved))
+        sums = halved
+        if done:
+            break
+    else:
+        raise NonConvergence(f"tricomi_u quadrature did not converge: a={a}, b={b}, z in [{z_lo}, {z_hi}]")
+    u, du, d2u, v, dv, d2v = sums.T if row else sums.tolist()
+    return u, -du, d2u, v / a, -dv / a, d2v / a
 
 
-def tricomi_u_row(a, b, zs) -> np.ndarray:
-    """tricomi_u at every z > 0 of a one-dimensional array.
+def _tricomi_derivs(a: complex, b: complex, z):
+    """(U, dU/dz, d2U/dz2) of U(a, b, z) at a float z > 0, or elementwise
+    over an array of them; any complex a and b.
 
-    a and b are scalars or (R, 1) columns of per-row values, as for
-    kummer_m_row. The same branch per element as tricomi_u: the connection
-    formula below z = 20, with its gamma coefficients computed once per
-    row and both 1F1 series summed over the block, and the asymptotic
-    series at and above it.
+    The quadrature gives the triples at a0 = a + n and a0 + 1, n the least
+    shift that makes Re a0 >= 1; the three-term recurrence in a (DLMF
+    13.3.7), differentiated in z, takes them down to a. Downward is its
+    stable direction for Re a > 0, U being the minimal solution as a grows
+    (Gil, Segura and Temme, Numerical Methods for Special Functions, ch. 4);
+    below that, at small z, each step can multiply the rounding error by a
+    few. At a nonpositive integer -m, U is a polynomial in z, and the
+    recurrence starts from U(0, b, z) = 1, which needs no U(1): its
+    coefficient vanishes at a = 0. Started from Re a0 >= 1 instead, it
+    would cancel the large z^(1-b) parts of the seeds down to that
+    polynomial.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    zs = np.asarray(zs, dtype=float)
-    if np.any(zs <= 0.0):
-        raise ValueError(f"tricomi_u_row requires z > 0, got min z = {zs.min()}")
-    pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
-    for _, bi in pairs:
-        _check_tricomi_b(bi, "tricomi_u_row")
-    out = np.zeros(np.broadcast(a, zs).shape, dtype=complex)
-    far = zs >= _TRICOMI_ASYMPTOTIC_FROM
-    if far.any():
-        z_far = zs[far].tolist()
-        values = [[_tricomi_asymptotic(ai, bi, z) for z in z_far] for ai, bi in pairs]
-        out[..., far] = np.reshape(values, a.shape[:-1] + (-1,))
-    near = ~far
-    if near.any():
-        z = zs[near]
-        coefs = [_tricomi_connection(ai, bi) for ai, bi in pairs]
-        c1, c2 = np.array(coefs).T.reshape((2,) + a.shape)
-        u = 0.0
-        if np.any(c1 != 0.0):
-            u = c1 * kummer_m_row(a, b, z)
-        if np.any(c2 != 0.0):
-            u = u + c2 * np.exp((1.0 - b) * np.log(z)) * kummer_m_row(a - b + 1.0, 2.0 - b, z)
-        out[..., near] = u
-    return out
+    if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer():
+        n, a0 = -int(a.real), 0.0
+        one = np.ones_like(z, dtype=complex) if isinstance(z, np.ndarray) else 1.0 + 0.0j
+        u, du, d2u, v, dv, d2v = one, 0.0 * one, 0.0 * one, 0.0, 0.0, 0.0
+    else:
+        n = max(0, math.ceil(1.0 - a.real))
+        a0 = a + n
+        u, du, d2u, v, dv, d2v = _tricomi_quadrature(a0, b, z)
+    for m in range(n):
+        # U(e - 1) = -(b - 2e - z) U(e) - e (e - b + 1) U(e + 1), e = a0 - m
+        e = a0 - m
+        p, q = b - 2.0 * e - z, e * (e - b + 1.0)
+        u, du, d2u, v, dv, d2v = (
+            -(p * u + q * v), u - p * du - q * dv, 2.0 * du - p * d2u - q * d2v, u, du, d2u
+        )
+    return u, du, d2u
+
+
+def tricomi_u(a: complex, b: complex, z) -> complex:
+    """Tricomi confluent hypergeometric function U(a, b, z) at a float z > 0,
+    or elementwise over an array of them; a and b any complex numbers."""
+    return _tricomi_derivs(complex(a), complex(b), _positive(z, "tricomi_u"))[0]
 
 
 @dataclass(frozen=True)
@@ -429,7 +468,8 @@ def whittaker_w(idx: WhittakerIndices, y: float) -> complex:
     y = float(y)
     if y <= 0.0:
         raise ValueError(f"whittaker_w requires y > 0, got {y}")
-    return _whittaker_prefactor(idx.mu, y) * tricomi_u(idx.series_a, idx.series_b, y)
+    a, b = complex(idx.series_a), complex(idx.series_b)
+    return _whittaker_prefactor(idx.mu, y) * _tricomi_derivs(a, b, y)[0]
 
 
 def _core_derivs(core, core_d1, core_d2, mu: complex, y):
@@ -450,15 +490,6 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
     return f, d1, d2
 
 
-def _positive(y, name: str):
-    """y as a float, or as a float array when it is one; y > 0 throughout."""
-    row = isinstance(y, np.ndarray)
-    y = y.astype(float, copy=False) if row else float(y)
-    if np.any(y <= 0.0) if row else y <= 0.0:
-        raise ValueError(f"{name} requires y > 0, got min y = {np.min(y)}")
-    return y
-
-
 def whittaker_m_derivs(idx: WhittakerIndices, y):
     """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core, at
     a float y > 0 or elementwise over an array of them (one series pass)."""
@@ -473,57 +504,12 @@ def whittaker_m_derivs(idx: WhittakerIndices, y):
     return _core_derivs(s0, s1 / y, s2 / (y * y), idx.mu, y)
 
 
-def _tricomi_derivs(a: complex, b: complex, z):
-    """(U, dU/dz, d2U/dz2) from the connection formula differentiated term by
-    term: U^(k) = (c1 S_k + c2 z^{1-b} S'_k) / z^k, with S_k the sums of the
-    pass over M(a, b, z) and S'_k over M(a-b+1, 2-b, z) with s = 1 - b.
-    z is a float below the asymptotic switch, or an array of them."""
-    row = isinstance(z, np.ndarray)
-    c1, c2 = _tricomi_connection(a, b)
-    u = [0.0, 0.0, 0.0]
-    if c1 != 0.0:
-        u = [c1 * v for v in _kummer_pass(a, b, z)]
-    if c2 != 0.0:
-        c2 *= np.exp((1.0 - b) * np.log(z)) if row else cmath.exp((1.0 - b) * math.log(z))
-        u = [ui + c2 * v for ui, v in zip(u, _kummer_pass(a - b + 1.0, 2.0 - b, z, 1.0 - b))]
-    return u[0], u[1] / z, u[2] / (z * z)
-
-
-def _tricomi_far_derivs(a: complex, b: complex, z: float):
-    """(U, dU/dz, d2U/dz2) at a float z at or above the asymptotic switch,
-    from U^(k)(a, b, z) = (-1)^k (a)_k U(a+k, b+k, z) (DLMF §13.3), each U
-    an asymptotic sum."""
-    return (
-        _tricomi_asymptotic(a, b, z),
-        -a * _tricomi_asymptotic(a + 1, b + 1, z),
-        a * (a + 1) * _tricomi_asymptotic(a + 2, b + 2, z),
-    )
-
-
 def whittaker_w_derivs(idx: WhittakerIndices, y):
     """(W, dW/dy, d2W/dy2) with analytic derivatives of the Tricomi core, at
-    a float y > 0 or elementwise over an array of them.
-
-    Below y = 20 the differentiated connection formula, each 1F1 summed in
-    one pass over every such y; at and above it the asymptotic series of U
-    and its shifts, point by point, so that an array call gives there
-    exactly what float calls give.
-    """
+    a float y > 0 or elementwise over an array of them (one quadrature)."""
     y = _positive(y, "whittaker_w_derivs")
-    a, b = idx.series_a, idx.series_b
-    _check_tricomi_b(b, "tricomi_u")
-    if not isinstance(y, np.ndarray):
-        derivs = _tricomi_far_derivs if y >= _TRICOMI_ASYMPTOTIC_FROM else _tricomi_derivs
-        return _core_derivs(*derivs(a, b, y), idx.mu, y)
-    out = np.zeros((3,) + y.shape, dtype=complex)
-    far = y >= _TRICOMI_ASYMPTOTIC_FROM
-    if far.any():
-        far_y = y[far].tolist()
-        out[:, far] = np.transpose([_core_derivs(*_tricomi_far_derivs(a, b, v), idx.mu, v) for v in far_y])
-    if not far.all():
-        near = ~far
-        out[:, near] = _core_derivs(*_tricomi_derivs(a, b, y[near]), idx.mu, y[near])
-    return tuple(out)
+    a, b = complex(idx.series_a), complex(idx.series_b)
+    return _core_derivs(*_tricomi_derivs(a, b, y), idx.mu, y)
 
 
 def laguerre_poly(n: int, p: float, y: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -312,11 +313,5 @@ def bound_state_residual(
         e = np.exp(-a * xs)
         return -(B_bar * e * e - C2_bar * e) - kprime_sq - A * A + 0j
 
-    def derivs(xs: np.ndarray) -> np.ndarray:
-        # the scalar path, once per point: it keeps the residual table of
-        # `nhmorse bound-states` bit-identical, down to its roundoff-level rows
-        return np.array(
-            [morse_mod.bound_state_wave_derivs(A, B, a, n, convention, x) for x in xs.tolist()]
-        ).T
-
+    derivs = partial(morse_mod.bound_state_wave_derivs, A, B, a, n, convention)
     return ode_residual(Q, derivs, grid, tol=tol, name=name)

@@ -98,12 +98,24 @@ class TestGrid:
             assert abs(complex(re, im) - ref) <= 1e-12 * abs(ref)
 
     def test_evaluation_error_exits_1(self, capsys):
-        # printed map at K'=1, K=0 gives integer 2*mu+1; the W solution
-        # then fails with a message naming the point
-        code, _, err = run(capsys, "grid", "--solution", "w", "--beta", "1,0",
-                           "--Kprime", "1", "--nx", "2", "--nK", "2")
-        assert code == 1
-        assert "K=0" in err and "x=0" in err
+        # x in [-20, -19] puts y near 1.8e5, where the Kummer series of the M
+        # solution does not converge; the failure names the grid's K and x
+        code, out, err = run(capsys, "grid", "--x-min", "-20", "--x-max", "-19", "--nx", "2", "--nK", "2")
+        assert code == 1 and out == ""
+        assert "did not converge" in err
+        assert "K=0 to 2" in err and "x=-20 to -19" in err
+
+    def test_recessive_grid_at_the_figure_point(self, capsys):
+        # the W solution on the default grid: printed map, K = 0 gives the
+        # integer b = 2 mu + 1 = 9, and there W is real
+        code, out, _ = run(capsys, "grid", "--solution", "w", "--beta", "1,0")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x,K,y,re,im" and len(lines) == FIG_ROWS + 1
+        k_zero = [line.split(",") for line in lines[1:] if float(line.split(",")[1]) == 0.0]
+        assert len(k_zero) == 61
+        for _, _, _, re, im in k_zero:
+            assert abs(float(im)) <= 1e-12 * abs(float(re))
 
 
 class TestParams:

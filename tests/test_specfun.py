@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmorse import specfun
-from nhmorse.errors import IntegerB, ParameterPole, PoleError
+from nhmorse import morse, specfun
+from nhmorse.errors import ParameterPole, PoleError
+from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.specfun import WhittakerIndices
+from nhmorse.susy import Sector
 from nhmorse.verify import reference_kummer
 
 
@@ -138,14 +140,6 @@ def _abs_term_sum(a, b, z):
             break
     return total
 
-def _connection_term_sum(a, b, z):
-    """Roundoff scale of the U(a, b, z) connection formula: each 1F1
-    term sum weighted by the size of its coefficient."""
-    c1 = cmath.exp(specfun.log_gamma(1.0 - b)) * specfun.reciprocal_gamma(a - b + 1.0)
-    c2 = cmath.exp(specfun.log_gamma(b - 1.0)) * specfun.reciprocal_gamma(a) * z ** (1.0 - b)
-    return abs(c1) * _abs_term_sum(a, b, z) + abs(c2) * _abs_term_sum(a - b + 1.0, 2.0 - b, z)
-
-
 class TestKummerRow:
     def test_agrees_with_scalar_on_oracle_distribution(self):
         # the kummer-oracle check's sampling: a, b in [-7, 7]^2, z in (0, 30]
@@ -234,56 +228,52 @@ class TestKummerRow:
             specfun.kummer_m_row(a_col, b_col, np.array([1.0, 2.0]))
 
 
-class TestTricomiRow:
-    def test_branch_per_element(self):
-        # the same branch per z as tricomi_u: the asymptotic side of the
-        # z = 20 switch is the scalar series itself, the connection side
-        # agrees to roundoff where the formula does not cancel
-        a, b = 0.5 + 0.5j, 2.3 - 1.1j
-        zs = np.array([0.5, 2.0, 4.0, 8.0, 20.0, 25.0, 40.0])
-        row = specfun.tricomi_u_row(a, b, zs)
-        for z, v in zip(zs.tolist(), row.tolist()):
-            ref = specfun.tricomi_u(a, b, z)
-            if z >= 20.0:
-                assert v == ref
-            else:
-                assert_close(v, ref, rel=1e-12)
+def _hyperu(a, b, z):
+    """mpmath U(a, b, z) at 30 digits, as a complex."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return complex(mp.hyperu(mp.mpc(a), mp.mpc(b), mp.mpf(z)))
 
-    def test_integer_b_rejected_like_scalar(self):
-        for b in (2.0, 2.0 + 5e-7, -3.0):
-            with pytest.raises(IntegerB):
-                specfun.tricomi_u_row(1.0, b, np.array([3.0, 25.0]))
+
+class TestTricomiRow:
+    # tricomi_u over a numpy array of z: one quadrature for the whole array
+
+    def test_row_matches_float_calls(self):
+        # each element agrees with its float call
+        a, b = 0.5 + 0.5j, 2.3 - 1.1j
+        zs = np.array([0.5, 2.0, 4.0, 8.0, 19.9, 20.0, 25.0, 40.0])
+        row = specfun.tricomi_u(a, b, zs)
+        for z, v in zip(zs.tolist(), row.tolist()):
+            assert_close(v, specfun.tricomi_u(a, b, z), rel=1e-13)
         with pytest.raises(ValueError):
-            specfun.tricomi_u_row(1.0, 1.5, np.array([2.0, 0.0]))
+            specfun.tricomi_u(1.0, 1.5, np.array([2.0, 0.0]))
+        assert specfun.tricomi_u(1.0, 1.5, np.array([])).shape == (0,)
+
+    def test_integer_b_row_matches_mpmath(self):
+        # integer b, including b = a + n, b = 1 and nonpositive b, and a
+        # nonpositive integer a (a polynomial in z), over z in [0.05, 80]
+        zs = np.geomspace(0.05, 80.0, 9)
+        for a, b in ((3.0, 9.0), (1.3 + 0.4j, 1.0), (2.0, -3.0), (1.0, 2.0), (-2.0, 3.0), (0.7 - 0.2j, 2.0 + 5e-7)):
+            row = specfun.tricomi_u(a, b, zs)
+            for z, v in zip(zs.tolist(), row.tolist()):
+                assert_close(v, _hyperu(a, b, z), rel=1e-13)
 
     def test_block_agrees_with_scalar_on_oracle_distribution(self):
-        # rows from the kummer-oracle distribution, z on both sides of the
-        # z = 20 switch: the asymptotic side is the scalar series itself,
-        # the connection side agrees to the roundoff of its two 1F1 sums
+        # rows from the kummer-oracle distribution, a and b in [-7, 7]^2,
+        # z in (0.05, 30], no b excluded: each array call agrees with its
+        # float calls and with mpmath
         rng = random.Random(20060517)
-        rows = []
-        while len(rows) < 30:
+        worst = 0.0
+        for _ in range(30):
             a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
             b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
-            if _admissible_b(b) and _admissible_b(2.0 - b):
-                rows.append((a, b))
-        zs = np.sort([rng.uniform(1e-6, 30.0) for _ in range(16)])
-        a_col, b_col = (np.array(c)[:, None] for c in zip(*rows))
-        block = specfun.tricomi_u_row(a_col, b_col, zs)
-        assert block.shape == (30, 16)
-        for (a, b), values in zip(rows, block.tolist()):
-            for z, v in zip(zs.tolist(), values):
-                ref = specfun.tricomi_u(a, b, z)
-                if z >= 20.0:
-                    assert v == ref
-                else:
-                    assert abs(v - ref) <= 1e-14 * _connection_term_sum(a, b, z)
-
-    def test_block_integer_b_row_named(self):
-        a_col = np.array([[1.0], [0.5 + 0.5j], [2.0]])
-        b_col = np.array([[1.5], [3.0 + 4e-7j], [2.5 - 1.0j]])
-        with pytest.raises(IntegerB, match=re.escape(str(complex(b_col[1, 0])))):
-            specfun.tricomi_u_row(a_col, b_col, np.array([3.0, 25.0]))
+            zs = np.sort([rng.uniform(0.05, 30.0) for _ in range(4)])
+            row = specfun.tricomi_u(a, b, zs)
+            for z, v in zip(zs.tolist(), row.tolist()):
+                ref = _hyperu(a, b, z)
+                assert_close(v, specfun.tricomi_u(a, b, z), rel=1e-12)
+                worst = max(worst, abs(v - ref) / abs(ref))
+        assert worst <= 1e-12
 
 
 class TestTricomi:
@@ -299,11 +289,15 @@ class TestTricomi:
             rel=1e-11,
         )
 
-    def test_integer_b_rejected(self):
-        with pytest.raises(IntegerB):
-            specfun.tricomi_u(1.0, 2.0, 3.0)
-        with pytest.raises(IntegerB):
-            specfun.tricomi_u(1.0, 2.0 + 5e-7, 3.0)
+    def test_integer_b_matches_mpmath(self):
+        # U(1, 2, z) = 1/z and U(-n, b, z) a polynomial; the rest against
+        # mpmath, z from 0.05 to 80
+        for z in (0.05, 3.0, 19.9, 20.0, 25.0, 80.0):
+            assert_close(specfun.tricomi_u(1.0, 2.0, z), 1.0 / z, rel=1e-14)
+            # U(-2, b, z) = z^2 - 2(b + 1) z + b(b + 1)
+            assert_close(specfun.tricomi_u(-2.0, 9.0, z), z * z - 20.0 * z + 90.0, rel=1e-13)
+            for a, b in ((3.0, 9.0), (1.3 + 0.4j, 1.0), (2.0, -3.0), (1.0, 2.0 + 5e-7)):
+                assert_close(specfun.tricomi_u(a, b, z), _hyperu(a, b, z), rel=1e-13)
 
     def test_decay_in_z(self):
         vals = [abs(specfun.tricomi_u(1.5, 0.3, z)) for z in range(5, 31, 5)]
@@ -348,25 +342,43 @@ class TestWhittaker:
         )
 
     def test_w_near_closed_form(self):
-        # W_{0,1/2}(z) = e^{-z/2}; mu = 1/2 exactly is rejected (integer b),
-        # so probe just off the pole where the connection formula still cancels
-        idx = WhittakerIndices(kappa=0.0, mu=0.5 + 1e-5)
-        assert abs(specfun.whittaker_w(idx, 2.0) - math.exp(-1.0)) < 1e-4
-        with pytest.raises(IntegerB):
-            specfun.whittaker_w(WhittakerIndices(kappa=0.0, mu=0.5), 2.0)
+        # W_{0,1/2}(y) = e^{-y/2}: a = 1 and b = 2 exactly, U(1, 2, y) = 1/y.
+        # W'' takes 1e-12: the y^-3 terms of the chain rule cancel there,
+        # 3,200 times the result at y = 0.05
+        idx = WhittakerIndices(kappa=0.0, mu=0.5)
+        ys = np.geomspace(0.05, 80.0, 25)
+        row = specfun.whittaker_w_derivs(idx, ys)
+        for i, y in enumerate(ys.tolist()):
+            exact = math.exp(-0.5 * y)
+            assert_close(specfun.whittaker_w(idx, y) / exact, 1.0, rel=1e-14)
+            for k, got in enumerate(specfun.whittaker_w_derivs(idx, y)):
+                rel = 1e-12 if k == 2 else 1e-14
+                assert_close(got / exact, (-0.5) ** k, rel=rel)
+                assert_close(row[k][i] / exact, (-0.5) ** k, rel=rel)
 
     def test_w_wronskian_gamma_ratio(self):
-        idx = WhittakerIndices(kappa=1.2 + 0.3j, mu=0.7 - 0.2j)
-        expected = -cmath.exp(
-            specfun.log_gamma(2 * idx.mu + 1) - specfun.log_gamma(idx.mu - idx.kappa + 0.5)
-        )
-        vals = []
-        for y in (1.0, 2.5, 5.0, 8.0):
-            m, m1, _ = specfun.whittaker_m_derivs(idx, y)
-            w, w1, _ = specfun.whittaker_w_derivs(idx, y)
-            vals.append(m * w1 - w * m1)
-        for v in vals:
-            assert_close(v, expected, rel=1e-10)
+        # W{M, W}(y) = M W' - W M' = -Gamma(1 + 2mu) / Gamma(1/2 + mu - kappa)
+        # (DLMF 13.14.26), a check of U that is not itself a U algorithm:
+        # the Morse indices of B in {2, 5, 10, 20}, K in {0, 0.5, 1, 2}, both
+        # maps and both sectors (A = 1, a = 0.5, K' = 2), at y in [0.05, 80];
+        # y = (2B/a) e^{-ax} reaches 4B at x = 0, and B only sets that top
+        worst = 0.0
+        for B in (2.0, 5.0, 10.0, 20.0):
+            ys = np.geomspace(0.05, 4.0 * B, 40)
+            for K in (0.0, 0.5, 1.0, 2.0):
+                for pmap in ParameterMap:
+                    for sector in Sector:
+                        idx = morse.indices(MorseParameters(B=B, K=K), pmap).for_sector(sector)
+                        expected = -cmath.exp(
+                            specfun.log_gamma(2 * idx.mu + 1) - specfun.log_gamma(idx.mu - idx.kappa + 0.5)
+                        )
+                        rows = specfun.whittaker_m_derivs(idx, ys), specfun.whittaker_w_derivs(idx, ys)
+                        for i, y in enumerate(ys.tolist()):
+                            floats = specfun.whittaker_m_derivs(idx, y), specfun.whittaker_w_derivs(idx, y)
+                            for (m, m1, _), (w, w1, _) in (floats, [[d[i] for d in r] for r in rows]):
+                                v = m * w1 - w * m1
+                                worst = max(worst, abs(v - expected) / abs(expected))
+        assert worst <= 1e-12
 
     def test_w_large_y_decay_slope(self):
         # |W| ~ e^{-y/2} y^kappa (1 + O(1/y)): the compensated log should
@@ -407,28 +419,22 @@ class TestWhittaker:
         assert abs(specfun.whittaker_m_derivs(idx, y)[1] / lead - 1.0) < 1e-5
 
     def test_derivative_rows_match_scalar(self):
-        # array calls against float calls on both sides of the W triple's
-        # switch at y = 20. Below y = 8 both sum the same series, to 1e-12
-        # (between 8 and 20 the connection formula's e^y cancellation
-        # amplifies the different rounding of the array and float loops).
-        # At and past the switch the W triple takes the same asymptotic sums
-        # point by point, so the two agree exactly, and they are the shifted
-        # tricomi_u values U^(k)(a, b, y) = (-1)^k (a)_k U(a+k, b+k, y).
-        near, far = np.linspace(0.05, 8.0, 41), np.linspace(20.0, 40.0, 41)
-        ys = np.concatenate((near, far))
+        # array calls against float calls of both triples, y in [0.05, 40];
+        # the W triple's derivatives are also the shifted values
+        # U^(k)(a, b, y) = (-1)^k (a)_k U(a+k, b+k, y) (DLMF 13.3.22), each a
+        # quadrature of its own
+        ys = np.concatenate((np.linspace(0.05, 8.0, 41), np.linspace(8.0, 40.0, 41)))
         idx = WhittakerIndices(kappa=1.2 + 0.3j, mu=0.7 - 0.2j)
         for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs):
             rows = fn(idx, ys)
             for i, y in enumerate(ys.tolist()):
                 for row, ref in zip(rows, fn(idx, y)):
-                    if fn is specfun.whittaker_w_derivs and y >= 20.0:
-                        assert row[i] == ref
-                    else:
-                        assert_close(row[i], ref, rel=1e-12)
+                    assert_close(row[i], ref, rel=1e-12)
         a, b, u = idx.series_a, idx.series_b, specfun.tricomi_u
-        for y in far.tolist():
+        for y in ys.tolist():
             core = (u(a, b, y), -a * u(a + 1, b + 1, y), a * (a + 1) * u(a + 2, b + 2, y))
-            assert specfun.whittaker_w_derivs(idx, y) == specfun._core_derivs(*core, idx.mu, y)
+            for got, ref in zip(specfun.whittaker_w_derivs(idx, y), specfun._core_derivs(*core, idx.mu, y)):
+                assert_close(got, ref, rel=1e-12)
 
     def test_inadmissible_indices(self):
         with pytest.raises(ParameterPole):
@@ -437,8 +443,7 @@ class TestWhittaker:
     def test_triples_match_mpmath(self):
         # (W, W', W'') of both kinds against mpmath's whitm/whitw, derivatives
         # by mp.diff, at 40 digits: |Re kappa| <= 2, Re mu in [0.2, 2],
-        # imaginary parts within 1.5, y in [0.2, 5], b = 2mu+1 at least 1e-3
-        # from an integer (the W connection formula cancels like 1/sin(pi b))
+        # imaginary parts within 1.5, y in [0.2, 5]
         mp = pytest.importorskip("mpmath")
         rng = random.Random(20060519)
         worst = {specfun.whittaker_m_derivs: 0.0, specfun.whittaker_w_derivs: 0.0}
@@ -447,9 +452,6 @@ class TestWhittaker:
             while n < 16:
                 kappa = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5))
                 mu = complex(rng.uniform(0.2, 2.0), rng.uniform(-1.5, 1.5))
-                b = 2.0 * mu + 1.0
-                if abs(b - round(b.real)) < 1e-3:
-                    continue
                 n += 1
                 y = rng.uniform(0.2, 5.0)
                 for fn, ref in ((specfun.whittaker_m_derivs, mp.whitm), (specfun.whittaker_w_derivs, mp.whitw)):
@@ -459,7 +461,57 @@ class TestWhittaker:
                     for got, r in zip(fn(WhittakerIndices(kappa=kappa, mu=mu), y), refs):
                         worst[fn] = max(worst[fn], abs(got - r) / abs(r))
         assert worst[specfun.whittaker_m_derivs] <= 1e-13
-        assert worst[specfun.whittaker_w_derivs] <= 1e-8
+        assert worst[specfun.whittaker_w_derivs] <= 1e-12
+
+    def test_w_triple_matches_mpmath_on_the_morse_region(self):
+        # (W, W', W'') against mpmath at 30 digits: U from hyperu, its
+        # derivatives from U^(k) = (-1)^k (a)_k U(a+k, b+k, y) and the
+        # product with e^{-y/2} y^(mu+1/2) differentiated exactly. Seeded
+        # Morse indices (A = 1, a = 0.5, K' = 2, K in [0, 2], both maps and
+        # sectors) at y in [0.05, 80]; the integer b of the printed map at
+        # K = 0 and of (a, b) = (1.3+0.4i, 1), (2, -3); and CLI-reachable
+        # indices with Re a <= 0, where the recurrence from Re a >= 1 down to
+        # a loses up to a few digits at small y
+        mp = pytest.importorskip("mpmath")
+        def reference(idx, y):
+            with mp.workdps(30):
+                a, b, mu, t = mp.mpc(idx.series_a), mp.mpc(idx.series_b), mp.mpc(idx.mu), mp.mpf(y)
+                u = [mp.hyperu(a, b, t), -a * mp.hyperu(a + 1, b + 1, t), a * (a + 1) * mp.hyperu(a + 2, b + 2, t)]
+                s = mu + 0.5
+                pre = mp.exp(-t / 2) * t**s
+                l1 = -0.5 + s / t
+                l2 = l1 * l1 - s / t**2
+                return [complex(pre * u[0]), complex(pre * (l1 * u[0] + u[1])),
+                        complex(pre * (l2 * u[0] + 2 * l1 * u[1] + u[2]))]
+
+        def worst(points):
+            out = 0.0
+            for idx, y in points:
+                for got, ref in zip(specfun.whittaker_w_derivs(idx, y), reference(idx, y)):
+                    out = max(out, abs(got - ref) / abs(ref))
+            return out
+
+        rng = random.Random(20061019)
+        log_y = (math.log(0.05), math.log(80.0))
+        morse_points = []
+        for _ in range(24):
+            p = MorseParameters(K=rng.uniform(0.0, 2.0))
+            idx = morse.indices(p, rng.choice(list(ParameterMap))).for_sector(rng.choice(list(Sector)))
+            morse_points.append((idx, math.exp(rng.uniform(*log_y))))
+        assert worst(morse_points) <= 1e-12
+        integer_b = [morse.indices(MorseParameters(), ParameterMap.PRINTED).for_sector(s) for s in Sector]
+        integer_b += [WhittakerIndices(kappa=(b - 1) / 2 - a + 0.5, mu=(b - 1) / 2) for a, b in ((1.3 + 0.4j, 1.0), (2.0, -3.0))]
+        assert worst([(idx, y) for idx in integer_b for y in (0.05, 0.7, 8.0, 30.0, 80.0)]) <= 1e-12
+        nonpositive = []
+        while len(nonpositive) < 16:
+            p = MorseParameters(
+                A=rng.choice((1.0, 1.5, 2.0, 3.0)), a=rng.choice((0.5, 1.0)),
+                K=rng.uniform(0.0, 2.0), Kprime=rng.choice((0.0, 0.5, 1.0, 2.0)),
+            )
+            idx = morse.indices(p, rng.choice(list(ParameterMap))).for_sector(rng.choice(list(Sector)))
+            if idx.series_a.real <= 0.0:
+                nonpositive.append((idx, math.exp(rng.uniform(*log_y))))
+        assert worst(nonpositive) <= 1e-11
 
     def test_terminating_m_triple_is_the_differentiated_finite_sum(self):
         # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24 and its derivatives,
@@ -520,13 +572,6 @@ class TestWhittaker:
                 specfun.whittaker_m_derivs(idx, 1.0)
             with pytest.raises(ParameterPole, match="^kummer_m: b = "):
                 specfun.whittaker_m_derivs(idx, np.array([1.0]))
-        idx = WhittakerIndices(kappa=0.3, mu=0.5)
-        with pytest.raises(IntegerB, match="^tricomi_u: b = "):
-            specfun.whittaker_w_derivs(idx, 1.0)
-        with pytest.raises(IntegerB, match="^tricomi_u: b = "):
-            specfun.whittaker_w_derivs(idx, 25.0)
-        with pytest.raises(IntegerB, match="^tricomi_u: b = "):
-            specfun.whittaker_w_derivs(idx, np.array([1.0, 25.0]))
 
 
 def _laguerre_series(n, p, y):
