@@ -249,6 +249,33 @@ class TestTricomiRow:
             specfun.tricomi_u(1.0, 1.5, np.array([2.0, 0.0]))
         assert specfun.tricomi_u(1.0, 1.5, np.array([])).shape == (0,)
 
+    def test_integer_b_rejected_like_scalar(self):
+        # neither call rejects integer b any longer: the array call takes
+        # the float call's values there, and rejects only what the float
+        # call rejects, a nonpositive z
+        zs = np.array([3.0, 25.0])
+        for b in (2.0, 2.0 + 5e-7, -3.0):
+            row = specfun.tricomi_u(1.0, b, zs)
+            for z, v in zip(zs.tolist(), row.tolist()):
+                assert_close(v, specfun.tricomi_u(1.0, b, z), rel=1e-13)
+        for z in (0.0, -2.0):
+            with pytest.raises(ValueError):
+                specfun.tricomi_u(1.0, 2.0, z)
+            with pytest.raises(ValueError):
+                specfun.tricomi_u(1.0, 2.0, np.array([3.0, z]))
+
+    def test_block_integer_b_row_named(self):
+        # the parameter rows of a block whose middle row has b within 1e-6
+        # of the integer 3: each row, that one too, takes its mpmath values
+        # over the array; a rejected array names its least z
+        zs = np.array([3.0, 25.0])
+        for a, b in ((1.0, 1.5), (0.5 + 0.5j, 3.0 + 4e-7j), (2.0, 2.5 - 1.0j)):
+            row = specfun.tricomi_u(a, b, zs)
+            for z, v in zip(zs.tolist(), row.tolist()):
+                assert_close(v, _hyperu(a, b, z), rel=1e-13)
+        with pytest.raises(ValueError, match=re.escape(str(-1.5))):
+            specfun.tricomi_u(0.5 + 0.5j, 3.0 + 4e-7j, np.array([3.0, -1.5, 25.0]))
+
     def test_integer_b_row_matches_mpmath(self):
         # integer b, including b = a + n, b = 1 and nonpositive b, and a
         # nonpositive integer a (a polynomial in z), over z in [0.05, 80]
