@@ -168,6 +168,11 @@ def cmd_params(args) -> int:
     printed = morse.indices(p, ParameterMap.PRINTED)
     derived = morse.indices(p, ParameterMap.DERIVED)
     shape = p.shape()
+    try:
+        y_ends = morse_y(shape, args.x_min), morse_y(shape, args.x_max)
+    except OverflowError as exc:
+        print(f"error: y(x) on x={args.x_min:.17g} to {args.x_max:.17g}: {exc}", file=sys.stderr)
+        return 1
     rows = [
         ("kappa1", _fmt_complex(printed.kappa1)),
         ("kappa2", _fmt_complex(printed.kappa2)),
@@ -176,8 +181,8 @@ def cmd_params(args) -> int:
         ("B_bar", _fmt(p.B_bar)),
         ("C1_bar", _fmt(p.C1_bar)),
         ("C2_bar", _fmt(p.C2_bar)),
-        ("y(x_min)", _fmt(morse_y(shape, args.x_min))),
-        ("y(x_max)", _fmt(morse_y(shape, args.x_max))),
+        ("y(x_min)", _fmt(y_ends[0])),
+        ("y(x_max)", _fmt(y_ends[1])),
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:

@@ -232,7 +232,7 @@ def wavefunction_grid(
     core = np.zeros((len(rows), xs.size), dtype=complex)
     on = alpha[:, 0] != 0.0
     if on.any():
-        core[on] = alpha[on] * specfun.kummer_m_row(a[on], b[on], y)
+        core[on] = alpha[on] * specfun.kummer_m(a[on], b[on], y)
     for r in np.flatnonzero(beta[:, 0]).tolist():
         core[r] += beta[r, 0] * specfun.tricomi_u(a[r, 0], b[r, 0], y)
     return math.sqrt(2.0 * shape.B / shape.a) * np.exp(mu * np.log(y) - 0.5 * y) * core
@@ -308,7 +308,8 @@ def whittaker_laguerre_identity(n: int, p: float, y: float) -> tuple[complex, fl
     """
     if n < 0:
         raise ValueError(f"require n >= 0, got {n}")
-    lhs = specfun.whittaker_m(WhittakerIndices(kappa=complex(0.5 * p + n + 0.5), mu=complex(0.5 * p)), y)
+    idx = WhittakerIndices(kappa=complex(0.5 * p + n + 0.5), mu=complex(0.5 * p))
+    lhs = specfun.whittaker_m_derivs(idx, y)[0]
     rhs_printed = y ** (0.5 * (p + 1.0)) * math.exp(-0.5 * y) * specfun.laguerre_poly(n, p, y)
     rhs_corrected = rhs_printed * math.factorial(n) / pochhammer(p + 1.0, n)
     return lhs, rhs_printed, rhs_corrected

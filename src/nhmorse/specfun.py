@@ -1,22 +1,23 @@
 """Complex special-function kernel.
 
 Log-gamma, Kummer (regular) and Tricomi (recessive) confluent
-hypergeometric functions with complex parameters, Whittaker M/W and their
-derivatives, classical associated Laguerre polynomials and their analytic
-continuation to complex degree/order.
+hypergeometric functions with complex parameters, Whittaker M/W with their
+first two derivatives, classical associated Laguerre polynomials and their
+analytic continuation to complex degree/order.
 
-`kummer_m` evaluates one argument and is the reference for its `_row`
-form, which takes a numpy array of arguments sharing one parameter set (or
-(R, 1) columns of per-row parameters, giving an (R, N) block) and sums the
-series once over the whole array.
+Each quantity has one entry point, which takes a float or a numpy array.
+`kummer_m` sums its series once over an array of arguments sharing one
+parameter set, or (R, 1) columns of per-row parameters giving an (R, N)
+block. A Kummer sum that overflows raises NonConvergence rather than
+return inf or NaN.
 
-The Whittaker triples (value and first two derivatives) take a float or a
-numpy array of y. M's derivatives come from the term-by-term
+The Whittaker triples (value and first two derivatives) are the only
+Whittaker entry points. M's derivatives come from the term-by-term
 differentiated series: one pass over the 1F1 terms gives all three sums.
 U and its derivatives come from one kernel, its Laplace integral summed on
 exp-sinh nodes, whose weights gain a factor -t per derivative; it serves
-`tricomi_u`, `whittaker_w` and `whittaker_w_derivs`, for every complex a
-and b and any z > 0, a float or an array.
+`tricomi_u` and `whittaker_w_derivs`, for every complex a and b and any
+z > 0, a float or an array.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -41,8 +42,6 @@ from .errors import NonConvergence, ParameterPole, PoleError
 # _STOP_REL of the running sum, give up at _MAX_TERMS.
 _MAX_TERMS = 10_000
 _STOP_REL = 1e-17
-# The array series computes its term ratios this many terms at a time.
-_RATIO_CHUNK = 64
 
 # For negative argument the direct series is alternating and can cancel
 # catastrophically (relative error amplified by ~e^{|z|}); sum the Kummer
@@ -66,11 +65,10 @@ _LANCZOS = (
 )
 
 
-def _integer_near(z: complex, tol: float, nonpositive: bool = False):
-    """Return the integer within tol of z (only a nonpositive one when
-    nonpositive is set), or None."""
+def _integer_near(z: complex, tol: float):
+    """Return the nonpositive integer within tol of z, or None."""
     r = round(z.real)
-    if abs(z - r) <= tol and not (nonpositive and r > 0):
+    if abs(z - r) <= tol and r <= 0:
         return r
     return None
 
@@ -84,7 +82,7 @@ def log_gamma(z: complex) -> complex:
     exponentiates).
     """
     z = complex(z)
-    if _integer_near(z, 1e-12, nonpositive=True) is not None:
+    if _integer_near(z, 1e-12) is not None:
         raise PoleError(f"log_gamma pole at z = {z}")
     if z.real < 0.5:
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
@@ -97,118 +95,123 @@ def log_gamma(z: complex) -> complex:
     return 0.5 * math.log(2.0 * math.pi) + (zz + 0.5) * cmath.log(t) - t + cmath.log(s)
 
 
-def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z); exactly 0 at the poles (nonpositive integers)."""
-    z = complex(z)
-    if _integer_near(z, 1e-12, nonpositive=True) is not None:
-        return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))
-
-
 def _terminating_degree(a: complex):
     """If a is (numerically) a nonpositive integer -n, return n, else None."""
-    r = _integer_near(a, 1e-12, nonpositive=True)
+    r = _integer_near(a, 1e-12)
     return None if r is None else -r
 
 
-def _kummer_series(a: complex, b: complex, z: complex) -> complex:
+def _kummer_series(a: complex, b: complex, z: float) -> complex:
     """Plain forward summation of 1F1(a; b; z) with term-ratio stopping.
 
-    Terminating series (a at a nonpositive integer) are summed exactly.
+    Terminating series (a at a nonpositive integer) are summed exactly over
+    their n terms; otherwise the sum stops once three consecutive terms fall
+    below _STOP_REL of it. A sum that overflows raises NonConvergence.
     """
     n_term = _terminating_degree(a)
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    if n_term is not None:
-        for n in range(n_term):
-            term *= (a + n) / (b + n) * z / (n + 1)
-            total += term
-        return total
-    small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) / (b + n) * z / (n + 1)
-        total += term
-        if abs(term) <= _STOP_REL * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
-
-
-def _kummer_pass(a: complex, b: complex, z, s: complex = 0.0):
-    """(S0, S1, S2) = sums of t_n, (n+s) t_n and (n+s)(n+s-1) t_n over the
-    terms t_n of 1F1(a; b; z), in one pass.
-
-    z^s 1F1(a; b; z) then has value z^s S0, first derivative z^{s-1} S1 and
-    second derivative z^{s-2} S2. Terminating series are summed exactly
-    over their n terms; otherwise the pass stops once three consecutive
-    terms fall below _STOP_REL of the running sum in each of the three sums.
-    A numpy array z is summed by _kummer_pass_row, a float by the loop here.
-    """
-    if isinstance(z, np.ndarray):
-        return _kummer_pass_row(a, b, z, s)
-    n_term = _terminating_degree(a)
-    term = 1.0 + 0.0j
-    s0, s1, s2 = term, s * term, s * (s - 1.0) * term
+    # a terminating series sums all of its terms: no term is below -1 times the sum
+    stop = _STOP_REL if n_term is None else -1.0
+    term = total = 1.0 + 0.0j
     small = 0
     for n in range(_MAX_TERMS if n_term is None else n_term):
         term *= (a + n) / (b + n) * z / (n + 1)
-        m = n + 1 + s
-        d1 = m * term
-        d2 = (m - 1.0) * d1
+        total += term
+        if abs(term) <= stop * abs(total):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    if not cmath.isfinite(total):
+        raise NonConvergence(f"kummer series did not converge: overflow at a={a}, b={b}, z={z}")
+    if n_term is None and small < 3:
+        raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
+    return total
+
+
+def _kummer_pass(a: complex, b: complex, z):
+    """(S0, S1, S2) = sums of t_n, n t_n and n(n-1) t_n over the terms t_n
+    of 1F1(a; b; z), in one pass.
+
+    1F1(a; b; z) then has value S0, first derivative S1/z and second
+    derivative S2/z^2. Terms, stopping and overflow as in _kummer_series,
+    the stopping rule holding in each of the three sums. A numpy array z is
+    summed by _kummer_pass_row, a float by the loop here.
+    """
+    if isinstance(z, np.ndarray):
+        return _kummer_pass_row(a, b, z)
+    n_term = _terminating_degree(a)
+    stop = _STOP_REL if n_term is None else -1.0
+    term = s0 = 1.0 + 0.0j
+    s1 = s2 = 0j
+    small = 0
+    for n in range(_MAX_TERMS if n_term is None else n_term):
+        term *= (a + n) / (b + n) * z / (n + 1)
+        d1 = (n + 1) * term
+        d2 = n * d1
         s0 += term
         s1 += d1
         s2 += d2
-        if (
-            n_term is None
-            and abs(term) <= _STOP_REL * abs(s0)
-            and abs(d1) <= _STOP_REL * abs(s1)
-            and abs(d2) <= _STOP_REL * abs(s2)
-        ):
+        if abs(term) <= stop * abs(s0) and abs(d1) <= stop * abs(s1) and abs(d2) <= stop * abs(s2):
             small += 1
             if small >= 3:
-                return s0, s1, s2
+                break
         else:
             small = 0
-    if n_term is None:
+    if not (cmath.isfinite(s0) and cmath.isfinite(s1) and cmath.isfinite(s2)):
+        raise NonConvergence(f"kummer series did not converge: overflow at a={a}, b={b}, z={z}")
+    if n_term is None and small < 3:
         raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
     return s0, s1, s2
 
 
-def _kummer_pass_row(a: complex, b: complex, zs: np.ndarray, s: complex = 0.0):
-    """_kummer_pass at every z of an array, (a, b, s) scalars: the same
+def _excess(terms: np.ndarray, sums: np.ndarray) -> float:
+    """The largest |term| - _STOP_REL |sum| over an array (-inf if it is
+    empty): at most 0 once every term is negligible, NaN once an element
+    is NaN or both are infinite, so that an overflowed array sum stops at
+    once."""
+    return (np.abs(terms) - _STOP_REL * np.abs(sums)).max(initial=-math.inf)
+
+
+def _at_first(a, b, zs: np.ndarray, bad: np.ndarray) -> str:
+    """'a=..., b=..., z=...' of the first element where bad is set, a and b
+    broadcast against zs."""
+    i = np.unravel_index(np.argmax(bad), bad.shape)
+    a_i, b_i, z_i = (np.broadcast_to(v, bad.shape)[i] for v in (a, b, zs))
+    return f"a={a_i}, b={b_i}, z={z_i}"
+
+
+# overflow raises NonConvergence here, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
+def _kummer_pass_row(a: complex, b: complex, zs: np.ndarray):
+    """_kummer_pass at every z of an array, a and b scalars: the same
     terms, summed once over the whole array, and the stopping rule holding
     at every element."""
     n_term = _terminating_degree(a)
     term = np.ones(zs.shape, dtype=complex)
-    s0, s1, s2 = term.copy(), s * term, s * (s - 1.0) * term
+    s0, s1, s2 = term.copy(), np.zeros_like(term), np.zeros_like(term)
     small = 0
     for n in range(_MAX_TERMS if n_term is None else n_term):
         term *= (a + n) / (b + n) / (n + 1) * zs
-        m = n + 1 + s
-        d1 = m * term
-        d2 = (m - 1.0) * d1
+        d1 = (n + 1) * term
+        d2 = n * d1
         s0 += term
         s1 += d1
         s2 += d2
-        if (
-            n_term is None
-            and (np.abs(term) <= _STOP_REL * np.abs(s0)).all()
-            and (np.abs(d1) <= _STOP_REL * np.abs(s1)).all()
-            and (np.abs(d2) <= _STOP_REL * np.abs(s2)).all()
-        ):
-            small += 1
-            if small >= 3:
-                return s0, s1, s2
-        else:
-            small = 0
-    if n_term is None:
+        excess = _excess(term, s0) if n_term is None else math.inf
+        small = small + 1 if excess <= 0.0 and _excess(d1, s1) <= 0.0 and _excess(d2, s2) <= 0.0 else 0
+        if small >= 3 or math.isnan(excess):
+            break
+    bad = ~(np.isfinite(s0) & np.isfinite(s1) & np.isfinite(s2))
+    if bad.any():
+        raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, zs, bad)}")
+    if n_term is None and small < 3:
         raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z up to {zs.max()}")
     return s0, s1, s2
 
 
+# overflow raises NonConvergence here, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """_kummer_series summed over a block of z at once, a and b of one shape
     (a single row, or a column of per-row values) broadcast against zs.
@@ -216,7 +219,8 @@ def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarr
     Same term recurrence and terminating-series rule per row: a row whose a
     is a nonpositive integer -n stops after its n terms. The sum stops once
     three consecutive terms fall below _STOP_REL of the running sum at
-    every element, so no element stops earlier than its scalar sum would.
+    every element, so no element stops earlier than its scalar sum would,
+    and at once when an element overflows.
     """
     degrees = [_terminating_degree(x) for x in a.ravel().tolist()]
     n_stop = np.array([math.inf if d is None else d for d in degrees]).reshape(a.shape)
@@ -226,67 +230,56 @@ def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarr
     total = term.copy()
     small = 0
     for n in range(n_last if terminating else max(_MAX_TERMS, n_last + 3)):
-        k = n % _RATIO_CHUNK
-        if k == 0:
-            # term ratios of the next _RATIO_CHUNK terms, ratios[k, ...] of the
-            # shape of a; rows past their last term get a zero ratio,
-            # without dividing by the b + n that may vanish there
-            ns = np.arange(n, n + _RATIO_CHUNK).reshape((-1,) + (1,) * a.ndim)
-            live = ns < n_stop
-            ratios = np.where(live, (a + ns) / np.where(live, b + ns, 1.0), 0.0) / (ns + 1)
-        term *= ratios[k, ...] * zs
+        # rows past their last term get a zero ratio, without dividing by
+        # the b + n that may vanish there
+        live = n < n_stop
+        term *= np.where(live, (a + n) / np.where(live, b + n, 1.0), 0.0) / (n + 1) * zs
         total += term
-        if n + 1 >= n_last and (np.abs(term) <= _STOP_REL * np.abs(total)).all():
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    if terminating:
-        return total
-    i = np.unravel_index(np.argmax(np.abs(term) > _STOP_REL * np.abs(total)), term.shape)
-    a_i, b_i, z_i = (np.broadcast_to(v, term.shape)[i] for v in (a, b, zs))
-    raise NonConvergence(f"kummer series did not converge: a={a_i}, b={b_i}, z={z_i}")
+        excess = _excess(term, total) if n + 1 >= n_last else math.inf
+        small = small + 1 if excess <= 0.0 else 0
+        if small >= 3 or math.isnan(excess):
+            break
+    bad = ~np.isfinite(total)
+    if bad.any():
+        raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, zs, bad)}")
+    if not terminating and small < 3:
+        unsettled = np.abs(term) > _STOP_REL * np.abs(total)
+        raise NonConvergence(f"kummer series did not converge: {_at_first(a, b, zs, unsettled)}")
+    return total
 
 
-def _check_kummer_b(a: complex, b: complex, name: str) -> None:
+def _check_kummer_b(a: complex, b: complex) -> None:
     """Reject b at a nonpositive integer unless the series terminates first."""
-    pole = _integer_near(b, 1e-12, nonpositive=True)
+    pole = _integer_near(b, 1e-12)
     if pole is not None:
         n_term = _terminating_degree(a)
         if n_term is None or n_term > -pole:
-            raise ParameterPole(f"{name}: b = {b} at a nonpositive integer")
+            raise ParameterPole(f"kummer_m: b = {b} at a nonpositive integer")
 
 
-def kummer_m(a: complex, b: complex, z: float) -> complex:
-    """Confluent hypergeometric function 1F1(a; b; z), real argument z.
+def kummer_m(a, b, z):
+    """Confluent hypergeometric function 1F1(a; b; z) at a real z, or at
+    every z >= 0 of a numpy array, one series summed over all of them.
 
-    Terminating series (a a nonpositive integer) are allowed even for
-    b at a nonpositive integer, provided the numerator zero comes first.
+    For an array z, a and b are scalars, giving an array of the shape of z,
+    or (R, 1) columns of per-row values, giving an (R, N) block for N
+    values of z; each row is checked like a float call, and a rejection
+    names that row's b. Terminating series (a a nonpositive integer) are
+    allowed even for b at a nonpositive integer, provided the numerator
+    zero comes first.
     """
-    a = complex(a)
-    b = complex(b)
-    z = float(z)
-    _check_kummer_b(a, b, "kummer_m")
+    if isinstance(z, np.ndarray):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        if np.any(z < 0.0):
+            raise ValueError(f"kummer_m requires array z >= 0, got min z = {z.min()}")
+        for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
+            _check_kummer_b(ai, bi)
+        return _kummer_series_row(a, b, z.astype(float, copy=False))
+    a, b, z = complex(a), complex(b), float(z)
+    _check_kummer_b(a, b)
     if z < _TRANSFORM_BELOW:
         return cmath.exp(z) * _kummer_series(b - a, b, -z)
     return _kummer_series(a, b, z)
-
-
-def kummer_m_row(a, b, zs) -> np.ndarray:
-    """kummer_m at every z >= 0 of an array, one series summed over all of them.
-
-    a and b are scalars, giving an array of the shape of zs, or (R, 1)
-    columns of per-row values, giving an (R, N) block for N values of z.
-    Each row is checked like kummer_m, and a rejection names that row's b.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    zs = np.asarray(zs, dtype=float)
-    if np.any(zs < 0.0):
-        raise ValueError(f"kummer_m_row requires z >= 0, got min z = {zs.min()}")
-    for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
-        _check_kummer_b(ai, bi, "kummer_m_row")
-    return _kummer_series_row(a, b, zs)
 
 
 # Tricomi U and its first two derivatives come from the Laplace integral
@@ -442,34 +435,9 @@ class WhittakerIndices:
 
     def check(self) -> None:
         """Reject 2*mu + 1 near a nonpositive integer unless terminating."""
-        pole = _integer_near(complex(self.series_b), 1e-6, nonpositive=True)
+        pole = _integer_near(complex(self.series_b), 1e-6)
         if pole is not None and _terminating_degree(complex(self.series_a)) is None:
             raise ParameterPole(f"inadmissible Whittaker indices: 2*mu+1 = {self.series_b}")
-
-
-def _whittaker_prefactor(mu: complex, y):
-    # e^{-y/2} y^{mu + 1/2}, principal branch of the power; y a float or an array
-    if isinstance(y, np.ndarray):
-        return np.exp(-0.5 * y + (mu + 0.5) * np.log(y))
-    return cmath.exp(-0.5 * y + (mu + 0.5) * math.log(y))
-
-
-def whittaker_m(idx: WhittakerIndices, y: float) -> complex:
-    """Whittaker M_{kappa,mu}(y) = e^{-y/2} y^{mu+1/2} 1F1(mu-kappa+1/2; 2mu+1; y)."""
-    y = float(y)
-    if y <= 0.0:
-        raise ValueError(f"whittaker_m requires y > 0, got {y}")
-    idx.check()
-    return _whittaker_prefactor(idx.mu, y) * kummer_m(idx.series_a, idx.series_b, y)
-
-
-def whittaker_w(idx: WhittakerIndices, y: float) -> complex:
-    """Whittaker W_{kappa,mu}(y), recessive solution, via the Tricomi core."""
-    y = float(y)
-    if y <= 0.0:
-        raise ValueError(f"whittaker_w requires y > 0, got {y}")
-    a, b = complex(idx.series_a), complex(idx.series_b)
-    return _whittaker_prefactor(idx.mu, y) * _tricomi_derivs(a, b, y)[0]
 
 
 def _core_derivs(core, core_d1, core_d2, mu: complex, y):
@@ -480,8 +448,12 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
     differentiated series), never through the differential equation, so
     residual checks built on these stay non-circular.
     """
-    pre = _whittaker_prefactor(mu, y)
     s = mu + 0.5
+    # the prefactor e^{-y/2} y^s, principal branch of the power
+    if isinstance(y, np.ndarray):
+        pre = np.exp(-0.5 * y + s * np.log(y))
+    else:
+        pre = cmath.exp(-0.5 * y + s * math.log(y))
     l1 = -0.5 + s / y  # (d/dy prefactor) / prefactor
     l2 = l1 * l1 - s / (y * y)  # (d2/dy2 prefactor) / prefactor
     f = pre * core
@@ -499,7 +471,7 @@ def whittaker_m_derivs(idx: WhittakerIndices, y):
     # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
     # reject the triple wherever one of those three series is rejected
     for k in range(3):
-        _check_kummer_b(a + k, b + k, "kummer_m")
+        _check_kummer_b(a + k, b + k)
     s0, s1, s2 = _kummer_pass(a, b, y)
     return _core_derivs(s0, s1 / y, s2 / (y * y), idx.mu, y)
 

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
-import numpy as np
 
 from .riccati import RiccatiSolution
 
@@ -92,22 +89,3 @@ def apply_first_order(
     Rx = R.eval_R(x)
     s = 1j if direction is Ladder.RAISE else -1j
     return s * df + (K + 1j * Rx) * f
-
-
-def hamiltonian_eigen_residual(
-    R: RiccatiSolution,
-    ext: ExtensionParams,
-    sector: Sector,
-    derivs: Callable,
-    grid,
-    tol: float = 1e-8,
-    name: str = "hamiltonian-eigen",
-):
-    """Residual of w'' + Q_i w = 0 over a grid, with derivs(xs) giving
-    (w, w', w'') at the grid points; delegates to verify.ode_residual."""
-    from . import verify
-
-    def Q(xs):
-        return np.array([complex_potential_coefficient(R, ext, sector, x) for x in xs.tolist()])
-
-    return verify.ode_residual(Q, derivs, grid, tol=tol, name=name)

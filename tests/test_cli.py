@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestGrid:
         assert "did not converge" in err
         assert "K=0 to 2" in err and "x=-20 to -19" in err
 
+    def test_overflow_exits_1(self, capsys):
+        # x near -9.07 puts y near 746, where the M series overflows: one
+        # error line and no CSV, not rows of nan
+        argv = "grid --component fermionic --x-min -9.07 --x-max -9 --nx 4 --nK 2".split()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow at" in err
+
+    def test_overflow_fails_fast(self, capsys):
+        # at x = -12 (y near 3,227) the block series overflows within a few
+        # hundred terms; it stops there instead of summing NaN to its limit
+        start = time.perf_counter()
+        code, out, err = run(capsys, "grid", "--x-min", "-12", "--nx", "181", "--nK", "121")
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert elapsed < 1.0
+
     def test_recessive_grid_at_the_figure_point(self, capsys):
         # the W solution on the default grid: printed map, K = 0 gives the
         # integer b = 2 mu + 1 = 9, and there W is real
@@ -135,6 +155,13 @@ class TestParams:
         _, out, _ = run(capsys, "params")
         line = next(ln for ln in out.splitlines() if ln.startswith("y(x_min)"))
         assert line.split()[-1] == "8"
+
+
+    def test_y_overflow_exits_1(self, capsys):
+        # y = (2B/a) e^{-ax} is past the double range at x = -2000
+        code, out, err = run(capsys, "params", "--x-min", "-2000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBoundStates:

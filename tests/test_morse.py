@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nhmorse import morse, riccati, susy, verify
-from nhmorse.errors import NonNormalizable
+from nhmorse.errors import NonConvergence, NonNormalizable
 from nhmorse.morse import BoundStateConvention, MorseParameters, ParameterMap
 from nhmorse.susy import ExtensionParams, Sector
 from nhmorse.verify import Grid1D
@@ -111,6 +111,12 @@ class TestWavefunction:
             wm = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x - h)[0]
             assert abs((wp - wm) / (2 * h) - dw) <= 1e-7 * max(1.0, abs(dw))
             assert abs((wp - 2 * w + wm) / (h * h) - d2w) <= 1e-4 * max(1.0, abs(d2w))
+
+    def test_overflow_raises(self):
+        # x = -9.07 puts y near 746, where the M series overflows double
+        # precision: a typed error naming the series, not (nan, nan, nan)
+        with pytest.raises(NonConvergence, match=r"a=\(2\+0j\), b=\(9\+0j\), z=745\.78"):
+            morse.wavefunction_derivs(FIG, Sector.FERMIONIC, ParameterMap.PRINTED, -9.07)
 
     def test_recessive_branch_residual_to_y_80(self):
         # the W branch over the recessive-sweep region: B in {2, 5, 10, 20},

@@ -147,15 +147,22 @@ def test_operator_algebra(lam_re, lam_im, K, Kprime, x):
 
 
 def test_hamiltonian_eigen_residual(morse_sol):
+    # w'' + Q w = 0 for the derived-map wavefunction, Q the susy bracket
+    import numpy as np
+
     from nhmorse import morse as morse_mod
+    from nhmorse import verify
     from nhmorse.morse import MorseParameters, ParameterMap
     from nhmorse.verify import Grid1D
 
     p = MorseParameters(K=1.0)
     ext = ExtensionParams(K=1.0, Kprime=2.0)
 
+    def Q(xs):
+        return np.array([susy.complex_potential_coefficient(morse_sol, ext, Sector.FERMIONIC, x) for x in xs.tolist()])
+
     def derivs(xs):
         return morse_mod.wavefunction_derivs_row(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs)
 
-    rep = susy.hamiltonian_eigen_residual(morse_sol, ext, Sector.FERMIONIC, derivs, Grid1D(0.0, 3.0, 51))
+    rep = verify.ode_residual(Q, derivs, Grid1D(0.0, 3.0, 51), tol=1e-8)
     assert rep.passed
