@@ -233,6 +233,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag in ("A", "B", "a", "K", "Kprime", "x_min", "x_max", "K_min", "K_max"):
+        value = getattr(args, flag, 0.0)
+        if not np.isfinite(value):
+            print(f"error: --{flag.replace('_', '-')} must be finite, got {value:g}", file=sys.stderr)
+            return 2
     for flag in ("B", "a", "nx", "nK"):
         value = getattr(args, flag, 1)
         if not value > 0:

@@ -186,23 +186,6 @@ def wavefunction_derivs_row(
     return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), np.asarray(xs, dtype=float))
 
 
-def wavefunction_laguerre_form(
-    params: MorseParameters, sector: Sector, pmap: ParameterMap, x: float
-) -> complex:
-    """Laguerre-like form alpha (2B/a)^{1/2} y^mu e^{-y/2} core(kappa-mu-1/2, 2mu, y).
-
-    Algebraically identical to the M-only wavefunction through
-    e^{ax/2} = (2B/a)^{1/2} y^{-1/2}.
-    """
-    alpha, _ = params.amplitudes(sector)
-    idx = indices(params, pmap).for_sector(sector)
-    shape = params.shape()
-    y = riccati.morse_y(shape, x)
-    core = specfun.kummer_core(idx.kappa - idx.mu - 0.5, 2.0 * idx.mu, y)
-    pre = math.sqrt(2.0 * params.B / params.a)
-    return alpha * pre * cmath.exp(idx.mu * math.log(y) - 0.5 * y) * core
-
-
 def wavefunction_grid(
     rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs
 ) -> np.ndarray:

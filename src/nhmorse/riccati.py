@@ -94,10 +94,15 @@ def riccati_residual(sol: RiccatiSolution, x: float) -> float:
 def morse_y(params: MorseRiccati, x):
     """The Morse substitution y = (2B/a) e^{-a x}; positive, decreasing in x.
 
-    x may be a float or an array of x.
+    x may be a float or an array of x. Raises OverflowError where y overflows.
     """
-    e = np.exp(-params.a * x) if isinstance(x, np.ndarray) else math.exp(-params.a * x)
-    return 2.0 * params.B / params.a * e
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            y = 2.0 * params.B / params.a * np.exp(-params.a * x)
+        if np.isinf(y).any():
+            raise OverflowError(f"y(x) overflows at x = {x.min():.17g}")
+        return y
+    return 2.0 * params.B / params.a * math.exp(-params.a * x)
 
 
 def morse_x(params: MorseRiccati, y: float) -> float:

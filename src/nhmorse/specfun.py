@@ -6,10 +6,11 @@ first two derivatives, classical associated Laguerre polynomials and their
 analytic continuation to complex degree/order.
 
 Each quantity has one entry point, which takes a float or a numpy array.
-`kummer_m` sums its series once over an array of arguments sharing one
-parameter set, or (R, 1) columns of per-row parameters giving an (R, N)
-block. A Kummer sum that overflows raises NonConvergence rather than
-return inf or NaN.
+Float 1F1 values come from one loop, `_kummer_pass`. On an array,
+`kummer_m` sums its series once over arguments sharing one parameter
+set, or (R, 1) columns of per-row parameters giving an (R, N) block. A
+Kummer sum that overflows raises NonConvergence rather than return inf
+or NaN.
 
 The Whittaker triples (value and first two derivatives) are the only
 Whittaker entry points. M's derivatives come from the term-by-term
@@ -42,12 +43,6 @@ from .errors import NonConvergence, ParameterPole, PoleError
 # _STOP_REL of the running sum, give up at _MAX_TERMS.
 _MAX_TERMS = 10_000
 _STOP_REL = 1e-17
-
-# For negative argument the direct series is alternating and can cancel
-# catastrophically (relative error amplified by ~e^{|z|}); sum the Kummer
-# transformation M(a,b,z) = e^z M(b-a,b,-z) instead, whose terms are
-# single-signed in the dominant factor.
-_TRANSFORM_BELOW = 0.0
 
 # Lanczos approximation, g = 7, 9 coefficients (Godfrey/Pugh set).
 # Valid for Re z > 0; the reflection formula covers the left half plane.
@@ -101,42 +96,15 @@ def _terminating_degree(a: complex):
     return None if r is None else -r
 
 
-def _kummer_series(a: complex, b: complex, z: float) -> complex:
-    """Plain forward summation of 1F1(a; b; z) with term-ratio stopping.
-
-    Terminating series (a at a nonpositive integer) are summed exactly over
-    their n terms; otherwise the sum stops once three consecutive terms fall
-    below _STOP_REL of it. A sum that overflows raises NonConvergence.
-    """
-    n_term = _terminating_degree(a)
-    # a terminating series sums all of its terms: no term is below -1 times the sum
-    stop = _STOP_REL if n_term is None else -1.0
-    term = total = 1.0 + 0.0j
-    small = 0
-    for n in range(_MAX_TERMS if n_term is None else n_term):
-        term *= (a + n) / (b + n) * z / (n + 1)
-        total += term
-        if abs(term) <= stop * abs(total):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    if not cmath.isfinite(total):
-        raise NonConvergence(f"kummer series did not converge: overflow at a={a}, b={b}, z={z}")
-    if n_term is None and small < 3:
-        raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
-    return total
-
-
 def _kummer_pass(a: complex, b: complex, z):
     """(S0, S1, S2) = sums of t_n, n t_n and n(n-1) t_n over the terms t_n
-    of 1F1(a; b; z), in one pass.
+    of 1F1(a; b; z) in one pass, the one float 1F1 loop: 1F1 then has value
+    S0, first derivative S1/z and second derivative S2/z^2.
 
-    1F1(a; b; z) then has value S0, first derivative S1/z and second
-    derivative S2/z^2. Terms, stopping and overflow as in _kummer_series,
-    the stopping rule holding in each of the three sums. A numpy array z is
-    summed by _kummer_pass_row, a float by the loop here.
+    A terminating series (a a nonpositive integer -n) sums its n terms;
+    otherwise each sum stops once three consecutive terms fall below
+    _STOP_REL of it. Overflow raises NonConvergence. A numpy array z is
+    summed by _kummer_pass_row.
     """
     if isinstance(z, np.ndarray):
         return _kummer_pass_row(a, b, z)
@@ -213,14 +181,13 @@ def _kummer_pass_row(a: complex, b: complex, zs: np.ndarray):
 # overflow raises NonConvergence here, so numpy need not warn of it
 @np.errstate(over="ignore", invalid="ignore")
 def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """_kummer_series summed over a block of z at once, a and b of one shape
+    """1F1(a; b; z) summed over a block of z at once, a and b of one shape
     (a single row, or a column of per-row values) broadcast against zs.
 
-    Same term recurrence and terminating-series rule per row: a row whose a
-    is a nonpositive integer -n stops after its n terms. The sum stops once
-    three consecutive terms fall below _STOP_REL of the running sum at
-    every element, so no element stops earlier than its scalar sum would,
-    and at once when an element overflows.
+    The terms of _kummer_pass, with its terminating-series rule per row: a
+    row whose a is a nonpositive integer -n stops after its n terms. The
+    sum stops once three consecutive terms fall below _STOP_REL of the
+    running sum at every element, and at once when an element overflows.
     """
     degrees = [_terminating_degree(x) for x in a.ravel().tolist()]
     n_stop = np.array([math.inf if d is None else d for d in degrees]).reshape(a.shape)
@@ -261,12 +228,12 @@ def kummer_m(a, b, z):
     """Confluent hypergeometric function 1F1(a; b; z) at a real z, or at
     every z >= 0 of a numpy array, one series summed over all of them.
 
-    For an array z, a and b are scalars, giving an array of the shape of z,
-    or (R, 1) columns of per-row values, giving an (R, N) block for N
-    values of z; each row is checked like a float call, and a rejection
-    names that row's b. Terminating series (a a nonpositive integer) are
-    allowed even for b at a nonpositive integer, provided the numerator
-    zero comes first.
+    A float z takes the one float loop, _kummer_pass's. For an array z, a
+    and b are scalars, giving an array of the shape of z, or (R, 1) columns
+    of per-row values, giving an (R, N) block for N values of z; each row
+    is checked like a float call, and a rejection names that row's b.
+    Terminating series (a a nonpositive integer) are allowed even for b at
+    a nonpositive integer, provided the numerator zero comes first.
     """
     if isinstance(z, np.ndarray):
         a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -277,9 +244,11 @@ def kummer_m(a, b, z):
         return _kummer_series_row(a, b, z.astype(float, copy=False))
     a, b, z = complex(a), complex(b), float(z)
     _check_kummer_b(a, b)
-    if z < _TRANSFORM_BELOW:
-        return cmath.exp(z) * _kummer_series(b - a, b, -z)
-    return _kummer_series(a, b, z)
+    # below z = 0 the series alternates and cancels (error ~e^{|z|}): sum the
+    # Kummer transformation M(a, b, z) = e^z M(b - a, b, -z) instead
+    if z < 0.0:
+        return cmath.exp(z) * _kummer_pass(b - a, b, -z)[0]
+    return _kummer_pass(a, b, z)[0]
 
 
 # Tricomi U and its first two derivatives come from the Laplace integral
@@ -497,22 +466,12 @@ def laguerre_poly(n: int, p: float, y: float) -> float:
     return cur
 
 
-def kummer_core(nu: complex, alpha: complex, y: float) -> complex:
-    """Unnormalized Laguerre-like core: 1F1(-nu; alpha+1; y).
-
-    Chosen so that M_{kappa,mu}(y) = y^{mu+1/2} e^{-y/2}
-    kummer_core(kappa - mu - 1/2, 2*mu, y) holds exactly.
-    """
-    return kummer_m(-complex(nu), complex(alpha) + 1.0, y)
-
-
 def laguerre_function(nu: complex, alpha: complex, y: float) -> complex:
     """Associated Laguerre function of complex degree/order.
 
-    Gamma(nu+alpha+1) / (Gamma(nu+1) Gamma(alpha+1)) * kummer_core(nu, alpha, y);
+    Gamma(nu+alpha+1) / (Gamma(nu+1) Gamma(alpha+1)) * 1F1(-nu; alpha+1; y);
     reduces to laguerre_poly for nonnegative integer nu and real alpha.
     """
-    nu = complex(nu)
-    alpha = complex(alpha)
+    nu, alpha = complex(nu), complex(alpha)
     coef = cmath.exp(log_gamma(nu + alpha + 1.0) - log_gamma(nu + 1.0) - log_gamma(alpha + 1.0))
-    return coef * kummer_core(nu, alpha, y)
+    return coef * kummer_m(-nu, alpha + 1.0, y)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestGrid:
         value = block[0, 0]
         assert float(first_row[3]) == value.real
         assert float(first_row[4]) == value.imag
-        expected = morse.wavefunction_laguerre_form(rows[0], Sector.BOSONIC, ParameterMap.PRINTED, 0.0)
+        expected = morse.wavefunction_grid(rows[:1], Sector.BOSONIC, ParameterMap.PRINTED, np.array([0.0]))[0, 0]
         assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_param_maps_differ(self, capsys):
@@ -124,6 +125,17 @@ class TestGrid:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 1.0
+
+    def test_y_overflow_exits_1(self, capsys):
+        # y = (2B/a) e^{-ax} is past the double range at x = -2000: one
+        # error line naming that x, and no numpy warning before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "grid", "--x-min", "-2000", "--nx", "3", "--nK", "2")
+        assert caught == []
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "x = -2000" in err
 
     def test_recessive_grid_at_the_figure_point(self, capsys):
         # the W solution on the default grid: printed map, K = 0 gives the
@@ -218,9 +230,12 @@ class TestMisc:
     @pytest.mark.parametrize("argv", [
         "grid --nx -1", "grid --nK -2", "grid --B -1", "params --B 0", "params --a -1",
         "bound-states --B 0", "bound-states --a 0", "bound-states --a -1",
+        "grid --Kprime nan", "grid --x-min=-inf", "grid --K-max inf", "params --A inf",
+        "params --x-max nan", "bound-states --A inf", "bound-states --K=-inf",
     ])
     def test_nonpositive_parameter_exits_2(self, capsys, argv):
-        # B, a and the grid sizes must be positive: one error line, no output
+        # B, a and the grid sizes must be positive, and the float flags
+        # finite: one error line, no output
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""

@@ -5,13 +5,23 @@ import random
 import numpy as np
 import pytest
 
-from nhmorse import morse, riccati, susy, verify
+from nhmorse import morse, riccati, specfun, susy, verify
 from nhmorse.errors import NonConvergence, NonNormalizable
 from nhmorse.morse import BoundStateConvention, MorseParameters, ParameterMap
 from nhmorse.susy import ExtensionParams, Sector
 from nhmorse.verify import Grid1D
 
 FIG = MorseParameters()  # A=1, B=2, a=0.5, K=0, K'=2
+
+
+def _laguerre_form(p, sector, pmap, x):
+    """alpha (2B/a)^{1/2} y^mu e^{-y/2} 1F1(mu - kappa + 1/2; 2 mu + 1; y) at
+    one x, the 1F1 from float kummer_m."""
+    idx = morse.indices(p, pmap).for_sector(sector)
+    y = riccati.morse_y(p.shape(), x)
+    core = specfun.kummer_m(idx.series_a, idx.series_b, y)
+    alpha, _ = p.amplitudes(sector)
+    return alpha * math.sqrt(2.0 * p.B / p.a) * cmath.exp(idx.mu * math.log(y) - 0.5 * y) * core
 
 
 class TestParameters:
@@ -183,7 +193,7 @@ class TestRowPath:
             assert block.shape == (41, 61)
             for p, values in zip(rows, block.tolist()):
                 for x, v in zip(xs.tolist(), values):
-                    ref = morse.wavefunction_laguerre_form(p, sector, ParameterMap.PRINTED, x)
+                    ref = _laguerre_form(p, sector, ParameterMap.PRINTED, x)
                     assert abs(v - ref) <= 1e-14 * abs(ref)
 
     def test_grid_skips_zero_amplitude_terms_per_row(self):
@@ -208,28 +218,30 @@ class TestRowPath:
 
 
 class TestLaguerreForm:
+    # the Laguerre form is a one-row wavefunction_grid
     def test_equals_m_wavefunction(self):
         p = MorseParameters(K=1.3)
+        xs = np.linspace(0.0, 3.0, 13)
         for pmap in ParameterMap:
             for sector in Sector:
-                for x in np.linspace(0.0, 3.0, 13):
-                    lhs = morse.wavefunction_laguerre_form(p, sector, pmap, x)
+                row = morse.wavefunction_grid([p], sector, pmap, xs)[0]
+                for x, lhs in zip(xs.tolist(), row.tolist()):
                     rhs = morse.wavefunction_derivs(p, sector, pmap, x)[0]  # beta = 0
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_figure_box_evaluates(self):
+        xs = np.linspace(0.0, 3.0, 7)
         for K in np.linspace(0.0, 2.0, 5):
             p = MorseParameters(K=float(K))
             for sector in Sector:
-                for x in np.linspace(0.0, 3.0, 7):
-                    w = morse.wavefunction_laguerre_form(p, sector, ParameterMap.PRINTED, x)
-                    assert cmath.isfinite(w)
+                w = morse.wavefunction_grid([p], sector, ParameterMap.PRINTED, xs)
+                assert np.isfinite(w).all()
 
     def test_k_zero_slice_real(self):
+        xs = np.linspace(0.0, 3.0, 61)
         for sector in Sector:
-            for x in np.linspace(0.0, 3.0, 61):
-                w = morse.wavefunction_laguerre_form(FIG, sector, ParameterMap.PRINTED, x)
-                assert abs(w.imag) <= 1e-12
+            w = morse.wavefunction_grid([FIG], sector, ParameterMap.PRINTED, xs)
+            assert np.abs(w.imag).max() <= 1e-12
 
 
 class TestBoundStates:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,18 @@ def test_morse_y_values(shape):
     assert riccati.morse_y(shape, 0.0) == pytest.approx(8.0)
     assert riccati.morse_y(shape, 3.0) == pytest.approx(8.0 * math.exp(-1.5), rel=1e-12)
     assert riccati.morse_y(shape, 100.0) > 0.0
+
+
+def test_morse_y_array_overflow_raises(shape):
+    # y is past the double range at x = -2000: the array call raises like the
+    # float call, naming that x, and numpy does not warn first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match=r"x = -2000\b"):
+            riccati.morse_y(shape, np.array([-2000.0, 0.0, 3.0]))
+        with pytest.raises(OverflowError):
+            riccati.morse_y(shape, -2000.0)
+    assert caught == []
 
 
 @given(st.floats(min_value=-5.0, max_value=10.0))

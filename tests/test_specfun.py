@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmorse import morse, specfun
+from nhmorse import checks, morse, specfun
 from nhmorse.errors import NonConvergence, ParameterPole, PoleError
 from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.specfun import WhittakerIndices
@@ -110,6 +110,16 @@ class TestKummer:
         lhs = specfun.kummer_m(a, b, z)
         rhs = cmath.exp(z) * specfun.kummer_m(b - a, b, -z)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
+
+    def test_float_path_on_the_oracle_samples(self):
+        # kummer-oracle's 1000 samples, float calls: the check itself sums
+        # them as one block
+        a, b, z, ref = checks._kummer_oracle_samples()
+        worst = max(
+            abs(specfun.kummer_m(ai, bi, zi) - r) / abs(r)
+            for ai, bi, zi, r in zip(a.tolist(), b.tolist(), z.tolist(), ref.tolist())
+        )
+        assert worst <= 1e-10
 
     def test_oracle_agreement_spot(self):
         for a, b, z in [(1.5 - 2j, 0.3 + 1j, 12.0), (-4.2 + 0.1j, 6.0, 25.0)]:
@@ -657,17 +667,19 @@ class TestLaguerre:
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
     def test_core_nu_zero(self):
-        assert specfun.kummer_core(0.0, 1.7 + 0.3j, 5.0) == 1.0
+        # the Laguerre-like core 1F1(-nu; alpha + 1; y) at nu = 0
+        nu, alpha = 0.0, 1.7 + 0.3j
+        assert specfun.kummer_m(-nu, alpha + 1, 5.0) == 1.0
 
     def test_core_whittaker_identity(self):
         kappa, mu, y = 1.5, 0.5, 3.0
         lhs = specfun.whittaker_m_derivs(WhittakerIndices(kappa=kappa, mu=mu), y)[0]
-        rhs = y ** (mu + 0.5) * math.exp(-0.5 * y) * specfun.kummer_core(kappa - mu - 0.5, 2 * mu, y)
+        rhs = y ** (mu + 0.5) * math.exp(-0.5 * y) * specfun.kummer_m(-(kappa - mu - 0.5), 2 * mu + 1.0, y)
         assert_close(lhs, rhs, rel=1e-12)
 
     def test_core_degree_one(self):
         p = 2.3
-        core = specfun.kummer_core(1.0, p, 1.1)
+        core = specfun.kummer_m(-1.0, p + 1.0, 1.1)
         assert_close(core, 1.0 - 1.1 / (p + 1.0))
         assert_close(core, specfun.laguerre_poly(1, p, 1.1) * 1.0 / (p + 1.0))
 
@@ -695,7 +707,7 @@ class TestLaguerre:
         )
         assert_close(
             specfun.laguerre_function(nu, alpha, y) * coef,
-            specfun.kummer_core(nu, alpha, y),
+            specfun.kummer_m(-nu, alpha + 1.0, y),
             rel=1e-12,
         )
 
