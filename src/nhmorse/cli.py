@@ -1,5 +1,5 @@
-"""Command-line surface: figure grids as CSV, parameter tables,
-bound-state tables, and the verification suite.
+"""Command-line surface: parses the flags of the figure-grid, parameter,
+bound-state and verification commands and dispatches them to the library.
 
 Exit codes: 0 success / all checks pass, 1 evaluation or verification
 failure, 2 usage error.
@@ -9,20 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks, morse, verify
-from .morse import BoundStateConvention, MorseParameters, ParameterMap
-from .riccati import MorseRiccati, morse_y
+from .morse import BoundStateConvention, GridSpec, MorseParameters, ParameterMap, render_grid
+from .morse import HEADER  # noqa: F401 - not used here; perfbench reads cli.HEADER
+from .riccati import morse_y
 from .susy import Sector
-
-HEADER = "x,K,y,re,im"
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _parse_complex(text: str) -> complex:
@@ -32,62 +26,6 @@ def _parse_complex(text: str) -> complex:
     if len(parts) == 2:
         return complex(float(parts[0]), float(parts[1]))
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Everything needed to render one figure grid; defaults reproduce the
-    published figure parameters."""
-
-    A: float = 1.0
-    B: float = 2.0
-    a: float = 0.5
-    Kprime: float = 2.0
-    component: Sector = Sector.BOSONIC
-    param_map: ParameterMap = ParameterMap.PRINTED
-    solution: str = "m"
-    alpha: complex = 1.0 + 0.0j
-    beta: complex = 0.0 + 0.0j
-    x_min: float = 0.0
-    x_max: float = 3.0
-    nx: int = 61
-    K_min: float = 0.0
-    K_max: float = 2.0
-    nK: int = 41
-
-
-def render_grid(spec: GridSpec) -> str:
-    """CSV text for the grid: K outer loop ascending, x inner ascending;
-    the whole K x x block is evaluated in one call."""
-    xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
-    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
-    alpha = 0.0 if spec.solution == "w" else spec.alpha
-    beta = 0.0 if spec.solution == "m" else spec.beta
-    rows = [
-        MorseParameters(
-            A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime,
-            alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta,
-        )
-        for K in Ks
-    ]
-    try:
-        w = morse.wavefunction_grid(rows, spec.component, spec.param_map, xs)
-    except Exception as exc:
-        raise RuntimeError(
-            f"evaluation failed on the grid K={Ks[0]:.17g} to {Ks[-1]:.17g}, "
-            f"x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
-        ) from exc
-    ys = morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
-    x_text = [_fmt(x) for x in xs.tolist()]
-    y_text = [_fmt(y) for y in ys.tolist()]
-    lines = [HEADER]
-    for K, row in zip(Ks, w):
-        k_text = _fmt(K)
-        lines.extend(
-            f"{x},{k_text},{y},{_fmt(re)},{_fmt(im)}"
-            for x, y, re, im in zip(x_text, y_text, row.real.tolist(), row.imag.tolist())
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
@@ -137,12 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_grid(args) -> int:
+    alpha = 0j if args.solution == "w" else args.alpha
+    beta = 0j if args.solution == "m" else args.beta
+    if alpha == 0 and beta == 0:
+        flag = {"m": "--alpha", "w": "--beta"}.get(args.solution, "--alpha or --beta")
+        print(f"error: the grid is zero everywhere; set a nonzero {flag}", file=sys.stderr)
+        return 2
     spec = GridSpec(
         A=args.A, B=args.B, a=args.a, Kprime=args.Kprime,
         component=Sector(args.component),
         param_map=ParameterMap(args.param_map),
-        solution=args.solution,
-        alpha=args.alpha, beta=args.beta,
+        alpha=alpha, beta=beta,
         x_min=args.x_min, x_max=args.x_max, nx=args.nx,
         K_min=args.K_min, K_max=args.K_max, nK=args.nK,
     )
@@ -165,8 +108,12 @@ def _fmt_complex(z: complex) -> str:
 
 def cmd_params(args) -> int:
     p = MorseParameters(A=args.A, B=args.B, a=args.a, K=args.K, Kprime=args.Kprime)
-    printed = morse.indices(p, ParameterMap.PRINTED)
-    derived = morse.indices(p, ParameterMap.DERIVED)
+    try:
+        printed = morse.indices(p, ParameterMap.PRINTED)
+        derived = morse.indices(p, ParameterMap.DERIVED)
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     shape = p.shape()
     try:
         y_ends = morse_y(shape, args.x_min), morse_y(shape, args.x_max)
@@ -178,11 +125,11 @@ def cmd_params(args) -> int:
         ("kappa2", _fmt_complex(printed.kappa2)),
         ("mu_printed", _fmt_complex(printed.mu)),
         ("mu_derived", _fmt_complex(derived.mu)),
-        ("B_bar", _fmt(p.B_bar)),
-        ("C1_bar", _fmt(p.C1_bar)),
-        ("C2_bar", _fmt(p.C2_bar)),
-        ("y(x_min)", _fmt(y_ends[0])),
-        ("y(x_max)", _fmt(y_ends[1])),
+        ("B_bar", f"{p.B_bar:.17g}"),
+        ("C1_bar", f"{p.C1_bar:.17g}"),
+        ("C2_bar", f"{p.C2_bar:.17g}"),
+        ("y(x_min)", f"{y_ends[0]:.17g}"),
+        ("y(x_max)", f"{y_ends[1]:.17g}"),
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -209,7 +156,7 @@ def cmd_bound_states(args) -> int:
         return 0
     print("n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)")
     for n, kprime, s, r1, r2 in rows:
-        print(f"{n}  {_fmt(kprime)}  {_fmt(s)}  {r1:.3e}  {r2:.3e}")
+        print(f"{n}  {kprime:.17g}  {s:.17g}  {r1:.3e}  {r2:.3e}")
     return 0
 
 
@@ -233,7 +180,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for flag in ("A", "B", "a", "K", "Kprime", "x_min", "x_max", "K_min", "K_max"):
+    for flag in ("A", "B", "a", "K", "Kprime", "x_min", "x_max", "K_min", "K_max", "alpha", "beta"):
         value = getattr(args, flag, 0.0)
         if not np.isfinite(value):
             print(f"error: --{flag.replace('_', '-')} must be finite, got {value:g}", file=sys.stderr)

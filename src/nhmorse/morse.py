@@ -101,7 +101,8 @@ def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
     """Whittaker indices (kappa_1, kappa_2, mu) for the chosen map.
 
     The published kappa formulas are expanded to the pole-free form
-    kappa_{1,2} = A/a +/- 1/2 - iK/a, valid for any A.
+    kappa_{1,2} = A/a +/- 1/2 - iK/a, valid for any A. Raises OverflowError
+    where an index is not finite (K^2 overflows once |K| > 1.3e154).
     """
     A, a, K, Kp = params.A, params.a, params.K, params.Kprime
     base = A / a - 1j * K / a
@@ -112,6 +113,8 @@ def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
         under += A * A
     # cmath.sqrt is the principal root: Re >= 0, with Im >= 0 on the branch cut
     mu = cmath.sqrt(under) / a
+    if not (cmath.isfinite(kappa1) and cmath.isfinite(kappa2) and cmath.isfinite(mu)):
+        raise OverflowError(f"Whittaker indices overflow at K = {K:.17g}, K' = {Kp:.17g}")
     return Indices(kappa1=kappa1, kappa2=kappa2, mu=mu)
 
 
@@ -219,6 +222,58 @@ def wavefunction_grid(
     for r in np.flatnonzero(beta[:, 0]).tolist():
         core[r] += beta[r, 0] * specfun.tricomi_u(a[r, 0], b[r, 0], y)
     return math.sqrt(2.0 * shape.B / shape.a) * np.exp(mu * np.log(y) - 0.5 * y) * core
+
+
+HEADER = "x,K,y,re,im"
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Everything needed to render one figure grid; defaults reproduce the
+    published figure parameters."""
+
+    A: float = 1.0
+    B: float = 2.0
+    a: float = 0.5
+    Kprime: float = 2.0
+    component: Sector = Sector.BOSONIC
+    param_map: ParameterMap = ParameterMap.PRINTED
+    alpha: complex = 1.0 + 0.0j
+    beta: complex = 0.0 + 0.0j
+    x_min: float = 0.0
+    x_max: float = 3.0
+    nx: int = 61
+    K_min: float = 0.0
+    K_max: float = 2.0
+    nK: int = 41
+
+
+def render_grid(spec: GridSpec) -> str:
+    """CSV text for the grid: K outer loop ascending, x inner ascending; the whole
+    K x x block is evaluated in one call, and its failure raised as a RuntimeError
+    naming the grid's K and x range."""
+    xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
+    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
+    amps = dict(alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta)
+    rows = [MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime, **amps) for K in Ks]
+    try:
+        w = wavefunction_grid(rows, spec.component, spec.param_map, xs)
+    except Exception as exc:
+        raise RuntimeError(
+            f"evaluation failed on the grid K={Ks[0]:.17g} to {Ks[-1]:.17g}, "
+            f"x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
+        ) from exc
+    ys = riccati.morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
+    x_text = [f"{x:.17g}" for x in xs.tolist()]
+    y_text = [f"{y:.17g}" for y in ys.tolist()]
+    lines = [HEADER]
+    for K, row in zip(Ks, w):
+        k_text = f"{K:.17g}"
+        lines.extend(
+            f"{x},{k_text},{y},{re:.17g},{im:.17g}"
+            for x, y, re, im in zip(x_text, y_text, row.real.tolist(), row.imag.tolist())
+        )
+    return "\n".join(lines) + "\n"
 
 
 def bound_state_exponent(A: float, a: float, n: int, convention: BoundStateConvention) -> float:

@@ -74,20 +74,20 @@ class MorseRiccati:
 
 
 def morse_riccati(params: MorseRiccati, sign: RiccatiSign) -> RiccatiSolution:
-    """The Morse superpotential with its exact derivative a B e^{-a x}."""
+    """The Morse superpotential with its exact derivative a B e^{-a x}; x a float or an array."""
     A, B, a = params.A, params.B, params.a
 
-    def R(x: float) -> float:
-        return A - B * math.exp(-a * x)
+    def R(x):
+        return A - B * (np.exp(-a * x) if isinstance(x, np.ndarray) else math.exp(-a * x))
 
-    def dR(x: float) -> float:
-        return a * B * math.exp(-a * x)
+    def dR(x):
+        return a * B * (np.exp(-a * x) if isinstance(x, np.ndarray) else math.exp(-a * x))
 
     return from_superpotential(R, dR, sign)
 
 
-def riccati_residual(sol: RiccatiSolution, x: float) -> float:
-    """|R'(x) +/- R(x)^2 - u(x)| under the solution's own sign."""
+def riccati_residual(sol: RiccatiSolution, x):
+    """|R'(x) +/- R(x)^2 - u(x)| under the solution's own sign, elementwise over an array."""
     return abs(sol.eval_dR(x) + sol.sign.value * sol.eval_R(x) ** 2 - sol.eval_u(x))
 
 

@@ -59,9 +59,9 @@ def real_partner_potential(R: RiccatiSolution, m: float, sector: Sector, x: floa
 
 
 def complex_potential_coefficient(
-    R: RiccatiSolution, ext: ExtensionParams, sector: Sector, x: float
+    R: RiccatiSolution, ext: ExtensionParams, sector: Sector, x
 ) -> complex:
-    """The bracket Q_i(x) = +/-R' + 2iKR + (K^2 - K'^2) - R^2 with w'' + Q_i w = 0."""
+    """The bracket Q_i(x) = +/-R' + 2iKR + (K^2 - K'^2) - R^2 with w'' + Q_i w = 0; x may be an array."""
     s = 1.0 if sector is Sector.FERMIONIC else -1.0
     Rx = R.eval_R(x)
     K, Kp = ext.K, ext.Kprime
@@ -79,9 +79,10 @@ def apply_first_order(
     K: float,
     f: complex,
     df: complex,
-    x: float,
+    x,
 ) -> complex:
-    """Apply A+ (raise) or A- (lower), i.e. +/- i D_x + K + i R, to (f, f')(x).
+    """Apply A+ (raise) or A- (lower), i.e. +/- i D_x + K + i R, to (f, f')(x);
+    f, f' and x may be arrays.
 
     The caller supplies the derivative; this layer never differentiates
     numerically.

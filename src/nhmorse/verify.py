@@ -272,10 +272,7 @@ def intertwining_check(
     keep = np.abs(w2) > 1e-12
     if not keep.any():
         raise ValueError("all grid points degenerate (|w2| <= 1e-12)")
-    num = np.array([
-        susy_mod.apply_first_order(susy_mod.Ladder.RAISE, R, params.K, f, df, x)
-        for f, df, x in zip(w1[keep].tolist(), dw1[keep].tolist(), xs[keep].tolist())
-    ])
+    num = susy_mod.apply_first_order(susy_mod.Ladder.RAISE, R, params.K, w1[keep], dw1[keep], xs[keep])
     arr = num / w2[keep]
     mean = arr.mean()
     rel = float(np.sqrt(np.mean(np.abs(arr - mean) ** 2)) / abs(mean))

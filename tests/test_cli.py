@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from nhmorse import cli, morse
-from nhmorse.cli import GridSpec
-from nhmorse.morse import MorseParameters, ParameterMap
+from nhmorse.morse import GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import Sector
 
 FIG_ROWS = 61 * 41
@@ -137,6 +136,30 @@ class TestGrid:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "x = -2000" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("grid --solution w", "--beta"),
+        ("grid --alpha 0", "--alpha"),
+        ("grid --solution mix --alpha 0,0", "--alpha or --beta"),
+    ])
+    def test_all_zero_grid_exits_2(self, capsys, argv, flag):
+        # both amplitudes zero after --solution picks the terms: a grid of
+        # zeros says nothing, so one error line names the flag to set
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"set a nonzero {flag}")
+
+    def test_huge_k_exits_1(self, capsys):
+        # K^2 overflows past |K| = 1.3e154: one error line naming K, and no
+        # numpy warning before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "grid", "--K-min", "1e300", "--K-max", "1e300", "--nx", "2", "--nK", "2")
+        assert caught == []
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "K = 1.0000000000000001e+300" in err
+
     def test_recessive_grid_at_the_figure_point(self, capsys):
         # the W solution on the default grid: printed map, K = 0 gives the
         # integer b = 2 mu + 1 = 9, and there W is real
@@ -174,6 +197,16 @@ class TestParams:
         code, out, err = run(capsys, "params", "--x-min", "-2000")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_k_exits_1(self, capsys):
+        # K^2 overflows past |K| = 1.3e154: one error line, not a nan mu
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "params", "--K", "1e300")
+        assert caught == []
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "K = 1.0000000000000001e+300" in err
 
 
 class TestBoundStates:
@@ -232,6 +265,7 @@ class TestMisc:
         "bound-states --B 0", "bound-states --a 0", "bound-states --a -1",
         "grid --Kprime nan", "grid --x-min=-inf", "grid --K-max inf", "params --A inf",
         "params --x-max nan", "bound-states --A inf", "bound-states --K=-inf",
+        "grid --alpha nan --nx 2 --nK 2", "grid --solution w --beta inf --nx 2 --nK 2",
     ])
     def test_nonpositive_parameter_exits_2(self, capsys, argv):
         # B, a and the grid sizes must be positive, and the float flags
@@ -248,6 +282,6 @@ class TestMisc:
             cli._parse_complex("1,2,3")
 
     def test_render_grid_spec_defaults(self):
-        text = cli.render_grid(GridSpec(nx=2, nK=2))
+        text = morse.render_grid(GridSpec(nx=2, nK=2))
         assert text.splitlines()[0] == "x,K,y,re,im"
         assert text.endswith("\n")

@@ -10,11 +10,7 @@ PACKAGE = Path(nhmorse.__file__).resolve().parent
 # riccati and specfun are the kernel and import nothing above it.
 ORDER = ("errors", "riccati", "specfun", "susy", "morse", "verify", "checks", "cli")
 # Upward imports still allowed, as (importer, imported).
-ALLOWED = {
-    # check_grid_shape renders a grid through cli.render_grid, which stays
-    # in cli until GridSpec/render_grid move into the library (ROADMAP item 3)
-    ("checks", "cli"),
-}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def relative_imports(path: Path) -> set[str]:

@@ -66,6 +66,12 @@ class TestIndices:
         idx = morse.indices(MorseParameters(A=0.0, K=1.0), ParameterMap.PRINTED)
         assert idx.kappa1 == pytest.approx(0.5 - 2.0j)
 
+    @pytest.mark.parametrize("pmap", list(ParameterMap))
+    def test_huge_k_overflows(self, pmap):
+        # K^2 overflows past |K| = 1.3e154, so mu is not finite there
+        with pytest.raises(OverflowError, match=r"K = 1.0000000000000001e\+300"):
+            morse.indices(MorseParameters(K=1e300), pmap)
+
 
 class TestOdeCoefficient:
     def test_hand_value(self):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,32 @@ def test_apply_first_order_free_particle():
     f = cmath.exp(lam * x)
     out = susy.apply_first_order(Ladder.RAISE, sol, 0.0, f, lam * f, x)
     assert abs(out - 1j * lam * f) < 1e-14
+
+
+@pytest.mark.parametrize("sign", list(RiccatiSign))
+def test_array_calls_match_float_calls(sign):
+    # R, R', u and the ladder operator take an array of x with no other
+    # change; each element agrees with the float call at that x, to 1e-15
+    # relative, or absolute below one: np.exp and math.exp may differ in
+    # the last bit, and R = A - B e^{-ax} cancels near x = 1.39
+    sol = riccati.morse_riccati(MorseRiccati(A=1.0, B=2.0, a=0.5), sign)
+    xs = np.linspace(-5.0, 10.0, 31)
+    f = np.exp(1j * xs) * (1.0 + xs)
+    df = 1j * f + np.exp(1j * xs)
+    arrays = [
+        sol.eval_R(xs), sol.eval_dR(xs), sol.eval_u(xs),
+        susy.apply_first_order(Ladder.RAISE, sol, 0.7, f, df, xs),
+        susy.apply_first_order(Ladder.LOWER, sol, 0.7, f, df, xs),
+    ]
+    for i, x in enumerate(xs.tolist()):
+        fi, dfi = complex(f[i]), complex(df[i])
+        floats = [
+            sol.eval_R(x), sol.eval_dR(x), sol.eval_u(x),
+            susy.apply_first_order(Ladder.RAISE, sol, 0.7, fi, dfi, x),
+            susy.apply_first_order(Ladder.LOWER, sol, 0.7, fi, dfi, x),
+        ]
+        for arr, ref in zip(arrays, floats):
+            assert abs(arr[i] - ref) <= 1e-15 * max(abs(ref), 1.0)
 
 
 def test_apply_first_order_annihilates_zero_mode(morse_sol):
