@@ -44,15 +44,17 @@ def _admissible_b(rng: random.Random) -> complex:
 
 
 def _kummer_oracle_samples():
-    """kummer-oracle's 1000 seeded (a, b, z) samples and reference values."""
+    """kummer-oracle's 1000 seeded (a, b, z) samples and reference values,
+    the references from one array call of the oracle."""
     rng = random.Random(20060515)
     samples = []
     for _ in range(1000):
         a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
         b = _admissible_b(rng)
         z = rng.uniform(1e-6, 30.0)
-        samples.append((a, b, z, verify.reference_kummer(a, b, z, target_rel=1e-13)))
-    return tuple(np.array(column) for column in zip(*samples))
+        samples.append((a, b, z))
+    a, b, z = (np.array(column) for column in zip(*samples))
+    return a, b, z, verify.reference_kummer(a, b, z, target_rel=1e-13)
 
 
 def check_kummer_oracle(tol: float = 1e-10) -> ResidualReport:

@@ -190,6 +190,10 @@ def main(argv=None) -> int:
         if not value > 0:
             print(f"error: --{flag} must be > 0, got {value:g}", file=sys.stderr)
             return 2
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol >= 0.0:
+        print(f"error: --tol must be a number >= 0, got {tol:g}", file=sys.stderr)
+        return 2
     if args.command == "grid":
         return cmd_grid(args)
     if args.command == "params":

@@ -247,7 +247,14 @@ def kummer_m(a, b, z):
     # below z = 0 the series alternates and cancels (error ~e^{|z|}): sum the
     # Kummer transformation M(a, b, z) = e^z M(b - a, b, -z) instead
     if z < 0.0:
-        return cmath.exp(z) * _kummer_pass(b - a, b, -z)[0]
+        try:
+            s0 = _kummer_pass(b - a, b, -z)[0]
+        except NonConvergence as exc:
+            raise NonConvergence(
+                f"kummer series did not converge: the Kummer transformation e^z M(b - a, b, -z) "
+                f"overflowed at a={a}, b={b}, z={z}"
+            ) from exc
+        return cmath.exp(z) * s0
     return _kummer_pass(a, b, z)[0]
 
 

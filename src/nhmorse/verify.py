@@ -74,53 +74,128 @@ class ResidualReport:
         return out
 
 
-def _kahan_add(total: complex, comp: complex, term: complex) -> tuple[complex, complex]:
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+# reference_kummer gives up after this many terms.
+_REF_MAX_TERMS = 20_000
 
 
-def reference_kummer(a: complex, b: complex, z: float, target_rel: float = 1e-13) -> complex:
-    """High-accuracy 1F1(a; b; z) reference.
+def _named(a: np.ndarray, b: np.ndarray, z: np.ndarray, i) -> str:
+    """'a=..., b=..., z=...' of element i, formatted as Python numbers."""
+    return f"a={complex(a[i])}, b={complex(b[i])}, z={float(z[i])}"
+
+
+# a term or sum that overflows raises NonConvergence here, so numpy need not
+# warn of it; q and the tail may divide by zero where they are not used
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def reference_kummer(a, b, z, target_rel: float = 1e-13):
+    """High-accuracy 1F1(a; b; z) reference, at a real z or at every
+    element of numpy arrays.
 
     Independent of specfun.kummer_m by construction: terms are built with
-    a differently grouped recurrence, accumulated with Kahan-compensated
-    summation, and stopped by a geometric majorization of the tail
-    (|t_n| q / (1 - q) with q an upper bound on subsequent term ratios)
-    instead of a consecutive-small-terms heuristic.
+    a differently grouped recurrence, t_{n+1} = t_n ((a+n) z) / ((b+n)(n+1)),
+    accumulated with Kahan-compensated summation, and stopped by a
+    geometric majorization of the tail (|t_n| q / (1 - q) with q an upper
+    bound on subsequent term ratios) instead of a consecutive-small-terms
+    heuristic. A nonpositive integer a = -n stops after its n terms, and b
+    at a nonpositive integer raises ParameterPole unless that comes first.
+
+    a, b and z broadcast together. A call with no numpy array among them
+    returns a complex, any other an array of the broadcast shape. Every
+    element takes the steps of the one-element loop in Python complex
+    arithmetic: the loop spells out CPython's complex product and quotient
+    (Smith's method, dividing by the scaled denominator) in real
+    arithmetic, since numpy's complex division rounds differently, and an
+    element leaves the working arrays once it stops. A non-finite argument
+    raises ValueError, and a term or sum that goes non-finite raises
+    NonConvergence at once; each names the element's a, b and z.
     """
-    a = complex(a)
-    b = complex(b)
-    z = float(z)
     if target_rel < 1e-14:
         raise ValueError(f"target_rel must be >= 1e-14, got {target_rel}")
-    rb = round(b.real)
-    if rb <= 0 and abs(b - rb) <= 1e-12:
-        ra = round(a.real)
-        if not (abs(a - ra) <= 1e-12 and ra <= 0 and -ra <= -rb):
-            raise ParameterPole(f"reference_kummer: b = {b} at a nonpositive integer")
-    ra = round(a.real)
-    n_term = -ra if (ra <= 0 and abs(a - ra) <= 1e-12) else None
+    is_array = any(isinstance(v, np.ndarray) for v in (a, b, z))
+    a, b, z = np.broadcast_arrays(
+        np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(z, dtype=float)
+    )
+    shape = a.shape
+    a, b, z = a.ravel(), b.ravel(), z.ravel()
+    bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(z))
+    if bad.any():
+        raise ValueError(f"reference_kummer needs finite arguments, got {_named(a, b, z, np.argmax(bad))}")
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    ra, rb = np.round(ar), np.round(br)
+    terminating = (ra <= 0) & (np.hypot(ar - ra, ai) <= 1e-12)
+    pole = (rb <= 0) & (np.hypot(br - rb, bi) <= 1e-12) & ~(terminating & (-ra <= -rb))
+    if pole.any():
+        raise ParameterPole(f"reference_kummer: b = {complex(b[np.argmax(pole)])} at a nonpositive integer")
 
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    abs_a, abs_b, abs_z = abs(a), abs(b), abs(z)
-    for n in range(20_000):
-        if n_term is not None and n >= n_term:
-            return total
-        term *= ((a + n) * z) / ((b + n) * (n + 1))
-        total, comp = _kahan_add(total, comp, term)
-        if n_term is None and n + 1 > abs_b + 1.0:
-            # |(a+m)/(b+m)| <= (m+|a|)/(m-|b|) for m > |b|; monotone down in m
-            m = n + 1
-            q = abs_z * (m + abs_a) / ((m - abs_b) * (m + 1))
-            if q < 1.0:
-                tail = abs(term) * q / (1.0 - q)
-                if tail <= target_rel * abs(total):
-                    return total
-    raise NonConvergence(f"reference_kummer did not converge: a={a}, b={b}, z={z}")
+    abs_b = np.hypot(br, bi)
+    # one column per element, one row per quantity the loop reads; the last
+    # two are the term count of a terminating series (inf for any other)
+    # and the element's place in out. Python's a + n and b + n add 0.0 to
+    # the imaginary part, and a product with the real z or n + 1 first
+    # makes it complex with imaginary part 0.0.
+    a_im, b_im = ai + 0.0, bi + 0.0
+    consts = np.stack((
+        ar, a_im * 0.0, a_im * z, br, b_im * 0.0, b_im, z,
+        np.hypot(ar, ai), abs_b, np.abs(z),
+        # the tail bound holds once n + 1 > |b| + 1, on a series that does not terminate
+        np.where(terminating, np.inf, abs_b + 1.0),
+        np.where(terminating, -ra, np.inf),
+        np.arange(a.size),
+    ))
+    N_TERMS, INDEX = 11, 12
+    tr, sr = np.ones(a.size), np.ones(a.size)
+    ti, si, cr, ci = (np.zeros(a.size) for _ in range(4))
+    out = np.empty((a.size, 2))
+
+    def retire(stop: np.ndarray) -> None:
+        """Write out the sums of the elements that stop, and drop them."""
+        nonlocal consts, tr, ti, sr, si, cr, ci
+        if not stop.any():
+            return
+        i = consts[INDEX, stop].astype(np.intp)
+        out[i, 0], out[i, 1] = sr[stop], si[stop]
+        keep = ~stop
+        consts = consts[:, keep]
+        tr, ti, sr, si, cr, ci = tr[keep], ti[keep], sr[keep], si[keep], cr[keep], ci[keep]
+
+    for n in range(_REF_MAX_TERMS):
+        retire(n >= consts[N_TERMS])
+        if not consts.shape[1]:
+            break
+        a_re, a_im_0, a_im_z, b_re, b_im_0, b_im, zs, abs_a, abs_b, abs_z, tail_from = consts[:N_TERMS]
+        # t *= ((a + n) z) / ((b + n)(n + 1)): CPython's _Py_c_prod and _Py_c_quot
+        p = a_re + n
+        nr, ni = p * zs - a_im_0, p * 0.0 + a_im_z
+        p = b_re + n
+        dr, di = p * (n + 1) - b_im_0, p * 0.0 + b_im * (n + 1)
+        # Smith's method scales by the larger part x of the denominator; u, v
+        # are the numerator's parts in the same order
+        big = np.abs(dr) >= np.abs(di)
+        x, y = np.where(big, dr, di), np.where(big, di, dr)
+        u, v = np.where(big, nr, ni), np.where(big, ni, nr)
+        ratio = y / x
+        denom = x + y * ratio
+        uq = u * ratio
+        qr = (u + v * ratio) / denom
+        qi = np.where(big, v - uq, uq - v) / denom
+        tr, ti = tr * qr - ti * qi, tr * qi + ti * qr
+        # Kahan-compensated sum
+        yr, yi = tr - cr, ti - ci
+        new_r, new_i = sr + yr, si + yi
+        cr, ci = (new_r - sr) - yr, (new_i - si) - yi
+        sr, si = new_r, new_i
+        abs_total = np.hypot(sr, si)
+        if not abs_total.max() < math.inf:
+            i = int(consts[INDEX, np.argmax(~np.isfinite(abs_total))])
+            raise NonConvergence(f"reference_kummer: term or sum not finite at {_named(a, b, z, i)}")
+        # |(a+m)/(b+m)| <= (m+|a|)/(m-|b|) for m > |b|; monotone down in m
+        m = n + 1
+        q = abs_z * (m + abs_a) / ((m - abs_b) * (m + 1))
+        tail = np.hypot(tr, ti) * q / (1.0 - q)
+        retire((m > tail_from) & (q < 1.0) & (tail <= target_rel * abs_total))
+    if consts.shape[1]:
+        raise NonConvergence(f"reference_kummer did not converge: {_named(a, b, z, int(consts[INDEX, 0]))}")
+    result = out.view(complex).reshape(shape)
+    return result if is_array else complex(result[()])
 
 
 def fd_derivs(w: GridMap) -> GridDerivs:

@@ -254,6 +254,20 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL")
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        # a usage error, not twelve FAIL lines
+        code, out, err = run(capsys, "verify", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --tol must be a number >= 0, got {float(tol):g}"]
+
+    @pytest.mark.parametrize("tol", ["inf", "1e-11"])
+    def test_tol_accepted(self, capsys, tol):
+        code, out, _ = run(capsys, "verify", "--only", "kummer-oracle", "--tol", tol)
+        assert code == 0
+        assert out.startswith("PASS kummer-oracle")
+
 
 class TestMisc:
     def test_no_command_exits_2(self, capsys):

@@ -146,6 +146,13 @@ class TestKummer:
         with pytest.raises(NonConvergence, match="overflow"):
             specfun.kummer_m(-2.0, 1.0, 1e200)
 
+    def test_transformation_overflow_names_the_callers_z(self):
+        # below z = 0 a float z sums the Kummer transformation at -z; where
+        # that overflows, the error names the caller's a, b and z
+        name = r"Kummer transformation .* overflowed at a=\(1\+0j\), b=\(2\+0j\), z=-750\.0"
+        with pytest.raises(NonConvergence, match=name):
+            specfun.kummer_m(1.0, 2.0, -750.0)
+
     def test_derivative_identity(self):
         a, b, z = 1.2 + 0.4j, 2.5 - 1j, 3.0
         h = 1e-6

@@ -1,10 +1,13 @@
+import hashlib
+import inspect
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from nhmorse import morse, specfun, verify
+from nhmorse import checks, morse, specfun, verify
 from nhmorse.errors import NonConvergence, ParameterPole
 from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.specfun import WhittakerIndices
@@ -22,6 +25,32 @@ class TestGrid:
             Grid1D(1.0, 0.0, 5)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
+
+
+def scalar_reference_kummer(a, b, z, target_rel=1e-13):
+    """reference_kummer's one-element loop in Python complex arithmetic, as
+    it stood before the oracle took arrays: the reference its array loop
+    must match bit for bit."""
+    a, b, z = complex(a), complex(b), float(z)
+    ra = round(a.real)
+    n_term = -ra if (ra <= 0 and abs(a - ra) <= 1e-12) else None
+    term = total = 1.0 + 0.0j
+    comp = 0.0 + 0.0j
+    abs_a, abs_b, abs_z = abs(a), abs(b), abs(z)
+    for n in range(20_000):
+        if n_term is not None and n >= n_term:
+            return total
+        term *= ((a + n) * z) / ((b + n) * (n + 1))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if n_term is None and n + 1 > abs_b + 1.0:
+            m = n + 1
+            q = abs_z * (m + abs_a) / ((m - abs_b) * (m + 1))
+            if q < 1.0 and abs(term) * q / (1.0 - q) <= target_rel * abs(total):
+                return total
+    raise NonConvergence(f"a={a}, b={b}, z={z}")
 
 
 class TestReferenceKummer:
@@ -59,6 +88,86 @@ class TestReferenceKummer:
             ref = verify.reference_kummer(a, b, z)
             val = specfun.kummer_m(a, b, z)
             assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-300)
+
+    def test_oracle_samples_unchanged(self):
+        # sha256 of kummer-oracle's 1000 reference values as the
+        # one-element loop summed them, before the oracle took arrays
+        ref = checks._kummer_oracle_samples()[3]
+        digest = hashlib.sha256(ref.tobytes()).hexdigest()
+        assert digest == "592ccc315c709e2003fcf75aae0394765763f9c87b8cb9defdc68a73c6f1f325"
+
+    def test_array_call_equals_float_calls_and_the_loop(self):
+        rng = random.Random(11)
+        # a row of terminating a (a = -n stops after n terms, even with b at
+        # a nonpositive integer past it), then generic rows, against six z
+        a = np.array([[-3.0, 0.0, -2.0 + 1e-13j, -5.0]] + [
+            [complex(rng.uniform(-7, 7), rng.uniform(-7, 7)) for _ in range(4)] for _ in range(3)
+        ])
+        b = np.array([[2.0, 0.5, 1.5 - 2j, -6.0]] + [
+            [complex(rng.uniform(0.5, 7), rng.uniform(-7, 7)) for _ in range(4)] for _ in range(3)
+        ])
+        z = np.array([1e-6, 0.7, 3.0, 12.5, 29.0, -8.0])
+        a, b = a.reshape(-1, 1), b.reshape(-1, 1)
+        block = verify.reference_kummer(a, b, z)
+        assert block.shape == (16, 6)
+        floats = np.array([
+            [verify.reference_kummer(ai, bi, zi) for zi in z.tolist()]
+            for ai, bi in zip(a[:, 0].tolist(), b[:, 0].tolist())
+        ])
+        loop = np.array([
+            [scalar_reference_kummer(ai, bi, zi) for zi in z.tolist()]
+            for ai, bi in zip(a[:, 0].tolist(), b[:, 0].tolist())
+        ])
+        assert block.tobytes() == floats.tobytes() == loop.tobytes()
+        assert type(verify.reference_kummer(-3.0, 2.0, 5.0)) is complex
+        assert verify.reference_kummer(-3.0, 2.0, np.array(5.0)).shape == ()
+
+    def test_empty_array(self):
+        out = verify.reference_kummer(1.0, np.zeros((0, 3)), np.ones(3))
+        assert out.shape == (0, 3) and out.dtype == complex
+
+    def test_independent_of_specfun(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference_kummer called specfun")
+
+        expected = checks._kummer_oracle_samples()[3]
+        for name, value in vars(specfun).items():
+            if not name.startswith("_") and inspect.isfunction(value):
+                monkeypatch.setattr(specfun, name, refuse)
+        with pytest.raises(AssertionError):
+            specfun.kummer_m(1.0, 2.0, 1.0)
+        assert checks._kummer_oracle_samples()[3].tobytes() == expected.tobytes()
+
+    def test_within_mpmath_on_the_oracle_samples(self):
+        mp = pytest.importorskip("mpmath")
+        a, b, z, ref = checks._kummer_oracle_samples()
+        worst = 0.0
+        with mp.workdps(40):
+            for ai, bi, zi, r in zip(a.tolist(), b.tolist(), z.tolist(), ref.tolist()):
+                exact = mp.hyp1f1(mp.mpc(ai), mp.mpc(bi), mp.mpf(zi))
+                worst = max(worst, float(abs(mp.mpc(r) - exact) / abs(exact)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(ValueError, match="z=(nan|inf)"):
+            verify.reference_kummer(1.0, 2.0, z)
+        with pytest.raises(ValueError, match="z=(nan|inf)"):
+            verify.reference_kummer(1.0, 2.0, np.array([1.0, z]))
+
+    def test_overflow_fails_fast(self):
+        # 1F1(1; 2; -750) = (1 - e^-750)/750, but its terms pass the double
+        # range: the first non-finite term raises, not the term limit
+        with pytest.raises(NonConvergence, match=r"not finite at a=\(1\+0j\), b=\(2\+0j\), z=-750\.0"):
+            verify.reference_kummer(1.0, 2.0, -750.0)
+        with pytest.raises(NonConvergence, match=r"not finite at a=\(1\+0j\), b=\(2\+0j\), z=800\.0"):
+            verify.reference_kummer(1.0, np.array([[3.0], [2.0]]), np.array([1.0, 800.0]))
+
+    def test_array_pole_names_b(self):
+        with pytest.raises(ParameterPole, match=r"b = \(-2\+0j\)"):
+            verify.reference_kummer(0.5, np.array([1.5, -2.0, 3.0]), 2.0)
+        # a terminating a whose series ends before the pole is no pole
+        assert verify.reference_kummer(np.array([-2.0]), np.array([-2.0]), 2.0).shape == (1,)
 
 
 def const(c):
