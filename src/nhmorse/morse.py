@@ -108,10 +108,12 @@ def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
     base = A / a - 1j * K / a
     kappa1 = base + 0.5
     kappa2 = base - 0.5
-    under = complex(Kp * Kp - K * K, -2.0 * K * A)
+    # + 0.0 turns the -0.0 of A = 0, K > 0 into +0.0, so both maps take the
+    # same side of the branch cut (under real and negative): cmath.sqrt is the
+    # principal root, Re >= 0, and on the cut Im > 0
+    under = complex(Kp * Kp - K * K, -2.0 * K * A + 0.0)
     if pmap is ParameterMap.DERIVED:
         under += A * A
-    # cmath.sqrt is the principal root: Re >= 0, with Im >= 0 on the branch cut
     mu = cmath.sqrt(under) / a
     if not (cmath.isfinite(kappa1) and cmath.isfinite(kappa2) and cmath.isfinite(mu)):
         raise OverflowError(f"Whittaker indices overflow at K = {K:.17g}, K' = {Kp:.17g}")
@@ -251,7 +253,12 @@ class GridSpec:
 def render_grid(spec: GridSpec) -> str:
     """CSV text for the grid: K outer loop ascending, x inner ascending; the whole
     K x x block is evaluated in one call, and its failure raised as a RuntimeError
-    naming the grid's K and x range."""
+    naming the grid's K and x range.
+
+    x and y are formatted once, into a row template that every K row fills
+    with its K and its values; '%.17g' writes the same bytes as
+    f'{v:.17g}', signed zeros, nan and inf included.
+    """
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
     amps = dict(alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta)
@@ -264,16 +271,15 @@ def render_grid(spec: GridSpec) -> str:
             f"x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
         ) from exc
     ys = riccati.morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
-    x_text = [f"{x:.17g}" for x in xs.tolist()]
-    y_text = [f"{y:.17g}" for y in ys.tolist()]
-    lines = [HEADER]
-    for K, row in zip(Ks, w):
-        k_text = f"{K:.17g}"
-        lines.extend(
-            f"{x},{k_text},{y},{re:.17g},{im:.17g}"
-            for x, y, re, im in zip(x_text, y_text, row.real.tolist(), row.imag.tolist())
-        )
-    return "\n".join(lines) + "\n"
+    template = "".join(f"{x:.17g},{{K}},{y:.17g},%.17g,%.17g\n" for x, y in zip(xs.tolist(), ys.tolist()))
+    # the header goes in the joined list: prepending it after the join
+    # would copy the whole text once more
+    lines = [HEADER + "\n"]
+    # re and im of each x in turn, converted to Python floats one row at a time
+    values = np.stack((w.real, w.imag), -1)
+    for K, row in zip(Ks, values):
+        lines.append(template.replace("{K}", f"{K:.17g}") % tuple(row.ravel().tolist()))
+    return "".join(lines)
 
 
 def bound_state_exponent(A: float, a: float, n: int, convention: BoundStateConvention) -> float:

@@ -4,7 +4,8 @@ Everything here exists to check the closed-form layer without sharing its
 code paths: a compensated-summation Kummer reference with a majorized
 tail bound (deliberately different accumulation order and stopping rule
 than specfun.kummer_m), a fixed-step RK4 integrator for complex linear
-second-order equations, residual/Wronskian/intertwining evaluators.
+second-order equations that multiplies the steps' propagators,
+residual/Wronskian/intertwining evaluators.
 
 The grid oracles take grid callables: Q(xs) returns the coefficient at
 every point of a grid, and derivs(xs) returns (w, w', w'') there, so a
@@ -13,7 +14,6 @@ grid costs one evaluation of each.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -254,8 +254,15 @@ def integrate_ode(
 
     Q(xs) gives the coefficient at every point of an array. It is
     evaluated once per block of _RK4_BLOCK steps, on all the stage points
-    x, x + h/2 and x + h of the block, before those steps run; the block
-    bounds the memory a long integration holds.
+    x, x + h/2 and x + h of the block. The equation is linear, so each
+    step maps the state (w, w') by a 2 x 2 propagator I + N; the RK4
+    stages run as arrays on the basis states (1, 0) and (0, 1) to give
+    every step's N, and the block's propagator is their product, taken
+    pairwise with the later step on the left,
+    (I + N1)(I + N0) = I + (N1 + N0 + N1 N0). Only the deviations N are
+    multiplied, so the identity's rounding never enters them. The state
+    is known at block ends only: a non-finite one raises OverflowError
+    naming the block's x range.
     """
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -263,22 +270,34 @@ def integrate_ode(
         return complex(w0), complex(dw0)
     n = max(1, math.ceil(abs(x1 - x0) / step))
     h = (x1 - x0) / n
-    w = complex(w0)
-    dw = complex(dw0)
+    state = np.array([w0, dw0], dtype=complex)
+    # row j is basis state j, (w, w') = (1, 0) then (0, 1); its increments
+    # over a step are column j of that step's N
+    w, dw = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
     for start in range(0, n, _RK4_BLOCK):
         xs = x0 + np.arange(start, min(start + _RK4_BLOCK, n)) * h
         m = len(xs)
-        q = Q(np.concatenate([xs, xs + 0.5 * h, xs + h])).tolist()
-        for x, qs, qm, qe in zip(xs.tolist(), q[:m], q[m : 2 * m], q[2 * m :]):
+        q = Q(np.concatenate([xs, xs + 0.5 * h, xs + h]))
+        qs, qm, qe = q[:m], q[m : 2 * m], q[2 * m :]
+        # an overflow shows as a non-finite state below
+        with np.errstate(over="ignore", invalid="ignore"):
             k1w, k1d = dw, -qs * w
             k2w, k2d = dw + 0.5 * h * k1d, -qm * (w + 0.5 * h * k1w)
             k3w, k3d = dw + 0.5 * h * k2d, -qm * (w + 0.5 * h * k2w)
             k4w, k4d = dw + h * k3d, -qe * (w + h * k3w)
-            w = w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            dw = dw + h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
-            if not (cmath.isfinite(w) and cmath.isfinite(dw)):
-                raise OverflowError(f"integration overflowed near x = {x + h}")
-    return w, dw
+            # N[:, :, i] of step i, padded to a power of two with N = 0 steps
+            N = np.zeros((2, 2, 1 << (m - 1).bit_length()), dtype=complex)
+            N[0, :, :m] = h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            N[1, :, :m] = h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
+            while N.shape[-1] > 1:
+                # later @ earlier of every pair as a broadcast sum: numpy's
+                # stacked matmul is several times slower on 2 x 2 matrices
+                later, earlier = N[..., 1::2], N[..., ::2]
+                N = later + earlier + (later[:, :, None] * earlier[None]).sum(1)
+            state = state + N[..., 0] @ state
+        if not np.isfinite(state).all():
+            raise OverflowError(f"integration overflowed between x = {float(xs[0])} and x = {float(xs[-1] + h)}")
+    return complex(state[0]), complex(state[1])
 
 
 def wronskian_constancy(

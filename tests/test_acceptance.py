@@ -41,7 +41,7 @@ def test_criterion_03_residual_printed_report():
 
 
 def test_criterion_04_integration_cross_check():
-    rep = _run("integration-cross-check", runtime_limit=1.0)
+    rep = _run("integration-cross-check", runtime_limit=0.1)
     assert rep.passed and rep.tolerance == 1e-6
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from nhmorse import morse, riccati, specfun, susy, verify
 from nhmorse.errors import NonConvergence, NonNormalizable
-from nhmorse.morse import BoundStateConvention, MorseParameters, ParameterMap
+from nhmorse.morse import BoundStateConvention, GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import ExtensionParams, Sector
 from nhmorse.verify import Grid1D
 
@@ -61,6 +62,17 @@ class TestIndices:
             for pmap in ParameterMap:
                 mu = morse.indices(MorseParameters(K=K), pmap).mu
                 assert mu.real >= 0.0
+
+    @pytest.mark.parametrize("K, Kp", [(4.0, 0.0), (1.0, 0.5), (3.0, 2.0), (1e3, 7.0)])
+    def test_a_zero_maps_agree_on_the_cut(self, K, Kp):
+        # at A = 0 the maps coincide, and with K > K' mu^2 is real and
+        # negative: both take the principal root, Im mu > 0, bit for bit
+        printed, derived = (
+            morse.indices(MorseParameters(A=0.0, K=K, Kprime=Kp), pmap).mu
+            for pmap in (ParameterMap.PRINTED, ParameterMap.DERIVED)
+        )
+        assert (printed.real.hex(), printed.imag.hex()) == (derived.real.hex(), derived.imag.hex())
+        assert printed.imag > 0.0
 
     def test_a_zero_is_pole_free(self):
         idx = morse.indices(MorseParameters(A=0.0, K=1.0), ParameterMap.PRINTED)
@@ -221,6 +233,54 @@ class TestRowPath:
                 assert abs(v - ref) <= 1e-12 * abs(ref)
         with pytest.raises(ValueError):
             morse.wavefunction_grid([m_row, MorseParameters(B=3.0)], Sector.BOSONIC, ParameterMap.PRINTED, xs)
+
+
+def loop_render_grid(spec):
+    """CSV of the grid one f-string line per point: the formatter render_grid
+    replaced, kept as its reference."""
+    xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
+    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
+    amps = dict(alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta)
+    rows = [MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime, **amps) for K in Ks]
+    w = morse.wavefunction_grid(rows, spec.component, spec.param_map, xs)
+    ys = riccati.morse_y(riccati.MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
+    x_text = [f"{x:.17g}" for x in xs.tolist()]
+    y_text = [f"{y:.17g}" for y in ys.tolist()]
+    lines = [morse.HEADER]
+    for K, row in zip(Ks, w):
+        k_text = f"{K:.17g}"
+        lines.extend(
+            f"{x},{k_text},{y},{re:.17g},{im:.17g}"
+            for x, y, re, im in zip(x_text, y_text, row.real.tolist(), row.imag.tolist())
+        )
+    return "\n".join(lines) + "\n"
+
+
+_AMPLITUDES = {"m": (1.0, 0.0), "w": (0.0, 1.0), "mix": (1.0, 0.5 - 0.3j)}
+
+
+class TestRenderGrid:
+    @pytest.mark.parametrize(
+        "kind, sector, pmap", list(itertools.product(_AMPLITUDES, Sector, ParameterMap))
+    )
+    def test_equals_the_line_loop(self, kind, sector, pmap):
+        # odd nx, and a K = 0 row first; K' = 1.9 keeps the W rows off integer b
+        alpha, beta = _AMPLITUDES[kind]
+        spec = GridSpec(Kprime=1.9, component=sector, param_map=pmap, alpha=alpha, beta=beta, nx=7, nK=3)
+        assert morse.render_grid(spec) == loop_render_grid(spec)
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(nx=11, nK=1),
+        GridSpec(A=0.0, Kprime=0.0, K_min=-1.0, K_max=4.0, nx=5, nK=6),
+        GridSpec(x_min=-1.0, x_max=5.0, nx=1, nK=2),
+    ])
+    def test_edge_grids_equal_the_line_loop(self, spec):
+        assert morse.render_grid(spec) == loop_render_grid(spec)
+
+    def test_row_format_writes_the_fstring_bytes(self):
+        # the row template formats values with %, the reference with format()
+        for v in (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -1.7976931348623157e308):
+            assert "%.17g" % v == f"{v:.17g}"
 
 
 class TestLaguerreForm:

@@ -1,7 +1,9 @@
+import cmath
 import hashlib
 import inspect
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -216,7 +218,75 @@ def _one(xs):
     return np.full(xs.shape, 1.0 + 0.0j)
 
 
+def loop_integrate_ode(Q, x0, w0, dw0, x1, step=1e-4):
+    """RK4 one scalar step at a time, Q evaluated per block of 1024 steps:
+    the loop integrate_ode replaced, kept as its reference."""
+    if x1 == x0:
+        return complex(w0), complex(dw0)
+    n = max(1, math.ceil(abs(x1 - x0) / step))
+    h = (x1 - x0) / n
+    w = complex(w0)
+    dw = complex(dw0)
+    for start in range(0, n, 1024):
+        xs = x0 + np.arange(start, min(start + 1024, n)) * h
+        m = len(xs)
+        q = Q(np.concatenate([xs, xs + 0.5 * h, xs + h])).tolist()
+        for x, qs, qm, qe in zip(xs.tolist(), q[:m], q[m : 2 * m], q[2 * m :]):
+            k1w, k1d = dw, -qs * w
+            k2w, k2d = dw + 0.5 * h * k1d, -qm * (w + 0.5 * h * k1w)
+            k3w, k3d = dw + 0.5 * h * k2d, -qm * (w + 0.5 * h * k2w)
+            k4w, k4d = dw + h * k3d, -qe * (w + h * k3w)
+            w = w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            dw = dw + h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
+            if not (cmath.isfinite(w) and cmath.isfinite(dw)):
+                raise OverflowError(f"integration overflowed near x = {x + h}")
+    return w, dw
+
+
+def _morse_problem():
+    """The fermionic Morse equation at K = 1 (derived map), seeded from its
+    M solution at x = 1; integrated over [1, 2]."""
+    p = MorseParameters(K=1.0)
+    w0, dw0, _ = morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, 1.0)
+    return (lambda xs: morse.ode_coefficient(p, Sector.FERMIONIC, xs)), 1.0, w0, dw0, 2.0
+
+
+def _whittaker_problem():
+    """The Whittaker normal form in y at kappa = 2.5, mu = 4, seeded from
+    M at y = 1; integrated over [1, 3]."""
+    idx = WhittakerIndices(kappa=2.5, mu=4.0)
+    f0, f1, _ = specfun.whittaker_m_derivs(idx, 1.0)
+    return (lambda ys: -0.25 + idx.kappa / ys + (0.25 - idx.mu * idx.mu) / (ys * ys)), 1.0, f0, f1, 3.0
+
+
 class TestIntegrator:
+    @pytest.mark.parametrize("problem", [_morse_problem, _whittaker_problem])
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_equals_the_scalar_loop(self, problem, n, backward):
+        # n steps exactly, so the blocks end short of, at and past a power of two
+        Q, x0, w0, dw0, x1 = problem()
+        if backward:
+            x0, x1 = x1, x0
+        step = abs(x1 - x0) / (n - 0.5)
+        got = verify.integrate_ode(Q, x0, w0, dw0, x1, step=step)
+        ref = loop_integrate_ode(Q, x0, w0, dw0, x1, step=step)
+        assert math.hypot(*(abs(g - r) for g, r in zip(got, ref))) <= 1e-13 * math.hypot(*map(abs, ref))
+
+    def test_zero_length_returns_the_seed_unevaluated(self):
+        def Q(xs):
+            raise AssertionError("Q evaluated")
+
+        assert verify.integrate_ode(Q, 1.5, 2, 3j, 1.5) == (2 + 0j, 3j)
+
+    def test_growing_solution_overflow_names_the_block(self):
+        # w = cosh(1000 x) passes the largest float at x = 0.7105, inside the
+        # block of steps 6144 to 7167
+        with pytest.raises(OverflowError, match="between x = ") as info:
+            verify.integrate_ode(lambda xs: np.full(xs.shape, -1e6 + 0j), 0.0, 1.0, 0.0, 1.0, step=1e-4)
+        lo, hi = (float(v) for v in re.findall(r"x = (\S+)", str(info.value)))
+        assert lo == pytest.approx(0.6144) and hi == pytest.approx(0.7168)
+
     def test_sine(self):
         w, dw = verify.integrate_ode(_one, 0.0, 0.0, 1.0, math.pi / 2.0, step=1e-4)
         assert abs(w - 1.0) <= 1e-9
