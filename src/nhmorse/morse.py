@@ -62,8 +62,8 @@ class MorseParameters:
     beta2: complex = 0.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.B > 0.0):
-            raise ValueError(f"require a > 0 and B > 0, got a = {self.a}, B = {self.B}")
+        # the Morse shape's own checks: a > 0, B > 0, finite A
+        self.shape()
 
     @property
     def B_bar(self) -> float:

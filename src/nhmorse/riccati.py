@@ -103,8 +103,3 @@ def morse_y(params: MorseRiccati, x):
             raise OverflowError(f"y(x) overflows at x = {x.min():.17g}")
         return y
     return 2.0 * params.B / params.a * math.exp(-params.a * x)
-
-
-def morse_x(params: MorseRiccati, y: float) -> float:
-    """Inverse substitution x(y) = -(1/a) ln(a y / 2B)."""
-    return -math.log(params.a * y / (2.0 * params.B)) / params.a

@@ -2,8 +2,7 @@
 
 Log-gamma, Kummer (regular) and Tricomi (recessive) confluent
 hypergeometric functions with complex parameters, Whittaker M/W with their
-first two derivatives, classical associated Laguerre polynomials and their
-analytic continuation to complex degree/order.
+first two derivatives, and classical associated Laguerre polynomials.
 
 Each quantity has one entry point, which takes a float or a numpy array.
 Float 1F1 values come from one loop, `_kummer_pass`. On an array,
@@ -23,8 +22,11 @@ z > 0, a float or an array.
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
     is taken on the principal branch (argument in (-pi, pi]);
-  * the function argument of the confluent/Whittaker family is real
-    (positive for Tricomi/Whittaker); parameters may be complex;
+  * the function argument of the confluent/Whittaker family is real: z >= 0
+    for 1F1 (kummer_m and verify.reference_kummer; z < 0 raises
+    ValueError), z > 0 for Tricomi/Whittaker; parameters may be complex;
+  * one pole rule: b within _INTEGER_TOL of a nonpositive integer raises
+    ParameterPole unless the series terminates first;
   * all functions are pure and hold no mutable state, so repeated calls
     with identical inputs are bit-identical and thread-safe.
 """
@@ -43,6 +45,8 @@ from .errors import NonConvergence, ParameterPole, PoleError
 # _STOP_REL of the running sum, give up at _MAX_TERMS.
 _MAX_TERMS = 10_000
 _STOP_REL = 1e-17
+# A parameter this close to a nonpositive integer counts as that integer.
+_INTEGER_TOL = 1e-12
 
 # Lanczos approximation, g = 7, 9 coefficients (Godfrey/Pugh set).
 # Valid for Re z > 0; the reflection formula covers the left half plane.
@@ -60,10 +64,10 @@ _LANCZOS = (
 )
 
 
-def _integer_near(z: complex, tol: float):
-    """Return the nonpositive integer within tol of z, or None."""
+def _integer_near(z: complex):
+    """Return the nonpositive integer within _INTEGER_TOL of z, or None."""
     r = round(z.real)
-    if abs(z - r) <= tol and r <= 0:
+    if abs(z - r) <= _INTEGER_TOL and r <= 0:
         return r
     return None
 
@@ -77,7 +81,7 @@ def log_gamma(z: complex) -> complex:
     exponentiates).
     """
     z = complex(z)
-    if _integer_near(z, 1e-12) is not None:
+    if _integer_near(z) is not None:
         raise PoleError(f"log_gamma pole at z = {z}")
     if z.real < 0.5:
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
@@ -92,7 +96,7 @@ def log_gamma(z: complex) -> complex:
 
 def _terminating_degree(a: complex):
     """If a is (numerically) a nonpositive integer -n, return n, else None."""
-    r = _integer_near(a, 1e-12)
+    r = _integer_near(a)
     return None if r is None else -r
 
 
@@ -217,7 +221,7 @@ def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarr
 
 def _check_kummer_b(a: complex, b: complex) -> None:
     """Reject b at a nonpositive integer unless the series terminates first."""
-    pole = _integer_near(b, 1e-12)
+    pole = _integer_near(b)
     if pole is not None:
         n_term = _terminating_degree(a)
         if n_term is None or n_term > -pole:
@@ -225,8 +229,8 @@ def _check_kummer_b(a: complex, b: complex) -> None:
 
 
 def kummer_m(a, b, z):
-    """Confluent hypergeometric function 1F1(a; b; z) at a real z, or at
-    every z >= 0 of a numpy array, one series summed over all of them.
+    """Confluent hypergeometric function 1F1(a; b; z) at a float z, or at
+    every z of a numpy array, one series summed over all of them; z >= 0.
 
     A float z takes the one float loop, _kummer_pass's. For an array z, a
     and b are scalars, giving an array of the shape of z, or (R, 1) columns
@@ -235,26 +239,15 @@ def kummer_m(a, b, z):
     Terminating series (a a nonpositive integer) are allowed even for b at
     a nonpositive integer, provided the numerator zero comes first.
     """
+    if np.any(z < 0.0):
+        raise ValueError(f"kummer_m requires z >= 0, got min z = {np.min(z)}")
     if isinstance(z, np.ndarray):
         a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-        if np.any(z < 0.0):
-            raise ValueError(f"kummer_m requires array z >= 0, got min z = {z.min()}")
         for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
             _check_kummer_b(ai, bi)
         return _kummer_series_row(a, b, z.astype(float, copy=False))
     a, b, z = complex(a), complex(b), float(z)
     _check_kummer_b(a, b)
-    # below z = 0 the series alternates and cancels (error ~e^{|z|}): sum the
-    # Kummer transformation M(a, b, z) = e^z M(b - a, b, -z) instead
-    if z < 0.0:
-        try:
-            s0 = _kummer_pass(b - a, b, -z)[0]
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"kummer series did not converge: the Kummer transformation e^z M(b - a, b, -z) "
-                f"overflowed at a={a}, b={b}, z={z}"
-            ) from exc
-        return cmath.exp(z) * s0
     return _kummer_pass(a, b, z)[0]
 
 
@@ -409,12 +402,6 @@ class WhittakerIndices:
     def series_b(self) -> complex:
         return 2.0 * self.mu + 1.0
 
-    def check(self) -> None:
-        """Reject 2*mu + 1 near a nonpositive integer unless terminating."""
-        pole = _integer_near(complex(self.series_b), 1e-6)
-        if pole is not None and _terminating_degree(complex(self.series_a)) is None:
-            raise ParameterPole(f"inadmissible Whittaker indices: 2*mu+1 = {self.series_b}")
-
 
 def _core_derivs(core, core_d1, core_d2, mu: complex, y):
     """Value and first two y-derivatives of e^{-y/2} y^{mu+1/2} F(y), at a
@@ -442,7 +429,6 @@ def whittaker_m_derivs(idx: WhittakerIndices, y):
     """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core, at
     a float y > 0 or elementwise over an array of them (one series pass)."""
     y = _positive(y, "whittaker_m_derivs")
-    idx.check()
     a, b = idx.series_a, idx.series_b
     # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
     # reject the triple wherever one of those three series is rejected
@@ -472,13 +458,3 @@ def laguerre_poly(n: int, p: float, y: float) -> float:
         prev, cur = cur, ((2 * k - 1 + p - y) * cur - (k - 1 + p) * prev) / k
     return cur
 
-
-def laguerre_function(nu: complex, alpha: complex, y: float) -> complex:
-    """Associated Laguerre function of complex degree/order.
-
-    Gamma(nu+alpha+1) / (Gamma(nu+1) Gamma(alpha+1)) * 1F1(-nu; alpha+1; y);
-    reduces to laguerre_poly for nonnegative integer nu and real alpha.
-    """
-    nu, alpha = complex(nu), complex(alpha)
-    coef = cmath.exp(log_gamma(nu + alpha + 1.0) - log_gamma(nu + 1.0) - log_gamma(alpha + 1.0))
-    return coef * kummer_m(-nu, alpha + 1.0, y)

@@ -68,11 +68,6 @@ def complex_potential_coefficient(
     return s * R.eval_dR(x) + 2j * K * Rx + (K * K - Kp * Kp) - Rx * Rx
 
 
-def single_k_coefficient(R: RiccatiSolution, K: float, sector: Sector, x: float) -> complex:
-    """Single-parameter scheme: the K' = K reduction of the two-parameter bracket."""
-    return complex_potential_coefficient(R, ExtensionParams(K=K, Kprime=K), sector, x)
-
-
 def apply_first_order(
     direction: Ladder,
     R: RiccatiSolution,

@@ -87,7 +87,7 @@ def _named(a: np.ndarray, b: np.ndarray, z: np.ndarray, i) -> str:
 # warn of it; q and the tail may divide by zero where they are not used
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def reference_kummer(a, b, z, target_rel: float = 1e-13):
-    """High-accuracy 1F1(a; b; z) reference, at a real z or at every
+    """High-accuracy 1F1(a; b; z) reference, at a float z >= 0 or at every
     element of numpy arrays.
 
     Independent of specfun.kummer_m by construction: terms are built with
@@ -105,8 +105,8 @@ def reference_kummer(a, b, z, target_rel: float = 1e-13):
     (Smith's method, dividing by the scaled denominator) in real
     arithmetic, since numpy's complex division rounds differently, and an
     element leaves the working arrays once it stops. A non-finite argument
-    raises ValueError, and a term or sum that goes non-finite raises
-    NonConvergence at once; each names the element's a, b and z.
+    or a z < 0 raises ValueError, and a term or sum that goes non-finite
+    raises NonConvergence at once; each names the element's a, b and z.
     """
     if target_rel < 1e-14:
         raise ValueError(f"target_rel must be >= 1e-14, got {target_rel}")
@@ -119,6 +119,8 @@ def reference_kummer(a, b, z, target_rel: float = 1e-13):
     bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(z))
     if bad.any():
         raise ValueError(f"reference_kummer needs finite arguments, got {_named(a, b, z, np.argmax(bad))}")
+    if (z < 0.0).any():
+        raise ValueError(f"reference_kummer requires z >= 0, got {_named(a, b, z, np.argmax(z < 0.0))}")
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     ra, rb = np.round(ar), np.round(br)
     terminating = (ra <= 0) & (np.hypot(ar - ra, ai) <= 1e-12)

@@ -1,9 +1,11 @@
-"""The library's modules import only downward, in the order below."""
+"""The library's modules import only downward, in the order below, and
+specfun holds none of the paths it dropped."""
 
 import ast
 from pathlib import Path
 
 import nhmorse
+from nhmorse import specfun
 
 PACKAGE = Path(nhmorse.__file__).resolve().parent
 # Lowest first; a module may import only modules before it. errors,
@@ -11,6 +13,11 @@ PACKAGE = Path(nhmorse.__file__).resolve().parent
 ORDER = ("errors", "riccati", "specfun", "susy", "morse", "verify", "checks", "cli")
 # Upward imports still allowed, as (importer, imported).
 ALLOWED: set[tuple[str, str]] = set()
+# Text that specfun no longer holds: the gamma-normalized Laguerre function
+# (no caller), WhittakerIndices.check (a second pole rule beside
+# _check_kummer_b) and the Kummer transformation's z < 0 branch (outside
+# 1F1's domain z >= 0).
+GONE_FROM_SPECFUN = ("laguerre_function", "def check(", "Kummer transformation", "M(b - a, b, -z)")
 
 
 def relative_imports(path: Path) -> set[str]:
@@ -38,3 +45,9 @@ def test_imports_go_down_the_order():
             if ORDER.index(imported) >= ORDER.index(name):
                 upward.add((name, imported))
     assert upward == ALLOWED
+
+
+def test_removed_specfun_paths_stay_out():
+    text = (PACKAGE / "specfun.py").read_text()
+    assert [gone for gone in GONE_FROM_SPECFUN if gone in text] == []
+    assert not hasattr(specfun.WhittakerIndices, "check")

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ class TestParameters:
     def test_invalid(self):
         with pytest.raises(ValueError):
             MorseParameters(B=-1.0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"A": math.nan}, {"A": -math.inf}, {"B": 0.0}, {"a": -0.5}], ids=["A=nan", "A=-inf", "B=0", "a<0"]
+    )
+    def test_shape_rule_at_construction(self, bad):
+        # the Morse shape has one rule: MorseParameters raises the error of
+        # MorseRiccati for the same A, B and a, a non-finite A included
+        with pytest.raises(ValueError) as shape_error:
+            riccati.MorseRiccati(**{"A": 1.0, "B": 2.0, "a": 0.5, **bad})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(shape_error.value))}$"):
+            MorseParameters(**bad)
 
 
 class TestIndices:

@@ -86,14 +86,6 @@ def test_morse_y_array_overflow_raises(shape):
     assert caught == []
 
 
-@given(st.floats(min_value=-5.0, max_value=10.0))
-@settings(max_examples=60, deadline=None)
-def test_round_trip(x):
-    shape = MorseRiccati(A=1.0, B=2.0, a=0.5)
-    y = riccati.morse_y(shape, x)
-    assert riccati.morse_x(shape, y) == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-
 def test_user_supplied_superpotential_validation():
     sol = riccati.from_superpotential(
         R=lambda x: math.tanh(x),

@@ -78,19 +78,9 @@ def test_imaginary_part_is_2kr(morse_sol):
         assert q.imag == 2.0 * ext.K * morse_sol.eval_R(x)
 
 
-def test_single_k_is_bitwise_reduction(morse_sol):
-    for sector in Sector:
-        for K in (0.0, 0.8, -1.3):
-            for x in (-1.0, 0.0, 2.5):
-                assert susy.single_k_coefficient(morse_sol, K, sector, x) == \
-                    susy.complex_potential_coefficient(
-                        morse_sol, ExtensionParams(K=K, Kprime=K), sector, x
-                    )
-
-
 def test_single_k_zero_witten_form(morse_sol):
     for x in (0.0, 1.0):
-        q = susy.single_k_coefficient(morse_sol, 0.0, Sector.FERMIONIC, x)
+        q = susy.complex_potential_coefficient(morse_sol, ExtensionParams(0.0, 0.0), Sector.FERMIONIC, x)
         assert q == pytest.approx(morse_sol.eval_dR(x) - morse_sol.eval_R(x) ** 2)
 
 
