@@ -2,7 +2,8 @@
 
 Each check returns a ResidualReport; the registry drives both the CLI
 `verify` subcommand and the acceptance test module, so the two surfaces
-can never drift apart.
+can never drift apart. The Morse compositions that the oracles of verify
+check are built here, since verify imports none of the closed forms.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from . import morse, riccati, specfun, susy, verify
-from .morse import MorseParameters, ParameterMap
+from .morse import BoundStateConvention, MorseParameters, ParameterMap
 from .riccati import MorseRiccati, RiccatiSign
-from .susy import ExtensionParams, Sector
+from .susy import ExtensionParams, Ladder, Sector
 from .verify import Grid1D, ResidualReport
 
 FIG_PARAMS = MorseParameters(A=1.0, B=2.0, a=0.5, K=0.0, Kprime=2.0)
@@ -90,6 +91,31 @@ def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
     return worst, skipped
 
 
+def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray) -> np.ndarray:
+    """A+ applied to the fermionic closed form at the points xs, with its
+    analytic derivative: the side of the intertwining relation that should
+    be proportional to the bosonic solution."""
+    R = riccati.morse_riccati(params.shape(), RiccatiSign.PLUS)
+    w1, dw1, _ = morse.wavefunction_derivs_row(params, Sector.FERMIONIC, pmap, xs)
+    return susy.apply_first_order(Ladder.RAISE, R, params.K, w1, dw1, xs)
+
+
+def bound_state_residual(
+    A: float, B: float, a: float, n: int, convention: BoundStateConvention, kprime_sq: float, grid: Grid1D,
+    tol: float = 1e-8,
+) -> ResidualReport:
+    """Residual of the hermitic bound-state candidate in the K = 0 bosonic
+    equation with the given eigenvalue K'^2 (which may be negative)."""
+    B_bar, C2_bar = B * B, B * (2.0 * A - a)
+
+    def Q(xs: np.ndarray) -> np.ndarray:
+        e = np.exp(-a * xs)
+        return -(B_bar * e * e - C2_bar * e) - kprime_sq - A * A + 0j
+
+    derivs = partial(morse.bound_state_wave_derivs, A, B, a, n, convention)
+    return verify.ode_residual(Q, derivs, grid, tol=tol)
+
+
 def check_residual_derived(tol: float = 1e-8) -> ResidualReport:
     """Derived-map closed forms satisfy their printed equations."""
     worst, skipped = _residual_sweep(ParameterMap.DERIVED, tol)
@@ -128,11 +154,15 @@ def check_integration_cross(tol: float = 1e-6) -> ResidualReport:
 
 
 def check_intertwining(tol: float = 1e-8) -> ResidualReport:
-    rep = verify.intertwining_check(
-        MorseParameters(K=1.0), ParameterMap.DERIVED, Grid1D(0.2, 3.0, 57), tol=tol
-    )
-    rep.name = "intertwining"
-    return rep
+    """A+ maps the fermionic solution onto a multiple of the bosonic one."""
+    p = MorseParameters(K=1.0)
+    pmap = ParameterMap.DERIVED
+    raised = partial(raised_fermionic, p, pmap)
+
+    def partner(xs: np.ndarray) -> np.ndarray:
+        return morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+
+    return verify.intertwining_check(raised, partner, Grid1D(0.2, 3.0, 57), p.Kprime, tol=tol)
 
 
 def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:

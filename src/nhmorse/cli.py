@@ -96,9 +96,13 @@ def cmd_grid(args) -> int:
         return 1
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -147,8 +151,8 @@ def cmd_bound_states(args) -> int:
         kprime = morse.bound_state_kprime(A, a, n, convention)
         s = morse.bound_state_exponent(A, a, n, convention)
         kp2_matched = a * a * s * s - A * A
-        res_conv = verify.bound_state_residual(A, B, a, n, convention, kprime * kprime, grid)
-        res_matched = verify.bound_state_residual(A, B, a, n, convention, kp2_matched, grid)
+        res_conv = checks.bound_state_residual(A, B, a, n, convention, kprime * kprime, grid)
+        res_matched = checks.bound_state_residual(A, B, a, n, convention, kp2_matched, grid)
         rows.append((n, kprime, s, res_conv.max_rel_residual, res_matched.max_rel_residual))
         n += 1
     if not rows:

@@ -303,10 +303,10 @@ def hermitic_bound_state(
     n: int,
     convention: BoundStateConvention,
     x: float,
-    alpha2: complex = 1.0 + 0.0j,
-) -> complex:
+) -> float:
     """Hermitic (K = 0) bound-state candidate
-    alpha2 (2B/a)^{1/2} y^s e^{-y/2} L_n^{2s}(y), s per convention."""
+    (2B/a)^{1/2} y^s e^{-y/2} L_n^{2s}(y), s per convention, up to its
+    constant amplitude."""
     if n < 0:
         raise ValueError(f"require n >= 0, got {n}")
     s = bound_state_exponent(A, a, n, convention)
@@ -314,7 +314,7 @@ def hermitic_bound_state(
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
     shape = MorseRiccati(A=A, B=B, a=a)
     y = riccati.morse_y(shape, x)
-    return alpha2 * math.sqrt(2.0 * B / a) * y**s * math.exp(-0.5 * y) * specfun.laguerre_poly(n, 2.0 * s, y)
+    return math.sqrt(2.0 * B / a) * y**s * math.exp(-0.5 * y) * specfun.laguerre_poly(n, 2.0 * s, y)
 
 
 def bound_state_wave_derivs(

@@ -1,29 +1,27 @@
 """Independent numerical oracles.
 
 Everything here exists to check the closed-form layer without sharing its
-code paths: a compensated-summation Kummer reference with a majorized
-tail bound (deliberately different accumulation order and stopping rule
-than specfun.kummer_m), a fixed-step RK4 integrator for complex linear
-second-order equations that multiplies the steps' propagators,
+code paths, so it imports nothing of the package but errors: a
+compensated-summation Kummer reference with a majorized tail bound
+(deliberately different accumulation order and stopping rule than
+specfun.kummer_m), a fixed-step RK4 integrator for complex linear
+second-order equations that multiplies the steps' propagators, and
 residual/Wronskian/intertwining evaluators.
 
-The grid oracles take grid callables: Q(xs) returns the coefficient at
-every point of a grid, and derivs(xs) returns (w, w', w'') there, so a
-grid costs one evaluation of each.
+The grid oracles take grid callables (checks builds them from the closed
+forms): Q(xs) or w(xs) returns the coefficient or the values at every
+point of a grid, and derivs(xs) returns (w, w', w'') there, so a grid
+costs one evaluation of each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import morse as morse_mod
-from . import riccati as riccati_mod
-from . import susy as susy_mod
 from .errors import NonConvergence, ParameterPole
 
 GridMap = Callable[[np.ndarray], np.ndarray]
@@ -214,13 +212,7 @@ def fd_derivs(w: GridMap) -> GridDerivs:
     return derivs
 
 
-def ode_residual(
-    Q: GridMap,
-    derivs: GridDerivs,
-    grid: Grid1D,
-    tol: float = 1e-8,
-    name: str = "ode-residual",
-) -> ResidualReport:
+def ode_residual(Q: GridMap, derivs: GridDerivs, grid: Grid1D, tol: float = 1e-8) -> ResidualReport:
     """Residual of w'' + Q w = 0 over a grid.
 
     derivs(xs) gives (w, w', w'') at the grid points; its w'' must be
@@ -235,7 +227,7 @@ def ode_residual(
     rel = r / (1.0 + np.abs(q) * np.abs(w))
     max_rel = float(rel.max())
     return ResidualReport(
-        name=name,
+        name="ode-residual",
         grid_size=len(xs),
         max_abs_residual=float(r.max()),
         max_rel_residual=max_rel,
@@ -302,109 +294,64 @@ def integrate_ode(
     return complex(state[0]), complex(state[1])
 
 
-def wronskian_constancy(
-    f: GridDerivs,
-    g: GridDerivs,
-    grid: Grid1D,
-    tol: float = 1e-8,
-    name: str = "wronskian",
-) -> ResidualReport:
-    """Relative standard deviation of the Wronskian f g' - g f' over the grid.
-
-    f(xs) and g(xs) give (value, derivative, ...) at the grid points. For
-    equations without a first-derivative term the Wronskian of any two
-    solutions is x-independent, so the deviation should vanish. The
-    absolute residual is the RMS deviation itself.
-    """
-    xs = grid.points()
-    fv, df = f(xs)[:2]
-    gv, dg = g(xs)[:2]
-    vals = fv * dg - gv * df
+def _constancy(name: str, what: str, vals: np.ndarray, tol: float) -> tuple[ResidualReport, complex]:
+    """Report on the RMS deviation of vals from their mean (absolute, and
+    relative to |mean|), and the mean. Values zero everywhere give 0 with a
+    zero-scale note, a mean below 1e-13 max |vals| inf with a degenerate one."""
     scale = float(np.max(np.abs(vals)))
     mean = vals.mean()
     dev = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)))
-    note = ""
     if scale == 0.0:
-        rel = 0.0
-        note = "zero-scale: Wronskian identically zero"
+        rel, note = 0.0, f"zero-scale: {what} identically zero"
     elif abs(mean) <= 1e-13 * scale:
-        rel = math.inf
-        note = "degenerate: zero-mean Wronskian"
+        rel, note = math.inf, f"degenerate: zero-mean {what}"
     else:
-        rel = dev / float(abs(mean))
-    return ResidualReport(
+        rel, note = dev / float(abs(mean)), ""
+    report = ResidualReport(
         name=name,
-        grid_size=len(xs),
+        grid_size=len(vals),
         max_abs_residual=dev,
         max_rel_residual=rel,
         passed=rel <= tol,
         tolerance=tol,
         note=note,
     )
+    return report, mean
+
+
+def wronskian_constancy(f: GridDerivs, g: GridDerivs, grid: Grid1D, tol: float = 1e-8) -> ResidualReport:
+    """Relative standard deviation of the Wronskian f g' - g f' over the grid.
+
+    f(xs) and g(xs) give (value, derivative, ...) at the grid points. For
+    equations without a first-derivative term the Wronskian of any two
+    solutions is x-independent, so the deviation should vanish.
+    """
+    xs = grid.points()
+    fv, df = f(xs)[:2]
+    gv, dg = g(xs)[:2]
+    return _constancy("wronskian", "Wronskian", fv * dg - gv * df, tol)[0]
 
 
 def intertwining_check(
-    params: morse_mod.MorseParameters,
-    pmap: morse_mod.ParameterMap,
-    grid: Grid1D,
-    tol: float = 1e-8,
-    name: str = "intertwining",
-    w2_override: GridMap | None = None,
+    raised: GridMap, partner: GridMap, grid: Grid1D, Kprime: float, tol: float = 1e-8
 ) -> ResidualReport:
-    """Constancy of (A+ w_1) / w_2 over the grid.
+    """Constancy of the ratio raised / partner over the grid.
 
-    Uses analytic derivatives of the closed-form fermionic component and
-    reports the mean ratio divided by K' as a note (the claimed
-    proportionality constant). w2_override(xs) substitutes the bosonic
-    component, e.g. to inject a defect and confirm the check fails.
+    raised(xs) is A+ applied to one sector's solution and partner(xs) the
+    other sector's solution at the grid points; the intertwining relation
+    makes them proportional. Points where |partner| <= 1e-12 are dropped.
+    The ratio goes through wronskian_constancy's reduction, and for
+    K' != 0 the note gives the mean ratio over K', the claimed
+    proportionality constant.
     """
-    R = riccati_mod.morse_riccati(params.shape(), riccati_mod.RiccatiSign.PLUS)
     xs = grid.points()
-    w1, dw1, _ = morse_mod.wavefunction_derivs_row(params, susy_mod.Sector.FERMIONIC, pmap, xs)
-    if w2_override is not None:
-        w2 = w2_override(xs)
-    else:
-        w2 = morse_mod.wavefunction_derivs_row(params, susy_mod.Sector.BOSONIC, pmap, xs)[0]
+    w2 = partner(xs)
     keep = np.abs(w2) > 1e-12
     if not keep.any():
-        raise ValueError("all grid points degenerate (|w2| <= 1e-12)")
-    num = susy_mod.apply_first_order(susy_mod.Ladder.RAISE, R, params.K, w1[keep], dw1[keep], xs[keep])
-    arr = num / w2[keep]
-    mean = arr.mean()
-    rel = float(np.sqrt(np.mean(np.abs(arr - mean) ** 2)) / abs(mean))
-    note = ""
-    if params.Kprime != 0.0:
-        c = mean / params.Kprime
-        note = f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i"
-    return ResidualReport(
-        name=name,
-        grid_size=len(arr),
-        max_abs_residual=float(np.max(np.abs(arr - mean))),
-        max_rel_residual=rel,
-        passed=rel <= tol,
-        tolerance=tol,
-        note=note,
-    )
-
-
-def bound_state_residual(
-    A: float,
-    B: float,
-    a: float,
-    n: int,
-    convention: morse_mod.BoundStateConvention,
-    kprime_sq: float,
-    grid: Grid1D,
-    tol: float = 1e-8,
-    name: str = "bound-state",
-) -> ResidualReport:
-    """Residual of the hermitic bound-state candidate in the K = 0 bosonic
-    equation with the given eigenvalue K'^2 (which may be negative)."""
-    B_bar, C2_bar = B * B, B * (2.0 * A - a)
-
-    def Q(xs: np.ndarray) -> np.ndarray:
-        e = np.exp(-a * xs)
-        return -(B_bar * e * e - C2_bar * e) - kprime_sq - A * A + 0j
-
-    derivs = partial(morse_mod.bound_state_wave_derivs, A, B, a, n, convention)
-    return ode_residual(Q, derivs, grid, tol=tol, name=name)
+        raise ValueError("all grid points degenerate (|partner| <= 1e-12)")
+    report, mean = _constancy("intertwining", "ratio", raised(xs)[keep] / w2[keep], tol)
+    if Kprime != 0.0:
+        c = mean / Kprime
+        ratio_note = f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i"
+        report.note = f"{report.note}; {ratio_note}" if report.note else ratio_note
+    return report

@@ -72,6 +72,13 @@ class TestGrid:
         assert text.startswith("x,K,y,re,im\n")
         assert text.count("\n") == 7
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # a missing directory: one error line naming the path, no traceback, no CSV
+        path = tmp_path / "missing" / "grid.csv"
+        code, out, err = run(capsys, "grid", "--nx", "3", "--nK", "2", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
     def test_solution_kinds(self, capsys):
         code_w, out_w, _ = run(capsys, "grid", "--nx", "3", "--nK", "2",
                                "--solution", "w", "--beta", "1,0", "--K-min", "0.5")

@@ -3,11 +3,12 @@ import itertools
 import math
 import random
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from nhmorse import morse, riccati, specfun, susy, verify
+from nhmorse import checks, morse, riccati, specfun, susy, verify
 from nhmorse.errors import NonConvergence, NonNormalizable
 from nhmorse.morse import BoundStateConvention, GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import ExtensionParams, Sector
@@ -340,7 +341,7 @@ class TestBoundStates:
         A, B, a, n = 1.0, 2.0, 0.5, 0
         s = morse.bound_state_exponent(A, a, n, BoundStateConvention.SHIFTED)
         kp2 = a * a * s * s - A * A
-        rep = verify.bound_state_residual(
+        rep = checks.bound_state_residual(
             A, B, a, n, BoundStateConvention.SHIFTED, kp2, Grid1D(0.0, 3.0, 101)
         )
         assert kp2 < 0.0
@@ -351,7 +352,7 @@ class TestBoundStates:
         # bosonic equation; the residual is recorded, not hidden
         A, B, a, n = 1.0, 2.0, 0.5, 0
         kp = morse.bound_state_kprime(A, a, n, BoundStateConvention.PAPER)
-        rep = verify.bound_state_residual(
+        rep = checks.bound_state_residual(
             A, B, a, n, BoundStateConvention.PAPER, kp * kp, Grid1D(0.0, 3.0, 101)
         )
         assert math.isfinite(rep.max_rel_residual)
@@ -388,12 +389,19 @@ class TestWhittakerLaguerreIdentity:
         assert morse.pochhammer(3.0, 2) == 12.0
 
 
+def intertwining(p: MorseParameters, grid: Grid1D):
+    """verify.intertwining_check of A+ w_1 against w_2 at p, derived map."""
+    pmap = ParameterMap.DERIVED
+    raised = partial(checks.raised_fermionic, p, pmap)
+    partner = lambda xs: morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+    return verify.intertwining_check(raised, partner, grid, p.Kprime)
+
+
 class TestIntertwining:
     def test_raise_maps_w1_onto_w2(self):
-        p = MorseParameters(K=1.0)
-        rep = verify.intertwining_check(p, ParameterMap.DERIVED, Grid1D(0.2, 3.0, 29))
+        rep = intertwining(MorseParameters(K=1.0), Grid1D(0.2, 3.0, 29))
         assert rep.passed, rep.line()
 
     def test_k_zero_real_ratio(self):
-        rep = verify.intertwining_check(FIG, ParameterMap.DERIVED, Grid1D(0.2, 3.0, 29))
+        rep = intertwining(FIG, Grid1D(0.2, 3.0, 29))
         assert rep.passed

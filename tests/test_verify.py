@@ -5,6 +5,7 @@ import math
 import random
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -372,19 +373,62 @@ class TestWronskian:
 
 
 class TestIntertwiningCheck:
+    @staticmethod
+    def bosonic(p, pmap):
+        return lambda xs: morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+
     def test_corrupted_partner_fails(self):
         # multiplying w2 by x destroys the proportionality
         p = MorseParameters(K=1.0)
         pmap = ParameterMap.DERIVED
-        corrupted = lambda xs: xs * morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+        w2 = self.bosonic(p, pmap)
         rep = verify.intertwining_check(
-            p, pmap, Grid1D(0.2, 3.0, 29), w2_override=corrupted
+            partial(checks.raised_fermionic, p, pmap), lambda xs: xs * w2(xs), Grid1D(0.2, 3.0, 29), p.Kprime
         )
         assert not rep.passed
 
     def test_reports_proportionality_constant(self):
-        rep = verify.intertwining_check(MorseParameters(K=1.0), ParameterMap.DERIVED, Grid1D(0.2, 3.0, 29))
+        p = MorseParameters(K=1.0)
+        pmap = ParameterMap.DERIVED
+        rep = verify.intertwining_check(
+            partial(checks.raised_fermionic, p, pmap), self.bosonic(p, pmap), Grid1D(0.2, 3.0, 29), p.Kprime
+        )
         assert "mean_ratio/Kprime" in rep.note
+
+    def test_zero_ratio_is_zero_scale_not_nan(self):
+        # alpha1 = beta1 = 0 makes w1, hence A+ w1 and the ratio, zero
+        # everywhere; this once gave nan with a RuntimeWarning
+        p = MorseParameters(K=1.0, alpha1=0, beta1=0)
+        pmap = ParameterMap.DERIVED
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify.intertwining_check(
+                partial(checks.raised_fermionic, p, pmap), self.bosonic(p, pmap), Grid1D(0.2, 3.0, 29), p.Kprime
+            )
+        assert type(rep.max_rel_residual) is float and rep.max_rel_residual == 0.0
+        assert rep.passed and "zero-scale" in rep.note
+
+    def test_zero_mean_ratio_is_degenerate(self):
+        # the ratio cos x takes 1, 0, -1 on [0, pi]: zero mean, scale 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify.intertwining_check(
+                lambda xs: np.cos(xs) + 0j, lambda xs: np.ones_like(xs) + 0j, Grid1D(0.0, math.pi, 3), 2.0
+            )
+        assert rep.max_rel_residual == math.inf and not rep.passed
+        assert "degenerate" in rep.note
+        assert rep.max_abs_residual == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
+
+    def test_same_reduction_as_wronskian(self):
+        # a ratio and a Wronskian with the same values give the same report figures
+        vals = lambda xs: np.exp(1j * xs) + 3.0
+        grid = Grid1D(0.0, 1.0, 17)
+        ratio = verify.intertwining_check(vals, lambda xs: np.ones_like(xs) + 0j, grid, 0.0)
+        one = lambda xs: (np.ones_like(xs) + 0j, np.zeros_like(xs) + 0j)
+        wronskian = verify.wronskian_constancy(one, lambda xs: (np.zeros_like(xs), vals(xs)), grid)
+        assert ratio.max_rel_residual == wronskian.max_rel_residual
+        assert ratio.max_abs_residual == wronskian.max_abs_residual
+        assert ratio.note == ""
 
 
 class TestReportInvariants:
