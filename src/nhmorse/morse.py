@@ -198,8 +198,10 @@ def wavefunction_grid(
     row at every x, as an (R, N) block for R rows and N values of x.
 
     Both terms are (2B/a)^{1/2} y^mu e^{-y/2} times a core, 1F1 and U
-    with the same (mu - kappa + 1/2, 2 mu + 1). The M term is one block
-    series over the rows whose alpha is nonzero; the W term is one U
+    with the same (mu - kappa + 1/2, 2 mu + 1). The M term is one 1F1
+    block over the rows whose alpha is nonzero, its terms taken a chunk at
+    a time as one matrix product of the rows' coefficients with the powers
+    of y shared by every row; the W term is one U
     quadrature per row whose beta is nonzero, so it holds one row's
     (x, node) block at a time. A row with a zero amplitude never evaluates
     that term. The rows share one Morse variable y, so B and a must agree;

@@ -5,11 +5,14 @@ hypergeometric functions with complex parameters, Whittaker M/W with their
 first two derivatives, and classical associated Laguerre polynomials.
 
 Each quantity has one entry point, which takes a float or a numpy array.
-Float 1F1 values come from one loop, `_kummer_pass`. On an array,
-`kummer_m` sums its series once over arguments sharing one parameter
-set, or (R, 1) columns of per-row parameters giving an (R, N) block. A
-Kummer sum that overflows raises NonConvergence rather than return inf
-or NaN.
+Float 1F1 values come from one loop, `_kummer_pass`. Array 1F1 sums, the
+values of `kummer_m` and the M triple's alike, come from one kernel,
+`_kummer_block`, over arguments sharing one parameter set or (R, 1)
+columns of per-row parameters giving an (R, N) block: a chunk of terms
+at a time, as one real matrix product of per-row coefficients with
+per-column powers of z. A Kummer sum that overflows raises
+NonConvergence rather than return inf or NaN, and a non-finite argument
+raises ValueError before any sum starts.
 
 The Whittaker triples (value and first two derivatives) are the only
 Whittaker entry points. M's derivatives come from the term-by-term
@@ -22,13 +25,16 @@ z > 0, a float or an array.
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
     is taken on the principal branch (argument in (-pi, pi]);
-  * the function argument of the confluent/Whittaker family is real: z >= 0
-    for 1F1 (kummer_m and verify.reference_kummer; z < 0 raises
-    ValueError), z > 0 for Tricomi/Whittaker; parameters may be complex;
+  * the function argument of the confluent/Whittaker family is real and
+    finite: z >= 0 for 1F1 (kummer_m and verify.reference_kummer), z > 0
+    for Tricomi/Whittaker; parameters may be complex but finite; an
+    argument outside raises ValueError naming it;
   * one pole rule: b within _INTEGER_TOL of a nonpositive integer raises
     ParameterPole unless the series terminates first;
   * all functions are pure and hold no mutable state, so repeated calls
-    with identical inputs are bit-identical and thread-safe.
+    with identical inputs are bit-identical and thread-safe (an array 1F1
+    sum's last bits may depend on the BLAS thread count, fixed for a
+    process).
 """
 
 from __future__ import annotations
@@ -108,10 +114,10 @@ def _kummer_pass(a: complex, b: complex, z):
     A terminating series (a a nonpositive integer -n) sums its n terms;
     otherwise each sum stops once three consecutive terms fall below
     _STOP_REL of it. Overflow raises NonConvergence. A numpy array z is
-    summed by _kummer_pass_row.
+    summed by _kummer_block.
     """
     if isinstance(z, np.ndarray):
-        return _kummer_pass_row(a, b, z)
+        return _kummer_block(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), z, triple=True)
     n_term = _terminating_degree(a)
     stop = _STOP_REL if n_term is None else -1.0
     term = s0 = 1.0 + 0.0j
@@ -137,14 +143,6 @@ def _kummer_pass(a: complex, b: complex, z):
     return s0, s1, s2
 
 
-def _excess(terms: np.ndarray, sums: np.ndarray) -> float:
-    """The largest |term| - _STOP_REL |sum| over an array (-inf if it is
-    empty): at most 0 once every term is negligible, NaN once an element
-    is NaN or both are infinite, so that an overflowed array sum stops at
-    once."""
-    return (np.abs(terms) - _STOP_REL * np.abs(sums)).max(initial=-math.inf)
-
-
 def _at_first(a, b, zs: np.ndarray, bad: np.ndarray) -> str:
     """'a=..., b=..., z=...' of the first element where bad is set, a and b
     broadcast against zs."""
@@ -153,70 +151,90 @@ def _at_first(a, b, zs: np.ndarray, bad: np.ndarray) -> str:
     return f"a={a_i}, b={b_i}, z={z_i}"
 
 
-# overflow raises NonConvergence here, so numpy need not warn of it
-@np.errstate(over="ignore", invalid="ignore")
-def _kummer_pass_row(a: complex, b: complex, zs: np.ndarray):
-    """_kummer_pass at every z of an array, a and b scalars: the same
-    terms, summed once over the whole array, and the stopping rule holding
-    at every element."""
-    n_term = _terminating_degree(a)
-    term = np.ones(zs.shape, dtype=complex)
-    s0, s1, s2 = term.copy(), np.zeros_like(term), np.zeros_like(term)
-    small = 0
-    for n in range(_MAX_TERMS if n_term is None else n_term):
-        term *= (a + n) / (b + n) / (n + 1) * zs
-        d1 = (n + 1) * term
-        d2 = n * d1
-        s0 += term
-        s1 += d1
-        s2 += d2
-        excess = _excess(term, s0) if n_term is None else math.inf
-        small = small + 1 if excess <= 0.0 and _excess(d1, s1) <= 0.0 and _excess(d2, s2) <= 0.0 else 0
-        if small >= 3 or math.isnan(excess):
-            break
-    bad = ~(np.isfinite(s0) & np.isfinite(s1) & np.isfinite(s2))
-    if bad.any():
-        raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, zs, bad)}")
-    if n_term is None and small < 3:
-        raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z up to {zs.max()}")
-    return s0, s1, s2
+# The array 1F1 kernel takes its terms this many at a time.
+_CHUNK = 16
 
 
-# overflow raises NonConvergence here, so numpy need not warn of it
-@np.errstate(over="ignore", invalid="ignore")
-def _kummer_series_row(a: np.ndarray, b: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """1F1(a; b; z) summed over a block of z at once, a and b of one shape
-    (a single row, or a column of per-row values) broadcast against zs.
+# overflow raises NonConvergence here, and a division by a vanishing b + n
+# is zeroed, so numpy need not warn of either
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
+    """The sums of _kummer_pass, of t_n (and for the triple also of n t_n
+    and n(n-1) t_n) over the terms of 1F1(a; b; z), at every z of an
+    array: a and b 0-d, for sums of the shape of z, or (R, 1) columns of
+    per-row values, with z of shape (N,) shared by every row or (R, 1).
 
-    The terms of _kummer_pass, with its terminating-series rule per row: a
-    row whose a is a nonpositive integer -n stops after its n terms. The
-    sum stops once three consecutive terms fall below _STOP_REL of the
-    running sum at every element, and at once when an element overflows.
+    The terms come _CHUNK at a time. A row's coefficients c_n are its
+    terms at its largest z, zhat, so t_n(z) = c_n (z/zhat)^n: a chunk adds
+    [Re c; Im c] @ P, P[n, j] = (z_j/zhat)^n <= 1, to the real and
+    imaginary parts of the sums, the triple's n c_n and n(n-1) c_n being
+    more rows of the same real product (P is 1 for z given per row). A
+    row whose a is a nonpositive integer -n keeps its first n terms; past
+    the last of those, the sums stop at the end of a chunk whose last
+    three terms, bounded by their largest c_n times (z/zhat)^n at the least
+    of their n, are below _STOP_REL of every sum at every element.
+    Overflow raises NonConvergence naming the first element to overflow.
+    The product's rounding may depend on the BLAS thread count, never on
+    the call: repeated calls agree bit for bit.
     """
-    degrees = [_terminating_degree(x) for x in a.ravel().tolist()]
-    n_stop = np.array([math.inf if d is None else d for d in degrees]).reshape(a.shape)
+    shape = np.broadcast_shapes(a.shape, z.shape)
+    if a.ndim == 0:
+        a, b, z = a.reshape(1, 1), b.reshape(1, 1), z.ravel()
+    if z.ndim == 2:
+        zhat, x = z[:, 0], np.ones(1)
+    else:
+        zhat = z.max(initial=0.0)
+        x = z / zhat if zhat > 0.0 else z
+    degrees = [_terminating_degree(v) for v in a.ravel().tolist()]
+    n_stop = np.array([math.inf if d is None else d for d in degrees])
     n_last = max((d for d in degrees if d is not None), default=0)
-    terminating = None not in degrees
-    term = np.ones(np.broadcast(a, zs).shape, dtype=complex)
-    total = term.copy()
-    small = 0
-    for n in range(n_last if terminating else max(_MAX_TERMS, n_last + 3)):
-        # rows past their last term get a zero ratio, without dividing by
-        # the b + n that may vanish there
-        live = n < n_stop
-        term *= np.where(live, (a + n) / np.where(live, b + n, 1.0), 0.0) / (n + 1) * zs
-        total += term
-        excess = _excess(term, total) if n + 1 >= n_last else math.inf
-        small = small + 1 if excess <= 0.0 else 0
-        if small >= 3 or math.isnan(excess):
-            break
-    bad = ~np.isfinite(total)
+    terminating = settled = None not in degrees
+    # the chunk's (term, row) arrays, one row per term
+    a_rows, b_rows = (np.tile(v[:, 0], (_CHUNK, 1)) for v in (a, b))
+    # the sums, one row per z, the real and imaginary parts of each
+    # parameter row side by side; the n = 0 term is 1
+    sums = np.zeros((3 if triple else 1, x.size, 2 * len(degrees)))
+    sums[0, :, ::2] = 1.0
+    c = np.ones((1, len(degrees)), dtype=complex)
+    # P transposed: x^(n + 1) for the chunk's n, each chunk's the last's
+    # times x^_CHUNK
+    powers = x[:, None] ** np.arange(1, _CHUNK + 1)
+    step = powers[:, -1:].copy()
+    for n0 in range(0, n_last if terminating else max(_MAX_TERMS, n_last + 3), _CHUNK):
+        n = np.arange(n0, n0 + _CHUNK)[:, None]
+        # term n + 1 is term n times (a + n) / (b + n) zhat / (n + 1); a
+        # terminating row is zeroed past its last term, where b + n may vanish
+        ratio = a_rows + n
+        ratio /= b_rows + n
+        ratio *= zhat / (n + 1)
+        ratio[0] *= c[-1]
+        c = np.multiply.accumulate(ratio, axis=0, out=ratio)
+        np.copyto(c, 0.0, where=n >= n_stop)
+        bad = ~np.isfinite(c)
+        if bad.any():
+            # the terms at zhat are the largest: name the first row to overflow there
+            first = bad[np.argmax(bad.any(axis=1))][:, None]
+            at = _at_first(a, b, np.reshape(zhat, (-1, 1)), first)
+            raise NonConvergence(f"kummer series did not converge: overflow at {at}")
+        cv = c.view(float)
+        terms = np.stack((cv, (n + 1.0) * cv, (n + 1.0) * n * cv)) if triple else cv[None]
+        sums += powers @ terms
+        if not terminating and n0 + _CHUNK >= n_last:
+            tail = np.abs(terms[:, -3:].view(complex)).max(axis=1)[:, None, :] * powers[:, -3, None]
+            # an overflowed sum, inf or NaN, counts as settled: the
+            # overflow is raised once the others settle
+            unsettled = tail > _STOP_REL * np.abs(sums.view(complex))
+            settled = not unsettled.any()
+            if settled:
+                break
+        powers *= step
+    s = sums.view(complex).transpose(0, 2, 1)
+    bad = ~np.isfinite(s).all(axis=0)
     if bad.any():
-        raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, zs, bad)}")
-    if not terminating and small < 3:
-        unsettled = np.abs(term) > _STOP_REL * np.abs(total)
-        raise NonConvergence(f"kummer series did not converge: {_at_first(a, b, zs, unsettled)}")
-    return total
+        raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, z, bad)}")
+    if not settled:
+        raise NonConvergence(f"kummer series did not converge: {_at_first(a, b, z, unsettled.any(axis=0).T)}")
+    return tuple(np.ascontiguousarray(s).reshape((len(s),) + shape))
 
 
 def _check_kummer_b(a: complex, b: complex) -> None:
@@ -228,25 +246,44 @@ def _check_kummer_b(a: complex, b: complex) -> None:
             raise ParameterPole(f"kummer_m: b = {b} at a nonpositive integer")
 
 
+def _arguments(name: str, a, b, z, positive: bool):
+    """z as a float, or as a float array when it is one, once a, b and z are
+    finite and z lies in its domain: z > 0 if positive, else z >= 0. A
+    rejection raises ValueError naming the first element outside."""
+    row = isinstance(z, np.ndarray)
+    z = z.astype(float, copy=False) if row else float(z)
+    inside = (z > 0.0 if positive else z >= 0.0) & (z < math.inf)
+    if row and np.isfinite(a).all() and np.isfinite(b).all() and inside.all():
+        return z
+    if not row and cmath.isfinite(a) and cmath.isfinite(b) and inside:
+        return z
+    checks = (("a", a, np.isfinite(a)), ("b", b, np.isfinite(b)), ("z", z, inside))
+    label, v, ok = next(c for c in checks if not np.all(c[2]))
+    bad = np.ravel(v)[np.argmax(~np.ravel(ok))]
+    raise ValueError(f"{name} requires finite a and b and {'z > 0' if positive else 'z >= 0'}, got {label} = {bad}")
+
+
 def kummer_m(a, b, z):
     """Confluent hypergeometric function 1F1(a; b; z) at a float z, or at
     every z of a numpy array, one series summed over all of them; z >= 0.
 
     A float z takes the one float loop, _kummer_pass's. For an array z, a
     and b are scalars, giving an array of the shape of z, or (R, 1) columns
-    of per-row values, giving an (R, N) block for N values of z; each row
-    is checked like a float call, and a rejection names that row's b.
+    of per-row values with z of shape (N,), giving an (R, N) block, or of
+    shape (R, 1), one z per row; each row is checked like a float call,
+    and a rejection names that row's b. Arrays are summed by _kummer_block.
     Terminating series (a a nonpositive integer) are allowed even for b at
     a nonpositive integer, provided the numerator zero comes first.
     """
-    if np.any(z < 0.0):
-        raise ValueError(f"kummer_m requires z >= 0, got min z = {np.min(z)}")
+    z = _arguments("kummer_m", a, b, z, positive=False)
     if isinstance(z, np.ndarray):
         a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        if a.ndim and not (a.shape[1:] == (1,) and (z.ndim == 1 or z.shape == a.shape)):
+            raise ValueError(f"kummer_m: a and b of shape {a.shape} do not fit z of shape {z.shape}")
         for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
             _check_kummer_b(ai, bi)
-        return _kummer_series_row(a, b, z.astype(float, copy=False))
-    a, b, z = complex(a), complex(b), float(z)
+        return _kummer_block(a, b, z, triple=False)[0]
+    a, b = complex(a), complex(b)
     _check_kummer_b(a, b)
     return _kummer_pass(a, b, z)[0]
 
@@ -284,15 +321,6 @@ _ES_LOGS = np.stack((
 # at a into those of its derivatives and of U at a + 1 (times a)
 _es_r = _ES_T / (1.0 + _ES_T)
 _ES_POWERS = np.stack((np.ones_like(_ES_T), _ES_T, _ES_T**2, _es_r, _es_r * _ES_T, _es_r * _ES_T**2))
-
-
-def _positive(y, name: str):
-    """y as a float, or as a float array when it is one; y > 0 throughout."""
-    row = isinstance(y, np.ndarray)
-    y = y.astype(float, copy=False) if row else float(y)
-    if np.any(y <= 0.0) if row else y <= 0.0:
-        raise ValueError(f"{name} requires arguments > 0, got min = {np.min(y)}")
-    return y
 
 
 def _tricomi_quadrature(a: complex, b: complex, z):
@@ -384,7 +412,7 @@ def _tricomi_derivs(a: complex, b: complex, z):
 def tricomi_u(a: complex, b: complex, z) -> complex:
     """Tricomi confluent hypergeometric function U(a, b, z) at a float z > 0,
     or elementwise over an array of them; a and b any complex numbers."""
-    return _tricomi_derivs(complex(a), complex(b), _positive(z, "tricomi_u"))[0]
+    return _tricomi_derivs(complex(a), complex(b), _arguments("tricomi_u", a, b, z, positive=True))[0]
 
 
 @dataclass(frozen=True)
@@ -428,8 +456,8 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
 def whittaker_m_derivs(idx: WhittakerIndices, y):
     """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core, at
     a float y > 0 or elementwise over an array of them (one series pass)."""
-    y = _positive(y, "whittaker_m_derivs")
     a, b = idx.series_a, idx.series_b
+    y = _arguments("whittaker_m_derivs", a, b, y, positive=True)
     # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
     # reject the triple wherever one of those three series is rejected
     for k in range(3):
@@ -441,8 +469,8 @@ def whittaker_m_derivs(idx: WhittakerIndices, y):
 def whittaker_w_derivs(idx: WhittakerIndices, y):
     """(W, dW/dy, d2W/dy2) with analytic derivatives of the Tricomi core, at
     a float y > 0 or elementwise over an array of them (one quadrature)."""
-    y = _positive(y, "whittaker_w_derivs")
     a, b = complex(idx.series_a), complex(idx.series_b)
+    y = _arguments("whittaker_w_derivs", a, b, y, positive=True)
     return _core_derivs(*_tricomi_derivs(a, b, y), idx.mu, y)
 
 

@@ -17,9 +17,13 @@ ORDER = ("errors", "verify", "riccati", "specfun", "susy", "morse", "checks", "c
 ALLOWED: set[tuple[str, str]] = set()
 # Text that specfun no longer holds: the gamma-normalized Laguerre function
 # (no caller), WhittakerIndices.check (a second pole rule beside
-# _check_kummer_b) and the Kummer transformation's z < 0 branch (outside
-# 1F1's domain z >= 0).
-GONE_FROM_SPECFUN = ("laguerre_function", "def check(", "Kummer transformation", "M(b - a, b, -z)")
+# _check_kummer_b), the Kummer transformation's z < 0 branch (outside
+# 1F1's domain z >= 0) and the per-term array loops that _kummer_block
+# replaced.
+GONE_FROM_SPECFUN = (
+    "laguerre_function", "def check(", "Kummer transformation", "M(b - a, b, -z)",
+    "_kummer_series_row", "_kummer_pass_row",
+)
 
 
 def relative_imports(path: Path) -> set[str]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmorse import checks, morse, specfun
+from nhmorse import checks, morse, riccati, specfun
 from nhmorse.errors import NonConvergence, ParameterPole, PoleError
 from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.specfun import WhittakerIndices
@@ -158,17 +158,48 @@ class TestKummer:
         assert_close(a / b * specfun.kummer_m(a + 1, b + 1, z), fd, rel=1e-8)
 
 
-def _abs_term_sum(a, b, z):
-    """sum_n |t_n| of the 1F1(a; b; z) series: the scale of its roundoff."""
-    term = total = 1.0
+def _abs_term_sum(a, b, z, k=0):
+    """sum_n n!/(n-k)! |t_n| of the 1F1(a; b; z) series: the scale of the
+    roundoff of its sum (k = 0), and of the sums of n t_n (k = 1) and of
+    n(n-1) t_n (k = 2) that give its derivatives."""
+    term, total = 1.0, float(k == 0)
     for n in range(10_000):
         if (a + n) == 0:
             break
         term *= abs((a + n) / (b + n)) * z / (n + 1)
-        total += term
-        if term <= 1e-20 * total:
+        weighted = math.perm(n + 1, k) * term
+        total += weighted
+        if n >= k and weighted <= 1e-20 * total:
             break
     return total
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+@pytest.mark.parametrize(
+    "call, z, named",
+    [
+        (lambda z: specfun.kummer_m(1.0, 2.0, z), _NAN, "z = nan"),
+        (lambda z: specfun.kummer_m(1.0, 2.0, z), _INF, "z = inf"),
+        (lambda z: specfun.tricomi_u(1.0, 2.0, z), _NAN, "z = nan"),
+        (lambda z: specfun.tricomi_u(1.0, 2.0, z), _INF, "z = inf"),
+        (lambda z: specfun.kummer_m(complex(_NAN, 0.0), 2.0, z), 1.0, "a = (nan+0j)"),
+        (lambda z: specfun.kummer_m(1.0, _INF, z), 1.0, "b = inf"),
+        (lambda z: specfun.whittaker_m_derivs(WhittakerIndices(kappa=0.3, mu=0.8), z), _NAN, "z = nan"),
+        (lambda z: specfun.whittaker_w_derivs(WhittakerIndices(kappa=0.3, mu=0.8), z), _INF, "z = inf"),
+    ],
+    ids=["kummer-z-nan", "kummer-z-inf", "tricomi-z-nan", "tricomi-z-inf", "kummer-a-nan", "kummer-b-inf",
+         "whittaker-m-y-nan", "whittaker-w-y-inf"],
+)
+def test_non_finite_argument_rejected(call, z, named, array):
+    # a non-finite argument raises ValueError naming it, before any series
+    # or quadrature runs: no 10,000-term loop, overflow message or numpy
+    # warning first
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call(np.array([1.0, z, 2.0]) if array else z)
+
 
 class TestKummerRow:
     def test_agrees_with_scalar_on_oracle_distribution(self):
@@ -264,6 +295,68 @@ class TestKummerRow:
         b_col = np.array([[1.5], [-2.0 + 1e-13j], [2.0]])
         with pytest.raises(ParameterPole, match=re.escape(str(complex(b_col[1, 0])))):
             specfun.kummer_m(a_col, b_col, np.array([1.0, 2.0]))
+
+
+def _morse_columns(params, pmap, sector):
+    """(R, 1) columns of the 1F1 parameters a and b of the Morse M term, one
+    row per parameter set."""
+    idx = [morse.indices(p, pmap).for_sector(sector) for p in params]
+    return np.array([[complex(i.series_a)] for i in idx]), np.array([[complex(i.series_b)] for i in idx])
+
+
+class TestKummerBlock:
+    # _kummer_block, the one array 1F1 kernel: kummer_m's arrays and (R, 1)
+    # blocks, and the M triple's sums over an array
+
+    def test_block_and_triple_match_the_float_loop_on_the_morse_region(self):
+        # the CLI-reachable M indices: B in {2, 5, 10, 20}, K in {0, 1, 2, 4},
+        # both maps and both sectors (A = 1, a = 0.5, K' = 2), at the y of
+        # x in [0, 3] (up to 4B = 80) and y = 0. Each of the three sums, as
+        # a block, as one row and as kummer_m's per-row z, is within 1e-14
+        # of its roundoff scale of the float loop _kummer_pass
+        xs = np.linspace(0.0, 3.0, 31)
+        for B in (2.0, 5.0, 10.0, 20.0):
+            params = [MorseParameters(B=B, K=K) for K in (0.0, 1.0, 2.0, 4.0)]
+            ys = np.concatenate(([0.0], riccati.morse_y(params[0].shape(), xs)))
+            z_col = ys[[0, 1, 16, 31], None]
+            for pmap in ParameterMap:
+                for sector in Sector:
+                    a_col, b_col = _morse_columns(params, pmap, sector)
+                    block = specfun._kummer_block(a_col, b_col, ys, triple=True)
+                    assert np.array_equal(specfun.kummer_m(a_col, b_col, ys), block[0])
+                    per_row = specfun.kummer_m(a_col, b_col, z_col)
+                    for r, (a, b) in enumerate(zip(a_col[:, 0].tolist(), b_col[:, 0].tolist())):
+                        row = specfun._kummer_block(np.array(a), np.array(b), ys, triple=True)
+                        for j, z in enumerate(ys.tolist()):
+                            for k, ref in enumerate(specfun._kummer_pass(a, b, z)):
+                                bound = 1e-14 * _abs_term_sum(a, b, z, k)
+                                assert abs(block[k][r, j] - ref) <= bound
+                                assert abs(row[k][j] - ref) <= bound
+                        z = float(z_col[r, 0])
+                        assert abs(per_row[r, 0] - specfun._kummer_pass(a, b, z)[0]) <= 1e-14 * _abs_term_sum(a, b, z)
+        # a z = 0 element sums to 1, its derivative sums to 0
+        assert [v.tolist() for v in specfun._kummer_block(a_col, b_col, np.zeros(2), triple=True)] == [
+            [[1.0, 1.0]] * 4, [[0.0, 0.0]] * 4, [[0.0, 0.0]] * 4
+        ]
+
+    def test_repeated_and_misaligned_calls_are_byte_identical(self):
+        # the figure grid and grid-shape compare renders byte for byte, so
+        # the kernel's matrix product must give the same bits on every call,
+        # and for a z that is a view of misaligned memory
+        params = [MorseParameters(K=K) for K in np.linspace(0.0, 2.0, 121)]
+        a_col, b_col = _morse_columns(params, ParameterMap.PRINTED, Sector.BOSONIC)
+        idx = morse.indices(params[60], ParameterMap.PRINTED).for_sector(Sector.BOSONIC)
+        ys = riccati.morse_y(params[0].shape(), np.linspace(0.0, 3.0, 181))
+        misaligned = np.empty(ys.size + 1)[1:]
+        misaligned[:] = ys
+        assert misaligned.ctypes.data % 16 == 8
+
+        def call(z):
+            block = specfun.kummer_m(a_col, b_col, z)
+            return block.tobytes() + b"".join(v.tobytes() for v in specfun.whittaker_m_derivs(idx, z))
+
+        first = call(ys)
+        assert all(call(z) == first for z in [ys] * 20 + [misaligned, ys.copy()])
 
 
 def _hyperu(a, b, z):
@@ -601,7 +694,8 @@ class TestWhittaker:
 
     def test_terminating_m_triple_is_the_differentiated_finite_sum(self):
         # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24 and its derivatives,
-        # through the M triple's pass: exactly four terms, no stopping rule
+        # through the float loop and the array kernel: exactly four terms,
+        # no stopping rule
         zs = np.linspace(1.0, 30.0, 30)
         exact = (
             1.0 - 1.5 * zs + 0.5 * zs**2 - zs**3 / 24.0,
@@ -613,13 +707,14 @@ class TestWhittaker:
             s0, s1, s2 = specfun._kummer_pass(-3.0, 2.0, z)
             for got, ref, sc in zip((s0, s1 / z, s2 / (z * z)), exact, scale):
                 assert abs(got - ref[i]) <= 1e-14 * sc[i]
-        s0, s1, s2 = specfun._kummer_pass_row(-3.0, 2.0, zs)
+        s0, s1, s2 = specfun._kummer_block(np.array(-3.0 + 0j), np.array(2.0 + 0j), zs, triple=True)
         for got, ref, sc in zip((s0, s1 / zs, s2 / zs**2), exact, scale):
             assert np.all(np.abs(got - ref) <= 1e-14 * sc)
         # dyadic case summed without rounding: 1F1(-2; 1; 2) = 1 - 2z + z^2/2
         # at z = 2, with derivatives -2 + z = 0 and 1
         assert specfun._kummer_pass(-2.0, 1.0, 2.0) == (-1.0, 0.0, 4.0)
-        assert [v.tolist() for v in specfun._kummer_pass_row(-2.0, 1.0, np.array([2.0]))] == [[-1.0], [0.0], [4.0]]
+        block = specfun._kummer_block(np.array(-2.0 + 0j), np.array(1.0 + 0j), np.array([2.0]), triple=True)
+        assert [v.tolist() for v in block] == [[-1.0], [0.0], [4.0]]
         # a terminating triple whose b is a nonpositive integer past its
         # last term: 1F1(-2; -4; y) = 1 + y/2 + y^2/12
         idx = WhittakerIndices(kappa=0.0, mu=-2.5)
