@@ -73,21 +73,24 @@ def _solution_params(K: float, kind: str) -> MorseParameters:
 
 
 def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
+    """The worst residual of the M and W solutions at K in {0, 0.5, 1, 2},
+    one block of eight rows per sector, and a note for each block that
+    raised instead."""
     grid = Grid1D(0.0, 3.0, 301)
+    rows = [_solution_params(K, kind) for K in (0.0, 0.5, 1.0, 2.0) for kind in ("m", "w")]
     worst = 0.0
     skipped: list[str] = []
-    for K in (0.0, 0.5, 1.0, 2.0):
-        for sector in Sector:
-            for kind in ("m", "w"):
-                p = _solution_params(K, kind)
-                Q = partial(morse.ode_coefficient, p, sector)
-                derivs = partial(morse.wavefunction_derivs_row, p, sector, pmap)
-                try:
-                    rep = verify.ode_residual(Q, derivs, grid, tol=tol)
-                except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-                    skipped.append(f"K={K} {sector.value} {kind}: {type(exc).__name__}")
-                    continue
-                worst = max(worst, rep.max_rel_residual)
+    for sector in Sector:
+        def Q(xs: np.ndarray, sector=sector) -> np.ndarray:
+            return np.array([morse.ode_coefficient(p, sector, xs) for p in rows])
+
+        derivs = partial(morse.wavefunction_derivs_grid, rows, sector, pmap)
+        try:
+            rep = verify.ode_residual(Q, derivs, grid, tol=tol)
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            skipped.append(f"{pmap.value} {sector.value}: {type(exc).__name__}")
+            continue
+        worst = max(worst, rep.max_rel_residual)
     return worst, skipped
 
 
@@ -96,7 +99,7 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
     analytic derivative: the side of the intertwining relation that should
     be proportional to the bosonic solution."""
     R = riccati.morse_riccati(params.shape(), RiccatiSign.PLUS)
-    w1, dw1, _ = morse.wavefunction_derivs_row(params, Sector.FERMIONIC, pmap, xs)
+    w1, dw1, _ = (d[0] for d in morse.wavefunction_derivs_grid([params], Sector.FERMIONIC, pmap, xs))
     return susy.apply_first_order(Ladder.RAISE, R, params.K, w1, dw1, xs)
 
 
@@ -160,7 +163,7 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
     raised = partial(raised_fermionic, p, pmap)
 
     def partner(xs: np.ndarray) -> np.ndarray:
-        return morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+        return morse.wavefunction_derivs_grid([p], Sector.BOSONIC, pmap, xs)[0][0]
 
     return verify.intertwining_check(raised, partner, Grid1D(0.2, 3.0, 57), p.Kprime, tol=tol)
 
@@ -220,13 +223,12 @@ def check_reality_k0(tol: float = 1e-12) -> ResidualReport:
 def check_wronskian(tol: float = 1e-8) -> ResidualReport:
     """M/W solution pairs (derived map, K = 1) have an x-independent Wronskian."""
     grid = Grid1D(0.2, 3.0, 57)
+    pair = [_solution_params(1.0, kind) for kind in ("m", "w")]
     worst = 0.0
     for sector in Sector:
-        f, g = (
-            partial(morse.wavefunction_derivs_row, _solution_params(1.0, kind), sector, ParameterMap.DERIVED)
-            for kind in ("m", "w")
-        )
-        rep = verify.wronskian_constancy(f, g, grid, tol=tol)
+        # one block per sector, its M row and its W row, serves both solutions
+        (m, dm, _), (w, dw, _) = zip(*morse.wavefunction_derivs_grid(pair, sector, ParameterMap.DERIVED, grid.points()))
+        rep = verify.wronskian_constancy(lambda xs: (m, dm), lambda xs: (w, dw), grid, tol=tol)
         worst = max(worst, rep.max_rel_residual)
     return _report("wronskian", worst, tol, grid_size=114)
 

@@ -178,17 +178,47 @@ def wavefunction_derivs(
     return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), x)
 
 
-def wavefunction_derivs_row(
-    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """wavefunction_derivs at every x of an array, as three arrays.
+def _grid_columns(rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs: np.ndarray):
+    """The shared Morse shape and y of a grid's rows, and their Whittaker
+    indices and amplitudes (alpha, beta) as (R, 1) columns."""
+    if len({(p.B, p.a) for p in rows}) != 1:
+        raise ValueError("grid rows must share one B and one a")
+    shape = rows[0].shape()
+    idx = [indices(p, pmap).for_sector(sector) for p in rows]
+    columns = WhittakerIndices(kappa=np.array([[i.kappa] for i in idx]), mu=np.array([[i.mu] for i in idx]))
+    alpha, beta = (np.array(c)[:, None] for c in zip(*(p.amplitudes(sector) for p in rows)))
+    return shape, riccati.morse_y(shape, xs), columns, alpha, beta
 
-    The indices and the Morse shape are computed once for the row; the
-    Kummer series is summed, and the Tricomi quadrature taken, once over
-    all of its y.
+
+def wavefunction_derivs_grid(
+    rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """wavefunction_derivs of every parameter row at every x, as three (R, N)
+    blocks (w, w', w'') for R rows and N values of x: the triple twin of
+    wavefunction_grid.
+
+    The M triple is one block over the rows whose alpha is nonzero, the W
+    triple one block over the rows whose beta is nonzero, each over the y
+    shared by every row; a row with a zero amplitude never evaluates that
+    term. The rows must share B and a.
     """
-    idx = indices(params, pmap).for_sector(sector)
-    return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros((3, len(rows), xs.size), dtype=complex)
+    if not rows:
+        return tuple(out)
+    shape, y, idx, alpha, beta = _grid_columns(rows, sector, pmap, xs)
+    g = np.exp(0.5 * shape.a * xs)
+    for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
+        on = amp[:, 0] != 0.0
+        if on.any():
+            triple = kernel(WhittakerIndices(kappa=idx.kappa[on], mu=idx.mu[on]), y)
+            out[:, on] += amp[on] * np.array(_chain_rule(shape.a, g, y, *triple))
+    return tuple(out)
+
+
+# wavefunction_grid takes the W term this many rows at a time, which bounds
+# the memory of its quadrature block.
+_W_ROWS = 32
 
 
 def wavefunction_grid(
@@ -201,31 +231,26 @@ def wavefunction_grid(
     with the same (mu - kappa + 1/2, 2 mu + 1). The M term is one 1F1
     block over the rows whose alpha is nonzero, its terms taken a chunk at
     a time as one matrix product of the rows' coefficients with the powers
-    of y shared by every row; the W term is one U
-    quadrature per row whose beta is nonzero, so it holds one row's
-    (x, node) block at a time. A row with a zero amplitude never evaluates
-    that term. The rows share one Morse variable y, so B and a must agree;
-    the indices are computed per row.
+    of y shared by every row; the W term is one U block per _W_ROWS of the
+    rows whose beta is nonzero, each one quadrature whose exponentials of
+    y are shared by its rows, so it holds one such block of rows at a
+    time. A row with a zero amplitude never evaluates that term. The rows
+    share one Morse variable y, so B and a must agree; the indices are
+    computed per row.
     """
     xs = np.asarray(xs, dtype=float)
     if not rows:
         return np.zeros((0, xs.size), dtype=complex)
-    if len({(p.B, p.a) for p in rows}) != 1:
-        raise ValueError("wavefunction_grid rows must share one B and one a")
-    shape = rows[0].shape()
-    y = riccati.morse_y(shape, xs)
-    idx = [indices(p, pmap).for_sector(sector) for p in rows]
-    mu = np.array([[i.mu] for i in idx])
-    a = np.array([[i.series_a] for i in idx])
-    b = np.array([[i.series_b] for i in idx])
-    alpha, beta = (np.array(c)[:, None] for c in zip(*(p.amplitudes(sector) for p in rows)))
+    shape, y, idx, alpha, beta = _grid_columns(rows, sector, pmap, xs)
+    a, b = idx.series_a, idx.series_b
     core = np.zeros((len(rows), xs.size), dtype=complex)
     on = alpha[:, 0] != 0.0
     if on.any():
         core[on] = alpha[on] * specfun.kummer_m(a[on], b[on], y)
-    for r in np.flatnonzero(beta[:, 0]).tolist():
-        core[r] += beta[r, 0] * specfun.tricomi_u(a[r, 0], b[r, 0], y)
-    return math.sqrt(2.0 * shape.B / shape.a) * np.exp(mu * np.log(y) - 0.5 * y) * core
+    on = np.flatnonzero(beta[:, 0])
+    for r in (on[i : i + _W_ROWS] for i in range(0, on.size, _W_ROWS)):
+        core[r] += beta[r] * specfun.tricomi_u(a[r], b[r], y)
+    return math.sqrt(2.0 * shape.B / shape.a) * np.exp(idx.mu * np.log(y) - 0.5 * y) * core
 
 
 HEADER = "x,K,y,re,im"

@@ -20,7 +20,13 @@ differentiated series: one pass over the 1F1 terms gives all three sums.
 U and its derivatives come from one kernel, its Laplace integral summed on
 exp-sinh nodes, whose weights gain a factor -t per derivative; it serves
 `tricomi_u` and `whittaker_w_derivs`, for every complex a and b and any
-z > 0, a float or an array.
+z > 0, a float or an array. Like `kummer_m`, `tricomi_u` and both triples
+take (R, 1) columns of parameters (of indices, for the triples) with an
+array of shape (N,), giving (R, N) blocks: an M triple block is one
+`_kummer_block`, a U or W block one quadrature, `_tricomi_block`, whose
+exponentials of z are shared by every row, summed as one real matrix
+product per step. Both kernels take their products in tiles that
+OpenBLAS runs on one thread.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -32,9 +38,8 @@ Conventions fixed here and used everywhere else in the library:
   * one pole rule: b within _INTEGER_TOL of a nonpositive integer raises
     ParameterPole unless the series terminates first;
   * all functions are pure and hold no mutable state, so repeated calls
-    with identical inputs are bit-identical and thread-safe (an array 1F1
-    sum's last bits may depend on the BLAS thread count, fixed for a
-    process).
+    with identical inputs are bit-identical and thread-safe, whatever the
+    BLAS thread count.
 """
 
 from __future__ import annotations
@@ -106,6 +111,13 @@ def _terminating_degree(a: complex):
     return None if r is None else -r
 
 
+def _degrees(a: np.ndarray) -> np.ndarray:
+    """_terminating_degree over an array, with inf for None: n where a is
+    within _INTEGER_TOL of the nonpositive integer -n."""
+    r = np.round(a.real)
+    return np.where((np.abs(a - r) <= _INTEGER_TOL) & (r <= 0.0), 0.0 - r, np.inf)
+
+
 def _kummer_pass(a: complex, b: complex, z):
     """(S0, S1, S2) = sums of t_n, n t_n and n(n-1) t_n over the terms t_n
     of 1F1(a; b; z) in one pass, the one float 1F1 loop: 1F1 then has value
@@ -113,11 +125,8 @@ def _kummer_pass(a: complex, b: complex, z):
 
     A terminating series (a a nonpositive integer -n) sums its n terms;
     otherwise each sum stops once three consecutive terms fall below
-    _STOP_REL of it. Overflow raises NonConvergence. A numpy array z is
-    summed by _kummer_block.
+    _STOP_REL of it. Overflow raises NonConvergence.
     """
-    if isinstance(z, np.ndarray):
-        return _kummer_block(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), z, triple=True)
     n_term = _terminating_degree(a)
     stop = _STOP_REL if n_term is None else -1.0
     term = s0 = 1.0 + 0.0j
@@ -153,6 +162,35 @@ def _at_first(a, b, zs: np.ndarray, bad: np.ndarray) -> str:
 
 # The array 1F1 kernel takes its terms this many at a time.
 _CHUNK = 16
+# OpenBLAS multiplies on one thread while m n k <= 65,536 times its
+# GEMM_MULTITHREAD_THRESHOLD, 4; on more, the split of the output between
+# threads can change the last bits of a product.
+_SERIAL_MNK = 65_536 * 4
+
+
+def _split(size: int, most: int) -> list[int]:
+    """Bounds of the fewest near-equal tiles of at most `most` items; for
+    most >= 3, a tile holds a single item only if the whole size is one."""
+    count = max(1, -(-size // most))
+    return [size * i // count for i in range(count + 1)]
+
+
+def _serial_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right for real (m, k) and (k, n) arrays, in tiles of columns and
+    rows that OpenBLAS multiplies on one thread each, so the bits do not
+    depend on the BLAS thread count. A tile has a single row or column
+    only where the whole product does: numpy would hand it to a
+    matrix-vector routine, which OpenBLAS threads on another rule."""
+    m, k = left.shape
+    if m * k * right.shape[1] <= _SERIAL_MNK:
+        return left @ right
+    out = np.empty((m, right.shape[1]))
+    cols = _split(right.shape[1], max(3, _SERIAL_MNK // (3 * k)))
+    for c0, c1 in zip(cols, cols[1:]):
+        rows = _split(m, _SERIAL_MNK // (k * (c1 - c0)))
+        for r0, r1 in zip(rows, rows[1:]):
+            np.matmul(left[r0:r1], right[:, c0:c1], out=out[r0:r1, c0:c1])
+    return out
 
 
 # overflow raises NonConvergence here, and a division by a vanishing b + n
@@ -166,16 +204,17 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
 
     The terms come _CHUNK at a time. A row's coefficients c_n are its
     terms at its largest z, zhat, so t_n(z) = c_n (z/zhat)^n: a chunk adds
-    [Re c; Im c] @ P, P[n, j] = (z_j/zhat)^n <= 1, to the real and
+    P @ [Re c, Im c], P[j, n] = (z_j/zhat)^n <= 1, to the real and
     imaginary parts of the sums, the triple's n c_n and n(n-1) c_n being
-    more rows of the same real product (P is 1 for z given per row). A
+    more columns of the same real product (P is 1 for z given per row). A
     row whose a is a nonpositive integer -n keeps its first n terms; past
     the last of those, the sums stop at the end of a chunk whose last
     three terms, bounded by their largest c_n times (z/zhat)^n at the least
     of their n, are below _STOP_REL of every sum at every element.
     Overflow raises NonConvergence naming the first element to overflow.
-    The product's rounding may depend on the BLAS thread count, never on
-    the call: repeated calls agree bit for bit.
+    The product is taken in tiles that OpenBLAS runs on one thread, so
+    the sums do not depend on the BLAS thread count, and repeated calls
+    agree bit for bit.
     """
     shape = np.broadcast_shapes(a.shape, z.shape)
     if a.ndim == 0:
@@ -185,17 +224,18 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
     else:
         zhat = z.max(initial=0.0)
         x = z / zhat if zhat > 0.0 else z
-    degrees = [_terminating_degree(v) for v in a.ravel().tolist()]
-    n_stop = np.array([math.inf if d is None else d for d in degrees])
-    n_last = max((d for d in degrees if d is not None), default=0)
-    terminating = settled = None not in degrees
+    rows, sums_per_row = a.shape[0], 3 if triple else 1
+    n_stop = _degrees(a[:, 0])
+    terminating = settled = bool(np.isfinite(n_stop).all())
+    n_last = int(np.where(np.isfinite(n_stop), n_stop, 0.0).max(initial=0.0))
     # the chunk's (term, row) arrays, one row per term
     a_rows, b_rows = (np.tile(v[:, 0], (_CHUNK, 1)) for v in (a, b))
     # the sums, one row per z, the real and imaginary parts of each
-    # parameter row side by side; the n = 0 term is 1
-    sums = np.zeros((3 if triple else 1, x.size, 2 * len(degrees)))
-    sums[0, :, ::2] = 1.0
-    c = np.ones((1, len(degrees)), dtype=complex)
+    # parameter row side by side, the value's sums then the derivatives';
+    # the n = 0 term is 1
+    sums = np.zeros((x.size, 2 * sums_per_row * rows))
+    sums[:, : 2 * rows : 2] = 1.0
+    c = np.ones((1, rows), dtype=complex)
     # P transposed: x^(n + 1) for the chunk's n, each chunk's the last's
     # times x^_CHUNK
     powers = x[:, None] ** np.arange(1, _CHUNK + 1)
@@ -217,10 +257,10 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
             at = _at_first(a, b, np.reshape(zhat, (-1, 1)), first)
             raise NonConvergence(f"kummer series did not converge: overflow at {at}")
         cv = c.view(float)
-        terms = np.stack((cv, (n + 1.0) * cv, (n + 1.0) * n * cv)) if triple else cv[None]
-        sums += powers @ terms
+        terms = np.hstack((cv, (n + 1.0) * cv, (n + 1.0) * n * cv)) if triple else cv
+        sums += _serial_product(powers, terms)
         if not terminating and n0 + _CHUNK >= n_last:
-            tail = np.abs(terms[:, -3:].view(complex)).max(axis=1)[:, None, :] * powers[:, -3, None]
+            tail = np.abs(terms[-3:].view(complex)).max(axis=0) * powers[:, -3, None]
             # an overflowed sum, inf or NaN, counts as settled: the
             # overflow is raised once the others settle
             unsettled = tail > _STOP_REL * np.abs(sums.view(complex))
@@ -228,17 +268,27 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
             if settled:
                 break
         powers *= step
-    s = sums.view(complex).transpose(0, 2, 1)
+    s = sums.view(complex).reshape(x.size, sums_per_row, rows).transpose(1, 2, 0)
     bad = ~np.isfinite(s).all(axis=0)
     if bad.any():
         raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, z, bad)}")
     if not settled:
-        raise NonConvergence(f"kummer series did not converge: {_at_first(a, b, z, unsettled.any(axis=0).T)}")
+        unsettled = unsettled.reshape(x.size, sums_per_row, rows).any(axis=1).T
+        raise NonConvergence(f"kummer series did not converge: {_at_first(a, b, z, unsettled)}")
     return tuple(np.ascontiguousarray(s).reshape((len(s),) + shape))
 
 
-def _check_kummer_b(a: complex, b: complex) -> None:
-    """Reject b at a nonpositive integer unless the series terminates first."""
+def _check_kummer_b(a, b) -> None:
+    """Reject b at a nonpositive integer unless the series terminates first;
+    a and b complex numbers, or arrays checked elementwise (b at -m is
+    rejected where a's degree exceeds m), naming the first rejected b."""
+    if isinstance(a, np.ndarray):
+        poles = _degrees(b)
+        if np.isfinite(poles).any():
+            bad = _degrees(a) > poles
+            if bad.any():
+                raise ParameterPole(f"kummer_m: b = {complex(b.ravel()[np.argmax(bad.ravel())])} at a nonpositive integer")
+        return
     pole = _integer_near(b)
     if pole is not None:
         n_term = _terminating_degree(a)
@@ -247,16 +297,27 @@ def _check_kummer_b(a: complex, b: complex) -> None:
 
 
 def _arguments(name: str, a, b, z, positive: bool):
-    """z as a float, or as a float array when it is one, once a, b and z are
-    finite and z lies in its domain: z > 0 if positive, else z >= 0. A
-    rejection raises ValueError naming the first element outside."""
+    """(a, b, z) once a, b and z are finite and z lies in its domain, z > 0
+    if positive, else z >= 0: complex a and b with a float z, or with a
+    numpy array z complex arrays a and b, scalars or (R, 1) columns of
+    per-row values with z of shape (N,), shared by every row (for 1F1 also
+    of shape (R, 1), one z per row). A rejection raises ValueError naming
+    the first element outside, or the shapes that do not fit."""
     row = isinstance(z, np.ndarray)
-    z = z.astype(float, copy=False) if row else float(z)
+    if row:
+        ca, cb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        if ca.shape != cb.shape:
+            ca, cb = np.broadcast_arrays(ca, cb)
+        z = z.astype(float, copy=False)
+        if ca.ndim and not (ca.shape[1:] == (1,) and (z.ndim == 1 or (z.shape == ca.shape and not positive))):
+            raise ValueError(f"{name}: a and b of shape {ca.shape} do not fit z of shape {z.shape}")
+    else:
+        ca, cb, z = complex(a), complex(b), float(z)
     inside = (z > 0.0 if positive else z >= 0.0) & (z < math.inf)
-    if row and np.isfinite(a).all() and np.isfinite(b).all() and inside.all():
-        return z
-    if not row and cmath.isfinite(a) and cmath.isfinite(b) and inside:
-        return z
+    if row and np.isfinite(ca).all() and np.isfinite(cb).all() and inside.all():
+        return ca, cb, z
+    if not row and cmath.isfinite(ca) and cmath.isfinite(cb) and inside:
+        return ca, cb, z
     checks = (("a", a, np.isfinite(a)), ("b", b, np.isfinite(b)), ("z", z, inside))
     label, v, ok = next(c for c in checks if not np.all(c[2]))
     bad = np.ravel(v)[np.argmax(~np.ravel(ok))]
@@ -270,21 +331,16 @@ def kummer_m(a, b, z):
     A float z takes the one float loop, _kummer_pass's. For an array z, a
     and b are scalars, giving an array of the shape of z, or (R, 1) columns
     of per-row values with z of shape (N,), giving an (R, N) block, or of
-    shape (R, 1), one z per row; each row is checked like a float call,
-    and a rejection names that row's b. Arrays are summed by _kummer_block.
-    Terminating series (a a nonpositive integer) are allowed even for b at
-    a nonpositive integer, provided the numerator zero comes first.
+    shape (R, 1), one z per row; the rows are checked by the rule of a
+    float call, as one array operation, and a rejection names the first
+    rejected row's b. Arrays are summed by _kummer_block. Terminating
+    series (a a nonpositive integer) are allowed even for b at a
+    nonpositive integer, provided the numerator zero comes first.
     """
-    z = _arguments("kummer_m", a, b, z, positive=False)
-    if isinstance(z, np.ndarray):
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-        if a.ndim and not (a.shape[1:] == (1,) and (z.ndim == 1 or z.shape == a.shape)):
-            raise ValueError(f"kummer_m: a and b of shape {a.shape} do not fit z of shape {z.shape}")
-        for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
-            _check_kummer_b(ai, bi)
-        return _kummer_block(a, b, z, triple=False)[0]
-    a, b = complex(a), complex(b)
+    a, b, z = _arguments("kummer_m", a, b, z, positive=False)
     _check_kummer_b(a, b)
+    if isinstance(z, np.ndarray):
+        return _kummer_block(a, b, z, triple=False)[0]
     return _kummer_pass(a, b, z)[0]
 
 
@@ -321,43 +377,28 @@ _ES_LOGS = np.stack((
 # at a into those of its derivatives and of U at a + 1 (times a)
 _es_r = _ES_T / (1.0 + _ES_T)
 _ES_POWERS = np.stack((np.ones_like(_ES_T), _ES_T, _ES_T**2, _es_r, _es_r * _ES_T, _es_r * _ES_T**2))
+# the signs (-1)^k of the derivatives, at a and at a + 1
+_ES_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None, None]
 
 
-def _tricomi_quadrature(a: complex, b: complex, z):
-    """(U, U', U'') at a and at a + 1, Re a >= 1, from one set of nodes: the
-    weights of the derivatives gain factors of -t, and those at a + 1 a
-    factor t / ((1+t) a). z is a float or an array.
-
-    The nodes serve the whole z range: where the integrands of U at the
-    largest z and of U'' at the smallest z are below e^-_ES_CUT of their
-    peaks, every z's integrand is, so those nodes are dropped.
+def _tricomi_quadrature(a: complex, b: complex, z: float):
+    """(U, U', U'') at a and at a + 1, Re a >= 1, at a float z, from one set
+    of nodes: the weights of the derivatives gain factors of -t, and those
+    at a + 1 a factor t / ((1+t) a).
     """
-    row = isinstance(z, np.ndarray)
-    if row and z.size == 0:
-        return (np.zeros(z.shape, dtype=complex),) * 6
-    z_lo, z_hi = (float(z.min()), float(z.max())) if row else (z, z)
     c = b - a - 1.0
     step = 2 ** (_ES_FINEST - _ES_FIRST)
-    # log sizes, on the coarsest nodes, of the integrands of U at z_hi and of
-    # U'' at z_lo; the kept window reaches one coarse node past each
-    env = np.array([[a.real - 1.0, c.real, 1.0, z_hi, 0.0], [a.real + 1.0, c.real, 1.0, z_lo, 0.0]])
+    # log sizes, on the coarsest nodes, of the integrands of U and U''; the
+    # kept window reaches one coarse node past each
+    env = np.array([[a.real - 1.0, c.real, 1.0, z, 0.0], [a.real + 1.0, c.real, 1.0, z, 0.0]])
     env = env @ _ES_LOGS[:, ::step]
     last = env.shape[1] - 1
     i = max(np.argmax(env[0] >= env[0].max() - _ES_CUT) - 1, 0) * step
     j = min(last + 1 - np.argmax(env[1, ::-1] >= env[1].max() - _ES_CUT), last) * step
-    coef = np.array([a - 1.0, c, 1.0, z_lo, -log_gamma(a)])
+    coef = np.array([a - 1.0, c, 1.0, z, -log_gamma(a)])
 
     def node_sum(nodes: slice):
-        # the six sums over the given nodes, each integrand taken at z_lo
-        # and carried to every z by e^{(z_lo - z) t} <= 1
-        w = np.exp(coef @ _ES_LOGS[:, nodes])
-        if not row:
-            return _ES_POWERS[:, nodes] @ w
-        # a real product for the (z, node) block: real and imaginary parts
-        # of the weights side by side
-        x = _ES_POWERS[:, nodes] * w
-        s = np.exp(np.multiply.outer(z_lo - z, _ES_T[nodes])) @ np.concatenate((x.real, x.imag)).T
-        return s[:, :6] + 1j * s[:, 6:]
+        return _ES_POWERS[:, nodes] @ np.exp(coef @ _ES_LOGS[:, nodes])
 
     h = 2.0**-_ES_FIRST
     sums = h * node_sum(slice(i, j + 1, step))
@@ -370,14 +411,96 @@ def _tricomi_quadrature(a: complex, b: complex, z):
         if done:
             break
     else:
-        raise NonConvergence(f"tricomi_u quadrature did not converge: a={a}, b={b}, z in [{z_lo}, {z_hi}]")
-    u, du, d2u, v, dv, d2v = sums.T if row else sums.tolist()
+        raise NonConvergence(f"tricomi_u quadrature did not converge: a={a}, b={b}, z in [{z}, {z}]")
+    u, du, d2u, v, dv, d2v = sums.tolist()
     return u, -du, d2u, v / a, -dv / a, d2v / a
 
 
-def _tricomi_derivs(a: complex, b: complex, z):
-    """(U, dU/dz, d2U/dz2) of U(a, b, z) at a float z > 0, or elementwise
-    over an array of them; any complex a and b.
+def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_tricomi_quadrature's six values for (R, 1) columns of a, Re a >= 1,
+    and b, at every z of shape (N,) > 0, as one (6, R, N) array.
+
+    The nodes serve every row and the whole z range: each row's window
+    keeps the nodes where its integrand of U at the largest z or of U'' at
+    the smallest z is within e^-_ES_CUT of its peak (outside, every z's
+    integrand is below that), and the rows share the union of the windows.
+    At each step the integrands are taken at the least z and carried to
+    every z by one block e^{(z_lo - z) t} <= 1, shared by the rows: one
+    real product, (N, nodes) @ (nodes, 12 R), real and imaginary parts of
+    the six weights of each row side by side. A row stops halving once it
+    has settled; NonConvergence names the first row that never does.
+    """
+    rows = a.shape[0]
+    if rows == 0 or z.size == 0:
+        return np.zeros((6, rows, z.size), dtype=complex)
+    z_lo, z_hi = float(z.min()), float(z.max())
+    # each row's (a-1, b-a-1, 1, z_lo, -log Gamma(a)), whose product with
+    # _ES_LOGS is the log of its integrand times dt/ds at z_lo
+    log_g = [[-log_gamma(v)] for v in a[:, 0].tolist()]
+    coef = np.hstack((a - 1.0, b - a - 1.0, np.ones((rows, 1)), np.full((rows, 1), z_lo), log_g))
+    # log sizes, on the coarsest nodes, of each row's integrands of U at
+    # z_hi and of U'' at z_lo; the union window reaches one coarse node
+    # past each row's
+    step = 2 ** (_ES_FINEST - _ES_FIRST)
+    env = np.stack((coef.real, coef.real))
+    env[0, :, 3] = z_hi
+    env[1, :, 0] += 2.0
+    env[..., 4] = 0.0
+    env = env @ _ES_LOGS[:, ::step]
+    last = env.shape[2] - 1
+    kept = env >= env.max(axis=2, keepdims=True) - _ES_CUT
+    i = max(int(np.argmax(kept[0], axis=1).min()) - 1, 0) * step
+    j = min(last + 1 - int(np.argmax(kept[1, :, ::-1], axis=1).min()), last) * step
+
+    def node_sum(nodes: slice):
+        # the (N, R', 6) sums over the given nodes of the rows still halving:
+        # the weights as (node, row, sum), whose float view puts the real and
+        # imaginary parts of each side by side, as the product's are
+        w = np.exp(_ES_LOGS[:, nodes].T @ coef.T)
+        x = np.multiply(w[:, :, None], _ES_POWERS[:, nodes].T[:, None, :], order="C")
+        carry = np.exp(np.multiply.outer(z_lo - z, _ES_T[nodes]))
+        return _serial_product(carry, x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(z.size, -1, 6)
+
+    # the rows still halving, their sums and coefficients; a settled row's
+    # sums go to out
+    live = np.arange(rows)
+    out = np.empty((z.size, rows, 6), dtype=complex)
+    h = 2.0**-_ES_FIRST
+    sums = h * node_sum(slice(i, j + 1, step))
+    for _ in range(_ES_FIRST, _ES_FINEST):
+        step //= 2
+        h /= 2.0
+        halved = 0.5 * sums + h * node_sum(slice(i + step, j, 2 * step))
+        done = np.all(np.abs(halved - sums) <= _ES_TOL * np.abs(halved), axis=(0, 2))
+        sums = halved
+        if done.any():
+            out[:, live[done]] = sums[:, done]
+            live, sums, coef = live[~done], sums[:, ~done], coef[~done]
+            if not live.size:
+                break
+    else:
+        r = live[0]
+        raise NonConvergence(
+            f"tricomi_u quadrature did not converge: a={complex(a[r, 0])}, b={complex(b[r, 0])}, z in [{z_lo}, {z_hi}]"
+        )
+    out = out.T * _ES_SIGNS
+    out[3:] /= a
+    return out
+
+
+def _recur_down(a0, b, z, m: int, u, du, d2u, v, dv, d2v):
+    """The six values of _tricomi_quadrature at e = a0 - m, carried to
+    e - 1 by U(e - 1) = -(b - 2e - z) U(e) - e (e - b + 1) U(e + 1)
+    (DLMF 13.3.7), differentiated in z."""
+    e = a0 - m
+    p, q = b - 2.0 * e - z, e * (e - b + 1.0)
+    return -(p * u + q * v), u - p * du - q * dv, 2.0 * du - p * d2u - q * d2v, u, du, d2u
+
+
+def _tricomi_derivs(a, b, z):
+    """(U, dU/dz, d2U/dz2) of U(a, b, z) at a float z > 0 with complex a and
+    b; or, at a numpy array z, with a and b complex scalars, elementwise, or
+    (R, 1) columns with z of shape (N,), as (R, N) blocks.
 
     The quadrature gives the triples at a0 = a + n and a0 + 1, n the least
     shift that makes Re a0 >= 1; the three-term recurrence in a (DLMF
@@ -389,35 +512,52 @@ def _tricomi_derivs(a: complex, b: complex, z):
     recurrence starts from U(0, b, z) = 1, which needs no U(1): its
     coefficient vanishes at a = 0. Started from Re a0 >= 1 instead, it
     would cancel the large z^(1-b) parts of the seeds down to that
-    polynomial.
+    polynomial. A block shifts each row by its own n, takes the quadrature
+    once over the rows that need it, and recurs each row down its own n
+    steps.
     """
+    if isinstance(z, np.ndarray):
+        shape = np.broadcast_shapes(a.shape, z.shape)
+        a, b, z = a.reshape(-1, 1), b.reshape(-1, 1), z.ravel()
+        if (a.real >= 1.0).all():
+            return tuple(v.reshape(shape) for v in _tricomi_block(a, b, z)[:3])
+        integer = (a.imag == 0.0) & (a.real <= 0.0) & (a.real == np.round(a.real))
+        n = np.where(integer, -a.real, np.maximum(0.0, np.ceil(1.0 - a.real))).astype(int)
+        a0 = np.where(integer, 0.0, a + n)
+        shifted = ~integer[:, 0]
+        if shifted.all():
+            state = _tricomi_block(a0, b, z)
+        else:
+            state = np.zeros((6, a.shape[0], z.size), dtype=complex)
+            state[0, ~shifted] = 1.0
+            state[:, shifted] = _tricomi_block(a0[shifted], b[shifted], z)
+        for m in range(int(n.max(initial=0))):
+            r = np.flatnonzero(n[:, 0] > m)
+            state[:, r] = _recur_down(a0[r], b[r], z, m, *state[:, r])
+        return tuple(v.reshape(shape) for v in state[:3])
     if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer():
         n, a0 = -int(a.real), 0.0
-        one = np.ones_like(z, dtype=complex) if isinstance(z, np.ndarray) else 1.0 + 0.0j
-        u, du, d2u, v, dv, d2v = one, 0.0 * one, 0.0 * one, 0.0, 0.0, 0.0
+        state = (1.0 + 0.0j, 0j, 0j, 0j, 0j, 0j)
     else:
         n = max(0, math.ceil(1.0 - a.real))
         a0 = a + n
-        u, du, d2u, v, dv, d2v = _tricomi_quadrature(a0, b, z)
+        state = _tricomi_quadrature(a0, b, z)
     for m in range(n):
-        # U(e - 1) = -(b - 2e - z) U(e) - e (e - b + 1) U(e + 1), e = a0 - m
-        e = a0 - m
-        p, q = b - 2.0 * e - z, e * (e - b + 1.0)
-        u, du, d2u, v, dv, d2v = (
-            -(p * u + q * v), u - p * du - q * dv, 2.0 * du - p * d2u - q * d2v, u, du, d2u
-        )
-    return u, du, d2u
+        state = _recur_down(a0, b, z, m, *state)
+    return state[:3]
 
 
-def tricomi_u(a: complex, b: complex, z) -> complex:
-    """Tricomi confluent hypergeometric function U(a, b, z) at a float z > 0,
-    or elementwise over an array of them; a and b any complex numbers."""
-    return _tricomi_derivs(complex(a), complex(b), _arguments("tricomi_u", a, b, z, positive=True))[0]
+def tricomi_u(a, b, z):
+    """Tricomi confluent hypergeometric function U(a, b, z), any complex a
+    and b: at a float z > 0; elementwise over a numpy array of them; or, for
+    (R, 1) columns of a and b, as an (R, N) block over z of shape (N,)."""
+    return _tricomi_derivs(*_arguments("tricomi_u", a, b, z, positive=True))[0]
 
 
 @dataclass(frozen=True)
 class WhittakerIndices:
-    """The complex index pair (kappa, mu) of a Whittaker function."""
+    """The complex index pair (kappa, mu) of a Whittaker function, or (R, 1)
+    columns of such pairs, one per row of a block."""
 
     kappa: complex
     mu: complex
@@ -455,22 +595,28 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
 
 def whittaker_m_derivs(idx: WhittakerIndices, y):
     """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core, at
-    a float y > 0 or elementwise over an array of them (one series pass)."""
-    a, b = idx.series_a, idx.series_b
-    y = _arguments("whittaker_m_derivs", a, b, y, positive=True)
+    a float y > 0, or over a numpy array of them: elementwise for complex
+    indices, as (R, N) blocks for (R, 1) columns of them and y of shape
+    (N,) (one series pass, one _kummer_block for a block)."""
+    a, b, y = _arguments("whittaker_m_derivs", idx.series_a, idx.series_b, y, positive=True)
     # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
     # reject the triple wherever one of those three series is rejected
-    for k in range(3):
-        _check_kummer_b(a + k, b + k)
-    s0, s1, s2 = _kummer_pass(a, b, y)
+    if isinstance(y, np.ndarray):
+        _check_kummer_b(a + np.arange(3.0), b + np.arange(3.0))
+        s0, s1, s2 = _kummer_block(a, b, y, triple=True)
+    else:
+        for k in range(3):
+            _check_kummer_b(a + k, b + k)
+        s0, s1, s2 = _kummer_pass(a, b, y)
     return _core_derivs(s0, s1 / y, s2 / (y * y), idx.mu, y)
 
 
 def whittaker_w_derivs(idx: WhittakerIndices, y):
     """(W, dW/dy, d2W/dy2) with analytic derivatives of the Tricomi core, at
-    a float y > 0 or elementwise over an array of them (one quadrature)."""
-    a, b = complex(idx.series_a), complex(idx.series_b)
-    y = _arguments("whittaker_w_derivs", a, b, y, positive=True)
+    a float y > 0, or over a numpy array of them: elementwise for complex
+    indices, as (R, N) blocks for (R, 1) columns of them and y of shape
+    (N,) (one quadrature for all of them)."""
+    a, b, y = _arguments("whittaker_w_derivs", idx.series_a, idx.series_b, y, positive=True)
     return _core_derivs(*_tricomi_derivs(a, b, y), idx.mu, y)
 
 

@@ -218,7 +218,9 @@ def ode_residual(Q: GridMap, derivs: GridDerivs, grid: Grid1D, tol: float = 1e-8
     derivs(xs) gives (w, w', w'') at the grid points; its w'' must be
     analytic, not a rearrangement of the equation itself (fd_derivs
     supplies a finite-difference one). The relative residual is
-    normalized by 1 + |Q||w| so decaying tails do not blow it up.
+    normalized by 1 + |Q||w| so decaying tails do not blow it up. Q and
+    derivs may also give (R, N) blocks, one row per solution: the report
+    is the worst over the whole block (grid_size stays the N points).
     """
     xs = grid.points()
     q = Q(xs)
@@ -294,27 +296,28 @@ def integrate_ode(
     return complex(state[0]), complex(state[1])
 
 
-def _constancy(name: str, what: str, vals: np.ndarray, tol: float) -> tuple[ResidualReport, complex]:
-    """Report on the RMS deviation of vals from their mean (absolute, and
-    relative to |mean|), and the mean. Values zero everywhere give 0 with a
-    zero-scale note, a mean below 1e-13 max |vals| inf with a degenerate one."""
-    scale = float(np.max(np.abs(vals)))
-    mean = vals.mean()
-    dev = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)))
-    if scale == 0.0:
-        rel, note = 0.0, f"zero-scale: {what} identically zero"
-    elif abs(mean) <= 1e-13 * scale:
-        rel, note = math.inf, f"degenerate: zero-mean {what}"
-    else:
-        rel, note = dev / float(abs(mean)), ""
+def _constancy(name: str, what: str, vals: np.ndarray, tol: float) -> tuple[ResidualReport, np.ndarray]:
+    """Report on the RMS deviation of vals from their mean along the last
+    axis (absolute, and relative to |mean|), the largest over the rows of
+    an (R, N) block, and the mean of each row. A row of values zero
+    everywhere gives 0 with a zero-scale note, a mean below 1e-13 of the
+    row's max |vals| inf with a degenerate one."""
+    scale = np.max(np.abs(vals), axis=-1)
+    mean = vals.mean(axis=-1)
+    dev = np.sqrt(np.mean(np.abs(vals - mean[..., None]) ** 2, axis=-1))
+    zero = scale == 0.0
+    degenerate = ~zero & (np.abs(mean) <= 1e-13 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = float(np.where(zero, 0.0, np.where(degenerate, math.inf, dev / np.abs(mean))).max())
+    notes = ((zero, f"zero-scale: {what} identically zero"), (degenerate, f"degenerate: zero-mean {what}"))
     report = ResidualReport(
         name=name,
-        grid_size=len(vals),
-        max_abs_residual=dev,
+        grid_size=vals.shape[-1],
+        max_abs_residual=float(dev.max()),
         max_rel_residual=rel,
         passed=rel <= tol,
         tolerance=tol,
-        note=note,
+        note="; ".join(note for flags, note in notes if flags.any()),
     )
     return report, mean
 
@@ -324,7 +327,9 @@ def wronskian_constancy(f: GridDerivs, g: GridDerivs, grid: Grid1D, tol: float =
 
     f(xs) and g(xs) give (value, derivative, ...) at the grid points. For
     equations without a first-derivative term the Wronskian of any two
-    solutions is x-independent, so the deviation should vanish.
+    solutions is x-independent, so the deviation should vanish. They may
+    also give (R, N) blocks, row r of f paired with row r of g: each row's
+    Wronskian has its own mean, and the report is the worst row's.
     """
     xs = grid.points()
     fv, df = f(xs)[:2]
@@ -351,7 +356,7 @@ def intertwining_check(
         raise ValueError("all grid points degenerate (|partner| <= 1e-12)")
     report, mean = _constancy("intertwining", "ratio", raised(xs)[keep] / w2[keep], tol)
     if Kprime != 0.0:
-        c = mean / Kprime
+        c = complex(mean) / Kprime
         ratio_note = f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i"
         report.note = f"{report.note}; {ratio_note}" if report.note else ratio_note
     return report

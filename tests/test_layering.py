@@ -57,3 +57,8 @@ def test_removed_specfun_paths_stay_out():
     text = (PACKAGE / "specfun.py").read_text()
     assert [gone for gone in GONE_FROM_SPECFUN if gone in text] == []
     assert not hasattr(specfun.WhittakerIndices, "check")
+
+
+def test_one_triple_grid_entry_point():
+    # wavefunction_derivs_grid replaced the one-row wavefunction_derivs_row
+    assert "wavefunction_derivs_row" not in "".join(p.read_text() for p in PACKAGE.glob("*.py"))

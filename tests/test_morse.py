@@ -1,9 +1,14 @@
 import cmath
+import hashlib
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,7 +136,7 @@ class TestWavefunction:
                 return morse.ode_coefficient(p, sector, xs)
 
             def derivs(xs, sector=sector):
-                return morse.wavefunction_derivs_row(p, sector, ParameterMap.DERIVED, xs)
+                return morse.wavefunction_derivs_grid([p], sector, ParameterMap.DERIVED, xs)
 
             rep = verify.ode_residual(Q, derivs, grid, tol=1e-8)
             assert rep.passed, rep.line()
@@ -183,7 +188,7 @@ class TestWavefunction:
             w, _, d2w = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)
             q = morse.ode_coefficient(p, sector, x)
             worst = max(worst, abs(d2w + q * w) / (1.0 + abs(q) * abs(w)))
-            w, _, d2w = morse.wavefunction_derivs_row(p, sector, ParameterMap.DERIVED, xs)
+            w, _, d2w = (d[0] for d in morse.wavefunction_derivs_grid([p], sector, ParameterMap.DERIVED, xs))
             q = morse.ode_coefficient(p, sector, xs)
             worst = max(worst, np.max(np.abs(d2w + q * w) / (1.0 + np.abs(q) * np.abs(w))))
         assert worst <= 1e-8
@@ -201,7 +206,7 @@ class TestRowPath:
                 for sector in Sector:
                     for alpha, beta in ((1, 0), (0, 1)):
                         p = MorseParameters(K=K, alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta)
-                        row = morse.wavefunction_derivs_row(p, sector, pmap, xs)
+                        row = [d[0] for d in morse.wavefunction_derivs_grid([p], sector, pmap, xs)]
                         for i, x in enumerate(xs.tolist()):
                             for j, ref in enumerate(morse.wavefunction_derivs(p, sector, pmap, x)):
                                 worst = max(worst, abs(row[j][i] - ref) / abs(ref))
@@ -246,6 +251,87 @@ class TestRowPath:
                 assert abs(v - ref) <= 1e-12 * abs(ref)
         with pytest.raises(ValueError):
             morse.wavefunction_grid([m_row, MorseParameters(B=3.0)], Sector.BOSONIC, ParameterMap.PRINTED, xs)
+
+    def test_derivs_grid_rows_match_scalar(self):
+        # wavefunction_derivs_grid, the triple twin of wavefunction_grid:
+        # M only, M + W, W only, the integer b = 5 W row and a row with no
+        # term, in one block, each row equal to its scalar triples
+        xs = np.linspace(0.0, 3.0, 7)
+        rows = [
+            MorseParameters(K=0.0, Kprime=1.0),
+            MorseParameters(K=1.0, Kprime=1.0, alpha2=0.5, beta2=1.0 - 1.0j),
+            MorseParameters(K=0.5, Kprime=1.0, alpha2=0.0, beta2=0.25j),
+            MorseParameters(K=0.0, Kprime=1.0, alpha2=0.0, beta2=1.0),
+            MorseParameters(K=2.0, Kprime=1.0, alpha2=0.0, beta2=0.0),
+        ]
+        block = morse.wavefunction_derivs_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
+        assert [v.shape for v in block] == [(5, 7)] * 3
+        for r, p in enumerate(rows):
+            for i, x in enumerate(xs.tolist()):
+                for got, ref in zip(block, morse.wavefunction_derivs(p, Sector.BOSONIC, ParameterMap.PRINTED, x)):
+                    assert abs(got[r, i] - ref) <= 1e-12 * abs(ref)
+        with pytest.raises(ValueError, match="share one B and one a"):
+            morse.wavefunction_derivs_grid([rows[0], MorseParameters(a=1.0)], Sector.BOSONIC, ParameterMap.PRINTED, xs)
+
+    def test_sweep_blocks_match_single_rows(self):
+        # the residual sweeps' blocks, 4 K x {M only, W only} per sector and
+        # map over 301 x, against one-row calls
+        xs = Grid1D(0.0, 3.0, 301).points()
+        rows = [checks._solution_params(K, kind) for K in (0.0, 0.5, 1.0, 2.0) for kind in ("m", "w")]
+        for pmap in ParameterMap:
+            for sector in Sector:
+                block = morse.wavefunction_derivs_grid(rows, sector, pmap, xs)
+                for r, p in enumerate(rows):
+                    for got, ref in zip(block, morse.wavefunction_derivs_grid([p], sector, pmap, xs)):
+                        assert np.all(np.abs(got[r] - ref[0]) <= 1e-13 * np.abs(ref[0])), (pmap, sector, r)
+
+    def test_w_term_in_row_chunks_matches_single_rows(self):
+        # more W rows than one chunk of the W term: every row as its own call
+        xs = np.linspace(0.0, 3.0, 13)
+        rows = [MorseParameters(K=K, Kprime=1.9, alpha2=0.0, beta2=1.0) for K in np.linspace(0.0, 2.0, 2 * morse._W_ROWS + 5).tolist()]
+        block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
+        for p, values in zip(rows, block):
+            ref = morse.wavefunction_grid([p], Sector.BOSONIC, ParameterMap.PRINTED, xs)[0]
+            assert np.all(np.abs(values - ref) <= 1e-13 * np.abs(ref))
+
+    def test_large_grid_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # every matrix product of the M and W blocks stays within OpenBLAS's
+        # one-thread size, so fresh interpreters with one and with two BLAS
+        # threads write the same bytes for a 601 x 401 grid of each kind
+        src = str(Path(morse.__file__).resolve().parents[1])
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            for kind, flags in (("m", []), ("w", ["--solution", "w", "--beta", "1", "--Kprime", "1.9"])):
+                out = tmp_path / f"{kind}{threads}.csv"
+                cmd = [sys.executable, "-m", "nhmorse.cli", "grid", "--nx", "601", "--nK", "401", "--out", str(out), *flags]
+                subprocess.run(cmd, env=env, check=True, timeout=300)
+                digests[kind, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests["m", "1"] == digests["m", "2"]
+        assert digests["w", "1"] == digests["w", "2"]
+
+
+class TestResidualSweep:
+    def test_raising_block_is_a_skip_note_and_fails_the_check(self, monkeypatch):
+        # a block that raises is named by map, sector and exception, once,
+        # with no per-row fallback; the other sector is still measured
+        calls = []
+        grid = morse.wavefunction_derivs_grid
+
+        def fail_fermionic(rows, sector, pmap, xs):
+            calls.append(sector)
+            if sector is Sector.FERMIONIC:
+                raise NonConvergence("quadrature did not converge")
+            return grid(rows, sector, pmap, xs)
+
+        monkeypatch.setattr(morse, "wavefunction_derivs_grid", fail_fermionic)
+        rep = checks.check_residual_derived()
+        assert calls == [Sector.FERMIONIC, Sector.BOSONIC]
+        assert not rep.passed
+        assert rep.note == "derived fermionic: NonConvergence"
+        assert 0.0 < rep.max_rel_residual <= 1e-8
+        printed = checks.check_residual_printed()
+        assert printed.note.endswith("; skipped printed fermionic: NonConvergence")
 
 
 def loop_render_grid(spec):
@@ -393,7 +479,7 @@ def intertwining(p: MorseParameters, grid: Grid1D):
     """verify.intertwining_check of A+ w_1 against w_2 at p, derived map."""
     pmap = ParameterMap.DERIVED
     raised = partial(checks.raised_fermionic, p, pmap)
-    partner = lambda xs: morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+    partner = lambda xs: morse.wavefunction_derivs_grid([p], Sector.BOSONIC, pmap, xs)[0][0]
     return verify.intertwining_check(raised, partner, grid, p.Kprime)
 
 

@@ -359,6 +359,137 @@ class TestKummerBlock:
         assert all(call(z) == first for z in [ys] * 20 + [misaligned, ys.copy()])
 
 
+class TestColumnRules:
+    # the pole and termination rules over (R, 1) columns, one array
+    # operation, against the float path's _integer_near
+
+    VALUES = [
+        0.0, -0.0, 1e-12, -1e-12, 1.5e-12, -1.5e-12, -1e-12j, 0.5, 3.0,
+        -3.0, -3.0 + 1e-12, -3.0 - 1e-12, -3.0 + 0.9e-12, -3.0 - 1.1e-12, -3.0 + 1e-12j, -3.0 - 0.9e-12j,
+        -3.0 + 7e-13 + 7e-13j, -3.0 + 8e-13 - 8e-13j, -2.5, -0.5 + 1e-13, -2.0 + 1e-6j,
+        -1e6, -1e6 + 1e-12, -(2.0**52), -(2.0**52) + 1.0, -1e15 - 0.5, -1e300,
+    ]
+
+    def test_degrees_match_the_scalar_rule(self):
+        column = specfun._degrees(np.array(self.VALUES, dtype=complex)[:, None])[:, 0]
+        for v, got in zip(self.VALUES, column.tolist()):
+            want = specfun._terminating_degree(complex(v))
+            assert got == (math.inf if want is None else want), v
+
+    def test_pole_rule_matches_the_scalar_rule(self):
+        # every (a, b) pair of VALUES: an (R, 1) column is rejected exactly
+        # when one of its rows is, and names the first rejected row's b
+        pairs = [(complex(a), complex(b)) for a in self.VALUES for b in self.VALUES]
+        rejected = []
+        for a, b in pairs:
+            try:
+                specfun._check_kummer_b(a, b)
+            except ParameterPole:
+                rejected.append(True)
+            else:
+                rejected.append(False)
+            try:
+                specfun._check_kummer_b(np.array([[a]]), np.array([[b]]))
+            except ParameterPole:
+                assert rejected[-1], (a, b)
+            else:
+                assert not rejected[-1], (a, b)
+        assert 0 < sum(rejected) < len(pairs)
+        a_col, b_col = (np.array(c)[:, None] for c in zip(*pairs))
+        first = pairs[rejected.index(True)][1]
+        with pytest.raises(ParameterPole, match=re.escape(f"b = {first} ")):
+            specfun._check_kummer_b(a_col, b_col)
+
+
+def _index_columns(idx):
+    """WhittakerIndices holding (R, 1) columns of the given index pairs."""
+    return WhittakerIndices(kappa=np.array([[i.kappa] for i in idx]), mu=np.array([[i.mu] for i in idx]))
+
+
+class TestWhittakerBlocks:
+    # the Whittaker triples over (R, 1) columns of indices: one M block
+    # (_kummer_block) and one W block (_tricomi_block) for every row
+
+    def test_blocks_match_per_row_calls_on_the_morse_region(self):
+        # B in {2, 5, 10, 20}, K in {0, 1, 2, 4}, both maps and both sectors
+        # (A = 1, a = 0.5, K' = 2), at the y of x in [0, 3]: each element of
+        # a block triple is within 1e-13 of the row's own array call
+        xs = np.linspace(0.0, 3.0, 31)
+        for B in (2.0, 5.0, 10.0, 20.0):
+            params = [MorseParameters(B=B, K=K) for K in (0.0, 1.0, 2.0, 4.0)]
+            ys = riccati.morse_y(params[0].shape(), xs)
+            for pmap in ParameterMap:
+                for sector in Sector:
+                    idx = [morse.indices(p, pmap).for_sector(sector) for p in params]
+                    for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs):
+                        block = fn(_index_columns(idx), ys)
+                        assert [v.shape for v in block] == [(4, ys.size)] * 3
+                        for r, i in enumerate(idx):
+                            for got, ref in zip(block, fn(i, ys)):
+                                assert np.all(np.abs(got[r] - ref) <= 1e-13 * np.abs(ref)), (B, pmap, sector, r)
+
+    def test_block_mixes_shifted_integer_and_plain_rows(self):
+        # rows shifted up to Re a >= 1 by one and by three steps, integer a
+        # (0 and -2, polynomials in z) and rows needing no shift, in one
+        # block: each row as its own array call and as float calls
+        rows = [(0.3 + 0.4j, 2.1 - 0.7j), (2.0, 3.5), (-2.0, 3.0), (-2.4 + 0.3j, 1.7 + 0.2j), (0.0, 1.3), (1.2 + 1.5j, 7.4 - 5.0j)]
+        a_col, b_col = (np.array(c, dtype=complex)[:, None] for c in zip(*rows))
+        zs = np.geomspace(0.3, 30.0, 17)
+        block = specfun._tricomi_derivs(a_col, b_col, zs)
+        for r, (a, b) in enumerate(rows):
+            row = specfun._tricomi_derivs(np.array(complex(a)), np.array(complex(b)), zs)
+            for got, ref in zip(block, row):
+                assert np.all(np.abs(got[r] - ref) <= 1e-13 * np.abs(ref)), (a, b)
+            for j, z in enumerate(zs.tolist()):
+                for got, ref in zip(block, specfun._tricomi_derivs(complex(a), complex(b), z)):
+                    assert abs(got[r, j] - ref) <= 1e-12 * abs(ref), (a, b, z)
+        # U(-2, 3, z) = z^2 - 8z + 12 and U(0, b, z) = 1
+        assert np.all(np.abs(block[0][2] - (zs**2 - 8.0 * zs + 12.0)) <= 1e-13 * (zs**2 + 8.0 * zs + 12.0))
+        assert block[0][4].tolist() == [1.0] * zs.size and block[1][4].tolist() == [0.0] * zs.size
+
+    def test_block_non_convergence_names_the_failing_row(self):
+        # a = b = 1+16i does not converge on the real ray (the derived map at
+        # A = 0, K' = 0, K = 4); nor does 1+20i, but the error names the
+        # first failing row
+        zs = riccati.morse_y(MorseParameters().shape(), np.linspace(0.0, 3.0, 31))
+        a_col = np.array([[1.5], [1.0 + 16.0j], [1.0 + 20.0j]])
+        b_col = np.array([[2.0], [1.0 + 16.0j], [1.0 + 20.0j]])
+        with pytest.raises(NonConvergence, match=re.escape("a=(1+16j), b=(1+16j)")):
+            specfun.tricomi_u(a_col, b_col, zs)
+        with pytest.raises(NonConvergence, match=re.escape("a=(1+20j), b=(1+20j)")):
+            specfun.tricomi_u(a_col[::2], b_col[::2], zs)
+
+    def test_empty_blocks(self):
+        # no rows, or no y: empty (R, N) results, no quadrature or series
+        idx = _index_columns([WhittakerIndices(kappa=0.3, mu=0.8)] * 2)
+        none = WhittakerIndices(kappa=np.zeros((0, 1)), mu=np.zeros((0, 1)))
+        for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs):
+            assert [v.shape for v in fn(none, np.array([1.0, 2.0]))] == [(0, 2)] * 3
+            assert [v.shape for v in fn(idx, np.array([]))] == [(2, 0)] * 3
+        assert specfun.tricomi_u(np.zeros((0, 1)), np.zeros((0, 1)), np.array([1.0])).shape == (0, 1)
+        assert [v.shape for v in morse.wavefunction_derivs_grid([], Sector.BOSONIC, ParameterMap.DERIVED, [1.0])] == [(0, 1)] * 3
+
+    def test_repeated_block_calls_are_byte_identical(self):
+        params = [MorseParameters(B=10.0, K=K) for K in (0.0, 0.5, 1.0, 2.0)]
+        idx = _index_columns([morse.indices(p, ParameterMap.DERIVED).for_sector(Sector.FERMIONIC) for p in params])
+        ys = riccati.morse_y(params[0].shape(), np.linspace(0.0, 3.0, 301))
+
+        def call():
+            return b"".join(v.tobytes() for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs) for v in fn(idx, ys))
+
+        first = call()
+        assert all(call() == first for _ in range(20))
+
+    def test_shapes_that_do_not_fit_are_rejected(self):
+        # (R, 1) columns take y of shape (N,); one y per row only for 1F1
+        idx = _index_columns([WhittakerIndices(kappa=0.3, mu=0.8)] * 2)
+        for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs):
+            with pytest.raises(ValueError, match="do not fit"):
+                fn(idx, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="do not fit"):
+            specfun.tricomi_u(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 3)))
+
+
 def _hyperu(a, b, z):
     """mpmath U(a, b, z) at 30 digits, as a complex."""
     mp = pytest.importorskip("mpmath")

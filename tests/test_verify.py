@@ -198,6 +198,24 @@ class TestOdeResidual:
         rep = verify.ode_residual(const(1.0), verify.fd_derivs(np.sin), Grid1D(0.5, 3.0, 11))
         assert rep.passed, rep.line()
 
+    def test_two_row_block_reports_the_worse_row(self):
+        # Q and derivs as (2, N) blocks, a solution and a non-solution of
+        # w'' + w = 0: the report is the worse of the two single-row ones
+        grid = Grid1D(0.0, 3.0, 31)
+
+        def bad_derivs(xs):
+            return np.sin(xs) + 0.1 * xs**2 + 0j, np.cos(xs) + 0.2 * xs + 0j, -np.sin(xs) + 0.2 + 0j
+
+        def block(xs):
+            return tuple(np.stack(rows) for rows in zip(sin_derivs(xs), bad_derivs(xs)))
+
+        Q = const(1.0)
+        single = [verify.ode_residual(Q, d, grid) for d in (sin_derivs, bad_derivs)]
+        rep = verify.ode_residual(lambda xs: np.stack((Q(xs), Q(xs))), block, grid)
+        assert rep.max_rel_residual == max(r.max_rel_residual for r in single) > 1e-3
+        assert rep.max_abs_residual == max(r.max_abs_residual for r in single)
+        assert rep.grid_size == 31 and not rep.passed
+
     def test_detects_non_solution(self):
         rep = verify.ode_residual(const(1.0), exp_derivs, Grid1D(0.0, 1.0, 11), tol=1e-8)
         assert not rep.passed
@@ -206,7 +224,7 @@ class TestOdeResidual:
         p = MorseParameters(K=1.0)
         rep = verify.ode_residual(
             lambda xs: morse.ode_coefficient(p, Sector.FERMIONIC, xs),
-            lambda xs: morse.wavefunction_derivs_row(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs),
+            lambda xs: morse.wavefunction_derivs_grid([p], Sector.FERMIONIC, ParameterMap.DERIVED, xs),
             Grid1D(0.0, 3.0, 61),
         )
         assert rep.passed
@@ -332,6 +350,32 @@ class TestIntegrator:
 
 
 class TestWronskian:
+    def test_two_row_block_reports_the_worse_row(self):
+        # row r of f pairs with row r of g, each row's Wronskian with its
+        # own mean: constant Wronskians of -1 and -2 in one block are both
+        # constant, and a non-constant row makes the report that row's
+        grid = Grid1D(0.0, 3.0, 31)
+
+        def sin_cos(xs):
+            return np.sin(xs) + 0j, np.cos(xs) + 0j
+
+        def cos_sin(xs, scale=1.0):
+            return scale * np.cos(xs) + 0j, -scale * np.sin(xs) + 0j
+
+        def line(xs):
+            return xs + 0j, np.ones_like(xs) + 0j
+
+        def stack(*fs):
+            return lambda xs: tuple(np.stack(rows) for rows in zip(*(f(xs) for f in fs)))
+
+        constant = verify.wronskian_constancy(stack(sin_cos, sin_cos), stack(cos_sin, partial(cos_sin, scale=2.0)), grid)
+        assert constant.max_rel_residual <= 1e-14 and constant.passed
+        single = [verify.wronskian_constancy(sin_cos, g, grid) for g in (cos_sin, line)]
+        rep = verify.wronskian_constancy(stack(sin_cos, sin_cos), stack(cos_sin, line), grid)
+        assert rep.max_rel_residual == max(r.max_rel_residual for r in single) > 0.1
+        assert rep.max_abs_residual == max(r.max_abs_residual for r in single)
+        assert rep.grid_size == 31 and not rep.passed
+
     def test_sin_cos(self):
         rep = verify.wronskian_constancy(
             lambda xs: (np.sin(xs) + 0j, np.cos(xs) + 0j),
@@ -365,8 +409,8 @@ class TestWronskian:
         pmap = ParameterMap.DERIVED
         sector = Sector.FERMIONIC
         rep = verify.wronskian_constancy(
-            lambda xs: morse.wavefunction_derivs_row(p, sector, pmap, xs),
-            lambda xs: morse.wavefunction_derivs_row(q, sector, pmap, xs),
+            lambda xs: morse.wavefunction_derivs_grid([p], sector, pmap, xs),
+            lambda xs: morse.wavefunction_derivs_grid([q], sector, pmap, xs),
             Grid1D(0.2, 3.0, 29),
         )
         assert rep.passed, rep.line()
@@ -375,7 +419,7 @@ class TestWronskian:
 class TestIntertwiningCheck:
     @staticmethod
     def bosonic(p, pmap):
-        return lambda xs: morse.wavefunction_derivs_row(p, Sector.BOSONIC, pmap, xs)[0]
+        return lambda xs: morse.wavefunction_derivs_grid([p], Sector.BOSONIC, pmap, xs)[0][0]
 
     def test_corrupted_partner_fails(self):
         # multiplying w2 by x destroys the proportionality
