@@ -8,6 +8,7 @@ check are built here, since verify imports none of the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import partial
@@ -75,7 +76,8 @@ def _solution_params(K: float, kind: str) -> MorseParameters:
 def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
     """The worst residual of the M and W solutions at K in {0, 0.5, 1, 2},
     one block of eight rows per sector, and a note for each block that
-    raised instead."""
+    raised instead, naming the map, the sector, the exception and its
+    message."""
     grid = Grid1D(0.0, 3.0, 301)
     rows = [_solution_params(K, kind) for K in (0.0, 0.5, 1.0, 2.0) for kind in ("m", "w")]
     worst = 0.0
@@ -88,7 +90,7 @@ def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
         try:
             rep = verify.ode_residual(Q, derivs, grid, tol=tol)
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-            skipped.append(f"{pmap.value} {sector.value}: {type(exc).__name__}")
+            skipped.append(f"{pmap.value} {sector.value}: {type(exc).__name__}: {exc}")
             continue
         worst = max(worst, rep.max_rel_residual)
     return worst, skipped
@@ -179,23 +181,21 @@ def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:
 
 
 def check_expansion_identity(tol: float = 1e-12) -> ResidualReport:
-    """Expanded Morse coefficient vs the generic bracket on the superpotential."""
+    """Expanded Morse coefficient vs the generic bracket on the superpotential,
+    the six (K, K') pairs as columns of one block per (A, B, a, sector)."""
     xs = np.linspace(0.0, 3.0, 11)
+    K, Kp = (np.array(column)[:, None] for column in zip(*itertools.product((0.0, 1.0, 2.0), (0.0, 2.0))))
+    ext = ExtensionParams(K=K, Kprime=Kp)
     worst = 0.0
     count = 0
-    for A in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        for B in (1.0, 2.0):
-            for a in (0.5, 1.0):
-                for K in (0.0, 1.0, 2.0):
-                    for Kp in (0.0, 2.0):
-                        p = MorseParameters(A=A, B=B, a=a, K=K, Kprime=Kp)
-                        sol = riccati.morse_riccati(p.shape(), RiccatiSign.PLUS)
-                        ext = ExtensionParams(K=K, Kprime=Kp)
-                        for sector in Sector:
-                            lhs = morse.ode_coefficient(p, sector, xs)
-                            rhs = susy.complex_potential_coefficient(sol, ext, sector, xs)
-                            worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
-                            count += xs.size
+    for A, B, a in itertools.product((-1.0, 0.0, 0.5, 1.0, 2.0), (1.0, 2.0), (0.5, 1.0)):
+        p = MorseParameters(A=A, B=B, a=a, K=K, Kprime=Kp)
+        sol = riccati.morse_riccati(p.shape(), RiccatiSign.PLUS)
+        for sector in Sector:
+            lhs = morse.ode_coefficient(p, sector, xs)
+            rhs = susy.complex_potential_coefficient(sol, ext, sector, xs)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
+            count += lhs.size
     return _report("expansion-identity", worst, tol, grid_size=count)
 
 

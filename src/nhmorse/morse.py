@@ -125,7 +125,9 @@ def ode_coefficient(params: MorseParameters, sector: Sector, x) -> complex:
 
     -(B_bar e^{-2ax} - C_i e^{-ax}) + (K^2 - K'^2) - A^2 + 2iK(A - B e^{-ax});
     identical (to roundoff) to the generic bracket evaluated on the Morse
-    superpotential. x may be a float or an array of x.
+    superpotential. x may be a float or an array of x. K and K' may also
+    be (R, 1) columns, one (K, K') pair per row, giving an (R, N) block
+    over x of shape (N,).
     """
     A, B, a, K, Kp = params.A, params.B, params.a, params.K, params.Kprime
     C = params.C1_bar if sector is Sector.FERMIONIC else params.C2_bar

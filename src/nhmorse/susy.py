@@ -61,7 +61,11 @@ def real_partner_potential(R: RiccatiSolution, m: float, sector: Sector, x: floa
 def complex_potential_coefficient(
     R: RiccatiSolution, ext: ExtensionParams, sector: Sector, x
 ) -> complex:
-    """The bracket Q_i(x) = +/-R' + 2iKR + (K^2 - K'^2) - R^2 with w'' + Q_i w = 0; x may be an array."""
+    """The bracket Q_i(x) = +/-R' + 2iKR + (K^2 - K'^2) - R^2 with w'' + Q_i w = 0.
+
+    x may be an array. ext's K and K' may also be (R, 1) columns, one
+    (K, K') pair per row, giving an (R, N) block over x of shape (N,).
+    """
     s = 1.0 if sector is Sector.FERMIONIC else -1.0
     Rx = R.eval_R(x)
     K, Kp = ext.K, ext.Kprime

@@ -4,9 +4,10 @@ Everything here exists to check the closed-form layer without sharing its
 code paths, so it imports nothing of the package but errors: a
 compensated-summation Kummer reference with a majorized tail bound
 (deliberately different accumulation order and stopping rule than
-specfun.kummer_m), a fixed-step RK4 integrator for complex linear
-second-order equations that multiplies the steps' propagators, and
-residual/Wronskian/intertwining evaluators.
+specfun.kummer_m) that takes its terms a chunk at a time, every element
+still summed term by term as the one-element loop sums it, a fixed-step
+RK4 integrator for complex linear second-order equations that multiplies
+the steps' propagators, and residual/Wronskian/intertwining evaluators.
 
 The grid oracles take grid callables (checks builds them from the closed
 forms): Q(xs) or w(xs) returns the coefficient or the values at every
@@ -72,8 +73,10 @@ class ResidualReport:
         return out
 
 
-# reference_kummer gives up after this many terms.
+# reference_kummer gives up after this many terms, and takes them this many
+# at a time.
 _REF_MAX_TERMS = 20_000
+_REF_CHUNK = 8
 
 
 def _named(a: np.ndarray, b: np.ndarray, z: np.ndarray, i) -> str:
@@ -81,8 +84,33 @@ def _named(a: np.ndarray, b: np.ndarray, z: np.ndarray, i) -> str:
     return f"a={complex(a[i])}, b={complex(b[i])}, z={float(z[i])}"
 
 
+def _term_ratios(consts: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios ((a + n) z) / ((b + n)(n + 1)) of reference_kummer's terms
+    for a column n of term numbers, from the first seven rows of its
+    constants: (len(n), 2, L) blocks of (real, imaginary) parts and of
+    (-imaginary, real) parts. The product and the quotient are CPython's
+    _Py_c_prod and _Py_c_quot spelled out."""
+    a_re, a_im_0, a_im_z, b_re, b_im_0, b_im, zs = consts
+    p = a_re + n
+    nr, ni = p * zs - a_im_0, p * 0.0 + a_im_z
+    p = b_re + n
+    dr, di = p * (n + 1) - b_im_0, p * 0.0 + b_im * (n + 1)
+    # Smith's method scales by the larger part x of the denominator; u, v
+    # are the numerator's parts in the same order
+    big = np.abs(dr) >= np.abs(di)
+    x, y = np.where(big, dr, di), np.where(big, di, dr)
+    u, v = np.where(big, nr, ni), np.where(big, ni, nr)
+    ratio = y / x
+    denom = x + y * ratio
+    uq = u * ratio
+    qr = (u + v * ratio) / denom
+    qi = np.where(big, v - uq, uq - v) / denom
+    return np.stack((qr, qi), axis=1), np.stack((-qi, qr), axis=1)
+
+
 # a term or sum that overflows raises NonConvergence here, so numpy need not
-# warn of it; q and the tail may divide by zero where they are not used
+# warn of it; q and the tail may divide by zero where they are not used, and
+# terms past an element's stop may be 0/0
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def reference_kummer(a, b, z, target_rel: float = 1e-13):
     """High-accuracy 1F1(a; b; z) reference, at a float z >= 0 or at every
@@ -99,15 +127,21 @@ def reference_kummer(a, b, z, target_rel: float = 1e-13):
     a, b and z broadcast together. A call with no numpy array among them
     returns a complex, any other an array of the broadcast shape. Every
     element takes the steps of the one-element loop in Python complex
-    arithmetic: the loop spells out CPython's complex product and quotient
-    (Smith's method, dividing by the scaled denominator) in real
-    arithmetic, since numpy's complex division rounds differently, and an
-    element leaves the working arrays once it stops. A non-finite argument
-    or a z < 0 raises ValueError, and a term or sum that goes non-finite
-    raises NonConvergence at once; each names the element's a, b and z.
+    arithmetic: CPython's complex product and quotient (Smith's method,
+    dividing by the scaled denominator) are spelled out in real
+    arithmetic, since numpy's complex division rounds differently. The
+    terms come _REF_CHUNK at a time: the chunk's quotients as one array
+    operation, then the product and the compensated sum term by term,
+    then the stopping rules on the whole chunk. Each element takes its
+    sum at its first stop, and the elements that stopped leave the
+    working arrays once per chunk. A non-finite target_rel or one below
+    1e-14, a non-finite argument or a z < 0 raises ValueError, and a term
+    or sum that goes non-finite at or before its element's stop raises
+    NonConvergence; each names the element's a, b and z, the earliest
+    term first and then the lowest index.
     """
-    if target_rel < 1e-14:
-        raise ValueError(f"target_rel must be >= 1e-14, got {target_rel}")
+    if not 1e-14 <= target_rel < math.inf:
+        raise ValueError(f"target_rel must be finite and >= 1e-14, got {target_rel}")
     is_array = any(isinstance(v, np.ndarray) for v in (a, b, z))
     a, b, z = np.broadcast_arrays(
         np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(z, dtype=float)
@@ -142,56 +176,49 @@ def reference_kummer(a, b, z, target_rel: float = 1e-13):
         np.arange(a.size),
     ))
     N_TERMS, INDEX = 11, 12
-    tr, sr = np.ones(a.size), np.ones(a.size)
-    ti, si, cr, ci = (np.zeros(a.size) for _ in range(4))
-    out = np.empty((a.size, 2))
-
-    def retire(stop: np.ndarray) -> None:
-        """Write out the sums of the elements that stop, and drop them."""
-        nonlocal consts, tr, ti, sr, si, cr, ci
-        if not stop.any():
-            return
-        i = consts[INDEX, stop].astype(np.intp)
-        out[i, 0], out[i, 1] = sr[stop], si[stop]
-        keep = ~stop
-        consts = consts[:, keep]
-        tr, ti, sr, si, cr, ci = tr[keep], ti[keep], sr[keep], si[keep], cr[keep], ci[keep]
-
-    for n in range(_REF_MAX_TERMS):
-        retire(n >= consts[N_TERMS])
+    # a = 0 stops before its first term, at the sum 1
+    out = np.zeros((a.size, 2))
+    out[:, 0] = 1.0
+    consts = consts[:, consts[N_TERMS] > 0]
+    # (real, imaginary) rows of the term, the sum and the compensation
+    t, s, c = np.zeros((3, 2, consts.shape[1]))
+    t[0] = s[0] = 1.0
+    for n0 in range(0, _REF_MAX_TERMS, _REF_CHUNK):
         if not consts.shape[1]:
             break
-        a_re, a_im_0, a_im_z, b_re, b_im_0, b_im, zs, abs_a, abs_b, abs_z, tail_from = consts[:N_TERMS]
-        # t *= ((a + n) z) / ((b + n)(n + 1)): CPython's _Py_c_prod and _Py_c_quot
-        p = a_re + n
-        nr, ni = p * zs - a_im_0, p * 0.0 + a_im_z
-        p = b_re + n
-        dr, di = p * (n + 1) - b_im_0, p * 0.0 + b_im * (n + 1)
-        # Smith's method scales by the larger part x of the denominator; u, v
-        # are the numerator's parts in the same order
-        big = np.abs(dr) >= np.abs(di)
-        x, y = np.where(big, dr, di), np.where(big, di, dr)
-        u, v = np.where(big, nr, ni), np.where(big, ni, nr)
-        ratio = y / x
-        denom = x + y * ratio
-        uq = u * ratio
-        qr = (u + v * ratio) / denom
-        qi = np.where(big, v - uq, uq - v) / denom
-        tr, ti = tr * qr - ti * qi, tr * qi + ti * qr
-        # Kahan-compensated sum
-        yr, yi = tr - cr, ti - ci
-        new_r, new_i = sr + yr, si + yi
-        cr, ci = (new_r - sr) - yr, (new_i - si) - yi
-        sr, si = new_r, new_i
-        abs_total = np.hypot(sr, si)
-        if not abs_total.max() < math.inf:
-            i = int(consts[INDEX, np.argmax(~np.isfinite(abs_total))])
-            raise NonConvergence(f"reference_kummer: term or sum not finite at {_named(a, b, z, i)}")
+        abs_a, abs_b, abs_z, tail_from, n_terms = consts[7:INDEX]
+        # row j of the chunk is term n0 + j
+        n = np.arange(n0, min(n0 + _REF_CHUNK, _REF_MAX_TERMS), dtype=float)[:, None]
+        quot, quot_turned = _term_ratios(consts[:7], n)
+        terms, sums = np.empty_like(quot), np.empty_like(quot)
+        for j in range(len(n)):
+            t = terms[j] = t[0] * quot[j] + t[1] * quot_turned[j]
+            # Kahan-compensated sum
+            dt = t - c
+            new = sums[j] = s + dt
+            c = (new - s) - dt
+            s = new
+        abs_total = np.hypot(sums[:, 0], sums[:, 1])
         # |(a+m)/(b+m)| <= (m+|a|)/(m-|b|) for m > |b|; monotone down in m
         m = n + 1
         q = abs_z * (m + abs_a) / ((m - abs_b) * (m + 1))
-        tail = np.hypot(tr, ti) * q / (1.0 - q)
-        retire((m > tail_from) & (q < 1.0) & (tail <= target_rel * abs_total))
+        tail = np.hypot(terms[:, 0], terms[:, 1]) * q / (1.0 - q)
+        # a = -k stops after term k - 1, if the term limit lets it
+        stop = (m > tail_from) & (q < 1.0) & (tail <= target_rel * abs_total)
+        stop |= (m >= n_terms) & (m < _REF_MAX_TERMS)
+        stopped = stop.any(axis=0)
+        first = np.where(stopped, np.argmax(stop, axis=0), len(n) - 1)
+        # only terms up to an element's stop count: past it, a pole
+        # b = -k behind a terminating a makes the terms 0/0
+        bad = ~(abs_total < math.inf) & (n <= first + n0)
+        if bad.any():
+            i = int(consts[INDEX, np.argmax(bad) % bad.shape[1]])
+            raise NonConvergence(f"reference_kummer: term or sum not finite at {_named(a, b, z, i)}")
+        if stopped.any():
+            i = consts[INDEX, stopped].astype(np.intp)
+            out[i] = sums[first[stopped], :, stopped]
+            keep = ~stopped
+            consts, t, s, c = consts[:, keep], t[:, keep], s[:, keep], c[:, keep]
     if consts.shape[1]:
         raise NonConvergence(f"reference_kummer did not converge: {_named(a, b, z, int(consts[INDEX, 0]))}")
     result = out.view(complex).reshape(shape)
@@ -260,7 +287,7 @@ def integrate_ode(
     is known at block ends only: a non-finite one raises OverflowError
     naming the block's x range.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     if x1 == x0:
         return complex(w0), complex(dw0)

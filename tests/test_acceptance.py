@@ -22,7 +22,7 @@ def _run(name, runtime_limit=None):
 
 
 def test_criterion_01_kummer_oracle():
-    rep = _run("kummer-oracle", runtime_limit=0.25)
+    rep = _run("kummer-oracle", runtime_limit=0.1)
     assert rep.passed and rep.tolerance == 1e-10
 
 
@@ -56,7 +56,7 @@ def test_criterion_06_riccati_closure():
 
 
 def test_criterion_07_expansion_identity():
-    rep = _run("expansion-identity")
+    rep = _run("expansion-identity", runtime_limit=0.1)
     assert rep.passed and rep.tolerance == 1e-12
 
 

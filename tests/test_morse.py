@@ -122,6 +122,33 @@ class TestOdeCoefficient:
                 rhs = susy.complex_potential_coefficient(sol, ext, sector, x)
                 assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
+    def test_expansion_identity_columns_are_the_scalar_calls(self):
+        # the check's six (K, K') pairs as columns give its 240 scalar
+        # (params, sector) calls bit for bit, on both sides, and so the
+        # same worst value over the same 2640 points
+        xs = np.linspace(0.0, 3.0, 11)
+        pairs = list(itertools.product((0.0, 1.0, 2.0), (0.0, 2.0)))
+        K, Kp = (np.array(column)[:, None] for column in zip(*pairs))
+        worst, calls = 0.0, 0
+        for A, B, a in itertools.product((-1.0, 0.0, 0.5, 1.0, 2.0), (1.0, 2.0), (0.5, 1.0)):
+            sol = riccati.morse_riccati(riccati.MorseRiccati(A=A, B=B, a=a), riccati.RiccatiSign.PLUS)
+            block = MorseParameters(A=A, B=B, a=a, K=K, Kprime=Kp)
+            for sector in Sector:
+                lhs = morse.ode_coefficient(block, sector, xs)
+                rhs = susy.complex_potential_coefficient(sol, ExtensionParams(K=K, Kprime=Kp), sector, xs)
+                lhs_rows, rhs_rows = [], []
+                for k, kp in pairs:
+                    p = MorseParameters(A=A, B=B, a=a, K=k, Kprime=kp)
+                    lhs_rows.append(morse.ode_coefficient(p, sector, xs))
+                    rhs_rows.append(susy.complex_potential_coefficient(sol, ExtensionParams(K=k, Kprime=kp), sector, xs))
+                    worst = max(worst, float(np.max(np.abs(lhs_rows[-1] - rhs_rows[-1]) / (1.0 + np.abs(rhs_rows[-1])))))
+                    calls += 1
+                assert lhs.tobytes() == np.array(lhs_rows).tobytes()
+                assert rhs.tobytes() == np.array(rhs_rows).tobytes()
+        rep = checks.check_expansion_identity()
+        assert calls == 240
+        assert (rep.max_rel_residual, rep.grid_size) == (worst, 2640)
+
 
 class TestWavefunction:
     def test_real_at_k_zero_printed(self):
@@ -328,10 +355,10 @@ class TestResidualSweep:
         rep = checks.check_residual_derived()
         assert calls == [Sector.FERMIONIC, Sector.BOSONIC]
         assert not rep.passed
-        assert rep.note == "derived fermionic: NonConvergence"
+        assert rep.note == "derived fermionic: NonConvergence: quadrature did not converge"
         assert 0.0 < rep.max_rel_residual <= 1e-8
         printed = checks.check_residual_printed()
-        assert printed.note.endswith("; skipped printed fermionic: NonConvergence")
+        assert printed.note.endswith("; skipped printed fermionic: NonConvergence: quadrature did not converge")
 
 
 def loop_render_grid(spec):

@@ -77,6 +77,12 @@ class TestReferenceKummer:
         with pytest.raises(ValueError):
             verify.reference_kummer(1.0, 1.0, 1.0, target_rel=1e-16)
 
+    @pytest.mark.parametrize("target_rel", [math.nan, math.inf])
+    def test_non_finite_target_rel_rejected(self, target_rel):
+        # nan once ran all 20,000 terms and inf stopped after the first
+        with pytest.raises(ValueError, match=f"target_rel must be finite and >= 1e-14, got {target_rel}"):
+            verify.reference_kummer(1.0, 2.0, 1.0, target_rel=target_rel)
+
     def test_agreement_with_kummer_m(self):
         import random
 
@@ -169,6 +175,75 @@ class TestReferenceKummer:
             verify.reference_kummer(0.5, np.array([1.5, -2.0, 3.0]), 2.0)
         # a terminating a whose series ends before the pole is no pole
         assert verify.reference_kummer(np.array([-2.0]), np.array([-2.0]), 2.0).shape == (1,)
+
+
+class TestReferenceKummerChunks:
+    """The chunked loop where an element's stop, or its first non-finite
+    term, falls at an edge of a chunk, against the one-element loop."""
+
+    def test_terminating_a_at_the_chunk_edges(self):
+        C = verify._REF_CHUNK
+        a = np.array([0.0, 1.0 - C, -C, -1.0 - C, -2.0 * C])[:, None]
+        z = np.array([0.5, 2.0, 7.5])
+        # b = a puts a pole right behind each stop: the next term is 0/0
+        block = verify.reference_kummer(a, a, z)
+        loop = [[scalar_reference_kummer(ai, ai, zi) for zi in z.tolist()] for ai in a[:, 0].tolist()]
+        assert block.tobytes() == np.array(loop).tobytes()
+
+    def test_terminating_a_at_the_term_limit(self, monkeypatch):
+        # a = -k stops before term k, which the loop reaches only for k
+        # below the term limit; the last chunk is cut short at the limit
+        monkeypatch.setattr(verify, "_REF_MAX_TERMS", 20)
+        last = verify.reference_kummer(np.array([-19.0]), 1.0, 3.0)
+        assert last.tobytes() == np.array([scalar_reference_kummer(-19.0, 1.0, 3.0)]).tobytes()
+        with pytest.raises(NonConvergence, match=r"did not converge: a=\(-20\+0j\)"):
+            verify.reference_kummer(np.array([-19.0, -20.0]), 1.0, 3.0)
+
+    def test_tail_stop_on_the_first_and_last_term_of_a_chunk(self, monkeypatch):
+        # 1F1(1; 2; z) stops on its tail bound at term 15 for z = 1.3 and at
+        # term 16 for z = 1.55: it converges under a limit of one term more
+        # and not under that term count
+        for z, last in ((1.3, 15), (1.55, 16)):
+            monkeypatch.setattr(verify, "_REF_MAX_TERMS", last)
+            with pytest.raises(NonConvergence, match="did not converge"):
+                verify.reference_kummer(1.0, 2.0, z)
+            monkeypatch.setattr(verify, "_REF_MAX_TERMS", last + 1)
+            verify.reference_kummer(1.0, 2.0, z)
+        monkeypatch.undo()
+        rng = random.Random(5)
+        z = np.concatenate([[1.3, 1.55], np.linspace(0.05, 6.0, 24)])
+        a = np.array([[1.0]] + [[complex(rng.uniform(-3, 3), rng.uniform(-3, 3))] for _ in range(3)])
+        b = np.array([[2.0]] + [[complex(rng.uniform(0.5, 4), rng.uniform(-3, 3))] for _ in range(3)])
+        loop = np.array([
+            [scalar_reference_kummer(ai, bi, zi) for zi in z.tolist()]
+            for ai, bi in zip(a[:, 0].tolist(), b[:, 0].tolist())
+        ])
+        # chunks of 16 put term 16 first and term 15 last, chunks of 15
+        # and 17 term 15 first and term 16 last, chunks of 1 every term both
+        for chunk in (1, 2, 15, 16, 17, verify._REF_CHUNK):
+            monkeypatch.setattr(verify, "_REF_CHUNK", chunk)
+            assert verify.reference_kummer(a, b, z).tobytes() == loop.tobytes()
+
+    def test_overflow_after_an_earlier_stop_in_the_same_chunk(self, monkeypatch):
+        # in chunks of 16, terms 16 to 31 form the second: 1F1(-18; -18; 2)
+        # stops at term 17 there (its term 18 is 0/0), and 1F1(1; 2; 1e17)
+        # and 1F1(1; 2.5; 1e17) first overflow at term 19
+        monkeypatch.setattr(verify, "_REF_CHUNK", 16)
+
+        def message(a, b, z):
+            with pytest.raises(NonConvergence, match="not finite") as info:
+                verify.reference_kummer(np.array(a), np.array(b), np.array(z))
+            return str(info.value)
+
+        stopper = verify.reference_kummer(np.array([-18.0]), np.array([-18.0]), np.array([2.0]))
+        assert stopper.tobytes() == np.array([scalar_reference_kummer(-18.0, -18.0, 2.0)]).tobytes()
+        # the lowest index of those that overflow first, the same message as
+        # the element's own float call
+        assert message([-18.0, 1.0, 1.0], [-18.0, 2.5, 2.0], [2.0, 1e17, 1e17]) == message(1.0, 2.5, 1e17)
+        assert message([-18.0, 1.0, 1.0], [-18.0, 2.0, 2.5], [2.0, 1e17, 1e17]) == message(1.0, 2.0, 1e17)
+        # the earliest term before the lowest index: 1F1(1; 2; 1e100)
+        # overflows at term 3
+        assert message([1.0, -18.0, 1.0], [2.0, -18.0, 2.0], [1e17, 2.0, 1e100]) == message(1.0, 2.0, 1e100)
 
 
 def const(c):
@@ -335,6 +410,10 @@ class TestIntegrator:
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             verify.integrate_ode(_one, 0.0, 0.0, 1.0, 1.0, step=-1.0)
+
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="step must be > 0, got nan"):
+            verify.integrate_ode(_one, 0.0, 0.0, 1.0, 1.0, step=math.nan)
 
     def test_whittaker_equation_cross_check(self):
         # integrate the Whittaker normal form in y, seeded at y=1
