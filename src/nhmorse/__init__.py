@@ -14,14 +14,13 @@ from .errors import (
     ParameterPole,
     PoleError,
 )
-from .morse import BoundStateConvention, MorseParameters, ParameterMap
+from .morse import MorseParameters, ParameterMap
 from .riccati import MorseRiccati, RiccatiSign, RiccatiSolution
 from .specfun import WhittakerIndices
 from .susy import ExtensionParams, Ladder, RealCaseParams, Sector
 from .verify import Grid1D, ResidualReport
 
 __all__ = [
-    "BoundStateConvention",
     "EvaluationError",
     "ExtensionParams",
     "Grid1D",

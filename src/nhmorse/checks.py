@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import morse, riccati, specfun, susy, verify
-from .morse import BoundStateConvention, MorseParameters, ParameterMap
+from .morse import MorseParameters, ParameterMap
 from .riccati import MorseRiccati, RiccatiSign
 from .susy import ExtensionParams, Ladder, Sector
 from .verify import Grid1D, ResidualReport
@@ -75,17 +75,18 @@ def _solution_params(K: float, kind: str) -> MorseParameters:
 
 def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
     """The worst residual of the M and W solutions at K in {0, 0.5, 1, 2},
-    one block of eight rows per sector, and a note for each block that
-    raised instead, naming the map, the sector, the exception and its
-    message."""
+    one block of eight rows per sector whose coefficient is one
+    ode_coefficient call over the rows' (K, K') columns, and a note for
+    each block that raised instead, naming the map, the sector, the
+    exception and its message."""
     grid = Grid1D(0.0, 3.0, 301)
     rows = [_solution_params(K, kind) for K in (0.0, 0.5, 1.0, 2.0) for kind in ("m", "w")]
+    K, Kp = (np.array(column)[:, None] for column in zip(*((p.K, p.Kprime) for p in rows)))
+    columns = MorseParameters(K=K, Kprime=Kp)
     worst = 0.0
     skipped: list[str] = []
     for sector in Sector:
-        def Q(xs: np.ndarray, sector=sector) -> np.ndarray:
-            return np.array([morse.ode_coefficient(p, sector, xs) for p in rows])
-
+        Q = partial(morse.ode_coefficient, columns, sector)
         derivs = partial(morse.wavefunction_derivs_grid, rows, sector, pmap)
         try:
             rep = verify.ode_residual(Q, derivs, grid, tol=tol)
@@ -106,18 +107,16 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
 
 
 def bound_state_residual(
-    A: float, B: float, a: float, n: int, convention: BoundStateConvention, kprime_sq: float, grid: Grid1D,
-    tol: float = 1e-8,
+    A: float, B: float, a: float, n: int, sector: Sector, kprime_sq: float, grid: Grid1D, tol: float = 1e-8,
 ) -> ResidualReport:
-    """Residual of the hermitic bound-state candidate in the K = 0 bosonic
+    """Residual of the sector's hermitic bound state n in that sector's K = 0
     equation with the given eigenvalue K'^2 (which may be negative)."""
-    B_bar, C2_bar = B * B, B * (2.0 * A - a)
+    hermitic = MorseParameters(A=A, B=B, a=a, K=0.0, Kprime=0.0)
 
     def Q(xs: np.ndarray) -> np.ndarray:
-        e = np.exp(-a * xs)
-        return -(B_bar * e * e - C2_bar * e) - kprime_sq - A * A + 0j
+        return morse.ode_coefficient(hermitic, sector, xs) - kprime_sq
 
-    derivs = partial(morse.bound_state_wave_derivs, A, B, a, n, convention)
+    derivs = partial(morse.bound_state_wave_derivs, A, B, a, n, sector)
     return verify.ode_residual(Q, derivs, grid, tol=tol)
 
 
@@ -242,16 +241,14 @@ def check_grid_shape(tol: float = 1e-12) -> ResidualReport:
     problems = []
     if first != second:
         problems.append("output not deterministic")
-    if lines[0] != "x,K,y,re,im":
+    if lines[0] != morse.HEADER:
         problems.append(f"bad header {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln]
     if len(body) != 61 * 41:
         problems.append(f"expected {61*41} rows, got {len(body)}")
-    worst_im = 0.0
-    for ln in body:
-        parts = ln.split(",")
-        if float(parts[1]) == 0.0:
-            worst_im = max(worst_im, abs(float(parts[4])))
+    # the K = 0 rows, picked by their K field; only their im field is parsed
+    k0_im = (ln.rsplit(",", 1)[1] for ln in body if ln.split(",", 2)[1] == "0")
+    worst_im = max((abs(float(im)) for im in k0_im), default=0.0)
     rep = _report("grid-shape", worst_im, tol, grid_size=len(body), note="; ".join(problems))
     if problems:
         rep.passed = False

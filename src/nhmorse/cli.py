@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import checks, morse, verify
-from .morse import BoundStateConvention, GridSpec, MorseParameters, ParameterMap, render_grid
+from .morse import GridSpec, MorseParameters, ParameterMap, render_grid
 from .morse import HEADER  # noqa: F401 - not used here; perfbench reads cli.HEADER
 from .riccati import morse_y
 from .susy import Sector
@@ -32,8 +32,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--B", type=float, default=2.0)
     p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--K", type=float, default=0.0)
-    p.add_argument("--Kprime", type=float, default=2.0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,6 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("grid", help="emit a wavefunction grid as CSV")
     _add_shared_flags(g)
+    g.add_argument("--Kprime", type=float, default=2.0)
     g.add_argument("--component", choices=[s.value for s in Sector], default="bosonic")
     g.add_argument("--param-map", choices=[m.value for m in ParameterMap], default="printed")
     g.add_argument("--solution", choices=["m", "w", "mix"], default="m",
@@ -58,13 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="print index/coefficient table")
     _add_shared_flags(p)
+    p.add_argument("--K", type=float, default=0.0)
+    p.add_argument("--Kprime", type=float, default=2.0)
     p.add_argument("--x-min", type=float, default=0.0)
     p.add_argument("--x-max", type=float, default=3.0)
 
-    b = sub.add_parser("bound-states", help="hermitic bound-state table with residuals")
+    b = sub.add_parser("bound-states", help="hermitic bound states of both sectors with residuals")
     _add_shared_flags(b)
-    b.add_argument("--convention", choices=[c.value for c in BoundStateConvention],
-                   default="paper")
 
     v = sub.add_parser("verify", help="run the verification suite")
     v.add_argument("--only", default=None, metavar="CHECK",
@@ -142,25 +141,25 @@ def cmd_params(args) -> int:
 
 
 def cmd_bound_states(args) -> int:
-    convention = BoundStateConvention(args.convention)
     A, B, a = args.A, args.B, args.a
     grid = verify.Grid1D(0.0, 3.0, 301)
     rows = []
-    n = 0
-    while morse.bound_state_exponent(A, a, n, convention) > 0.0:
-        kprime = morse.bound_state_kprime(A, a, n, convention)
-        s = morse.bound_state_exponent(A, a, n, convention)
-        kp2_matched = a * a * s * s - A * A
-        res_conv = checks.bound_state_residual(A, B, a, n, convention, kprime * kprime, grid)
-        res_matched = checks.bound_state_residual(A, B, a, n, convention, kp2_matched, grid)
-        rows.append((n, kprime, s, res_conv.max_rel_residual, res_matched.max_rel_residual))
-        n += 1
+    for sector in Sector:
+        n = 0
+        while (s := morse.bound_state_exponent(A, a, n, sector)) > 0.0:
+            # bosonic level n is fermionic level n + 1
+            kprime = A - a * (n + (sector is Sector.BOSONIC))
+            kp2_matched = a * a * s * s - A * A
+            res_conv = checks.bound_state_residual(A, B, a, n, sector, kprime * kprime, grid)
+            res_matched = checks.bound_state_residual(A, B, a, n, sector, kp2_matched, grid)
+            rows.append((sector.value, n, kprime, s, res_conv.max_rel_residual, res_matched.max_rel_residual))
+            n += 1
     if not rows:
         print("no bound states")
         return 0
-    print("n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)")
-    for n, kprime, s, r1, r2 in rows:
-        print(f"{n}  {kprime:.17g}  {s:.17g}  {r1:.3e}  {r2:.3e}")
+    print("sector  n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)")
+    for sector, n, kprime, s, r1, r2 in rows:
+        print(f"{sector}  {n}  {kprime:.17g}  {s:.17g}  {r1:.3e}  {r2:.3e}")
     return 0
 
 

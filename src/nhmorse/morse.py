@@ -37,11 +37,6 @@ class ParameterMap(str, Enum):
     DERIVED = "derived"
 
 
-class BoundStateConvention(str, Enum):
-    PAPER = "paper"      # K' = A - a n
-    SHIFTED = "shifted"  # K' = A - a (n + 1)
-
-
 @dataclass(frozen=True)
 class MorseParameters:
     """Full parameter record: Morse shape (A, B, a), extension (K, K'),
@@ -311,34 +306,20 @@ def render_grid(spec: GridSpec) -> str:
     return "".join(lines)
 
 
-def bound_state_exponent(A: float, a: float, n: int, convention: BoundStateConvention) -> float:
-    """The power of y in the hermitic bound-state profile."""
-    if convention is BoundStateConvention.PAPER:
-        return A / a - n
-    return A / a - n - 1
+def bound_state_exponent(A: float, a: float, n: int, sector: Sector) -> float:
+    """The power of y in the hermitic bound-state profile: A/a - n in the
+    fermionic sector, one less in the bosonic one, whose states are the
+    fermionic ones without the ground state (the SUSY partners)."""
+    s = A / a - n
+    return s - 1 if sector is Sector.BOSONIC else s
 
 
-def bound_state_kprime(A: float, a: float, n: int, convention: BoundStateConvention) -> float:
-    """Quantized K' value under the chosen convention."""
-    if convention is BoundStateConvention.PAPER:
-        return A - a * n
-    return A - a * (n + 1)
-
-
-def hermitic_bound_state(
-    A: float,
-    B: float,
-    a: float,
-    n: int,
-    convention: BoundStateConvention,
-    x: float,
-) -> float:
-    """Hermitic (K = 0) bound-state candidate
-    (2B/a)^{1/2} y^s e^{-y/2} L_n^{2s}(y), s per convention, up to its
-    constant amplitude."""
+def hermitic_bound_state(A: float, B: float, a: float, n: int, sector: Sector, x: float) -> float:
+    """Hermitic (K = 0) bound state n of the sector,
+    (2B/a)^{1/2} y^s e^{-y/2} L_n^{2s}(y), up to its constant amplitude."""
     if n < 0:
         raise ValueError(f"require n >= 0, got {n}")
-    s = bound_state_exponent(A, a, n, convention)
+    s = bound_state_exponent(A, a, n, sector)
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
     shape = MorseRiccati(A=A, B=B, a=a)
@@ -347,16 +328,16 @@ def hermitic_bound_state(
 
 
 def bound_state_wave_derivs(
-    A: float, B: float, a: float, n: int, convention: BoundStateConvention, x: float
+    A: float, B: float, a: float, n: int, sector: Sector, x: float
 ) -> tuple[complex, complex, complex]:
-    """(w, w', w'') of the bound-state candidate, up to its constant
+    """(w, w', w'') of bound state n of the sector, up to its constant
     amplitude, at a float x or elementwise over an array of them.
 
-    Uses the exact proportionality of the candidate to
+    Uses the exact proportionality of the state to
     e^{ax/2} M_{s+n+1/2, s}(y) (terminating Kummer series), so the
     derivatives are analytic.
     """
-    s = bound_state_exponent(A, a, n, convention)
+    s = bound_state_exponent(A, a, n, sector)
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
     idx = WhittakerIndices(kappa=complex(s + n + 0.5), mu=complex(s))

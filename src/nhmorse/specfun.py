@@ -519,18 +519,13 @@ def _tricomi_derivs(a, b, z):
     if isinstance(z, np.ndarray):
         shape = np.broadcast_shapes(a.shape, z.shape)
         a, b, z = a.reshape(-1, 1), b.reshape(-1, 1), z.ravel()
-        if (a.real >= 1.0).all():
-            return tuple(v.reshape(shape) for v in _tricomi_block(a, b, z)[:3])
         integer = (a.imag == 0.0) & (a.real <= 0.0) & (a.real == np.round(a.real))
         n = np.where(integer, -a.real, np.maximum(0.0, np.ceil(1.0 - a.real))).astype(int)
         a0 = np.where(integer, 0.0, a + n)
         shifted = ~integer[:, 0]
-        if shifted.all():
-            state = _tricomi_block(a0, b, z)
-        else:
-            state = np.zeros((6, a.shape[0], z.size), dtype=complex)
-            state[0, ~shifted] = 1.0
-            state[:, shifted] = _tricomi_block(a0[shifted], b[shifted], z)
+        state = np.zeros((6, a.shape[0], z.size), dtype=complex)
+        state[0, ~shifted] = 1.0
+        state[:, shifted] = _tricomi_block(a0[shifted], b[shifted], z)
         for m in range(int(n.max(initial=0))):
             r = np.flatnonzero(n[:, 0] > m)
             state[:, r] = _recur_down(a0[r], b[r], z, m, *state[:, r])

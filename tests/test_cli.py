@@ -216,33 +216,74 @@ class TestParams:
         assert "K = 1.0000000000000001e+300" in err
 
 
+def bound_state_rows(out: str) -> list[list[str]]:
+    """The bound-state table's rows split into their fields, header dropped."""
+    lines = out.splitlines()
+    assert lines[0] == "sector  n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)"
+    return [line.split() for line in lines[1:]]
+
+
 class TestBoundStates:
+    # the paper's pairing K' = A - a n is the fermionic sector's spectrum,
+    # the shifted K' = A - a (n + 1) the bosonic one's; the table lists both
     def test_paper_convention_rows(self, capsys):
-        code, out, _ = run(capsys, "bound-states", "--convention", "paper")
+        code, out, _ = run(capsys, "bound-states")
         assert code == 0
         lines = out.splitlines()
-        assert lines[1].startswith("0  1  2")
-        assert lines[2].startswith("1  0.5  1")
-        assert len(lines) == 3
+        assert lines[1].startswith("fermionic  0  1  2  ")
+        assert lines[2].startswith("fermionic  1  0.5  1  ")
+        assert sum(line.startswith("fermionic") for line in lines) == 2
 
     def test_shifted_convention_rows(self, capsys):
-        code, out, _ = run(capsys, "bound-states", "--convention", "shifted")
+        code, out, _ = run(capsys, "bound-states")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("0  0.5  1")
+        assert len(lines) == 4
+        assert [line for line in lines if line.startswith("bosonic")] == [lines[3]]
+        assert lines[3].startswith("bosonic  0  0.5  1  ")
 
     def test_no_bound_states(self, capsys):
-        code, out, _ = run(capsys, "bound-states", "--A", "1", "--a", "2",
-                           "--convention", "shifted")
+        # at A = 0 the fermionic n = 0 exponent is 0: a spectral
+        # singularity, not a state
+        code, out, _ = run(capsys, "bound-states", "--A", "0")
         assert code == 0
-        assert "no bound states" in out
+        assert out == "no bound states\n"
+
+    def test_fermionic_ground_state_only(self, capsys):
+        code, out, _ = run(capsys, "bound-states", "--A", "1", "--a", "2")
+        assert code == 0
+        assert [row[:4] for row in bound_state_rows(out)] == [["fermionic", "0", "1", "0.5"]]
 
     def test_shifted_matched_residual_small(self, capsys):
-        _, out, _ = run(capsys, "bound-states", "--convention", "shifted")
-        row = out.splitlines()[1].split()
-        assert float(row[4]) <= 1e-8  # matched eigenvalue solves the ODE
-        assert float(row[3]) > 1e-3   # published real K' does not
+        _, out, _ = run(capsys, "bound-states")
+        row = bound_state_rows(out)[2]
+        assert row[0] == "bosonic"
+        assert float(row[5]) <= 1e-8  # matched eigenvalue solves the ODE
+        assert float(row[4]) > 1e-3   # published real K' does not
+
+    def test_every_matched_residual_small(self, capsys):
+        # each state is checked in its own sector's equation
+        _, out, _ = run(capsys, "bound-states")
+        rows = bound_state_rows(out)
+        assert {row[0] for row in rows} == {"fermionic", "bosonic"}
+        assert [row[:2] for row in rows if not float(row[5]) <= 1e-8] == []
+
+    def test_bosonic_row_is_the_next_fermionic_row(self, capsys):
+        # SUSY partners: the bosonic spectrum is the fermionic one without
+        # its ground state
+        _, out, _ = run(capsys, "bound-states")
+        rows = bound_state_rows(out)
+        fermionic = {int(row[1]): row[2:4] for row in rows if row[0] == "fermionic"}
+        bosonic = {int(row[1]): row[2:4] for row in rows if row[0] == "bosonic"}
+        assert bosonic == {n - 1: kp_s for n, kp_s in fermionic.items() if n >= 1}
+
+    @pytest.mark.parametrize("argv", [
+        "bound-states --convention paper", "bound-states --K 1", "bound-states --Kprime 1", "grid --K 1",
+    ])
+    def test_removed_flags_exit_2(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
 
 
 class TestVerify:
@@ -285,7 +326,7 @@ class TestMisc:
         "grid --nx -1", "grid --nK -2", "grid --B -1", "params --B 0", "params --a -1",
         "bound-states --B 0", "bound-states --a 0", "bound-states --a -1",
         "grid --Kprime nan", "grid --x-min=-inf", "grid --K-max inf", "params --A inf",
-        "params --x-max nan", "bound-states --A inf", "bound-states --K=-inf",
+        "params --x-max nan", "bound-states --A inf", "params --K=-inf",
         "grid --alpha nan --nx 2 --nK 2", "grid --solution w --beta inf --nx 2 --nK 2",
     ])
     def test_nonpositive_parameter_exits_2(self, capsys, argv):

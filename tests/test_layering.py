@@ -62,3 +62,11 @@ def test_removed_specfun_paths_stay_out():
 def test_one_triple_grid_entry_point():
     # wavefunction_derivs_grid replaced the one-row wavefunction_derivs_row
     assert "wavefunction_derivs_row" not in "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+
+
+def test_one_bound_state_index_rule():
+    # the bound states are indexed by Sector: the two-value convention enum
+    # and its separate K' rule are gone
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [gone for gone in ("BoundStateConvention", "bound_state_kprime") if gone in text] == []
+    assert not hasattr(nhmorse, "BoundStateConvention")

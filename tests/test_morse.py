@@ -15,7 +15,7 @@ import pytest
 
 from nhmorse import checks, morse, riccati, specfun, susy, verify
 from nhmorse.errors import NonConvergence, NonNormalizable
-from nhmorse.morse import BoundStateConvention, GridSpec, MorseParameters, ParameterMap
+from nhmorse.morse import GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import ExtensionParams, Sector
 from nhmorse.verify import Grid1D
 
@@ -437,47 +437,51 @@ class TestLaguerreForm:
 
 
 class TestBoundStates:
+    # the paper's pairing K' = A - a n is the fermionic sector's spectrum,
+    # the shifted K' = A - a (n + 1) the bosonic one's
     def test_non_normalizable(self):
         with pytest.raises(NonNormalizable):
-            morse.hermitic_bound_state(1.0, 2.0, 0.5, 2, BoundStateConvention.PAPER, 0.0)
+            morse.hermitic_bound_state(1.0, 2.0, 0.5, 2, Sector.FERMIONIC, 0.0)
         with pytest.raises(NonNormalizable):
-            morse.hermitic_bound_state(1.0, 2.0, 2.0, 0, BoundStateConvention.SHIFTED, 0.0)
+            morse.hermitic_bound_state(1.0, 2.0, 2.0, 0, Sector.BOSONIC, 0.0)
 
     def test_ground_state_positive_profile(self):
         for x in np.linspace(-1.0, 4.0, 9):
-            w = morse.hermitic_bound_state(1.0, 2.0, 0.5, 0, BoundStateConvention.SHIFTED, x)
+            w = morse.hermitic_bound_state(1.0, 2.0, 0.5, 0, Sector.BOSONIC, x)
             assert w.real > 0.0 and w.imag == 0.0
 
     def test_shifted_matched_eigenvalue_solves_ode(self):
-        # the residual oracle decides the pairing: shifted convention with
+        # the residual oracle decides the pairing: the bosonic state with
         # K'^2 = a^2 s^2 - A^2 (negative) solves the printed bosonic equation
         A, B, a, n = 1.0, 2.0, 0.5, 0
-        s = morse.bound_state_exponent(A, a, n, BoundStateConvention.SHIFTED)
+        s = morse.bound_state_exponent(A, a, n, Sector.BOSONIC)
         kp2 = a * a * s * s - A * A
-        rep = checks.bound_state_residual(
-            A, B, a, n, BoundStateConvention.SHIFTED, kp2, Grid1D(0.0, 3.0, 101)
-        )
+        rep = checks.bound_state_residual(A, B, a, n, Sector.BOSONIC, kp2, Grid1D(0.0, 3.0, 101))
         assert kp2 < 0.0
         assert rep.passed, rep.line()
 
     def test_paper_convention_documented_failure(self):
-        # with K' = A - a n real, the candidate does not solve the printed
-        # bosonic equation; the residual is recorded, not hidden
+        # with K' = A - a n real, the fermionic state does not solve the
+        # printed fermionic equation; the residual is recorded, not hidden
         A, B, a, n = 1.0, 2.0, 0.5, 0
-        kp = morse.bound_state_kprime(A, a, n, BoundStateConvention.PAPER)
-        rep = checks.bound_state_residual(
-            A, B, a, n, BoundStateConvention.PAPER, kp * kp, Grid1D(0.0, 3.0, 101)
-        )
+        kp = A - a * n
+        rep = checks.bound_state_residual(A, B, a, n, Sector.FERMIONIC, kp * kp, Grid1D(0.0, 3.0, 101))
         assert math.isfinite(rep.max_rel_residual)
         assert rep.max_rel_residual > 1e-3
 
+    def test_bosonic_level_n_is_fermionic_level_n_plus_1(self):
+        # the same exponent, so the same eigenvalue K'^2 = a^2 s^2 - A^2
+        for A, a, n in ((1.0, 0.5, 0), (3.0, 0.5, 2), (2.5, 0.7, 1)):
+            bosonic = morse.bound_state_exponent(A, a, n, Sector.BOSONIC)
+            assert bosonic == morse.bound_state_exponent(A, a, n + 1, Sector.FERMIONIC)
+
     def test_candidate_proportional_to_closed_form(self):
         A, B, a, n = 1.0, 2.0, 0.5, 1
-        conv = BoundStateConvention.PAPER
+        sector = Sector.FERMIONIC
         ratios = []
         for x in np.linspace(0.0, 2.0, 5):
-            direct = morse.hermitic_bound_state(A, B, a, n, conv, x)
-            wave = morse.bound_state_wave_derivs(A, B, a, n, conv, x)[0]
+            direct = morse.hermitic_bound_state(A, B, a, n, sector, x)
+            wave = morse.bound_state_wave_derivs(A, B, a, n, sector, x)[0]
             ratios.append(direct / wave)
         assert max(abs(r - ratios[0]) for r in ratios) <= 1e-10 * abs(ratios[0])
 
