@@ -18,6 +18,7 @@ K != 0 or K' != 0). kappa_1 and kappa_2 agree between the maps.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -111,7 +112,8 @@ def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
         under += A * A
     mu = cmath.sqrt(under) / a
     if not (cmath.isfinite(kappa1) and cmath.isfinite(kappa2) and cmath.isfinite(mu)):
-        raise OverflowError(f"Whittaker indices overflow at K = {K:.17g}, K' = {Kp:.17g}")
+        K_text, Kp_text = _g17([K, Kp])
+        raise OverflowError(f"Whittaker indices overflow at K = {K_text}, K' = {Kp_text}")
     return Indices(kappa1=kappa1, kappa2=kappa2, mu=mu)
 
 
@@ -247,7 +249,12 @@ def wavefunction_grid(
     on = np.flatnonzero(beta[:, 0])
     for r in (on[i : i + _W_ROWS] for i in range(0, on.size, _W_ROWS)):
         core[r] += beta[r] * specfun.tricomi_u(a[r], b[r], y)
-    return math.sqrt(2.0 * shape.B / shape.a) * np.exp(idx.mu * np.log(y) - 0.5 * y) * core
+    # far out in x, y underflows to 0 (where a W term has already raised);
+    # log y is then log(2B/a) - a x, so y^mu = e^{mu log y} keeps its value
+    # at every finite x
+    with np.errstate(divide="ignore"):
+        log_y = np.where(y > 0.0, np.log(y), math.log(2.0 * shape.B / shape.a) - shape.a * xs)
+    return math.sqrt(2.0 * shape.B / shape.a) * np.exp(idx.mu * log_y - 0.5 * y) * core
 
 
 HEADER = "x,K,y,re,im"
@@ -274,36 +281,225 @@ class GridSpec:
     nK: int = 41
 
 
+# Tables of _format_g17. 10^s is an exact double for s <= 21 (5^21 < 2^53);
+# _POW10_HI + _POW10_LO is its Dekker split.
+_SPLIT = 134217729.0  # 2^27 + 1
+_POW10 = np.array([float(10**s) for s in range(22)])
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_IPOW10 = 10 ** np.arange(8)
+_MINUS, _DOT = np.frombuffer(b"-\0\0\0.\0\0\0", np.uint32)
+# offsets of the variants of _digit_words
+_LEAD, _LEAD0, _TRAIL = np.int32(10000), np.int32(20000), np.int32(30000)
+
+
+def _decades() -> np.ndarray:
+    """The least double >= 10^e for e = -5..17, at index e + 5."""
+    out = []
+    for e in range(-5, 18):
+        d = 10.0**e
+        n, m = d.as_integer_ratio()
+        if n * 10 ** max(-e, 0) < m * 10 ** max(e, 0):  # d = n/m < 10^e
+            d = math.nextafter(d, math.inf)
+        out.append(d)
+    return np.array(out)
+
+
+_DECADES = _decades()
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999 as one uint32 in memory
+    order, in four variants of 10000 words: every digit; leading zeros as
+    NUL; the same but keeping the last digit; trailing zeros as NUL. Built
+    on first use and read-only, so a program that writes no grid never
+    holds it."""
+    digits = np.moveaxis(np.indices((10,) * 4, dtype=np.uint8), 0, -1).reshape(10000, 4) + np.uint8(48)
+    nonzero = digits != 48
+    lead = np.logical_or.accumulate(nonzero, axis=1)
+    lead0 = lead | (np.arange(4) == 3)
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    words = np.array([digits, digits * lead, digits * lead0, digits * trail]).view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
+
+def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, E, fixed): |v| rounded half-to-even to 17 digits as N 10^(E-16),
+    10^16 <= N < 10^17, where '%.17g' writes v in fixed notation (rounded
+    |v| in [1e-4, 1e17)); N = E = 0 elsewhere, and fixed marks those
+    elements and ±0.
+
+    E = floor(log10|v|) comes from the binary exponent and one comparison
+    with the least double >= 10^(E+1). |v| 10^(16-E) is the exact
+    double-double hi + lo (Dekker's TwoProduct; 10^(16-E) is an exact
+    double), and N = hi + rint(lo) is its half-to-even rounding, since hi
+    is an even integer >= 2^53. N never rounds up to 10^17: that needs a
+    double within 5e-18 (relative) below 10^(E+1), and for every power of
+    ten from 1e-4 to 1e17 the nearest double below it is 8e-17 or more away.
+    """
+    a = np.abs(v)
+    # the elements that may round into [1e-4, 1e17)
+    fast = (a >= 9e-5) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    # a = m 2^e, m in [0.5, 1): floor(log10 a) is floor((e - 1) log10 2),
+    # which (e - 1) 78913 >> 18 equals here, or one more
+    E = (np.frexp(a)[1].astype(np.int64) - 1) * 78913 >> 18
+    E += a >= _DECADES[E + 6]
+    s = 16 - E
+    hi = a * _POW10[s]
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= E >= -4
+    N[~fast] = 0
+    E[~fast] = 0
+    return N, E, fast | (v == 0.0)
+
+
+def _digit_groups(N: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The 4-digit groups of N 10^(E+4) < 10^37, most significant first,
+    as int32 rows: the last five are the fraction (decimal places -1 to
+    -20), the ones before them the integer part from the first group that
+    holds a digit of some element."""
+    # five 8-digit limbs, the decimal places 19 to -20: N 10^r,
+    # r = (E+4) mod 8, takes three of them, shifted down by (E+4) div 8
+    s = E + 4
+    scale = _IPOW10[s & 7]
+    high = N // 10**8
+    low = (N - high * 10**8) * scale
+    high *= scale
+    low_carry = low // 10**8
+    high_carry = high // 10**8
+    limbs = np.zeros((5, N.size), np.int32)
+    flat = limbs.reshape(-1)
+    at = (2 - (s >> 3)) * N.size + np.arange(N.size)
+    flat[at] = high_carry
+    flat[at + N.size] = low_carry + high - high_carry * 10**8
+    flat[at + 2 * N.size] = low - low_carry * 10**8
+    # integer group j holds the places 19 - 4j to 16 - 4j
+    first = (19 - max(int(E.max(initial=0)), 0)) // 4
+    limbs = limbs[first // 2 :]
+    groups = np.empty((2 * len(limbs), N.size), np.int32)
+    groups[0::2] = limbs // 10**4
+    groups[1::2] = limbs - groups[0::2] * 10**4
+    return groups[first % 2 :]
+
+
+def _format_g17(values) -> np.ndarray:
+    """The '%.17g' text of every element of a float array, as the rows of an
+    (M, W) uint8 array: row i with its NUL bytes deleted is
+    b'%.17g' % values.flat[i].
+
+    ±0 and the values that '%.17g' writes in fixed notation take an array
+    path: _round17 rounds them exactly, and N 10^(E+4) is laid out about a
+    fixed point in 4-digit table words whose leading (integer) and
+    trailing (fraction) zeros are NUL, as %g strips them; the sign and the
+    point take a word each. Every other element (nan, ±inf, subnormals,
+    scientific notation) is formatted by '%.17g' itself.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    N, E, fixed = _round17(v)
+    groups = _digit_groups(N, E)
+    n_int = len(groups) - 5
+    # blank[j]: this integer group and those before it, or this fraction
+    # group and those after it, are all zero. An integer group drops its
+    # leading zeros where every group before it is zero, the units group
+    # keeping one digit; a fraction group drops its trailing zeros where
+    # every group after it is zero.
+    blank = groups == 0
+    for j in range(1, n_int - 1):
+        blank[j] &= blank[j - 1]
+    for j in range(n_int + 3, n_int - 1, -1):
+        blank[j] &= blank[j + 1]
+    if n_int > 1:
+        groups[0] += _LEAD
+        groups[1 : n_int - 1] += _LEAD * blank[: n_int - 2]
+        groups[n_int - 1] += _LEAD0 * blank[n_int - 2]
+    else:
+        groups[0] += _LEAD0
+    groups[n_int:-1] += _TRAIL * blank[n_int + 1 :]
+    groups[-1] += _TRAIL
+    # only the fraction groups that hold a digit of some element are written
+    n_frac = 5 - int(np.count_nonzero(blank[n_int:].all(axis=1)))
+    slow = np.flatnonzero(~fixed)
+    texts = [b"%.17g" % x for x in v[slow].tolist()]
+    width = max([1 + n_int + (1 + n_frac if n_frac else 0)] + [(len(t) + 3) // 4 for t in texts])
+    out = np.zeros((v.size, width), np.uint32)
+    out[:, 0] = np.signbit(v) * _MINUS
+    words = _digit_words()
+    out[:, 1 : 1 + n_int] = words[groups[:n_int]].T
+    if n_frac:
+        out[:, 1 + n_int] = np.where(blank[n_int], 0, _DOT)
+        out[:, 2 + n_int : 2 + n_int + n_frac] = words[groups[n_int : n_int + n_frac]].T
+    if texts:
+        out[slow] = np.frombuffer(b"".join(t.ljust(4 * width, b"\0") for t in texts), np.uint32).reshape(-1, width)
+    return out.view(np.uint8)
+
+
+def _g17(values) -> list[str]:
+    """'%.17g' % v for every element v of values, by _format_g17."""
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in _format_g17(values)]
+
+
+def _packed(values) -> np.ndarray:
+    """The '%.17g' text of every element of values, left-aligned in NUL-padded
+    uint8 rows of the fewest bytes."""
+    packed = np.array(_g17(values), dtype="S")
+    return packed.view(np.uint8).reshape(packed.size, packed.itemsize)
+
+
+# render_grid formats and joins this many points of the grid at a time,
+# which bounds the memory of its byte blocks.
+_GRID_BLOCK = 1024
+
+
 def render_grid(spec: GridSpec) -> str:
     """CSV text for the grid: K outer loop ascending, x inner ascending; the whole
     K x x block is evaluated in one call, and its failure raised as a RuntimeError
     naming the grid's K and x range.
 
-    x and y are formatted once, into a row template that every K row fills
-    with its K and its values; '%.17g' writes the same bytes as
-    f'{v:.17g}', signed zeros, nan and inf included.
+    Every number is written by _format_g17, the bytes of '%.17g'.
+    The lines are laid out _GRID_BLOCK points at a time as one uint8 block,
+    one row per line: the x, K, y, re and im fields, each followed by its
+    separator; deleting the block's NUL bytes leaves its lines of the CSV.
+    x and y are formatted once for every K row, and K once for its row.
     """
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
-    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
+    Ks = np.linspace(spec.K_min, spec.K_max, spec.nK)
     amps = dict(alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta)
-    rows = [MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime, **amps) for K in Ks]
+    rows = [MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime, **amps) for K in Ks.tolist()]
     try:
         w = wavefunction_grid(rows, spec.component, spec.param_map, xs)
     except Exception as exc:
+        K_first, K_last, x_first, x_last = _g17([Ks[0], Ks[-1], xs[0], xs[-1]])
         raise RuntimeError(
-            f"evaluation failed on the grid K={Ks[0]:.17g} to {Ks[-1]:.17g}, "
-            f"x={xs[0]:.17g} to {xs[-1]:.17g}: {exc}"
+            f"evaluation failed on the grid K={K_first} to {K_last}, x={x_first} to {x_last}: {exc}"
         ) from exc
     ys = riccati.morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
-    template = "".join(f"{x:.17g},{{K}},{y:.17g},%.17g,%.17g\n" for x, y in zip(xs.tolist(), ys.tolist()))
-    # the header goes in the joined list: prepending it after the join
-    # would copy the whole text once more
-    lines = [HEADER + "\n"]
-    # re and im of each x in turn, converted to Python floats one row at a time
-    values = np.stack((w.real, w.imag), -1)
-    for K, row in zip(Ks, values):
-        lines.append(template.replace("{K}", f"{K:.17g}") % tuple(row.ravel().tolist()))
-    return "".join(lines)
+    x_text, K_text, y_text = _packed(xs), _packed(Ks), _packed(ys)
+    chunks = [HEADER + "\n"]
+    step = max(1, _GRID_BLOCK // max(xs.size, 1))
+    for r in range(0, Ks.size, step):
+        block = w[r : r + step]
+        text = _format_g17(np.stack((block.real, block.imag), -1))
+        values = text.reshape(*block.shape, 2, text.shape[1])
+        fields = (x_text, K_text[r : r + step, None], y_text, values[..., 0, :], values[..., 1, :])
+        widths = [f.shape[-1] for f in fields]
+        line = sum(widths) + len(fields)
+        buffer = bytearray(block.size * line)
+        lines = np.frombuffer(buffer, np.uint8).reshape(*block.shape, line)
+        at = 0
+        for field, width, sep in zip(fields, widths, b",,,,\n"):
+            lines[..., at : at + width] = field
+            lines[..., at + width] = sep
+            at += width + 1
+        chunks.append(buffer.translate(None, b"\0").decode("ascii"))
+    return "".join(chunks)
 
 
 def bound_state_exponent(A: float, a: float, n: int, sector: Sector) -> float:

@@ -77,6 +77,9 @@ class ResidualReport:
 # at a time.
 _REF_MAX_TERMS = 20_000
 _REF_CHUNK = 8
+# hypot(re, im) lies in [max(|re|, |im|), |re| + |im|]; scaled by these, the
+# rounded bounds also hold the rounded hypot, with room to spare
+_BELOW, _ABOVE = 1.0 - 2.0**-50, 1.0 + 2.0**-50
 
 
 def _named(a: np.ndarray, b: np.ndarray, z: np.ndarray, i) -> str:
@@ -198,19 +201,37 @@ def reference_kummer(a, b, z, target_rel: float = 1e-13):
             new = sums[j] = s + dt
             c = (new - s) - dt
             s = new
-        abs_total = np.hypot(sums[:, 0], sums[:, 1])
         # |(a+m)/(b+m)| <= (m+|a|)/(m-|b|) for m > |b|; monotone down in m
         m = n + 1
         q = abs_z * (m + abs_a) / ((m - abs_b) * (m + 1))
-        tail = np.hypot(terms[:, 0], terms[:, 1]) * q / (1.0 - q)
+        # the tail rule hypot(term) q / (1 - q) <= target_rel hypot(sum),
+        # decided from the bounds of both hypots where they agree (the
+        # steps are monotone for 0 <= q < 1), and from hypot elsewhere
+        t_abs, s_abs = np.abs(terms), np.abs(sums)
+        t_low = np.maximum(t_abs[:, 0], t_abs[:, 1]) * _BELOW
+        t_high = (t_abs[:, 0] + t_abs[:, 1]) * _ABOVE
+        s_high = (s_abs[:, 0] + s_abs[:, 1]) * _ABOVE
+        tail_rule = t_high * q / (1.0 - q) <= target_rel * (np.maximum(s_abs[:, 0], s_abs[:, 1]) * _BELOW)
+        near = (m > tail_from) & (q < 1.0)
+        exact = near & ~tail_rule & ~(t_low * q / (1.0 - q) > target_rel * s_high)
+        if exact.any():
+            qe = q[exact]
+            tail_rule[exact] = (
+                np.hypot(terms[:, 0][exact], terms[:, 1][exact]) * qe / (1.0 - qe)
+                <= target_rel * np.hypot(sums[:, 0][exact], sums[:, 1][exact])
+            )
         # a = -k stops after term k - 1, if the term limit lets it
-        stop = (m > tail_from) & (q < 1.0) & (tail <= target_rel * abs_total)
+        stop = near & tail_rule
         stop |= (m >= n_terms) & (m < _REF_MAX_TERMS)
         stopped = stop.any(axis=0)
         first = np.where(stopped, np.argmax(stop, axis=0), len(n) - 1)
+        # a sum whose bound is finite has a finite hypot
+        finite = s_high < math.inf
+        if not finite.all():
+            finite[~finite] = np.hypot(sums[:, 0][~finite], sums[:, 1][~finite]) < math.inf
         # only terms up to an element's stop count: past it, a pole
         # b = -k behind a terminating a makes the terms 0/0
-        bad = ~(abs_total < math.inf) & (n <= first + n0)
+        bad = ~finite & (n <= first + n0)
         if bad.any():
             i = int(consts[INDEX, np.argmax(bad) % bad.shape[1]])
             raise NonConvergence(f"reference_kummer: term or sum not finite at {_named(a, b, z, i)}")

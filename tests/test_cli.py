@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import warnings
@@ -166,6 +167,41 @@ class TestGrid:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "K = 1.0000000000000001e+300" in err
+
+    def test_underflowed_y_at_mu_zero(self, capsys):
+        # y = 8 e^{-750} underflows to 0 at x = 1500; with mu = 0 the value
+        # is sqrt(2B/a) y^0 = sqrt(8), as at x = 1400, not nan
+        argv = "grid --A 0 --Kprime 0 --K-max 0 --nK 1 --x-min 1500 --x-max 1500 --nx 1".split()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == "x,K,y,re,im\n1500,0,0,2.8284271247461903,0\n"
+
+    def test_underflowed_y_warns_nothing(self, capsys):
+        # y is subnormal at x = 1450 and 0 at x = 1500; Re mu > 0 on both rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "grid", "--x-min", "1400", "--x-max", "1500", "--nx", "3", "--nK", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [y for _, _, y, _, _ in rows] == ["7.8877412350078166e-304", "1.0954450732490517e-314", "0"] * 2
+        assert all(float(re) == 0.0 and float(im) == 0.0 for *_, re, im in rows)
+
+    def test_underflowed_y_at_imaginary_mu(self, capsys):
+        # A = K' = 0, K = 1 gives mu = 2i: y^mu = e^{2i log y} keeps modulus
+        # 1 and the phase of log y = log 8 - 750 where y itself is 0
+        argv = "grid --A 0 --Kprime 0 --K-min 1 --K-max 1 --nK 1 --x-min 1500 --x-max 1500 --nx 1".split()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        *_, re, im = out.splitlines()[1].split(",")
+        expected = math.sqrt(8.0) * cmath.exp(2j * (math.log(8.0) - 750.0))
+        assert abs(complex(float(re), float(im)) - expected) <= 1e-12
+
+    def test_recessive_at_underflowed_y_exits_1(self, capsys):
+        # W diverges as y -> 0, so U keeps its z > 0 error at y = 0
+        argv = "grid --solution w --beta 1 --x-min 1500 --x-max 1500 --nx 1 --nK 1".split()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "z > 0" in err and "x=1500 to 1500" in err
 
     def test_recessive_grid_at_the_figure_point(self, capsys):
         # the W solution on the default grid: printed map, K = 0 gives the

@@ -70,3 +70,23 @@ def test_one_bound_state_index_rule():
     text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
     assert [gone for gone in ("BoundStateConvention", "bound_state_kprime") if gone in text] == []
     assert not hasattr(nhmorse, "BoundStateConvention")
+
+
+def test_one_number_formatter():
+    # morse writes '%.17g' text only through _format_g17: outside it, no
+    # string in its code (docstrings aside) holds the .17g format
+    tree = ast.parse((PACKAGE / "morse.py").read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+    formatter = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_format_g17")
+    inside = {id(node) for node in ast.walk(formatter)}
+    formats = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+        and ".17g" in str(node.value) and id(node) not in docstrings
+    ]
+    assert formats and [node.lineno for node in formats if id(node) not in inside] == []

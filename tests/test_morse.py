@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -399,14 +400,73 @@ class TestRenderGrid:
         GridSpec(nx=11, nK=1),
         GridSpec(A=0.0, Kprime=0.0, K_min=-1.0, K_max=4.0, nx=5, nK=6),
         GridSpec(x_min=-1.0, x_max=5.0, nx=1, nK=2),
+        # rows of more than one block each, and blocks of several rows with
+        # a shorter last one
+        GridSpec(nx=morse._GRID_BLOCK + 1, nK=2),
+        GridSpec(nx=7, nK=morse._GRID_BLOCK // 7 + 3),
+        # y = 1.5429998783711343e-21 and values near 1e-83: scientific notation
+        GridSpec(x_min=100.0, x_max=100.0, nx=1, nK=2),
+        # y = 1.0954450732490517e-314 (subnormal) and y = 0 (underflowed)
+        GridSpec(x_min=1400.0, x_max=1500.0, nx=3, nK=2),
+        GridSpec(A=0.0, Kprime=0.0, K_max=0.0, nK=1, x_min=1500.0, x_max=1500.0, nx=1),
+        GridSpec(K_min=-2.0, K_max=2.0, nx=9, nK=5),
+        GridSpec(alpha=1.0, beta=0.5 - 0.3j, nx=9, nK=5),
+        GridSpec(nx=0, nK=3),
+        GridSpec(nx=3, nK=0),
     ])
     def test_edge_grids_equal_the_line_loop(self, spec):
         assert morse.render_grid(spec) == loop_render_grid(spec)
 
     def test_row_format_writes_the_fstring_bytes(self):
-        # the row template formats values with %, the reference with format()
+        # _format_g17 falls back to % formatting, the reference to format()
         for v in (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -1.7976931348623157e308):
             assert "%.17g" % v == f"{v:.17g}"
+
+
+def g17_samples(seed: int) -> np.ndarray:
+    """Seeded doubles that exercise every branch of morse._format_g17."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 40000, dtype=np.uint64).view(np.float64)
+    powers = 10.0 ** np.arange(-6, 19)
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # j / 2^m with 18 significant digits, the last a 5: a tie at 17 digits,
+    # for E = 15 down to -4; and j / 2^m with 17 digits, written exactly
+    ties = []
+    for m in range(2, 22):
+        for digits in (18, 17):
+            low, high = -(-10 ** (digits - 1) // 5**m), min(10**digits // 5**m, 2**53)
+            if low < high:
+                j = rng.integers(low, high, 200) | 1
+                ties.append(j / 2.0**m)
+    integers = np.concatenate([1e16 + np.arange(-500.0, 500.0), 1e17 - 16.0 * np.arange(500.0), np.arange(2000.0)])
+    # the doubles just below 10^k, which 17 digits keep apart from 10^k
+    carries = np.concatenate([powers * (1.0 - j * 2.0**-53) for j in range(1, 5)])
+    decimals = [round(x, k) for x, k in zip(rng.uniform(-1e3, 1e3, 5000).tolist(), rng.integers(1, 17, 5000).tolist())]
+    spread = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-7.0, 19.0, 20000)
+    specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    return np.concatenate([bits, neighbours, *ties, integers, carries, decimals, spread, specials])
+
+
+class TestFormatG17:
+    @pytest.mark.parametrize("sign_bit", [0, 1 << 63])
+    def test_writes_the_percent_bytes(self, sign_bit):
+        # the sign bit is flipped as bits: the random patterns hold
+        # signalling NaNs, which a float product would trap on
+        values = (g17_samples(18).view(np.uint64) ^ np.uint64(sign_bit)).view(np.float64)
+        assert morse._g17(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_rows_keep_the_order_of_any_shape(self):
+        values = g17_samples(19)[:3000].reshape(30, 10, 10)
+        text = morse._format_g17(values)
+        assert text.shape[0] == values.size and text.dtype == np.uint8
+        assert morse._g17(values) == ["%.17g" % v for v in values.ravel().tolist()]
+
+    def test_empty(self):
+        assert morse._g17(np.zeros(0)) == []
+
+    def test_decades_are_the_least_doubles_at_or_above_the_powers(self):
+        for e, d in zip(range(-5, 18), morse._DECADES.tolist()):
+            assert Fraction(d) >= Fraction(10) ** e > Fraction(math.nextafter(d, 0.0))
 
 
 class TestLaguerreForm:
