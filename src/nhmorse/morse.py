@@ -297,7 +297,8 @@ def _decades() -> np.ndarray:
     """The least double >= 10^e for e = -5..17, at index e + 5."""
     out = []
     for e in range(-5, 18):
-        d = 10.0**e
+        # the double nearest 10^e: int to float and int / int round correctly
+        d = float(10**e) if e >= 0 else 1 / 10**-e
         n, m = d.as_integer_ratio()
         if n * 10 ** max(-e, 0) < m * 10 ** max(e, 0):  # d = n/m < 10^e
             d = math.nextafter(d, math.inf)
