@@ -99,7 +99,13 @@ def morse_y(params: MorseRiccati, x):
     if isinstance(x, np.ndarray):
         with np.errstate(over="ignore"):
             y = 2.0 * params.B / params.a * np.exp(-params.a * x)
-        if np.isinf(y).any():
-            raise OverflowError(f"y(x) overflows at x = {x.min():.17g}")
-        return y
-    return 2.0 * params.B / params.a * math.exp(-params.a * x)
+        if not np.isinf(y).any():
+            return y
+    else:
+        try:
+            y = 2.0 * params.B / params.a * math.exp(-params.a * x)
+        except OverflowError:
+            y = math.inf
+        if y < math.inf:
+            return y
+    raise OverflowError(f"y(x) overflows at x = {np.min(x):.17g}")

@@ -17,16 +17,16 @@ raises ValueError before any sum starts.
 The Whittaker triples (value and first two derivatives) are the only
 Whittaker entry points. M's derivatives come from the term-by-term
 differentiated series: one pass over the 1F1 terms gives all three sums.
-U and its derivatives come from one kernel, its Laplace integral summed on
-exp-sinh nodes, whose weights gain a factor -t per derivative; it serves
-`tricomi_u` and `whittaker_w_derivs`, for every complex a and b and any
-z > 0, a float or an array. Like `kummer_m`, `tricomi_u` and both triples
+U and its derivatives come from their Laplace integral, summed on one table
+of exp-sinh nodes whose weights gain a factor -t per derivative, for every
+complex a and b and any z > 0; a float z sums the first two steps as one
+product over the whole table. Like `kummer_m`, `tricomi_u` and both triples
 take (R, 1) columns of parameters (of indices, for the triples) with an
 array of shape (N,), giving (R, N) blocks: an M triple block is one
-`_kummer_block`, a U or W block one quadrature, `_tricomi_block`, whose
-exponentials of z are shared by every row, summed as one real matrix
-product per step. Both kernels take their products in tiles that
-OpenBLAS runs on one thread.
+`_kummer_block`, a U or W block one `_tricomi_block` over the nodes of
+the rows' union window, its exponentials of z shared by every row, as one
+real matrix product per step. Both kernels take their products in tiles
+that OpenBLAS runs on one thread.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -350,16 +350,16 @@ def kummer_m(a, b, z):
 # summed by the trapezoidal rule on exp-sinh nodes t = exp(pi/2 sinh s),
 # s in [-5, 5] (Takahasi and Mori, 1974). The table holds the nodes of the
 # finest step 2^-_ES_FINEST; those of step 2^-k are every 2^(_ES_FINEST-k)-th
-# of them, so halving the step adds only the midpoints. Far out (z beyond
-# about 1e-20 or 1e20) even the finest step no longer resolves the
-# integrand's peak, and the quadrature raises NonConvergence rather than
-# return a wrong sum.
+# of them, so halving the step adds only the midpoints. A float z sums the
+# first two steps as one product over all nodes; a block drops those where
+# every row's integrand is below e^-_ES_CUT of its peak. Far out (z beyond
+# 1e-20 or 1e20) the finest step misses the integrand's peak, and the
+# quadrature raises NonConvergence rather than return a wrong sum.
 _ES_FIRST = 3
 _ES_FINEST = 8
 # Halve the step until no sum moves by more than this share of itself; the
 # trapezoidal error falls roughly as its square with each halving.
 _ES_TOL = 1e-7
-# Nodes whose integrand is below e^-_ES_CUT of its largest are dropped.
 _ES_CUT = 40.0
 _es_s = np.arange(-5 * 2**_ES_FINEST, 5 * 2**_ES_FINEST + 1) / 2**_ES_FINEST
 _es_log_t = 0.5 * math.pi * np.sinh(_es_s)
@@ -379,41 +379,35 @@ _es_r = _ES_T / (1.0 + _ES_T)
 _ES_POWERS = np.stack((np.ones_like(_ES_T), _ES_T, _ES_T**2, _es_r, _es_r * _ES_T, _es_r * _ES_T**2))
 # the signs (-1)^k of the derivatives, at a and at a + 1
 _ES_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None, None]
+# The float quadrature's levels, in ascending s, hold every node once: every
+# n-th node, of step 2^-(_ES_FIRST+1), then every 2m-th from the m-th, the
+# midpoints of step m / 2^_ES_FINEST. Each holds complex logs and the powers
+# times its step; the first stacks the weights of step 2^-_ES_FIRST on top.
+_es_n = 2 ** (_ES_FINEST - _ES_FIRST - 1)
+_es_w = np.vstack((2.0 * _ES_POWERS[:, ::_es_n], _ES_POWERS[:, ::_es_n])) * (_es_n / 2**_ES_FINEST)
+_es_w[:6, 1::2] = 0.0
+_ES_LEVELS = [(_ES_LOGS[:, ::_es_n].astype(complex), _es_w)] + [
+    (_ES_LOGS[:, m::2 * m].astype(complex), m / 2**_ES_FINEST * _ES_POWERS[:, m::2 * m])
+    for m in _es_n >> np.arange(1, _ES_FINEST - _ES_FIRST)
+]
 
 
 def _tricomi_quadrature(a: complex, b: complex, z: float):
     """(U, U', U'') at a and at a + 1, Re a >= 1, at a float z, from one set
     of nodes: the weights of the derivatives gain factors of -t, and those
-    at a + 1 a factor t / ((1+t) a).
-    """
-    c = b - a - 1.0
-    step = 2 ** (_ES_FINEST - _ES_FIRST)
-    # log sizes, on the coarsest nodes, of the integrands of U and U''; the
-    # kept window reaches one coarse node past each
-    env = np.array([[a.real - 1.0, c.real, 1.0, z, 0.0], [a.real + 1.0, c.real, 1.0, z, 0.0]])
-    env = env @ _ES_LOGS[:, ::step]
-    last = env.shape[1] - 1
-    i = max(np.argmax(env[0] >= env[0].max() - _ES_CUT) - 1, 0) * step
-    j = min(last + 1 - np.argmax(env[1, ::-1] >= env[1].max() - _ES_CUT), last) * step
-    coef = np.array([a - 1.0, c, 1.0, z, -log_gamma(a)])
-
-    def node_sum(nodes: slice):
-        return _ES_POWERS[:, nodes] @ np.exp(coef @ _ES_LOGS[:, nodes])
-
-    h = 2.0**-_ES_FIRST
-    sums = h * node_sum(slice(i, j + 1, step))
-    for _ in range(_ES_FIRST, _ES_FINEST):
-        step //= 2
-        h /= 2.0
-        halved = 0.5 * sums + h * node_sum(slice(i + step, j, 2 * step))
-        done = np.all(np.abs(halved - sums) <= _ES_TOL * np.abs(halved))
-        sums = halved
-        if done:
-            break
-    else:
-        raise NonConvergence(f"tricomi_u quadrature did not converge: a={a}, b={b}, z in [{z}, {z}]")
-    u, du, d2u, v, dv, d2v = sums.tolist()
-    return u, -du, d2u, v / a, -dv / a, d2v / a
+    at a + 1 a factor t / ((1+t) a). Past the first level, the step halves
+    only while some sum moves by more than _ES_TOL of itself."""
+    coef = np.array([a - 1.0, b - a - 1.0, 1.0, z, -log_gamma(a)])
+    # the six sums at the last two steps, the coarser first: the first level
+    # gives both, each later one the midpoints that halve the step
+    sums = []
+    for logs, weights in _ES_LEVELS:
+        level = (weights @ np.exp(coef @ logs).view(float).reshape(-1, 2)).view(complex).ravel().tolist()
+        sums = level if not sums else sums[6:] + [0.5 * s + m for s, m in zip(sums[6:], level)]
+        if all(abs(s - c) <= _ES_TOL * abs(s) for c, s in zip(sums[:6], sums[6:])):
+            u, du, d2u, v, dv, d2v = sums[6:]
+            return u, -du, d2u, v / a, -dv / a, d2v / a
+    raise NonConvergence(f"tricomi_u quadrature did not converge: a={a}, b={b}, z in [{z}, {z}]")
 
 
 def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:

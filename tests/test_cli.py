@@ -241,6 +241,14 @@ class TestParams:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_y_product_overflow_exits_1(self, capsys):
+        # at x = -1416, e^{-ax} is finite but (2B/a) e^{-ax} is not: one error
+        # line naming that x, not y(x_min) printed as inf
+        code, out, err = run(capsys, "params", "--x-min", "-1416")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows at x = -1416" in err
+
     def test_huge_k_exits_1(self, capsys):
         # K^2 overflows past |K| = 1.3e154: one error line, not a nan mu
         with warnings.catch_warnings(record=True) as caught:

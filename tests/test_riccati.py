@@ -75,14 +75,16 @@ def test_morse_y_values(shape):
 
 
 def test_morse_y_array_overflow_raises(shape):
-    # y is past the double range at x = -2000: the array call raises like the
-    # float call, naming that x, and numpy does not warn first
+    # y is past the double range at x = -2000, and at x = -1416, where only
+    # the product 2B/a e^{-ax} overflows: the float and the array call both
+    # raise, naming that x, and numpy does not warn first
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(OverflowError, match=r"x = -2000\b"):
-            riccati.morse_y(shape, np.array([-2000.0, 0.0, 3.0]))
-        with pytest.raises(OverflowError):
-            riccati.morse_y(shape, -2000.0)
+        for x in (-2000.0, -1416.0):
+            with pytest.raises(OverflowError, match=rf"x = {x:g}\b"):
+                riccati.morse_y(shape, np.array([x, 0.0, 3.0]))
+            with pytest.raises(OverflowError, match=rf"x = {x:g}\b"):
+                riccati.morse_y(shape, x)
     assert caught == []
 
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -595,6 +596,48 @@ class TestTricomi:
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ValueError):
             specfun.tricomi_u(1.0, 1.5, -2.0)
+
+    def test_float_sum_edges(self):
+        # U(1, 2, z) = 1/z, with derivatives -1/z^2 and 2/z^3, from z = 1e-20,
+        # where the integrand reaches out to t near 1e20, to z = 1e20, where
+        # its peak lies on the first nodes
+        for z in (1e-20, 1e-10, 1e-3, 1.0, 80.0, 1e3, 1e10, 1e20):
+            got = specfun._tricomi_derivs(1.0 + 0j, 2.0 + 0j, z)
+            for g, w in zip(got, (1.0 / z, -1.0 / z**2, 2.0 / z**3)):
+                assert abs(g - w) <= 1e-14 * abs(w), z
+
+    @pytest.mark.parametrize("a, b, z", [
+        (1.5, 2.0, 1e-30), (1.5, 2.0, 1e30),
+        (1.0 + 16.0j, 1.0 + 16.0j, 1.785), (1.0 + 16.0j, 1.0 + 16.0j, 3.0), (1.0 + 16.0j, 1.0 + 16.0j, 8.0),
+        (1.0 + 20.0j, 1.0 + 20.0j, 2.0),
+    ])
+    def test_float_sum_non_convergence(self, a, b, z):
+        # far out in z even the finest step misses the integrand's peak, and
+        # a = b = 1+16i or 1+20i oscillates past it: NonConvergence naming a
+        # and b, with no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match=re.escape(f"a={complex(a)}, b={complex(b)}")):
+                specfun.tricomi_u(a, b, z)
+
+    def test_float_sum_has_one_node_table(self):
+        # the float quadrature's levels, the step 2^-(_ES_FIRST+1) nodes and
+        # the midpoints of each halving, hold every node of _ES_T once, each
+        # level in ascending s, with the table's logs and powers bit for bit
+        # (a level's weights are its powers times its step, a power of two)
+        (first, weights), *midpoints = specfun._ES_LEVELS
+        coarse, fine = weights[:6], weights[6:]
+        seen = []
+        for k, (logs, weights) in enumerate([(first, fine), *midpoints], start=specfun._ES_FIRST + 1):
+            nodes = np.searchsorted(specfun._ES_LOGS[0], logs[0].real)
+            assert np.all(np.diff(nodes) > 0)
+            assert np.array_equal(logs, specfun._ES_LOGS[:, nodes]) and not logs.imag.any()
+            assert np.array_equal(weights * 2.0**k, specfun._ES_POWERS[:, nodes])
+            seen.extend(nodes.tolist())
+        assert sorted(seen) == list(range(specfun._ES_T.size))
+        # the first level's other six rows weigh its every other node by the
+        # coarsest step, 2^-_ES_FIRST
+        assert np.array_equal(coarse[:, ::2], 2.0 * fine[:, ::2]) and not coarse[:, 1::2].any()
 
 
 class TestWhittaker:
