@@ -20,7 +20,7 @@ differentiated series: one pass over the 1F1 terms gives all three sums.
 U and its derivatives come from their Laplace integral, summed on one table
 of exp-sinh nodes whose weights gain a factor -t per derivative, for every
 complex a and b and any z > 0; a float z sums the first two steps as one
-product over the whole table. Like `kummer_m`, `tricomi_u` and both triples
+product over the whole s range. Like `kummer_m`, `tricomi_u` and both triples
 take (R, 1) columns of parameters (of indices, for the triples) with an
 array of shape (N,), giving (R, N) blocks: an M triple block is one
 `_kummer_block`, a U or W block one `_tricomi_block` over the nodes of
@@ -351,10 +351,10 @@ def kummer_m(a, b, z):
 # s in [-5, 5] (Takahasi and Mori, 1974). The table holds the nodes of the
 # finest step 2^-_ES_FINEST; those of step 2^-k are every 2^(_ES_FINEST-k)-th
 # of them, so halving the step adds only the midpoints. A float z sums the
-# first two steps as one product over all nodes; a block drops those where
-# every row's integrand is below e^-_ES_CUT of its peak. Far out (z beyond
-# 1e-20 or 1e20) the finest step misses the integrand's peak, and the
-# quadrature raises NonConvergence rather than return a wrong sum.
+# first two steps as one product over all their nodes; a block drops those
+# where every row's integrand is below e^-_ES_CUT of its peak. Far out (z
+# beyond about 1e-20 or 1e20) the finest step misses the integrand's peak,
+# and the quadrature raises NonConvergence rather than return a wrong sum.
 _ES_FIRST = 3
 _ES_FINEST = 8
 # Halve the step until no sum moves by more than this share of itself; the
