@@ -67,26 +67,26 @@ def check_kummer_oracle(tol: float = 1e-10) -> ResidualReport:
     return _report("kummer-oracle", worst, tol, grid_size=len(ref))
 
 
-def _solution_params(K: float, kind: str) -> MorseParameters:
-    if kind == "m":
-        return MorseParameters(K=K, alpha1=1, beta1=0, alpha2=1, beta2=0)
-    return MorseParameters(K=K, alpha1=0, beta1=1, alpha2=0, beta2=1)
+def _m_and_w_rows(Ks: list[float]) -> MorseParameters:
+    """An M row (alpha = 1, beta = 0) and then a W row (alpha = 0, beta = 1)
+    at each K, as the columns of one record."""
+    K = np.repeat(np.array(Ks)[:, None], 2, axis=0)
+    m = np.tile([[1.0], [0.0]], (len(Ks), 1))
+    return MorseParameters(K=K, alpha1=m, beta1=1 - m, alpha2=m, beta2=1 - m)
 
 
 def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
     """The worst residual of the M and W solutions at K in {0, 0.5, 1, 2},
-    one block of eight rows per sector whose coefficient is one
-    ode_coefficient call over the rows' (K, K') columns, and a note for
-    each block that raised instead, naming the map, the sector, the
-    exception and its message."""
+    one block of eight rows (an M row and a W row per K) per sector, whose
+    coefficient is one ode_coefficient call over the same columns, and a
+    note for each block that raised instead, naming the map, the sector,
+    the exception and its message."""
     grid = Grid1D(0.0, 3.0, 301)
-    rows = [_solution_params(K, kind) for K in (0.0, 0.5, 1.0, 2.0) for kind in ("m", "w")]
-    K, Kp = (np.array(column)[:, None] for column in zip(*((p.K, p.Kprime) for p in rows)))
-    columns = MorseParameters(K=K, Kprime=Kp)
+    rows = _m_and_w_rows([0.0, 0.5, 1.0, 2.0])
     worst = 0.0
     skipped: list[str] = []
     for sector in Sector:
-        Q = partial(morse.ode_coefficient, columns, sector)
+        Q = partial(morse.ode_coefficient, rows, sector)
         derivs = partial(morse.wavefunction_derivs_grid, rows, sector, pmap)
         try:
             rep = verify.ode_residual(Q, derivs, grid, tol=tol)
@@ -102,7 +102,7 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
     analytic derivative: the side of the intertwining relation that should
     be proportional to the bosonic solution."""
     R = riccati.morse_riccati(params.shape(), RiccatiSign.PLUS)
-    w1, dw1, _ = (d[0] for d in morse.wavefunction_derivs_grid([params], Sector.FERMIONIC, pmap, xs))
+    w1, dw1, _ = (d[0] for d in morse.wavefunction_derivs_grid(params, Sector.FERMIONIC, pmap, xs))
     return susy.apply_first_order(Ladder.RAISE, R, params.K, w1, dw1, xs)
 
 
@@ -164,7 +164,7 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
     raised = partial(raised_fermionic, p, pmap)
 
     def partner(xs: np.ndarray) -> np.ndarray:
-        return morse.wavefunction_derivs_grid([p], Sector.BOSONIC, pmap, xs)[0][0]
+        return morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
 
     return verify.intertwining_check(raised, partner, Grid1D(0.2, 3.0, 57), p.Kprime, tol=tol)
 
@@ -215,14 +215,14 @@ def check_laguerre_identity(tol: float = 1e-10) -> ResidualReport:
 def check_reality_k0(tol: float = 1e-12) -> ResidualReport:
     """K = 0 slice of the figure grid is purely real (printed map)."""
     xs = np.linspace(0.0, 3.0, 61)
-    w = np.array([morse.wavefunction_grid([FIG_PARAMS], s, ParameterMap.PRINTED, xs) for s in Sector])
+    w = np.array([morse.wavefunction_grid(FIG_PARAMS, s, ParameterMap.PRINTED, xs) for s in Sector])
     return _report("reality-k0", float(np.abs(w.imag).max()), tol, grid_size=w.size)
 
 
 def check_wronskian(tol: float = 1e-8) -> ResidualReport:
     """M/W solution pairs (derived map, K = 1) have an x-independent Wronskian."""
     grid = Grid1D(0.2, 3.0, 57)
-    pair = [_solution_params(1.0, kind) for kind in ("m", "w")]
+    pair = _m_and_w_rows([1.0])
     worst = 0.0
     for sector in Sector:
         # one block per sector, its M row and its W row, serves both solutions

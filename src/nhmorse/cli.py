@@ -112,8 +112,9 @@ def _fmt_complex(z: complex) -> str:
 def cmd_params(args) -> int:
     p = MorseParameters(A=args.A, B=args.B, a=args.a, K=args.K, Kprime=args.Kprime)
     try:
-        printed = morse.indices(p, ParameterMap.PRINTED)
-        derived = morse.indices(p, ParameterMap.DERIVED)
+        # one call per sector, as kappa is the same in both maps
+        printed = morse.indices(p, Sector.FERMIONIC, ParameterMap.PRINTED)
+        derived = morse.indices(p, Sector.BOSONIC, ParameterMap.DERIVED)
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -124,8 +125,8 @@ def cmd_params(args) -> int:
         print(f"error: y(x) on x={args.x_min:.17g} to {args.x_max:.17g}: {exc}", file=sys.stderr)
         return 1
     rows = [
-        ("kappa1", _fmt_complex(printed.kappa1)),
-        ("kappa2", _fmt_complex(printed.kappa2)),
+        ("kappa1", _fmt_complex(printed.kappa)),
+        ("kappa2", _fmt_complex(derived.kappa)),
         ("mu_printed", _fmt_complex(printed.mu)),
         ("mu_derived", _fmt_complex(derived.mu)),
         ("B_bar", f"{p.B_bar:.17g}"),

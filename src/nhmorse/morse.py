@@ -22,7 +22,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,8 @@ class MorseParameters:
     and superposition amplitudes for both sectors.
 
     Defaults reproduce the canonical operating point A=1, B=2, a=0.5,
-    K'=2, alpha=1, beta=0.
+    K'=2, alpha=1, beta=0. One record also holds R points of one shape:
+    K, K' and the amplitudes may each be an (R, 1) column, one row a point.
     """
 
     A: float = 1.0
@@ -82,39 +82,41 @@ class MorseParameters:
         return self.alpha2, self.beta2
 
 
-@dataclass(frozen=True)
-class Indices:
-    kappa1: complex
-    kappa2: complex
-    mu: complex
-
-    def for_sector(self, sector: Sector) -> WhittakerIndices:
-        kappa = self.kappa1 if sector is Sector.FERMIONIC else self.kappa2
-        return WhittakerIndices(kappa=kappa, mu=self.mu)
-
-
-def indices(params: MorseParameters, pmap: ParameterMap) -> Indices:
-    """Whittaker indices (kappa_1, kappa_2, mu) for the chosen map.
+def indices(params: MorseParameters, sector: Sector, pmap: ParameterMap) -> WhittakerIndices:
+    """The sector's Whittaker indices (kappa, mu) for the chosen map:
+    complex for float K and K', (R, 1) columns where either is a column.
 
     The published kappa formulas are expanded to the pole-free form
-    kappa_{1,2} = A/a +/- 1/2 - iK/a, valid for any A. Raises OverflowError
-    where an index is not finite (K^2 overflows once |K| > 1.3e154).
+    kappa_{1,2} = A/a +/- 1/2 - iK/a (fermionic +, bosonic -), valid for
+    any A. Raises OverflowError where an index is not finite (K^2
+    overflows once |K| > 1.3e154), naming the first such row's K and K'.
     """
     A, a, K, Kp = params.A, params.a, params.K, params.Kprime
-    base = A / a - 1j * K / a
-    kappa1 = base + 0.5
-    kappa2 = base - 0.5
-    # + 0.0 turns the -0.0 of A = 0, K > 0 into +0.0, so both maps take the
-    # same side of the branch cut (under real and negative): cmath.sqrt is the
-    # principal root, Re >= 0, and on the cut Im > 0
-    under = complex(Kp * Kp - K * K, -2.0 * K * A + 0.0)
-    if pmap is ParameterMap.DERIVED:
-        under += A * A
-    mu = cmath.sqrt(under) / a
-    if not (cmath.isfinite(kappa1) and cmath.isfinite(kappa2) and cmath.isfinite(mu)):
-        K_text, Kp_text = _g17([K, Kp])
-        raise OverflowError(f"Whittaker indices overflow at K = {K_text}, K' = {Kp_text}")
-    return Indices(kappa1=kappa1, kappa2=kappa2, mu=mu)
+    half = 0.5 if sector is Sector.FERMIONIC else -0.5
+    shift = A * A if pmap is ParameterMap.DERIVED else 0.0
+    # in (a mu)^2, + 0.0 turns the -0.0 of A = 0, K > 0 into +0.0, so both maps
+    # take the same side of the branch cut (under real and negative): cmath.sqrt
+    # is the principal root, Re >= 0, and on the cut Im > 0
+    if not (isinstance(K, np.ndarray) or isinstance(Kp, np.ndarray)):
+        kappa = A / a - 1j * (K / a) + half
+        mu = cmath.sqrt(complex(Kp * Kp - K * K + shift, -2.0 * K * A + 0.0)) / a
+        if cmath.isfinite(kappa) and cmath.isfinite(mu):
+            return WhittakerIndices(kappa=kappa, mu=mu)
+    else:
+        # K / a first, as numpy divides a complex by a float through its
+        # reciprocal; and mu per row by cmath.sqrt, which np.sqrt misses by
+        # an ulp at (a mu)^2 = -4i
+        with np.errstate(over="ignore", invalid="ignore"):
+            K, Kp = np.broadcast_arrays(K, Kp)
+            kappa = A / a - 1j * (K / a) + half
+            under = zip((Kp * Kp - K * K + shift).flat, (-2.0 * K * A + 0.0).flat)
+        mu = np.array([cmath.sqrt(complex(r, i)) / a for r, i in under], dtype=complex).reshape(K.shape)
+        finite = np.isfinite(kappa) & np.isfinite(mu)
+        if finite.all():
+            return WhittakerIndices(kappa=kappa, mu=mu)
+        K, Kp = K[~finite][0], Kp[~finite][0]
+    K_text, Kp_text = _g17([K, Kp])
+    raise OverflowError(f"Whittaker indices overflow at K = {K_text}, K' = {Kp_text}")
 
 
 def ode_coefficient(params: MorseParameters, sector: Sector, x) -> complex:
@@ -122,9 +124,8 @@ def ode_coefficient(params: MorseParameters, sector: Sector, x) -> complex:
 
     -(B_bar e^{-2ax} - C_i e^{-ax}) + (K^2 - K'^2) - A^2 + 2iK(A - B e^{-ax});
     identical (to roundoff) to the generic bracket evaluated on the Morse
-    superpotential. x may be a float or an array of x. K and K' may also
-    be (R, 1) columns, one (K, K') pair per row, giving an (R, N) block
-    over x of shape (N,).
+    superpotential. x may be a float or an array of x; (R, 1) columns of K
+    and K' give an (R, N) block over x of shape (N,).
     """
     A, B, a, K, Kp = params.A, params.B, params.a, params.K, params.Kprime
     C = params.C1_bar if sector is Sector.FERMIONIC else params.C2_bar
@@ -173,24 +174,27 @@ def wavefunction_derivs(
     A term is only evaluated when its amplitude is nonzero, so W-only
     parameter sets never reach the rejections of the Kummer core.
     """
-    idx = indices(params, pmap).for_sector(sector)
+    idx = indices(params, sector, pmap)
     return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), x)
 
 
-def _grid_columns(rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs: np.ndarray):
-    """The shared Morse shape and y of a grid's rows, and their Whittaker
-    indices and amplitudes (alpha, beta) as (R, 1) columns."""
-    if len({(p.B, p.a) for p in rows}) != 1:
-        raise ValueError("grid rows must share one B and one a")
-    shape = rows[0].shape()
-    idx = [indices(p, pmap).for_sector(sector) for p in rows]
-    columns = WhittakerIndices(kappa=np.array([[i.kappa] for i in idx]), mu=np.array([[i.mu] for i in idx]))
-    alpha, beta = (np.array(c)[:, None] for c in zip(*(p.amplitudes(sector) for p in rows)))
-    return shape, riccati.morse_y(shape, xs), columns, alpha, beta
+def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, xs: np.ndarray):
+    """The Morse shape and y of a grid, and its Whittaker indices and
+    amplitudes (alpha, beta) as (R, 1) columns: R is the length of the
+    fields that are (R, 1) columns, or 1 where every field is a number."""
+    shapes = {name: np.shape(getattr(params, name)) for name in ("K", "Kprime", "alpha1", "beta1", "alpha2", "beta2")}
+    for name, field_shape in shapes.items():
+        if field_shape != () and field_shape[1:] != (1,):
+            raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")
+    rows = np.broadcast_shapes((1, 1), *shapes.values())
+    idx = indices(params, sector, pmap)
+    kappa, mu, alpha, beta = (np.broadcast_to(v, rows) for v in (idx.kappa, idx.mu, *params.amplitudes(sector)))
+    shape = params.shape()
+    return shape, riccati.morse_y(shape, xs), WhittakerIndices(kappa=kappa, mu=mu), alpha, beta
 
 
 def wavefunction_derivs_grid(
-    rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs
+    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """wavefunction_derivs of every parameter row at every x, as three (R, N)
     blocks (w, w', w'') for R rows and N values of x: the triple twin of
@@ -199,13 +203,11 @@ def wavefunction_derivs_grid(
     The M triple is one block over the rows whose alpha is nonzero, the W
     triple one block over the rows whose beta is nonzero, each over the y
     shared by every row; a row with a zero amplitude never evaluates that
-    term. The rows must share B and a.
+    term.
     """
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros((3, len(rows), xs.size), dtype=complex)
-    if not rows:
-        return tuple(out)
-    shape, y, idx, alpha, beta = _grid_columns(rows, sector, pmap, xs)
+    shape, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
+    out = np.zeros((3, len(alpha), xs.size), dtype=complex)
     g = np.exp(0.5 * shape.a * xs)
     for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
         on = amp[:, 0] != 0.0
@@ -221,7 +223,7 @@ _W_ROWS = 32
 
 
 def wavefunction_grid(
-    rows: Sequence[MorseParameters], sector: Sector, pmap: ParameterMap, xs
+    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
 ) -> np.ndarray:
     """Values alpha (Laguerre-form M) + beta (e^{ax/2} W) of every parameter
     row at every x, as an (R, N) block for R rows and N values of x.
@@ -233,16 +235,12 @@ def wavefunction_grid(
     of y shared by every row; the W term is one U block per _W_ROWS of the
     rows whose beta is nonzero, each one quadrature whose exponentials of
     y are shared by its rows, so it holds one such block of rows at a
-    time. A row with a zero amplitude never evaluates that term. The rows
-    share one Morse variable y, so B and a must agree; the indices are
-    computed per row.
+    time. A row with a zero amplitude never evaluates that term.
     """
     xs = np.asarray(xs, dtype=float)
-    if not rows:
-        return np.zeros((0, xs.size), dtype=complex)
-    shape, y, idx, alpha, beta = _grid_columns(rows, sector, pmap, xs)
+    shape, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
     a, b = idx.series_a, idx.series_b
-    core = np.zeros((len(rows), xs.size), dtype=complex)
+    core = np.zeros((len(alpha), xs.size), dtype=complex)
     on = alpha[:, 0] != 0.0
     if on.any():
         core[on] = alpha[on] * specfun.kummer_m(a[on], b[on], y)
@@ -473,9 +471,9 @@ def render_grid(spec: GridSpec) -> str:
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     Ks = np.linspace(spec.K_min, spec.K_max, spec.nK)
     amps = dict(alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta)
-    rows = [MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime, **amps) for K in Ks.tolist()]
+    params = MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=Ks[:, None], Kprime=spec.Kprime, **amps)
     try:
-        w = wavefunction_grid(rows, spec.component, spec.param_map, xs)
+        w = wavefunction_grid(params, spec.component, spec.param_map, xs)
     except Exception as exc:
         K_first, K_last, x_first, x_last = _g17([Ks[0], Ks[-1], xs[0], xs[-1]])
         raise RuntimeError(

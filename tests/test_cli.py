@@ -52,12 +52,14 @@ class TestGrid:
         _, out, _ = run(capsys, "grid")
         first_row = out.splitlines()[1].split(",")
         assert float(first_row[0]) == 0.0 and float(first_row[1]) == 0.0
-        rows = [MorseParameters(K=K) for K in np.linspace(0.0, 2.0, 41).tolist()]
+        Ks = np.linspace(0.0, 2.0, 41)
+        rows = MorseParameters(K=Ks[:, None])
         block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, np.linspace(0.0, 3.0, 61))
         value = block[0, 0]
         assert float(first_row[3]) == value.real
         assert float(first_row[4]) == value.imag
-        expected = morse.wavefunction_grid(rows[:1], Sector.BOSONIC, ParameterMap.PRINTED, np.array([0.0]))[0, 0]
+        first = MorseParameters(K=Ks[0])
+        expected = morse.wavefunction_grid(first, Sector.BOSONIC, ParameterMap.PRINTED, np.array([0.0]))[0, 0]
         assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_param_maps_differ(self, capsys):

@@ -2,6 +2,7 @@
 specfun holds none of the paths it dropped."""
 
 import ast
+import re
 from pathlib import Path
 
 import nhmorse
@@ -62,6 +63,14 @@ def test_removed_specfun_paths_stay_out():
 def test_one_triple_grid_entry_point():
     # wavefunction_derivs_grid replaced the one-row wavefunction_derivs_row
     assert "wavefunction_derivs_row" not in "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+
+
+def test_one_layout_for_a_set_of_parameter_points():
+    # a set of points is one MorseParameters of (R, 1) columns: the list
+    # layout, its B and a rule and the two-kappa index record are gone
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    gone = (r"\bIndices\b", "for_sector", r"Sequence\[MorseParameters\]", "share one B and one a")
+    assert [g for g in gone if re.search(g, text)] == []
 
 
 def test_one_bound_state_index_rule():

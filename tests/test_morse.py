@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -23,10 +24,21 @@ from nhmorse.verify import Grid1D
 FIG = MorseParameters()  # A=1, B=2, a=0.5, K=0, K'=2
 
 
+def _column(values) -> np.ndarray:
+    """The values as an (R, 1) column."""
+    return np.array(values)[:, None]
+
+
+def _row(p: MorseParameters, r: int) -> MorseParameters:
+    """Row r of a record of (R, 1) columns, as a record of numbers."""
+    columns = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+    return dataclasses.replace(p, **{k: v[r, 0].item() for k, v in columns.items() if isinstance(v, np.ndarray)})
+
+
 def _laguerre_form(p, sector, pmap, x):
     """alpha (2B/a)^{1/2} y^mu e^{-y/2} 1F1(mu - kappa + 1/2; 2 mu + 1; y) at
     one x, the 1F1 from float kummer_m."""
-    idx = morse.indices(p, pmap).for_sector(sector)
+    idx = morse.indices(p, sector, pmap)
     y = riccati.morse_y(p.shape(), x)
     core = specfun.kummer_m(idx.series_a, idx.series_b, y)
     alpha, _ = p.amplitudes(sector)
@@ -61,47 +73,69 @@ class TestParameters:
 
 class TestIndices:
     def test_kappas(self):
-        idx = morse.indices(MorseParameters(K=1.0), ParameterMap.PRINTED)
-        assert idx.kappa1 == pytest.approx(2.5 - 2.0j)
-        assert idx.kappa2 == pytest.approx(1.5 - 2.0j)
+        kappa1, kappa2 = (morse.indices(MorseParameters(K=1.0), s, ParameterMap.PRINTED).kappa for s in Sector)
+        assert kappa1 == pytest.approx(2.5 - 2.0j)
+        assert kappa2 == pytest.approx(1.5 - 2.0j)
         # kappas agree between the maps
-        idx2 = morse.indices(MorseParameters(K=1.0), ParameterMap.DERIVED)
-        assert idx2.kappa1 == idx.kappa1 and idx2.kappa2 == idx.kappa2
+        derived = [morse.indices(MorseParameters(K=1.0), s, ParameterMap.DERIVED).kappa for s in Sector]
+        assert derived == [kappa1, kappa2]
 
     def test_mu_printed(self):
-        idx = morse.indices(FIG, ParameterMap.PRINTED)
+        idx = morse.indices(FIG, Sector.FERMIONIC, ParameterMap.PRINTED)
         assert idx.mu == pytest.approx(4.0 + 0.0j)
 
     def test_mu_derived(self):
-        idx = morse.indices(FIG, ParameterMap.DERIVED)
+        idx = morse.indices(FIG, Sector.FERMIONIC, ParameterMap.DERIVED)
         assert idx.mu == pytest.approx(2.0 * math.sqrt(5.0))
 
     def test_mu_branch_re_nonnegative(self):
         for K in (0.0, 0.7, 2.0, -1.5):
             for pmap in ParameterMap:
-                mu = morse.indices(MorseParameters(K=K), pmap).mu
-                assert mu.real >= 0.0
+                for sector in Sector:
+                    mu = morse.indices(MorseParameters(K=K), sector, pmap).mu
+                    assert mu.real >= 0.0
 
     @pytest.mark.parametrize("K, Kp", [(4.0, 0.0), (1.0, 0.5), (3.0, 2.0), (1e3, 7.0)])
     def test_a_zero_maps_agree_on_the_cut(self, K, Kp):
         # at A = 0 the maps coincide, and with K > K' mu^2 is real and
         # negative: both take the principal root, Im mu > 0, bit for bit
         printed, derived = (
-            morse.indices(MorseParameters(A=0.0, K=K, Kprime=Kp), pmap).mu
+            morse.indices(MorseParameters(A=0.0, K=K, Kprime=Kp), Sector.FERMIONIC, pmap).mu
             for pmap in (ParameterMap.PRINTED, ParameterMap.DERIVED)
         )
         assert (printed.real.hex(), printed.imag.hex()) == (derived.real.hex(), derived.imag.hex())
         assert printed.imag > 0.0
 
     def test_a_zero_is_pole_free(self):
-        idx = morse.indices(MorseParameters(A=0.0, K=1.0), ParameterMap.PRINTED)
-        assert idx.kappa1 == pytest.approx(0.5 - 2.0j)
+        idx = morse.indices(MorseParameters(A=0.0, K=1.0), Sector.FERMIONIC, ParameterMap.PRINTED)
+        assert idx.kappa == pytest.approx(0.5 - 2.0j)
 
     @pytest.mark.parametrize("pmap", list(ParameterMap))
     def test_huge_k_overflows(self, pmap):
-        # K^2 overflows past |K| = 1.3e154, so mu is not finite there
+        # K^2 overflows past |K| = 1.3e154, so mu is not finite there; in
+        # columns the error names the first such row, and numpy warns nothing
         with pytest.raises(OverflowError, match=r"K = 1.0000000000000001e\+300"):
-            morse.indices(MorseParameters(K=1e300), pmap)
+            morse.indices(MorseParameters(K=1e300), Sector.FERMIONIC, pmap)
+        with pytest.raises(OverflowError, match=r"K = 1e\+308, K' = 2$"):
+            morse.indices(MorseParameters(K=_column([1.0, 1e308, 1e300])), Sector.FERMIONIC, pmap)
+
+    def test_columns_equal_the_float_indices_bit_for_bit(self):
+        # the figure grid's 121 K values (the K = 2 row puts mu^2 at -4i on
+        # the printed map), and negative K, A = 0 and a column of K'
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        Ks = np.linspace(0.0, 2.0, 121).tolist() + [-1.5, -0.0, 4.0]
+        for A, Kp in ((1.0, 2.0), (0.0, 2.0), (1.0, _column([2.0, 0.0, 1.9] * 41 + [0.5]))):
+            p = MorseParameters(A=A, K=_column(Ks), Kprime=Kp)
+            for pmap in ParameterMap:
+                for sector in Sector:
+                    idx = morse.indices(p, sector, pmap)
+                    assert idx.kappa.shape == idx.mu.shape == (len(Ks), 1)
+                    for r in range(len(Ks)):
+                        ref = morse.indices(_row(p, r), sector, pmap)
+                        assert bits(idx.kappa[r, 0].item()) == bits(ref.kappa), (A, pmap, sector, r)
+                        assert bits(idx.mu[r, 0].item()) == bits(ref.mu), (A, pmap, sector, r)
 
 
 class TestOdeCoefficient:
@@ -164,7 +198,7 @@ class TestWavefunction:
                 return morse.ode_coefficient(p, sector, xs)
 
             def derivs(xs, sector=sector):
-                return morse.wavefunction_derivs_grid([p], sector, ParameterMap.DERIVED, xs)
+                return morse.wavefunction_derivs_grid(p, sector, ParameterMap.DERIVED, xs)
 
             rep = verify.ode_residual(Q, derivs, grid, tol=1e-8)
             assert rep.passed, rep.line()
@@ -216,7 +250,7 @@ class TestWavefunction:
             w, _, d2w = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)
             q = morse.ode_coefficient(p, sector, x)
             worst = max(worst, abs(d2w + q * w) / (1.0 + abs(q) * abs(w)))
-            w, _, d2w = (d[0] for d in morse.wavefunction_derivs_grid([p], sector, ParameterMap.DERIVED, xs))
+            w, _, d2w = (d[0] for d in morse.wavefunction_derivs_grid(p, sector, ParameterMap.DERIVED, xs))
             q = morse.ode_coefficient(p, sector, xs)
             worst = max(worst, np.max(np.abs(d2w + q * w) / (1.0 + np.abs(q) * np.abs(w))))
         assert worst <= 1e-8
@@ -234,7 +268,7 @@ class TestRowPath:
                 for sector in Sector:
                     for alpha, beta in ((1, 0), (0, 1)):
                         p = MorseParameters(K=K, alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta)
-                        row = [d[0] for d in morse.wavefunction_derivs_grid([p], sector, pmap, xs)]
+                        row = [d[0] for d in morse.wavefunction_derivs_grid(p, sector, pmap, xs)]
                         for i, x in enumerate(xs.tolist()):
                             for j, ref in enumerate(morse.wavefunction_derivs(p, sector, pmap, x)):
                                 worst = max(worst, abs(row[j][i] - ref) / abs(ref))
@@ -251,13 +285,13 @@ class TestRowPath:
     def test_laguerre_form_figure_rows_match_scalar(self):
         # the default 61 x 41 figure grid as one block, M solution only
         xs = np.linspace(0.0, 3.0, 61)
-        rows = [MorseParameters(K=K) for K in np.linspace(0.0, 2.0, 41).tolist()]
+        rows = MorseParameters(K=np.linspace(0.0, 2.0, 41)[:, None])
         for sector in Sector:
             block = morse.wavefunction_grid(rows, sector, ParameterMap.PRINTED, xs)
             assert block.shape == (41, 61)
-            for p, values in zip(rows, block.tolist()):
+            for r, values in enumerate(block.tolist()):
                 for x, v in zip(xs.tolist(), values):
-                    ref = _laguerre_form(p, sector, ParameterMap.PRINTED, x)
+                    ref = _laguerre_form(_row(rows, r), sector, ParameterMap.PRINTED, x)
                     assert abs(v - ref) <= 1e-14 * abs(ref)
 
     def test_grid_skips_zero_amplitude_terms_per_row(self):
@@ -265,61 +299,71 @@ class TestRowPath:
         # scalar wavefunction: M only, M + W, W only and, printed map at
         # K' = 1, K = 0, the integer b = 5 W row
         xs = np.linspace(0.0, 3.0, 7)
-        m_row = MorseParameters(K=0.0, Kprime=1.0)
-        rows = [
-            m_row,
-            MorseParameters(K=1.0, Kprime=1.0, alpha2=0.5, beta2=1.0 - 1.0j),
-            MorseParameters(K=0.5, Kprime=1.0, alpha2=0.0, beta2=0.25j),
-            MorseParameters(K=0.0, Kprime=1.0, alpha2=0.0, beta2=1.0),
-        ]
+        rows = MorseParameters(
+            K=_column([0.0, 1.0, 0.5, 0.0]), Kprime=1.0,
+            alpha2=_column([1.0, 0.5, 0.0, 0.0]), beta2=_column([0.0, 1.0 - 1.0j, 0.25j, 1.0]),
+        )
         block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
-        for p, values in zip(rows, block.tolist()):
+        for r, values in enumerate(block.tolist()):
             for x, v in zip(xs.tolist(), values):
-                ref = morse.wavefunction_derivs(p, Sector.BOSONIC, ParameterMap.PRINTED, x)[0]
+                ref = morse.wavefunction_derivs(_row(rows, r), Sector.BOSONIC, ParameterMap.PRINTED, x)[0]
                 assert abs(v - ref) <= 1e-12 * abs(ref)
-        with pytest.raises(ValueError):
-            morse.wavefunction_grid([m_row, MorseParameters(B=3.0)], Sector.BOSONIC, ParameterMap.PRINTED, xs)
 
     def test_derivs_grid_rows_match_scalar(self):
         # wavefunction_derivs_grid, the triple twin of wavefunction_grid:
         # M only, M + W, W only, the integer b = 5 W row and a row with no
         # term, in one block, each row equal to its scalar triples
         xs = np.linspace(0.0, 3.0, 7)
-        rows = [
-            MorseParameters(K=0.0, Kprime=1.0),
-            MorseParameters(K=1.0, Kprime=1.0, alpha2=0.5, beta2=1.0 - 1.0j),
-            MorseParameters(K=0.5, Kprime=1.0, alpha2=0.0, beta2=0.25j),
-            MorseParameters(K=0.0, Kprime=1.0, alpha2=0.0, beta2=1.0),
-            MorseParameters(K=2.0, Kprime=1.0, alpha2=0.0, beta2=0.0),
-        ]
+        rows = MorseParameters(
+            K=_column([0.0, 1.0, 0.5, 0.0, 2.0]), Kprime=1.0,
+            alpha2=_column([1.0, 0.5, 0.0, 0.0, 0.0]), beta2=_column([0.0, 1.0 - 1.0j, 0.25j, 1.0, 0.0]),
+        )
         block = morse.wavefunction_derivs_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
         assert [v.shape for v in block] == [(5, 7)] * 3
-        for r, p in enumerate(rows):
+        for r in range(5):
             for i, x in enumerate(xs.tolist()):
-                for got, ref in zip(block, morse.wavefunction_derivs(p, Sector.BOSONIC, ParameterMap.PRINTED, x)):
+                for got, ref in zip(block, morse.wavefunction_derivs(_row(rows, r), Sector.BOSONIC, ParameterMap.PRINTED, x)):
                     assert abs(got[r, i] - ref) <= 1e-12 * abs(ref)
-        with pytest.raises(ValueError, match="share one B and one a"):
-            morse.wavefunction_derivs_grid([rows[0], MorseParameters(a=1.0)], Sector.BOSONIC, ParameterMap.PRINTED, xs)
+
+    def test_one_record_of_numbers_is_one_row(self):
+        xs = np.linspace(0.0, 3.0, 5)
+        p = MorseParameters(K=0.7, beta2=0.5j)
+        block = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, xs)
+        assert [v.shape for v in block] == [(1, 5)] * 3
+        assert morse.wavefunction_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, xs).shape == (1, 5)
+        for i, x in enumerate(xs.tolist()):
+            for got, ref in zip(block, morse.wavefunction_derivs(p, Sector.BOSONIC, ParameterMap.DERIVED, x)):
+                assert abs(got[0, i] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("field, value", [
+        ("K", np.zeros(3)), ("Kprime", np.zeros((2, 2))), ("alpha1", np.ones((1, 1, 1))), ("beta2", np.zeros((1, 2))),
+    ])
+    def test_fields_are_numbers_or_columns(self, field, value):
+        # any shape but a number or an (R, 1) column is rejected by name
+        p = MorseParameters(**{field: value})
+        for grid in (morse.wavefunction_grid, morse.wavefunction_derivs_grid):
+            with pytest.raises(ValueError, match=rf"^{field} must be a number or an \(R, 1\) column, got shape"):
+                grid(p, Sector.BOSONIC, ParameterMap.DERIVED, np.linspace(0.0, 3.0, 4))
 
     def test_sweep_blocks_match_single_rows(self):
         # the residual sweeps' blocks, 4 K x {M only, W only} per sector and
         # map over 301 x, against one-row calls
         xs = Grid1D(0.0, 3.0, 301).points()
-        rows = [checks._solution_params(K, kind) for K in (0.0, 0.5, 1.0, 2.0) for kind in ("m", "w")]
+        rows = checks._m_and_w_rows([0.0, 0.5, 1.0, 2.0])
         for pmap in ParameterMap:
             for sector in Sector:
                 block = morse.wavefunction_derivs_grid(rows, sector, pmap, xs)
-                for r, p in enumerate(rows):
-                    for got, ref in zip(block, morse.wavefunction_derivs_grid([p], sector, pmap, xs)):
+                for r in range(8):
+                    for got, ref in zip(block, morse.wavefunction_derivs_grid(_row(rows, r), sector, pmap, xs)):
                         assert np.all(np.abs(got[r] - ref[0]) <= 1e-13 * np.abs(ref[0])), (pmap, sector, r)
 
     def test_w_term_in_row_chunks_matches_single_rows(self):
         # more W rows than one chunk of the W term: every row as its own call
         xs = np.linspace(0.0, 3.0, 13)
-        rows = [MorseParameters(K=K, Kprime=1.9, alpha2=0.0, beta2=1.0) for K in np.linspace(0.0, 2.0, 2 * morse._W_ROWS + 5).tolist()]
+        rows = MorseParameters(K=np.linspace(0.0, 2.0, 2 * morse._W_ROWS + 5)[:, None], Kprime=1.9, alpha2=0.0, beta2=1.0)
         block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
-        for p, values in zip(rows, block):
-            ref = morse.wavefunction_grid([p], Sector.BOSONIC, ParameterMap.PRINTED, xs)[0]
+        for r, values in enumerate(block):
+            ref = morse.wavefunction_grid(_row(rows, r), Sector.BOSONIC, ParameterMap.PRINTED, xs)[0]
             assert np.all(np.abs(values - ref) <= 1e-13 * np.abs(ref))
 
     def test_large_grid_csv_does_not_depend_on_blas_threads(self, tmp_path):
@@ -368,7 +412,7 @@ def loop_render_grid(spec):
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     Ks = np.linspace(spec.K_min, spec.K_max, spec.nK).tolist()
     amps = dict(alpha1=spec.alpha, beta1=spec.beta, alpha2=spec.alpha, beta2=spec.beta)
-    rows = [MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=K, Kprime=spec.Kprime, **amps) for K in Ks]
+    rows = MorseParameters(A=spec.A, B=spec.B, a=spec.a, K=_column(Ks), Kprime=spec.Kprime, **amps)
     w = morse.wavefunction_grid(rows, spec.component, spec.param_map, xs)
     ys = riccati.morse_y(riccati.MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
     x_text = [f"{x:.17g}" for x in xs.tolist()]
@@ -476,7 +520,7 @@ class TestLaguerreForm:
         xs = np.linspace(0.0, 3.0, 13)
         for pmap in ParameterMap:
             for sector in Sector:
-                row = morse.wavefunction_grid([p], sector, pmap, xs)[0]
+                row = morse.wavefunction_grid(p, sector, pmap, xs)[0]
                 for x, lhs in zip(xs.tolist(), row.tolist()):
                     rhs = morse.wavefunction_derivs(p, sector, pmap, x)[0]  # beta = 0
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -486,13 +530,13 @@ class TestLaguerreForm:
         for K in np.linspace(0.0, 2.0, 5):
             p = MorseParameters(K=float(K))
             for sector in Sector:
-                w = morse.wavefunction_grid([p], sector, ParameterMap.PRINTED, xs)
+                w = morse.wavefunction_grid(p, sector, ParameterMap.PRINTED, xs)
                 assert np.isfinite(w).all()
 
     def test_k_zero_slice_real(self):
         xs = np.linspace(0.0, 3.0, 61)
         for sector in Sector:
-            w = morse.wavefunction_grid([FIG], sector, ParameterMap.PRINTED, xs)
+            w = morse.wavefunction_grid(FIG, sector, ParameterMap.PRINTED, xs)
             assert np.abs(w.imag).max() <= 1e-12
 
 
@@ -570,7 +614,7 @@ def intertwining(p: MorseParameters, grid: Grid1D):
     """verify.intertwining_check of A+ w_1 against w_2 at p, derived map."""
     pmap = ParameterMap.DERIVED
     raised = partial(checks.raised_fermionic, p, pmap)
-    partner = lambda xs: morse.wavefunction_derivs_grid([p], Sector.BOSONIC, pmap, xs)[0][0]
+    partner = lambda xs: morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
     return verify.intertwining_check(raised, partner, grid, p.Kprime)
 
 

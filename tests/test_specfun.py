@@ -300,9 +300,9 @@ class TestKummerRow:
 
 def _morse_columns(params, pmap, sector):
     """(R, 1) columns of the 1F1 parameters a and b of the Morse M term, one
-    row per parameter set."""
-    idx = [morse.indices(p, pmap).for_sector(sector) for p in params]
-    return np.array([[complex(i.series_a)] for i in idx]), np.array([[complex(i.series_b)] for i in idx])
+    row per row of the parameter columns."""
+    idx = morse.indices(params, sector, pmap)
+    return idx.series_a, idx.series_b
 
 
 class TestKummerBlock:
@@ -317,8 +317,8 @@ class TestKummerBlock:
         # of its roundoff scale of the float loop _kummer_pass
         xs = np.linspace(0.0, 3.0, 31)
         for B in (2.0, 5.0, 10.0, 20.0):
-            params = [MorseParameters(B=B, K=K) for K in (0.0, 1.0, 2.0, 4.0)]
-            ys = np.concatenate(([0.0], riccati.morse_y(params[0].shape(), xs)))
+            params = MorseParameters(B=B, K=np.array([[0.0], [1.0], [2.0], [4.0]]))
+            ys = np.concatenate(([0.0], riccati.morse_y(params.shape(), xs)))
             z_col = ys[[0, 1, 16, 31], None]
             for pmap in ParameterMap:
                 for sector in Sector:
@@ -344,10 +344,11 @@ class TestKummerBlock:
         # the figure grid and grid-shape compare renders byte for byte, so
         # the kernel's matrix product must give the same bits on every call,
         # and for a z that is a view of misaligned memory
-        params = [MorseParameters(K=K) for K in np.linspace(0.0, 2.0, 121)]
+        Ks = np.linspace(0.0, 2.0, 121)
+        params = MorseParameters(K=Ks[:, None])
         a_col, b_col = _morse_columns(params, ParameterMap.PRINTED, Sector.BOSONIC)
-        idx = morse.indices(params[60], ParameterMap.PRINTED).for_sector(Sector.BOSONIC)
-        ys = riccati.morse_y(params[0].shape(), np.linspace(0.0, 3.0, 181))
+        idx = morse.indices(MorseParameters(K=Ks[60]), Sector.BOSONIC, ParameterMap.PRINTED)
+        ys = riccati.morse_y(params.shape(), np.linspace(0.0, 3.0, 181))
         misaligned = np.empty(ys.size + 1)[1:]
         misaligned[:] = ys
         assert misaligned.ctypes.data % 16 == 8
@@ -416,17 +417,19 @@ class TestWhittakerBlocks:
         # (A = 1, a = 0.5, K' = 2), at the y of x in [0, 3]: each element of
         # a block triple is within 1e-13 of the row's own array call
         xs = np.linspace(0.0, 3.0, 31)
+        Ks = (0.0, 1.0, 2.0, 4.0)
         for B in (2.0, 5.0, 10.0, 20.0):
-            params = [MorseParameters(B=B, K=K) for K in (0.0, 1.0, 2.0, 4.0)]
-            ys = riccati.morse_y(params[0].shape(), xs)
+            params = MorseParameters(B=B, K=np.array(Ks)[:, None])
+            ys = riccati.morse_y(params.shape(), xs)
             for pmap in ParameterMap:
                 for sector in Sector:
-                    idx = [morse.indices(p, pmap).for_sector(sector) for p in params]
+                    idx = morse.indices(params, sector, pmap)
                     for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs):
-                        block = fn(_index_columns(idx), ys)
+                        block = fn(idx, ys)
                         assert [v.shape for v in block] == [(4, ys.size)] * 3
-                        for r, i in enumerate(idx):
-                            for got, ref in zip(block, fn(i, ys)):
+                        for r, K in enumerate(Ks):
+                            row_idx = morse.indices(MorseParameters(B=B, K=K), sector, pmap)
+                            for got, ref in zip(block, fn(row_idx, ys)):
                                 assert np.all(np.abs(got[r] - ref) <= 1e-13 * np.abs(ref)), (B, pmap, sector, r)
 
     def test_block_mixes_shifted_integer_and_plain_rows(self):
@@ -468,12 +471,13 @@ class TestWhittakerBlocks:
             assert [v.shape for v in fn(none, np.array([1.0, 2.0]))] == [(0, 2)] * 3
             assert [v.shape for v in fn(idx, np.array([]))] == [(2, 0)] * 3
         assert specfun.tricomi_u(np.zeros((0, 1)), np.zeros((0, 1)), np.array([1.0])).shape == (0, 1)
-        assert [v.shape for v in morse.wavefunction_derivs_grid([], Sector.BOSONIC, ParameterMap.DERIVED, [1.0])] == [(0, 1)] * 3
+        no_rows = MorseParameters(K=np.zeros((0, 1)))
+        assert [v.shape for v in morse.wavefunction_derivs_grid(no_rows, Sector.BOSONIC, ParameterMap.DERIVED, [1.0])] == [(0, 1)] * 3
 
     def test_repeated_block_calls_are_byte_identical(self):
-        params = [MorseParameters(B=10.0, K=K) for K in (0.0, 0.5, 1.0, 2.0)]
-        idx = _index_columns([morse.indices(p, ParameterMap.DERIVED).for_sector(Sector.FERMIONIC) for p in params])
-        ys = riccati.morse_y(params[0].shape(), np.linspace(0.0, 3.0, 301))
+        params = MorseParameters(B=10.0, K=np.array([[0.0], [0.5], [1.0], [2.0]]))
+        idx = morse.indices(params, Sector.FERMIONIC, ParameterMap.DERIVED)
+        ys = riccati.morse_y(params.shape(), np.linspace(0.0, 3.0, 301))
 
         def call():
             return b"".join(v.tobytes() for fn in (specfun.whittaker_m_derivs, specfun.whittaker_w_derivs) for v in fn(idx, ys))
@@ -699,7 +703,7 @@ class TestWhittaker:
             for K in (0.0, 0.5, 1.0, 2.0):
                 for pmap in ParameterMap:
                     for sector in Sector:
-                        idx = morse.indices(MorseParameters(B=B, K=K), pmap).for_sector(sector)
+                        idx = morse.indices(MorseParameters(B=B, K=K), sector, pmap)
                         expected = -cmath.exp(
                             specfun.log_gamma(2 * idx.mu + 1) - specfun.log_gamma(idx.mu - idx.kappa + 0.5)
                         )
@@ -849,10 +853,11 @@ class TestWhittaker:
         morse_points = []
         for _ in range(24):
             p = MorseParameters(K=rng.uniform(0.0, 2.0))
-            idx = morse.indices(p, rng.choice(list(ParameterMap))).for_sector(rng.choice(list(Sector)))
+            pmap = rng.choice(list(ParameterMap))
+            idx = morse.indices(p, rng.choice(list(Sector)), pmap)
             morse_points.append((idx, math.exp(rng.uniform(*log_y))))
         assert worst(morse_points) <= 1e-12
-        integer_b = [morse.indices(MorseParameters(), ParameterMap.PRINTED).for_sector(s) for s in Sector]
+        integer_b = [morse.indices(MorseParameters(), s, ParameterMap.PRINTED) for s in Sector]
         integer_b += [WhittakerIndices(kappa=(b - 1) / 2 - a + 0.5, mu=(b - 1) / 2) for a, b in ((1.3 + 0.4j, 1.0), (2.0, -3.0))]
         assert worst([(idx, y) for idx in integer_b for y in (0.05, 0.7, 8.0, 30.0, 80.0)]) <= 1e-12
         nonpositive = []
@@ -861,7 +866,8 @@ class TestWhittaker:
                 A=rng.choice((1.0, 1.5, 2.0, 3.0)), a=rng.choice((0.5, 1.0)),
                 K=rng.uniform(0.0, 2.0), Kprime=rng.choice((0.0, 0.5, 1.0, 2.0)),
             )
-            idx = morse.indices(p, rng.choice(list(ParameterMap))).for_sector(rng.choice(list(Sector)))
+            pmap = rng.choice(list(ParameterMap))
+            idx = morse.indices(p, rng.choice(list(Sector)), pmap)
             if idx.series_a.real <= 0.0:
                 nonpositive.append((idx, math.exp(rng.uniform(*log_y))))
         assert worst(nonpositive) <= 1e-11

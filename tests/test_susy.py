@@ -179,7 +179,7 @@ def test_hamiltonian_eigen_residual(morse_sol):
         return np.array([susy.complex_potential_coefficient(morse_sol, ext, Sector.FERMIONIC, x) for x in xs.tolist()])
 
     def derivs(xs):
-        return morse_mod.wavefunction_derivs_grid([p], Sector.FERMIONIC, ParameterMap.DERIVED, xs)
+        return morse_mod.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs)
 
     rep = verify.ode_residual(Q, derivs, Grid1D(0.0, 3.0, 51), tol=1e-8)
     assert rep.passed

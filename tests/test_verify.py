@@ -299,7 +299,7 @@ class TestOdeResidual:
         p = MorseParameters(K=1.0)
         rep = verify.ode_residual(
             lambda xs: morse.ode_coefficient(p, Sector.FERMIONIC, xs),
-            lambda xs: morse.wavefunction_derivs_grid([p], Sector.FERMIONIC, ParameterMap.DERIVED, xs),
+            lambda xs: morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs),
             Grid1D(0.0, 3.0, 61),
         )
         assert rep.passed
@@ -488,8 +488,8 @@ class TestWronskian:
         pmap = ParameterMap.DERIVED
         sector = Sector.FERMIONIC
         rep = verify.wronskian_constancy(
-            lambda xs: morse.wavefunction_derivs_grid([p], sector, pmap, xs),
-            lambda xs: morse.wavefunction_derivs_grid([q], sector, pmap, xs),
+            lambda xs: morse.wavefunction_derivs_grid(p, sector, pmap, xs),
+            lambda xs: morse.wavefunction_derivs_grid(q, sector, pmap, xs),
             Grid1D(0.2, 3.0, 29),
         )
         assert rep.passed, rep.line()
@@ -498,7 +498,7 @@ class TestWronskian:
 class TestIntertwiningCheck:
     @staticmethod
     def bosonic(p, pmap):
-        return lambda xs: morse.wavefunction_derivs_grid([p], Sector.BOSONIC, pmap, xs)[0][0]
+        return lambda xs: morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
 
     def test_corrupted_partner_fails(self):
         # multiplying w2 by x destroys the proportionality
