@@ -156,6 +156,8 @@ def _wave_derivs(idx: WhittakerIndices, shape: MorseRiccati, alpha: complex, bet
     (never obtained from the differential equation).
     """
     y = riccati.morse_y(shape, x)
+    if not isinstance(x, np.ndarray) and y == 0.0:  # e^{ax/2} overflows only further out
+        raise ValueError(f"y = (2B/a) e^(-a x) underflows to 0 at x = {_g17([x])[0]}")
     g = np.exp(0.5 * shape.a * x) if isinstance(x, np.ndarray) else math.exp(0.5 * shape.a * x)
     w = dw = d2w = 0j * g  # zero, or zeros of the shape of x
     for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
@@ -178,9 +180,9 @@ def wavefunction_derivs(
     return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), x)
 
 
-def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, xs: np.ndarray):
-    """The Morse shape and y of a grid, and its Whittaker indices and
-    amplitudes (alpha, beta) as (R, 1) columns: R is the length of the
+def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, xs):
+    """The x (as a float array) and y of a grid, and its Whittaker indices
+    and amplitudes (alpha, beta) as (R, 1) columns: R is the length of the
     fields that are (R, 1) columns, or 1 where every field is a number."""
     shapes = {name: np.shape(getattr(params, name)) for name in ("K", "Kprime", "alpha1", "beta1", "alpha2", "beta2")}
     for name, field_shape in shapes.items():
@@ -189,8 +191,8 @@ def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, x
     rows = np.broadcast_shapes((1, 1), *shapes.values())
     idx = indices(params, sector, pmap)
     kappa, mu, alpha, beta = (np.broadcast_to(v, rows) for v in (idx.kappa, idx.mu, *params.amplitudes(sector)))
-    shape = params.shape()
-    return shape, riccati.morse_y(shape, xs), WhittakerIndices(kappa=kappa, mu=mu), alpha, beta
+    xs = np.asarray(xs, dtype=float)
+    return xs, riccati.morse_y(params.shape(), xs), WhittakerIndices(kappa=kappa, mu=mu), alpha, beta
 
 
 def wavefunction_derivs_grid(
@@ -205,15 +207,14 @@ def wavefunction_derivs_grid(
     shared by every row; a row with a zero amplitude never evaluates that
     term.
     """
-    xs = np.asarray(xs, dtype=float)
-    shape, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
+    xs, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
     out = np.zeros((3, len(alpha), xs.size), dtype=complex)
-    g = np.exp(0.5 * shape.a * xs)
+    g = np.exp(0.5 * params.a * xs)
     for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
         on = amp[:, 0] != 0.0
         if on.any():
             triple = kernel(WhittakerIndices(kappa=idx.kappa[on], mu=idx.mu[on]), y)
-            out[:, on] += amp[on] * np.array(_chain_rule(shape.a, g, y, *triple))
+            out[:, on] += amp[on] * np.array(_chain_rule(params.a, g, y, *triple))
     return tuple(out)
 
 
@@ -237,8 +238,7 @@ def wavefunction_grid(
     y are shared by its rows, so it holds one such block of rows at a
     time. A row with a zero amplitude never evaluates that term.
     """
-    xs = np.asarray(xs, dtype=float)
-    shape, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
+    xs, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
     a, b = idx.series_a, idx.series_b
     core = np.zeros((len(alpha), xs.size), dtype=complex)
     on = alpha[:, 0] != 0.0
@@ -251,8 +251,8 @@ def wavefunction_grid(
     # log y is then log(2B/a) - a x, so y^mu = e^{mu log y} keeps its value
     # at every finite x
     with np.errstate(divide="ignore"):
-        log_y = np.where(y > 0.0, np.log(y), math.log(2.0 * shape.B / shape.a) - shape.a * xs)
-    return math.sqrt(2.0 * shape.B / shape.a) * np.exp(idx.mu * log_y - 0.5 * y) * core
+        log_y = np.where(y > 0.0, np.log(y), math.log(2.0 * params.B / params.a) - params.a * xs)
+    return math.sqrt(2.0 * params.B / params.a) * np.exp(idx.mu * log_y - 0.5 * y) * core
 
 
 HEADER = "x,K,y,re,im"

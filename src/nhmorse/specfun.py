@@ -560,9 +560,10 @@ class WhittakerIndices:
         return 2.0 * self.mu + 1.0
 
 
-def _core_derivs(core, core_d1, core_d2, mu: complex, y):
+def _core_derivs(core, y_d1, y2_d2, mu: complex, y):
     """Value and first two y-derivatives of e^{-y/2} y^{mu+1/2} F(y), at a
-    float y or elementwise over an array.
+    float y or elementwise over an array, from F, y F' and y^2 F''; no y * y
+    is formed, so it cannot underflow to 0 at a tiny y.
 
     The core derivatives are supplied analytically (term-by-term
     differentiated series), never through the differential equation, so
@@ -574,12 +575,8 @@ def _core_derivs(core, core_d1, core_d2, mu: complex, y):
         pre = np.exp(-0.5 * y + s * np.log(y))
     else:
         pre = cmath.exp(-0.5 * y + s * math.log(y))
-    l1 = -0.5 + s / y  # (d/dy prefactor) / prefactor
-    l2 = l1 * l1 - s / (y * y)  # (d2/dy2 prefactor) / prefactor
-    f = pre * core
-    d1 = pre * (l1 * core + core_d1)
-    d2 = pre * (l2 * core + 2.0 * l1 * core_d1 + core_d2)
-    return f, d1, d2
+    t = s - 0.5 * y  # y (d/dy prefactor) / prefactor
+    return pre * core, pre / y * (t * core + y_d1), pre / y / y * ((t * t - s) * core + 2.0 * t * y_d1 + y2_d2)
 
 
 def whittaker_m_derivs(idx: WhittakerIndices, y):
@@ -597,7 +594,7 @@ def whittaker_m_derivs(idx: WhittakerIndices, y):
         for k in range(3):
             _check_kummer_b(a + k, b + k)
         s0, s1, s2 = _kummer_pass(a, b, y)
-    return _core_derivs(s0, s1 / y, s2 / (y * y), idx.mu, y)
+    return _core_derivs(s0, s1, s2, idx.mu, y)
 
 
 def whittaker_w_derivs(idx: WhittakerIndices, y):
@@ -606,7 +603,8 @@ def whittaker_w_derivs(idx: WhittakerIndices, y):
     indices, as (R, N) blocks for (R, 1) columns of them and y of shape
     (N,) (one quadrature for all of them)."""
     a, b, y = _arguments("whittaker_w_derivs", idx.series_a, idx.series_b, y, positive=True)
-    return _core_derivs(*_tricomi_derivs(a, b, y), idx.mu, y)
+    u, u1, u2 = _tricomi_derivs(a, b, y)
+    return _core_derivs(u, y * u1, y * (y * u2), idx.mu, y)
 
 
 def laguerre_poly(n: int, p: float, y: float) -> float:

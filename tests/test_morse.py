@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -225,6 +226,29 @@ class TestWavefunction:
         # precision: a typed error naming the series, not (nan, nan, nan)
         with pytest.raises(NonConvergence, match=r"a=\(2\+0j\), b=\(9\+0j\), z=745\.78"):
             morse.wavefunction_derivs(FIG, Sector.FERMIONIC, ParameterMap.PRINTED, -9.07)
+
+    def test_far_x_triples_equal_the_grid(self):
+        # at x = 1400, y = 7.9e-304: y * y would underflow to 0, but the
+        # prefactor y^(mu + 1/2) already has, so the M triples are 0, as the
+        # grid value is, with no warning
+        xs = np.array([1400.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for pmap in ParameterMap:
+                for sector in Sector:
+                    value = morse.wavefunction_grid(FIG, sector, pmap, xs)[0, 0]
+                    block = [d[0, 0] for d in morse.wavefunction_derivs_grid(FIG, sector, pmap, xs)]
+                    for triple in (morse.wavefunction_derivs(FIG, sector, pmap, 1400.0), block):
+                        assert list(triple) == [value, 0.0, 0.0]
+        assert caught == []
+
+    @pytest.mark.parametrize("x", [1500.0, 2900.0])
+    def test_underflowed_y_names_x(self, x):
+        # at a = 0.5, y = 0 past x = 1490, and e^{ax/2} overflows past x = 2839:
+        # one error naming x, for M and W terms alike
+        for p in (FIG, MorseParameters(K=1.0, alpha1=0.0, beta1=1.0)):
+            with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
+                morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)
 
     def test_recessive_branch_residual_to_y_80(self):
         # the W branch over the recessive-sweep region: B in {2, 5, 10, 20},

@@ -767,7 +767,8 @@ class TestWhittaker:
                     assert_close(row[i], ref, rel=1e-12)
         a, b, u = idx.series_a, idx.series_b, specfun.tricomi_u
         for y in ys.tolist():
-            core = (u(a, b, y), -a * u(a + 1, b + 1, y), a * (a + 1) * u(a + 2, b + 2, y))
+            # _core_derivs takes U, y U' and y^2 U''
+            core = (u(a, b, y), -a * y * u(a + 1, b + 1, y), a * (a + 1) * y * y * u(a + 2, b + 2, y))
             for got, ref in zip(specfun.whittaker_w_derivs(idx, y), specfun._core_derivs(*core, idx.mu, y)):
                 assert_close(got, ref, rel=1e-12)
 
