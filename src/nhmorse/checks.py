@@ -70,9 +70,8 @@ def check_kummer_oracle(tol: float = 1e-10) -> ResidualReport:
 def _m_and_w_rows(Ks: list[float]) -> MorseParameters:
     """An M row (alpha = 1, beta = 0) and then a W row (alpha = 0, beta = 1)
     at each K, as the columns of one record."""
-    K = np.repeat(np.array(Ks)[:, None], 2, axis=0)
     m = np.tile([[1.0], [0.0]], (len(Ks), 1))
-    return MorseParameters(K=K, alpha1=m, beta1=1 - m, alpha2=m, beta2=1 - m)
+    return MorseParameters(K=np.repeat(Ks, 2)[:, None], alpha1=m, beta1=1 - m, alpha2=m, beta2=1 - m)
 
 
 def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:

@@ -576,7 +576,10 @@ def _core_derivs(core, y_d1, y2_d2, mu: complex, y):
     else:
         pre = cmath.exp(-0.5 * y + s * math.log(y))
     t = s - 0.5 * y  # y (d/dy prefactor) / prefactor
-    return pre * core, pre / y * (t * core + y_d1), pre / y / y * ((t * t - s) * core + 2.0 * t * y_d1 + y2_d2)
+    f = pre * core
+    d1 = pre / y * (t * core + y_d1)
+    d2 = pre / y / y * ((t * t - s) * core + 2.0 * t * y_d1 + y2_d2)
+    return f, d1, d2
 
 
 def whittaker_m_derivs(idx: WhittakerIndices, y):
