@@ -1,10 +1,11 @@
 """Non-Hermitian Morse problem from Riccati superpotentials.
 
 Closed-form wavefunctions built from complex-parameter Whittaker and
-Laguerre-like functions, the SUSY factorization/intertwining layer that
-generates them, and independent numerical oracles that verify every
-closed form by ODE residual, integration cross-check, Wronskian
-constancy and intertwining constancy.
+Laguerre-like functions; the SUSY factorization/intertwining layer that
+generates them, acting on the values R and R' of the Morse superpotential;
+and independent numerical oracles that verify every closed form by ODE
+residual, integration cross-check, Wronskian constancy and intertwining
+constancy.
 """
 
 from .errors import (
@@ -15,14 +16,13 @@ from .errors import (
     PoleError,
 )
 from .morse import MorseParameters, ParameterMap
-from .riccati import MorseRiccati, RiccatiSign, RiccatiSolution
+from .riccati import MorseRiccati, RiccatiSign
 from .specfun import WhittakerIndices
-from .susy import ExtensionParams, Ladder, RealCaseParams, Sector
+from .susy import Ladder, Sector
 from .verify import Grid1D, ResidualReport
 
 __all__ = [
     "EvaluationError",
-    "ExtensionParams",
     "Grid1D",
     "Ladder",
     "MorseParameters",
@@ -32,10 +32,8 @@ __all__ = [
     "ParameterMap",
     "ParameterPole",
     "PoleError",
-    "RealCaseParams",
     "ResidualReport",
     "RiccatiSign",
-    "RiccatiSolution",
     "Sector",
     "WhittakerIndices",
 ]

@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import morse, riccati, specfun, susy, verify
+from . import morse, specfun, susy, verify
 from .morse import MorseParameters, ParameterMap
-from .riccati import MorseRiccati, RiccatiSign
-from .susy import ExtensionParams, Ladder, Sector
+from .riccati import RiccatiSign
+from .susy import Ladder, Sector
 from .verify import Grid1D, ResidualReport
 
 FIG_PARAMS = MorseParameters(A=1.0, B=2.0, a=0.5, K=0.0, Kprime=2.0)
@@ -100,9 +100,8 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
     """A+ applied to the fermionic closed form at the points xs, with its
     analytic derivative: the side of the intertwining relation that should
     be proportional to the bosonic solution."""
-    R = riccati.morse_riccati(params.shape(), RiccatiSign.PLUS)
     w1, dw1, _ = (d[0] for d in morse.wavefunction_derivs_grid(params, Sector.FERMIONIC, pmap, xs))
-    return susy.apply_first_order(Ladder.RAISE, R, params.K, w1, dw1, xs)
+    return susy.apply_first_order(Ladder.RAISE, params.shape().R(xs), params.K, w1, dw1)
 
 
 def bound_state_residual(
@@ -169,12 +168,17 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
 
 
 def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:
-    """u is built from R, so the Riccati residual must close to roundoff."""
-    shape = MorseRiccati(A=1.0, B=2.0, a=0.5)
+    """R' +/- R^2 of the Morse superpotential is the Morse potential in the
+    paper's constants: B_bar e^{-2ax} - C2_bar e^{-ax} + A^2 for PLUS, and
+    minus (B_bar e^{-2ax} - C1_bar e^{-ax} + A^2) for MINUS; the residual is
+    relative to 1 + |V|."""
+    p = FIG_PARAMS
+    xs = np.linspace(-5.0, 10.0, 301)
+    e = np.exp(-p.a * xs)
     worst = 0.0
-    for sign in RiccatiSign:
-        sol = riccati.morse_riccati(shape, sign)
-        worst = max(worst, float(riccati.riccati_residual(sol, np.linspace(-5.0, 10.0, 301)).max()))
+    for sign, C in ((RiccatiSign.PLUS, p.C2_bar), (RiccatiSign.MINUS, p.C1_bar)):
+        V = sign.value * (p.B_bar * e * e - C * e + p.A * p.A)
+        worst = max(worst, float(np.max(np.abs(p.shape().witten(sign, xs) - V) / (1.0 + np.abs(V)))))
     return _report("riccati-closure", worst, tol, grid_size=602)
 
 
@@ -183,15 +187,15 @@ def check_expansion_identity(tol: float = 1e-12) -> ResidualReport:
     the six (K, K') pairs as columns of one block per (A, B, a, sector)."""
     xs = np.linspace(0.0, 3.0, 11)
     K, Kp = (np.array(column)[:, None] for column in zip(*itertools.product((0.0, 1.0, 2.0), (0.0, 2.0))))
-    ext = ExtensionParams(K=K, Kprime=Kp)
     worst = 0.0
     count = 0
     for A, B, a in itertools.product((-1.0, 0.0, 0.5, 1.0, 2.0), (1.0, 2.0), (0.5, 1.0)):
         p = MorseParameters(A=A, B=B, a=a, K=K, Kprime=Kp)
-        sol = riccati.morse_riccati(p.shape(), RiccatiSign.PLUS)
+        shape = p.shape()
+        R, dR = shape.R(xs), shape.dR(xs)
         for sector in Sector:
             lhs = morse.ode_coefficient(p, sector, xs)
-            rhs = susy.complex_potential_coefficient(sol, ext, sector, xs)
+            rhs = susy.complex_potential_coefficient(R, dR, K, Kp, sector)
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
             count += lhs.size
     return _report("expansion-identity", worst, tol, grid_size=count)

@@ -37,6 +37,9 @@ class ParameterMap(str, Enum):
     DERIVED = "derived"
 
 
+_POINT_FIELDS = ("K", "Kprime", "alpha1", "beta1", "alpha2", "beta2")
+
+
 @dataclass(frozen=True)
 class MorseParameters:
     """Full parameter record: Morse shape (A, B, a), extension (K, K'),
@@ -60,6 +63,14 @@ class MorseParameters:
     def __post_init__(self) -> None:
         # the Morse shape's own checks: a > 0, B > 0, finite A
         self.shape()
+        for name in _POINT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                bad = ~np.isfinite(value)
+                if bad.any():
+                    raise ValueError(f"require finite {name}, got {name} = {value[bad][0]} in row {bad.nonzero()[0][0]}")
+            elif not cmath.isfinite(value):
+                raise ValueError(f"require finite {name}, got {name} = {value}")
 
     @property
     def B_bar(self) -> float:
@@ -184,7 +195,7 @@ def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, x
     """The x (as a float array) and y of a grid, and its Whittaker indices
     and amplitudes (alpha, beta) as (R, 1) columns: R is the length of the
     fields that are (R, 1) columns, or 1 where every field is a number."""
-    shapes = {name: np.shape(getattr(params, name)) for name in ("K", "Kprime", "alpha1", "beta1", "alpha2", "beta2")}
+    shapes = {name: np.shape(getattr(params, name)) for name in _POINT_FIELDS}
     for name, field_shape in shapes.items():
         if field_shape != () and field_shape[1:] != (1,):
             raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")

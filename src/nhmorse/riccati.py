@@ -1,16 +1,16 @@
-"""Witten-type Riccati superpotentials.
+"""The Morse superpotential and its Witten-type Riccati combinations.
 
-A superpotential R(x) together with its derivative and a sign convention
-determines the induced potential u = R' +/- R^2. The Morse family
-R(x) = A - B e^{-a x} is the one used throughout the closed-form layer.
+R(x) = A - B e^{-a x} and its exact derivative R'(x) = a B e^{-a x} give
+the induced potentials R' +/- R^2 of the two SUSY partners. The Morse
+substitution y = (2B/a) e^{-a x} maps the closed-form layer onto
+Whittaker's equation. Each takes a float x or an array of x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -20,40 +20,6 @@ class RiccatiSign(Enum):
 
     PLUS = 1
     MINUS = -1
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """A superpotential bundle: R, R', the sign, and u = R' +/- R^2."""
-
-    eval_R: Callable[[float], float]
-    eval_dR: Callable[[float], float]
-    sign: RiccatiSign
-    eval_u: Callable[[float], float] = field(repr=False)
-
-
-def from_superpotential(
-    R: Callable[[float], float],
-    dR: Callable[[float], float],
-    sign: RiccatiSign,
-    validate_at: list[float] | None = None,
-) -> RiccatiSolution:
-    """Bundle a user-supplied superpotential, building u from R and R'.
-
-    When validate_at is given, dR is checked against a central finite
-    difference of R at those points (relative tolerance 1e-6).
-    """
-    if validate_at is not None:
-        for x in validate_at:
-            h = 1e-6 * (1.0 + abs(x))
-            fd = (R(x + h) - R(x - h)) / (2.0 * h)
-            if abs(fd - dR(x)) > 1e-6 * (1.0 + abs(fd)):
-                raise ValueError(f"derivative mismatch at x = {x}: dR = {dR(x)}, fd = {fd}")
-
-    def u(x: float) -> float:
-        return dR(x) + sign.value * R(x) ** 2
-
-    return RiccatiSolution(eval_R=R, eval_dR=dR, sign=sign, eval_u=u)
 
 
 @dataclass(frozen=True)
@@ -72,23 +38,18 @@ class MorseRiccati:
         if not math.isfinite(self.A):
             raise ValueError(f"require finite A, got A = {self.A}")
 
+    def R(self, x):
+        """The superpotential A - B e^{-a x}."""
+        return self.A - self.B * np.exp(-self.a * x)
 
-def morse_riccati(params: MorseRiccati, sign: RiccatiSign) -> RiccatiSolution:
-    """The Morse superpotential with its exact derivative a B e^{-a x}; x a float or an array."""
-    A, B, a = params.A, params.B, params.a
+    def dR(self, x):
+        """The exact derivative a B e^{-a x} of R."""
+        return self.a * self.B * np.exp(-self.a * x)
 
-    def R(x):
-        return A - B * (np.exp(-a * x) if isinstance(x, np.ndarray) else math.exp(-a * x))
-
-    def dR(x):
-        return a * B * (np.exp(-a * x) if isinstance(x, np.ndarray) else math.exp(-a * x))
-
-    return from_superpotential(R, dR, sign)
-
-
-def riccati_residual(sol: RiccatiSolution, x):
-    """|R'(x) +/- R(x)^2 - u(x)| under the solution's own sign, elementwise over an array."""
-    return abs(sol.eval_dR(x) + sol.sign.value * sol.eval_R(x) ** 2 - sol.eval_u(x))
+    def witten(self, sign: RiccatiSign, x):
+        """The Witten combination R' + sign R^2."""
+        R = self.R(x)
+        return self.dR(x) + sign.value * R * R
 
 
 def morse_y(params: MorseRiccati, x):

@@ -51,7 +51,7 @@ def test_criterion_05_intertwining():
 
 
 def test_criterion_06_riccati_closure():
-    rep = _run("riccati-closure")
+    rep = _run("riccati-closure", runtime_limit=0.1)
     assert rep.passed and rep.tolerance == 1e-12
 
 
@@ -61,12 +61,12 @@ def test_criterion_07_expansion_identity():
 
 
 def test_criterion_08_laguerre_identity():
-    rep = _run("laguerre-identity")
+    rep = _run("laguerre-identity", runtime_limit=0.1)
     assert rep.passed and rep.tolerance == 1e-10
 
 
 def test_criterion_09_reality_at_k_zero():
-    rep = _run("reality-k0")
+    rep = _run("reality-k0", runtime_limit=0.1)
     assert rep.passed and rep.tolerance == 1e-12
 
 
@@ -82,7 +82,7 @@ def test_criterion_11_grid_determinism_and_shape():
 
 
 def test_criterion_12_rk4_order():
-    rep = _run("rk4-order")
+    rep = _run("rk4-order", runtime_limit=0.1)
     assert rep.passed
     # tolerance 0.25 on |ratio/16 - 1| is exactly the window [12, 20]
     assert rep.tolerance == 0.25

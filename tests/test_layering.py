@@ -26,6 +26,13 @@ GONE_FROM_SPECFUN = (
     "_kummer_series_row", "_kummer_pass_row",
 )
 
+# Names that left the SUSY layer when it came to take the values R and R'
+# rather than a closure bundle, and the real-case API that no module called.
+GONE_FROM_SUSY_LAYER = (
+    "RiccatiSolution", "from_superpotential", "morse_riccati", "riccati_residual",
+    "RealCaseParams", "real_partner_potential", "ExtensionParams",
+)
+
 
 def relative_imports(path: Path) -> set[str]:
     """The package modules that the file imports with a relative import,
@@ -99,3 +106,9 @@ def test_one_number_formatter():
         and ".17g" in str(node.value) and id(node) not in docstrings
     ]
     assert formats and [node.lineno for node in formats if id(node) not in inside] == []
+
+
+def test_susy_takes_values_and_imports_nothing_from_the_package():
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [gone for gone in GONE_FROM_SUSY_LAYER if re.search(rf"\b{gone}\b", text)] == []
+    assert relative_imports(PACKAGE / "susy.py") == set()

@@ -19,7 +19,7 @@ import pytest
 from nhmorse import checks, morse, riccati, specfun, susy, verify
 from nhmorse.errors import NonConvergence, NonNormalizable
 from nhmorse.morse import GridSpec, MorseParameters, ParameterMap
-from nhmorse.susy import ExtensionParams, Sector
+from nhmorse.susy import Sector
 from nhmorse.verify import Grid1D
 
 FIG = MorseParameters()  # A=1, B=2, a=0.5, K=0, K'=2
@@ -70,6 +70,17 @@ class TestParameters:
             riccati.MorseRiccati(**{"A": 1.0, "B": 2.0, "a": 0.5, **bad})
         with pytest.raises(ValueError, match=f"^{re.escape(str(shape_error.value))}$"):
             MorseParameters(**bad)
+
+    @pytest.mark.parametrize("name", ["K", "Kprime", "alpha1", "beta1", "alpha2", "beta2"])
+    def test_non_finite_point_field_raises(self, name):
+        # a nan or infinite K, K' or amplitude is named at construction, as a
+        # number or in an (R, 1) column, rather than surfacing as an index
+        # overflow or a nan wavefunction on first use
+        for bad in (math.nan, -math.inf, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match=f"^require finite {name}, got {name} = "):
+                MorseParameters(**{name: bad})
+        with pytest.raises(ValueError, match=f"^require finite {name}, got {name} = nan in row 1$"):
+            MorseParameters(**{name: _column([1.0, math.nan, math.inf])})
 
 
 class TestIndices:
@@ -150,12 +161,11 @@ class TestOdeCoefficient:
 
     def test_matches_generic_bracket(self):
         p = MorseParameters(A=0.7, B=1.3, a=0.9, K=1.4, Kprime=0.3)
-        sol = riccati.morse_riccati(p.shape(), riccati.RiccatiSign.PLUS)
-        ext = ExtensionParams(K=p.K, Kprime=p.Kprime)
+        shape = p.shape()
         for sector in Sector:
             for x in np.linspace(0.0, 3.0, 100):
                 lhs = morse.ode_coefficient(p, sector, x)
-                rhs = susy.complex_potential_coefficient(sol, ext, sector, x)
+                rhs = susy.complex_potential_coefficient(shape.R(x), shape.dR(x), p.K, p.Kprime, sector)
                 assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
     def test_expansion_identity_columns_are_the_scalar_calls(self):
@@ -167,16 +177,17 @@ class TestOdeCoefficient:
         K, Kp = (np.array(column)[:, None] for column in zip(*pairs))
         worst, calls = 0.0, 0
         for A, B, a in itertools.product((-1.0, 0.0, 0.5, 1.0, 2.0), (1.0, 2.0), (0.5, 1.0)):
-            sol = riccati.morse_riccati(riccati.MorseRiccati(A=A, B=B, a=a), riccati.RiccatiSign.PLUS)
+            shape = riccati.MorseRiccati(A=A, B=B, a=a)
+            R, dR = shape.R(xs), shape.dR(xs)
             block = MorseParameters(A=A, B=B, a=a, K=K, Kprime=Kp)
             for sector in Sector:
                 lhs = morse.ode_coefficient(block, sector, xs)
-                rhs = susy.complex_potential_coefficient(sol, ExtensionParams(K=K, Kprime=Kp), sector, xs)
+                rhs = susy.complex_potential_coefficient(R, dR, K, Kp, sector)
                 lhs_rows, rhs_rows = [], []
                 for k, kp in pairs:
                     p = MorseParameters(A=A, B=B, a=a, K=k, Kprime=kp)
                     lhs_rows.append(morse.ode_coefficient(p, sector, xs))
-                    rhs_rows.append(susy.complex_potential_coefficient(sol, ExtensionParams(K=k, Kprime=kp), sector, xs))
+                    rhs_rows.append(susy.complex_potential_coefficient(R, dR, k, kp, sector))
                     worst = max(worst, float(np.max(np.abs(lhs_rows[-1] - rhs_rows[-1]) / (1.0 + np.abs(rhs_rows[-1])))))
                     calls += 1
                 assert lhs.tobytes() == np.array(lhs_rows).tobytes()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmorse import riccati
+from nhmorse import checks, riccati
+from nhmorse.morse import MorseParameters
 from nhmorse.riccati import MorseRiccati, RiccatiSign
 
 
@@ -16,10 +17,9 @@ def shape():
 
 
 def test_morse_riccati_values(shape):
-    sol = riccati.morse_riccati(shape, RiccatiSign.PLUS)
-    assert sol.eval_R(0.0) == pytest.approx(-1.0)
-    assert sol.eval_dR(0.0) == pytest.approx(1.0)
-    assert sol.eval_R(50.0) == pytest.approx(shape.A, abs=1e-9)
+    assert shape.R(0.0) == pytest.approx(-1.0)
+    assert shape.dR(0.0) == pytest.approx(1.0)
+    assert shape.R(50.0) == pytest.approx(shape.A, abs=1e-9)
 
 
 def test_invalid_parameters():
@@ -33,39 +33,42 @@ def test_invalid_parameters():
 
 @pytest.mark.parametrize("sign", list(RiccatiSign))
 def test_residual_closure(shape, sign):
-    sol = riccati.morse_riccati(shape, sign)
+    # R' +/- R^2 is the Morse potential written out by hand:
+    # +/-(B^2 e^{-2ax} - (2A -/+ a) B e^{-ax} + A^2)
+    A, B, a = shape.A, shape.B, shape.a
     for i in range(151):
         x = -5.0 + 0.1 * i
-        assert riccati.riccati_residual(sol, x) <= 1e-12
+        e = math.exp(-a * x)
+        u = sign.value * (B * B * e * e - (2.0 * A - sign.value * a) * B * e + A * A)
+        assert abs(shape.witten(sign, x) - u) <= 1e-12
 
 
-def test_residual_detects_corruption(shape):
-    sol = riccati.morse_riccati(shape, RiccatiSign.PLUS)
-    bad = riccati.RiccatiSolution(
-        eval_R=sol.eval_R,
-        eval_dR=sol.eval_dR,
-        sign=sol.sign,
-        eval_u=lambda x: sol.eval_u(x) + 1.0,
-    )
-    assert riccati.riccati_residual(bad, 0.7) == pytest.approx(1.0, abs=1e-12)
+def test_closure_check_fails_on_swapped_constants(monkeypatch):
+    # riccati-closure builds its reference potential from C1_bar and C2_bar,
+    # not from R, so swapping the two constants makes it fail
+    assert checks.check_riccati_closure().passed
+    c1, c2 = MorseParameters.C1_bar, MorseParameters.C2_bar
+    monkeypatch.setattr(MorseParameters, "C1_bar", c2)
+    monkeypatch.setattr(MorseParameters, "C2_bar", c1)
+    rep = checks.check_riccati_closure()
+    assert not rep.passed
+    assert rep.line().startswith("FAIL riccati-closure")
 
 
 def test_sign_mismatch_is_two_r_squared(shape):
-    plus = riccati.morse_riccati(shape, RiccatiSign.PLUS)
     x = 0.3
-    wrong = abs(plus.eval_dR(x) - plus.eval_R(x) ** 2 - plus.eval_u(x))
-    assert wrong == pytest.approx(2.0 * plus.eval_R(x) ** 2, rel=1e-12)
+    wrong = abs(shape.witten(RiccatiSign.MINUS, x) - shape.witten(RiccatiSign.PLUS, x))
+    assert wrong == pytest.approx(2.0 * shape.R(x) ** 2, rel=1e-12)
 
 
 @given(st.floats(min_value=-5.0, max_value=10.0), st.floats(min_value=-5.0, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_monotonicity(x1, x2):
     shape = MorseRiccati(A=1.0, B=2.0, a=0.5)
-    sol = riccati.morse_riccati(shape, RiccatiSign.PLUS)
     # require a gap wide enough that exp(-a x) actually changes in floats
     if x1 + 1e-9 < x2:
         assert riccati.morse_y(shape, x1) > riccati.morse_y(shape, x2) > 0.0
-        assert sol.eval_R(x1) < sol.eval_R(x2)
+        assert shape.R(x1) < shape.R(x2)
 
 
 def test_morse_y_values(shape):
@@ -87,19 +90,3 @@ def test_morse_y_array_overflow_raises(shape):
                 riccati.morse_y(shape, x)
     assert caught == []
 
-
-def test_user_supplied_superpotential_validation():
-    sol = riccati.from_superpotential(
-        R=lambda x: math.tanh(x),
-        dR=lambda x: 1.0 / math.cosh(x) ** 2,
-        sign=RiccatiSign.MINUS,
-        validate_at=[-1.0, 0.0, 2.0],
-    )
-    assert riccati.riccati_residual(sol, 0.5) <= 1e-12
-    with pytest.raises(ValueError):
-        riccati.from_superpotential(
-            R=lambda x: math.tanh(x),
-            dR=lambda x: 0.5,  # wrong derivative
-            sign=RiccatiSign.MINUS,
-            validate_at=[0.0],
-        )
