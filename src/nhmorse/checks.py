@@ -105,17 +105,16 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
 
 
 def bound_state_residual(
-    A: float, B: float, a: float, n: int, sector: Sector, kprime_sq: float, grid: Grid1D, tol: float = 1e-8,
-) -> ResidualReport:
-    """Residual of the sector's hermitic bound state n in that sector's K = 0
-    equation with the given eigenvalue K'^2 (which may be negative)."""
+    A: float, B: float, a: float, n: int, sector: Sector, kprime_sqs, grid: Grid1D, tol: float = 1e-8,
+) -> list[ResidualReport]:
+    """Residuals of the sector's hermitic bound state n in that sector's K = 0
+    equation, one report for each eigenvalue K'^2 given (which may be
+    negative), all from one evaluation of the state's triple."""
     hermitic = MorseParameters(A=A, B=B, a=a, K=0.0, Kprime=0.0)
-
-    def Q(xs: np.ndarray) -> np.ndarray:
-        return morse.ode_coefficient(hermitic, sector, xs) - kprime_sq
-
-    derivs = partial(morse.bound_state_wave_derivs, A, B, a, n, sector)
-    return verify.ode_residual(Q, derivs, grid, tol=tol)
+    xs = grid.points()
+    q = morse.ode_coefficient(hermitic, sector, xs)
+    triple = morse.bound_state_wave_derivs(A, B, a, n, sector, xs)
+    return [verify.ode_residual(lambda _, kp2=kp2: q - kp2, lambda _: triple, grid, tol=tol) for kp2 in kprime_sqs]
 
 
 def check_residual_derived(tol: float = 1e-8) -> ResidualReport:

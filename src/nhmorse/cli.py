@@ -151,8 +151,7 @@ def cmd_bound_states(args) -> int:
             # bosonic level n is fermionic level n + 1
             kprime = A - a * (n + (sector is Sector.BOSONIC))
             kp2_matched = a * a * s * s - A * A
-            res_conv = checks.bound_state_residual(A, B, a, n, sector, kprime * kprime, grid)
-            res_matched = checks.bound_state_residual(A, B, a, n, sector, kp2_matched, grid)
+            res_conv, res_matched = checks.bound_state_residual(A, B, a, n, sector, (kprime * kprime, kp2_matched), grid)
             rows.append((sector.value, n, kprime, s, res_conv.max_rel_residual, res_matched.max_rel_residual))
             n += 1
     if not rows:

@@ -160,22 +160,14 @@ def _chain_rule(a: float, g, y, f, f1, f2):
     return w, dw, d2w
 
 
-def _wave_derivs(idx: WhittakerIndices, shape: MorseRiccati, alpha: complex, beta: complex, x):
-    """(w, w', w'') in x of w = alpha e^{ax/2} M(y) + beta e^{ax/2} W(y), at a
-    float x or elementwise over an array of them; a term with a zero
-    amplitude is not evaluated. The Whittaker derivatives are analytic
-    (never obtained from the differential equation).
-    """
+def _positive_y(shape: MorseRiccati, x):
+    """y = (2B/a) e^{-a x} at a float x or an array of x, raising ValueError
+    naming x where y underflows to 0 (e^{ax/2} overflows only further out)."""
     y = riccati.morse_y(shape, x)
-    if not isinstance(x, np.ndarray) and y == 0.0:  # e^{ax/2} overflows only further out
-        raise ValueError(f"y = (2B/a) e^(-a x) underflows to 0 at x = {_g17([x])[0]}")
-    g = np.exp(0.5 * shape.a * x) if isinstance(x, np.ndarray) else math.exp(0.5 * shape.a * x)
-    w = dw = d2w = 0j * g  # zero, or zeros of the shape of x
-    for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
-        if amp != 0.0:
-            v, v1, v2 = _chain_rule(shape.a, g, y, *kernel(idx, y))
-            w, dw, d2w = w + amp * v, dw + amp * v1, d2w + amp * v2
-    return w, dw, d2w
+    # a float y is compared directly: np.any on it costs 3 us, a tenth of a W point
+    if (y == 0.0).any() if isinstance(y, np.ndarray) else y == 0.0:
+        raise ValueError(f"y = (2B/a) e^(-a x) underflows to 0 at x = {_g17([np.max(x)])[0]}")
+    return y
 
 
 def wavefunction_derivs(
@@ -185,10 +177,19 @@ def wavefunction_derivs(
     alpha e^{ax/2} M + beta e^{ax/2} W at one x.
 
     A term is only evaluated when its amplitude is nonzero, so W-only
-    parameter sets never reach the rejections of the Kummer core.
+    parameter sets never reach the rejections of the Kummer core; the
+    Whittaker derivatives are analytic, not taken from the equation.
     """
     idx = indices(params, sector, pmap)
-    return _wave_derivs(idx, params.shape(), *params.amplitudes(sector), x)
+    y = _positive_y(params.shape(), x)
+    g = math.exp(0.5 * params.a * x)
+    alpha, beta = params.amplitudes(sector)
+    w = dw = d2w = 0j
+    for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
+        if amp != 0.0:
+            v, v1, v2 = _chain_rule(params.a, g, y, *kernel(idx, y))
+            w, dw, d2w = w + amp * v, dw + amp * v1, d2w + amp * v2
+    return w, dw, d2w
 
 
 def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, xs):
@@ -520,34 +521,25 @@ def bound_state_exponent(A: float, a: float, n: int, sector: Sector) -> float:
     return s - 1 if sector is Sector.BOSONIC else s
 
 
-def hermitic_bound_state(A: float, B: float, a: float, n: int, sector: Sector, x: float) -> float:
-    """Hermitic (K = 0) bound state n of the sector,
-    (2B/a)^{1/2} y^s e^{-y/2} L_n^{2s}(y), up to its constant amplitude."""
-    if n < 0:
-        raise ValueError(f"require n >= 0, got {n}")
-    s = bound_state_exponent(A, a, n, sector)
-    if s <= 0.0:
-        raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
-    shape = MorseRiccati(A=A, B=B, a=a)
-    y = riccati.morse_y(shape, x)
-    return math.sqrt(2.0 * B / a) * y**s * math.exp(-0.5 * y) * specfun.laguerre_poly(n, 2.0 * s, y)
-
-
 def bound_state_wave_derivs(
     A: float, B: float, a: float, n: int, sector: Sector, x: float
 ) -> tuple[complex, complex, complex]:
     """(w, w', w'') of bound state n of the sector, up to its constant
-    amplitude, at a float x or elementwise over an array of them.
-
-    Uses the exact proportionality of the state to
-    e^{ax/2} M_{s+n+1/2, s}(y) (terminating Kummer series), so the
-    derivatives are analytic.
-    """
+    amplitude, at a float x or elementwise over an array of them: the state
+    is e^{ax/2} M_{s+n+1/2, s}(y), whose core 1F1(-n; 2s+1; y) is
+    c L_n^{2s}(y), c = n!/(2s+1)_n, with the analytic y-derivatives
+    -c L_{n-1}^{2s+1}(y) and c L_{n-2}^{2s+2}(y), all three from one pass of
+    the Laguerre recurrence; c is a product of ratios, as n! overflows past 170."""
     s = bound_state_exponent(A, a, n, sector)
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
-    idx = WhittakerIndices(kappa=complex(s + n + 0.5), mu=complex(s))
-    return _wave_derivs(idx, MorseRiccati(A=A, B=B, a=a), 1.0, 0.0, x)
+    y = _positive_y(MorseRiccati(A=A, B=B, a=a), x)
+    # the (degree, order) rows (n - k, 2s + k), k = 0, 1, 2, against every y
+    k = np.arange(3).reshape((3,) + (1,) * np.ndim(y))
+    c = math.prod(j / (2.0 * s + j) for j in range(1, n + 1))
+    f, f1, f2 = (-1.0) ** k * c * specfun.laguerre_poly(n - k, 2.0 * s + k, y)
+    core = specfun._core_derivs(f, y * f1, y * (y * f2), complex(s), y)
+    return _chain_rule(a, np.exp(0.5 * a * x), y, *core)
 
 
 def pochhammer(x: float, n: int) -> float:

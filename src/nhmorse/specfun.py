@@ -610,15 +610,23 @@ def whittaker_w_derivs(idx: WhittakerIndices, y):
     return _core_derivs(u, y * u1, y * (y * u2), idx.mu, y)
 
 
-def laguerre_poly(n: int, p: float, y: float) -> float:
-    """Classical associated Laguerre polynomial L_n^p(y), three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"laguerre_poly requires n >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + p - y
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + p - y) * cur - (k - 1 + p) * prev) / k
-    return cur
-
+def laguerre_poly(n, p, y):
+    """Classical associated Laguerre polynomial L_n^p(y) by its three-term
+    recurrence (DLMF 18.9.1) from L_{-1} = 0 and L_0 = 1; a negative degree
+    gives 0, so d/dy L_n^p = -L_{n-1}^{p+1} holds at n = 0 too. n, p and y
+    broadcast: (R, 1) columns of degrees and orders with y of shape (N,)
+    give an (R, N) block from one pass up to the largest degree, each row
+    keeping its value from its own degree on."""
+    n = np.asarray(n)
+    top = int(n.max(initial=0))
+    lowest = int(n.min(initial=top))
+    # the coefficients 2k - 1 + p and k - 1 + p of every step k
+    ks = np.arange(1, top + 1).reshape((-1,) + (1,) * np.ndim(p))
+    c1, c2 = 2 * ks - 1 + p, ks - 1 + p
+    prev, cur = 0.0, np.ones(np.broadcast_shapes(n.shape, np.shape(p), np.shape(y)))
+    for k in range(1, top + 1):
+        step = (c1[k - 1] - y) * cur
+        step -= c2[k - 1] * prev
+        step /= k
+        prev, cur = cur, step if k <= lowest else np.where(k <= n, step, cur)
+    return np.where(n < 0, 0.0, cur)[()]

@@ -314,6 +314,23 @@ class TestBoundStates:
         assert {row[0] for row in rows} == {"fermionic", "bosonic"}
         assert [row[:2] for row in rows if not float(row[5]) <= 1e-8] == []
 
+    def test_every_matched_residual_small_at_large_A(self, capsys):
+        # 79 states, n up to 39, where a terminating 1F1 series loses digits
+        _, out, _ = run(capsys, "bound-states", "--A", "20")
+        rows = bound_state_rows(out)
+        assert len(rows) == 79
+        assert [row[:2] for row in rows if not float(row[5]) <= 1e-8] == []
+
+    def test_default_table_unchanged(self, capsys):
+        code, out, _ = run(capsys, "bound-states")
+        assert code == 0
+        assert out == (
+            "sector  n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)\n"
+            "fermionic  0  1  2  1.643e+00  1.624e-15\n"
+            "fermionic  1  0.5  1  7.748e-01  3.405e-16\n"
+            "bosonic  0  0.5  1  8.359e-01  2.929e-16\n"
+        )
+
     def test_bosonic_row_is_the_next_fermionic_row(self, capsys):
         # SUSY partners: the bosonic spectrum is the fermionic one without
         # its ground state

@@ -88,6 +88,21 @@ def test_one_bound_state_index_rule():
     assert not hasattr(nhmorse, "BoundStateConvention")
 
 
+def test_one_bound_state_path():
+    # a bound state is taken by the Laguerre recurrence alone: the second
+    # profile and the float-or-array body it shared with wavefunction_derivs
+    # are gone, and no Kummer series is summed for it
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [gone for gone in (r"\bhermitic_bound_state\b", r"\b_wave_derivs\b") if re.search(gone, text)] == []
+    tree = ast.parse((PACKAGE / "morse.py").read_text())
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "bound_state_wave_derivs")
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None)) for node in ast.walk(body) if isinstance(node, ast.Call)
+    }
+    assert "laguerre_poly" in called
+    assert called & {"whittaker_m_derivs", "kummer_m"} == set()
+
+
 def test_one_number_formatter():
     # morse writes '%.17g' text only through _format_g17: outside it, no
     # string in its code (docstrings aside) holds the .17g format

@@ -260,6 +260,10 @@ class TestWavefunction:
         for p in (FIG, MorseParameters(K=1.0, alpha1=0.0, beta1=1.0)):
             with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
                 morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)
+        # and for a bound state, at a float x or in an array of them
+        for xs in (x, np.array([0.0, x])):
+            with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
+                morse.bound_state_wave_derivs(1.0, 2.0, 0.5, 0, Sector.FERMIONIC, xs)
 
     def test_recessive_branch_residual_to_y_80(self):
         # the W branch over the recessive-sweep region: B in {2, 5, 10, 20},
@@ -440,6 +444,19 @@ class TestResidualSweep:
         printed = checks.check_residual_printed()
         assert printed.note.endswith("; skipped printed fermionic: NonConvergence: quadrature did not converge")
 
+    def test_derived_map_over_a_wider_region(self):
+        # residual-derived's blocks at B up to 20 and K up to 4: an M row and
+        # a W row per K, both sectors, on the check's 301 points
+        grid = Grid1D(0.0, 3.0, 301)
+        worst = 0.0
+        for B in (2.0, 5.0, 10.0, 20.0):
+            rows = dataclasses.replace(checks._m_and_w_rows([0.0, 0.5, 1.0, 2.0, 4.0]), B=B)
+            for sector in Sector:
+                Q = partial(morse.ode_coefficient, rows, sector)
+                derivs = partial(morse.wavefunction_derivs_grid, rows, sector, ParameterMap.DERIVED)
+                worst = max(worst, verify.ode_residual(Q, derivs, grid).max_rel_residual)
+        assert worst <= 1e-8
+
 
 def loop_render_grid(spec):
     """CSV of the grid one f-string line per point: the formatter render_grid
@@ -580,13 +597,13 @@ class TestBoundStates:
     # the shifted K' = A - a (n + 1) the bosonic one's
     def test_non_normalizable(self):
         with pytest.raises(NonNormalizable):
-            morse.hermitic_bound_state(1.0, 2.0, 0.5, 2, Sector.FERMIONIC, 0.0)
+            morse.bound_state_wave_derivs(1.0, 2.0, 0.5, 2, Sector.FERMIONIC, 0.0)
         with pytest.raises(NonNormalizable):
-            morse.hermitic_bound_state(1.0, 2.0, 2.0, 0, Sector.BOSONIC, 0.0)
+            morse.bound_state_wave_derivs(1.0, 2.0, 2.0, 0, Sector.BOSONIC, 0.0)
 
     def test_ground_state_positive_profile(self):
         for x in np.linspace(-1.0, 4.0, 9):
-            w = morse.hermitic_bound_state(1.0, 2.0, 0.5, 0, Sector.BOSONIC, x)
+            w = morse.bound_state_wave_derivs(1.0, 2.0, 0.5, 0, Sector.BOSONIC, x)[0]
             assert w.real > 0.0 and w.imag == 0.0
 
     def test_shifted_matched_eigenvalue_solves_ode(self):
@@ -595,7 +612,7 @@ class TestBoundStates:
         A, B, a, n = 1.0, 2.0, 0.5, 0
         s = morse.bound_state_exponent(A, a, n, Sector.BOSONIC)
         kp2 = a * a * s * s - A * A
-        rep = checks.bound_state_residual(A, B, a, n, Sector.BOSONIC, kp2, Grid1D(0.0, 3.0, 101))
+        [rep] = checks.bound_state_residual(A, B, a, n, Sector.BOSONIC, [kp2], Grid1D(0.0, 3.0, 101))
         assert kp2 < 0.0
         assert rep.passed, rep.line()
 
@@ -604,7 +621,7 @@ class TestBoundStates:
         # printed fermionic equation; the residual is recorded, not hidden
         A, B, a, n = 1.0, 2.0, 0.5, 0
         kp = A - a * n
-        rep = checks.bound_state_residual(A, B, a, n, Sector.FERMIONIC, kp * kp, Grid1D(0.0, 3.0, 101))
+        [rep] = checks.bound_state_residual(A, B, a, n, Sector.FERMIONIC, [kp * kp], Grid1D(0.0, 3.0, 101))
         assert math.isfinite(rep.max_rel_residual)
         assert rep.max_rel_residual > 1e-3
 
@@ -615,14 +632,42 @@ class TestBoundStates:
             assert bosonic == morse.bound_state_exponent(A, a, n + 1, Sector.FERMIONIC)
 
     def test_candidate_proportional_to_closed_form(self):
-        A, B, a, n = 1.0, 2.0, 0.5, 1
-        sector = Sector.FERMIONIC
-        ratios = []
-        for x in np.linspace(0.0, 2.0, 5):
-            direct = morse.hermitic_bound_state(A, B, a, n, sector, x)
-            wave = morse.bound_state_wave_derivs(A, B, a, n, sector, x)[0]
-            ratios.append(direct / wave)
-        assert max(abs(r - ratios[0]) for r in ratios) <= 1e-10 * abs(ratios[0])
+        # the state is (2B/a)^{1/2} y^s e^{-y/2} 1F1(-n; 2s+1; y), with
+        # 1F1 from verify's oracle, which shares no code with the recurrence
+        A, B, a = 2.5, 2.0, 0.5
+        for sector, n in itertools.product(Sector, range(4)):
+            s = morse.bound_state_exponent(A, a, n, sector)
+            for x in np.linspace(0.0, 2.0, 5):
+                y = 2.0 * B / a * math.exp(-a * x)
+                closed = math.sqrt(2.0 * B / a) * y**s * math.exp(-0.5 * y) * verify.reference_kummer(-n, 2 * s + 1, y)
+                wave = morse.bound_state_wave_derivs(A, B, a, n, sector, x)[0]
+                assert abs(wave - closed) <= 1e-10 * abs(closed)
+
+    def test_triples_match_mpmath(self):
+        # (w, w', w'') of every state of both sectors at A = 20 (n up to 39)
+        # against e^{ax/2} M_{s+n+1/2, s}(y) by mpmath's whitm, derivatives
+        # by mp.diff, at 30 digits
+        mp = pytest.importorskip("mpmath")
+        A, B, a = 20.0, 2.0, 0.5
+        xs = [0.0, 0.75, 1.5, 2.25, 3.0]
+        worst, states = 0.0, 0
+        with mp.workdps(30):
+            for sector in Sector:
+                n = 0
+                while (s := morse.bound_state_exponent(A, a, n, sector)) > 0.0:
+                    triple = morse.bound_state_wave_derivs(A, B, a, n, sector, np.array(xs))
+
+                    def w(x, s=s, n=n):
+                        return mp.exp(a * x / 2) * mp.whitm(s + n + 0.5, s, 2 * B / a * mp.exp(-a * x))
+
+                    for i, x in enumerate(xs):
+                        refs = [w(mp.mpf(x))] + [mp.diff(w, mp.mpf(x), k) for k in (1, 2)]
+                        for got, ref in zip(triple, map(complex, refs)):
+                            worst = max(worst, abs(got[i] - ref) / abs(ref))
+                    states += 1
+                    n += 1
+        assert states == 79
+        assert worst <= 1e-11
 
 
 class TestWhittakerLaguerreIdentity:

@@ -968,6 +968,19 @@ class TestLaguerre:
         rhs = _laguerre_series(n, p, y)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
+    def test_rows_equal_the_float_calls(self):
+        # (R, 1) columns of degrees and orders against an array of y: one
+        # pass of the recurrence, each row bit for bit its float calls; a
+        # negative degree is 0
+        n = np.array([[7], [6], [0], [-1], [-2], [3]])
+        p = np.array([[2.5], [3.5], [1.0], [0.3], [4.0], [-0.5]])
+        y = np.array([0.0, 0.7, 3.0, 11.0])
+        block = specfun.laguerre_poly(n, p, y)
+        assert block.shape == (6, 4)
+        for (deg,), (order,), row in zip(n.tolist(), p.tolist(), block):
+            assert row.tolist() == [specfun.laguerre_poly(deg, order, v) for v in y.tolist()]
+        assert (block[3:5] == 0.0).all()
+
     def test_core_nu_zero(self):
         # the Laguerre-like core 1F1(-nu; alpha + 1; y) at nu = 0
         nu, alpha = 0.0, 1.7 + 0.3j
