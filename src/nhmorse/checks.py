@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
 
 
 def bound_state_residual(
-    A: float, B: float, a: float, n: int, sector: Sector, kprime_sqs, grid: Grid1D, tol: float = 1e-8,
+    A: float, B: float, a: float, n: int, sector: Sector, kprime_sqs: Sequence[float], grid: Grid1D, tol: float = 1e-8,
 ) -> list[ResidualReport]:
     """Residuals of the sector's hermitic bound state n in that sector's K = 0
     equation, one report for each eigenvalue K'^2 given (which may be
