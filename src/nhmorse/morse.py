@@ -291,16 +291,28 @@ class GridSpec:
     nK: int = 41
 
 
-# Tables of _format_g17. 10^s is an exact double for s <= 21 (5^21 < 2^53);
-# _POW10_HI + _POW10_LO is its Dekker split.
+# Tables of _format_g17.
 _SPLIT = 134217729.0  # 2^27 + 1
-_POW10 = np.array([float(10**s) for s in range(22)])
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-_IPOW10 = 10 ** np.arange(8)
-_MINUS, _DOT = np.frombuffer(b"-\0\0\0.\0\0\0", np.uint32)
+
+
+def _powers_of_ten() -> np.ndarray:
+    """10^s for s = 0..21, an exact double (5^21 < 2^53), and its Dekker
+    split hi + lo, as three rows."""
+    power = np.array([float(10**s) for s in range(22)])
+    hi = _SPLIT * power - (_SPLIT * power - power)
+    return np.array([power, hi, power - hi])
+
+
+_POW10 = _powers_of_ten()
+# by k = E + 4 of N 10^(E-16): the factor 10^(k mod 8) that aligns N to
+# the 8-digit limbs of the places 19 to -20, and the 4-digit group of the
+# places 19 - 4j to 16 - 4j at which the first of its three limbs starts
+_LIMB_SCALE = 10 ** (np.arange(21) % 8)
+_LIMB_GROUP = 4 - 2 * (np.arange(21) // 8)
+# the sign as the first byte in memory of a little-endian word
+_MINUS = np.uint32(ord("-"))
 # offsets of the variants of _digit_words
-_LEAD, _LEAD0, _TRAIL = np.int32(10000), np.int32(20000), np.int32(30000)
+_LEAD, _LEAD0, _TRAIL = np.uint16(10000), np.uint16(20000), np.uint16(30000)
 
 
 def _decades() -> np.ndarray:
@@ -317,21 +329,26 @@ def _decades() -> np.ndarray:
 
 
 _DECADES = _decades()
+# by the biased exponent field b of a double a = m 2^(b - 1023), m in
+# [1, 2): floor((b - 1023) log10 2), which is floor(log10 a) or one less
+# (clipped to the decades above), and the least double >= 10^(that + 1)
+_B_DECADE = np.clip((np.arange(2048) - 1023) * 78913 >> 18, -6, 16)
+_B_NEXT_DECADE = _DECADES[_B_DECADE + 6]
 
 
 @functools.cache
 def _digit_words() -> np.ndarray:
-    """The four ASCII digits of each of 0..9999 as one uint32 in memory
-    order, in four variants of 10000 words: every digit; leading zeros as
-    NUL; the same but keeping the last digit; trailing zeros as NUL. Built
-    on first use and read-only, so a program that writes no grid never
-    holds it."""
+    """The four ASCII digits of each of 0..9999 as one little-endian uint32
+    in memory order, in four variants of 10000 words: every digit; leading
+    zeros as NUL; the same but keeping the last digit; trailing zeros as
+    NUL. Built on first use and read-only, so a program that writes no grid
+    never holds it."""
     digits = np.moveaxis(np.indices((10,) * 4, dtype=np.uint8), 0, -1).reshape(10000, 4) + np.uint8(48)
     nonzero = digits != 48
     lead = np.logical_or.accumulate(nonzero, axis=1)
     lead0 = lead | (np.arange(4) == 3)
     trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    words = np.array([digits, digits * lead, digits * lead0, digits * trail]).view(np.uint32).ravel()
+    words = np.array([digits, digits * lead, digits * lead0, digits * trail]).view("<u4").ravel()
     words.flags.writeable = False
     return words
 
@@ -351,54 +368,73 @@ def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ten from 1e-4 to 1e17 the nearest double below it is 8e-17 or more away.
     """
     a = np.abs(v)
-    # the elements that may round into [1e-4, 1e17)
-    fast = (a >= 9e-5) & (a < 1e17)
-    a = np.where(fast, a, 1.0)
-    # a = m 2^e, m in [0.5, 1): floor(log10 a) is floor((e - 1) log10 2),
-    # which (e - 1) 78913 >> 18 equals here, or one more
-    E = (np.frexp(a)[1].astype(np.int64) - 1) * 78913 >> 18
-    E += a >= _DECADES[E + 6]
-    s = 16 - E
-    hi = a * _POW10[s]
-    t = _SPLIT * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    fast &= E >= -4
+    # the elements whose rounded |v| is in [1e-4, 1e17): no double below
+    # 1e-4 or 1e17 rounds up to it
+    fast = (a >= _DECADES[1]) & (a < 1e17)
+    every = bool(fast.all())
+    if not every:
+        a[~fast] = 1.0
+    b = a.view(np.int64) >> 52
+    E = _B_DECADE.take(b)
+    E += a >= _B_NEXT_DECADE.take(b)
+    power = _POW10.take(16 - E, axis=1)
+    hi = a * power[0]
+    # Veltkamp's split of a into a_hi + a_lo; the partial products of
+    # a_hi + a_lo and the split of 10^(16-E) are exact, and so is their sum
+    # with -hi in this order
+    a_split = np.empty((2, a.size))
+    a_hi, a_lo = a_split
+    np.multiply(a, _SPLIT, out=a_hi)
+    np.subtract(a_hi, a, out=a_lo)
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    by_hi = a_split * power[1]
+    a_split *= power[2]
+    lo = by_hi[0]
+    lo -= hi
+    lo += a_split[0]
+    lo += by_hi[1]
+    lo += a_split[1]
+    N = hi.astype(np.int64)
+    N += np.rint(lo, out=lo).astype(np.int64)
+    if every:
+        return N, E, fast
     N[~fast] = 0
     E[~fast] = 0
     return N, E, fast | (v == 0.0)
 
 
 def _digit_groups(N: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """The 4-digit groups of N 10^(E+4) < 10^37, most significant first,
-    as int32 rows: the last five are the fraction (decimal places -1 to
-    -20), the ones before them the integer part from the first group that
-    holds a digit of some element."""
-    # five 8-digit limbs, the decimal places 19 to -20: N 10^r,
-    # r = (E+4) mod 8, takes three of them, shifted down by (E+4) div 8
-    s = E + 4
-    scale = _IPOW10[s & 7]
-    high = N // 10**8
-    low = (N - high * 10**8) * scale
-    high *= scale
-    low_carry = low // 10**8
-    high_carry = high // 10**8
-    limbs = np.zeros((5, N.size), np.int32)
-    flat = limbs.reshape(-1)
-    at = (2 - (s >> 3)) * N.size + np.arange(N.size)
-    flat[at] = high_carry
-    flat[at + N.size] = low_carry + high - high_carry * 10**8
-    flat[at + 2 * N.size] = low - low_carry * 10**8
-    # integer group j holds the places 19 - 4j to 16 - 4j
-    first = (19 - max(int(E.max(initial=0)), 0)) // 4
-    limbs = limbs[first // 2 :]
-    groups = np.empty((2 * len(limbs), N.size), np.int32)
-    groups[0::2] = limbs // 10**4
-    groups[1::2] = limbs - groups[0::2] * 10**4
-    return groups[first % 2 :]
+    """The ten 4-digit groups of N 10^(E+4) < 10^37 as the rows of a uint16
+    array, most significant first: group j holds the decimal places 19 - 4j
+    to 16 - 4j, so the last five are the fraction (places -1 to -20)."""
+    # five 8-digit limbs, the places 19 to -20: N 10^(k mod 8) < 10^24,
+    # k = E + 4, fills the three of them that end k div 8 limbs before the
+    # last; where every element starts at the same limb, they are written
+    # in place
+    k = E + 4
+    at = _LIMB_GROUP.take(k)
+    lowest = int(at.min(initial=4))
+    uniform = lowest == at.max(initial=4)
+    high_low = np.empty((2, N.size), np.int64)
+    high, low = high_low
+    np.floor_divide(N, 10**8, out=high)
+    np.multiply(high, -(10**8), out=low)
+    low += N
+    high_low *= _LIMB_SCALE.take(k)
+    carry = high_low // 10**8
+    high_low -= carry * 10**8
+    limbs = np.empty((3, N.size), np.int32)
+    limbs[0] = carry[0]
+    np.add(high, carry[1], out=limbs[1], casting="unsafe")
+    limbs[2] = low
+    groups = np.zeros((10, N.size), np.uint16)
+    split = groups[lowest : lowest + 6] if uniform else np.empty((6, N.size), np.uint16)
+    split[0::2] = upper = limbs // 10**4
+    split[1::2] = limbs - upper * 10**4
+    if not uniform:
+        np.put_along_axis(groups, at + np.arange(6)[:, None], split, axis=0)
+    return groups
 
 
 def _format_g17(values) -> np.ndarray:
@@ -409,47 +445,50 @@ def _format_g17(values) -> np.ndarray:
     ±0 and the values that '%.17g' writes in fixed notation take an array
     path: _round17 rounds them exactly, and N 10^(E+4) is laid out about a
     fixed point in 4-digit table words whose leading (integer) and
-    trailing (fraction) zeros are NUL, as %g strips them; the sign and the
-    point take a word each. Every other element (nan, ±inf, subnormals,
-    scientific notation) is formatted by '%.17g' itself.
+    trailing (fraction) zeros are NUL, as %g strips them. The integer words
+    start one place above every element's highest digit, and the sign
+    takes that place; the point takes a byte. Every other element (nan,
+    ±inf, subnormals, scientific notation) is formatted by '%.17g' itself.
     """
     v = np.asarray(values, dtype=float).ravel()
     N, E, fixed = _round17(v)
     groups = _digit_groups(N, E)
-    n_int = len(groups) - 5
-    # blank[j]: this integer group and those before it, or this fraction
-    # group and those after it, are all zero. An integer group drops its
-    # leading zeros where every group before it is zero, the units group
-    # keeping one digit; a fraction group drops its trailing zeros where
-    # every group after it is zero.
-    blank = groups == 0
-    for j in range(1, n_int - 1):
-        blank[j] &= blank[j - 1]
-    for j in range(n_int + 3, n_int - 1, -1):
-        blank[j] &= blank[j + 1]
-    if n_int > 1:
-        groups[0] += _LEAD
-        groups[1 : n_int - 1] += _LEAD * blank[: n_int - 2]
-        groups[n_int - 1] += _LEAD0 * blank[n_int - 2]
-    else:
-        groups[0] += _LEAD0
-    groups[n_int:-1] += _TRAIL * blank[n_int + 1 :]
-    groups[-1] += _TRAIL
-    # only the fraction groups that hold a digit of some element are written
-    n_frac = 5 - int(np.count_nonzero(blank[n_int:].all(axis=1)))
-    slow = np.flatnonzero(~fixed)
+    top = max(int(E.max(initial=0)), 0)
+    first = (18 - top) // 4
+    n_int = 5 - first
+    # integer group j drops its leading zeros, the units group keeping its
+    # last digit, where it holds the element's highest digit (place
+    # max(E, 0)) or lies above it
+    for j in range(first, 5):
+        variant = _LEAD0 if j == 4 else _LEAD
+        groups[j] += variant if 19 - 4 * j >= top else variant * (E <= 19 - 4 * j)
+    # zero[j]: fraction group j and those after it are all zero. A fraction
+    # group drops its trailing zeros where every group after it is zero,
+    # and only the groups that hold a digit of some element are written.
+    frac = groups[5:]
+    zero = frac == 0
+    for j in range(3, -1, -1):
+        zero[j] &= zero[j + 1]
+    frac[:-1] += _TRAIL * zero[1:]
+    frac[-1] += _TRAIL
+    n_frac = 5 - int(np.count_nonzero(zero.all(axis=1)))
+    slow = [] if fixed.all() else np.flatnonzero(~fixed)
     texts = [b"%.17g" % x for x in v[slow].tolist()]
-    width = max([1 + n_int + (1 + n_frac if n_frac else 0)] + [(len(t) + 3) // 4 for t in texts])
-    out = np.zeros((v.size, width), np.uint32)
-    out[:, 0] = np.signbit(v) * _MINUS
+    fixed_width = 4 * n_int + (1 + 4 * n_frac if n_frac else 0)
+    width = max([fixed_width] + [len(t) for t in texts])
     words = _digit_words()
-    out[:, 1 : 1 + n_int] = words[groups[:n_int]].T
+    int_words = words.take(groups[first:5], mode="wrap")
+    int_words[0] |= np.signbit(v) * _MINUS
+    out = np.empty((v.size, width), np.uint8)
+    if width > fixed_width:
+        out[:, fixed_width:] = 0
+    out[:, : 4 * n_int].view("<u4")[...] = int_words.T
     if n_frac:
-        out[:, 1 + n_int] = np.where(blank[n_int], 0, _DOT)
-        out[:, 2 + n_int : 2 + n_int + n_frac] = words[groups[n_int : n_int + n_frac]].T
+        out[:, 4 * n_int] = np.where(zero[0], 0, ord("."))
+        out[:, 4 * n_int + 1 : fixed_width].view("<u4")[...] = words.take(groups[5 : 5 + n_frac], mode="wrap").T
     if texts:
-        out[slow] = np.frombuffer(b"".join(t.ljust(4 * width, b"\0") for t in texts), np.uint32).reshape(-1, width)
-    return out.view(np.uint8)
+        out[slow] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8).reshape(-1, width)
+    return out
 
 
 def _g17(values) -> list[str]:
@@ -457,16 +496,31 @@ def _g17(values) -> list[str]:
     return [row.tobytes().translate(None, b"\0").decode("ascii") for row in _format_g17(values)]
 
 
-def _packed(values) -> np.ndarray:
-    """The '%.17g' text of every element of values, left-aligned in NUL-padded
-    uint8 rows of the fewest bytes."""
-    packed = np.array(_g17(values), dtype="S")
-    return packed.view(np.uint8).reshape(packed.size, packed.itemsize)
+# render_grid formats and lays out at most this many points of the grid at
+# a time, which bounds the memory of its byte blocks.
+_GRID_BLOCK = 4096
 
 
-# render_grid formats and joins this many points of the grid at a time,
-# which bounds the memory of its byte blocks.
-_GRID_BLOCK = 1024
+def _packed(*columns) -> list[np.ndarray]:
+    """The '%.17g' text of every element of each column, left-aligned in
+    NUL-padded uint8 rows of the fewest bytes, one array per column. The
+    columns are formatted together, 2 _GRID_BLOCK values at a time, and
+    each block's texts taken apart by one NUL-deleting translate."""
+    values = np.concatenate([np.asarray(c, dtype=float).ravel() for c in columns])
+    texts, lengths = [np.zeros(0, "S1")], [np.zeros(0, np.intp)]
+    for i in range(0, values.size, 2 * _GRID_BLOCK):
+        rows = _format_g17(values[i : i + 2 * _GRID_BLOCK])
+        lines = np.zeros((len(rows), rows.shape[1] + 1), np.uint8)
+        lines[:, :-1] = rows
+        lines[:, -1] = ord("\n")
+        texts.append(np.array(lines.tobytes().translate(None, b"\0").split(b"\n")[:-1], dtype="S"))
+        lengths.append(np.count_nonzero(rows, axis=1))
+    bounds = np.cumsum([np.size(c) for c in columns])[:-1]
+    out = []
+    for text, length in zip(np.split(np.concatenate(texts), bounds), np.split(np.concatenate(lengths), bounds)):
+        width = max(int(length.max(initial=0)), 1)
+        out.append(text.astype(f"S{width}").view(np.uint8).reshape(text.size, width))
+    return out
 
 
 def render_grid(spec: GridSpec) -> str:
@@ -474,11 +528,14 @@ def render_grid(spec: GridSpec) -> str:
     K x x block is evaluated in one call, and its failure raised as a RuntimeError
     naming the grid's K and x range.
 
-    Every number is written by _format_g17, the bytes of '%.17g'.
-    The lines are laid out _GRID_BLOCK points at a time as one uint8 block,
-    one row per line: the x, K, y, re and im fields, each followed by its
-    separator; deleting the block's NUL bytes leaves its lines of the CSV.
-    x and y are formatted once for every K row, and K once for its row.
+    Every number is written by _format_g17, the bytes of '%.17g': x, K and
+    y once for the grid, by _packed, and re and im in blocks of at most
+    _GRID_BLOCK points, whole K rows or, where a row is longer, a column
+    range of one row. Each block is laid out as one uint8 array, one row
+    per line: the x, K, y, re and im fields, each followed by its
+    separator; deleting its NUL bytes leaves the block's lines of the CSV.
+    Consecutive blocks of the same shape and number width share the
+    array, and only their K, re and im fields are written anew.
     """
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     Ks = np.linspace(spec.K_min, spec.K_max, spec.nK)
@@ -492,24 +549,31 @@ def render_grid(spec: GridSpec) -> str:
             f"evaluation failed on the grid K={K_first} to {K_last}, x={x_first} to {x_last}: {exc}"
         ) from exc
     ys = riccati.morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
-    x_text, K_text, y_text = _packed(xs), _packed(Ks), _packed(ys)
+    x_text, K_text, y_text = _packed(xs, Ks, ys)
     chunks = [HEADER + "\n"]
-    step = max(1, _GRID_BLOCK // max(xs.size, 1))
-    for r in range(0, Ks.size, step):
-        block = w[r : r + step]
-        text = _format_g17(np.stack((block.real, block.imag), -1))
-        values = text.reshape(*block.shape, 2, text.shape[1])
-        fields = (x_text, K_text[r : r + step, None], y_text, values[..., 0, :], values[..., 1, :])
-        widths = [f.shape[-1] for f in fields]
-        line = sum(widths) + len(fields)
-        buffer = bytearray(block.size * line)
-        lines = np.frombuffer(buffer, np.uint8).reshape(*block.shape, line)
-        at = 0
-        for field, width, sep in zip(fields, widths, b",,,,\n"):
-            lines[..., at : at + width] = field
-            lines[..., at + width] = sep
-            at += width + 1
-        chunks.append(buffer.translate(None, b"\0").decode("ascii"))
+    cols = max(1, min(xs.size, _GRID_BLOCK))
+    rows = max(1, _GRID_BLOCK // cols)
+    layout = None
+    for r in range(0, Ks.size, rows):
+        for c in range(0, xs.size, cols):
+            block = w[r : r + rows, c : c + cols]
+            text = _format_g17(block.view(float))
+            values = text.reshape(*block.shape, 2, text.shape[1])
+            if layout != (c, block.shape, text.shape[1]):
+                # the x and y fields and the separators stay as they are for
+                # every block of the same columns, shape and number width
+                layout = (c, block.shape, text.shape[1])
+                widths = [x_text.shape[1], K_text.shape[1], y_text.shape[1], text.shape[1], text.shape[1]]
+                ends = np.cumsum(widths) + np.arange(5)
+                buffer = bytearray(block.size * (ends[-1] + 1))
+                lines = np.frombuffer(buffer, np.uint8).reshape(*block.shape, ends[-1] + 1)
+                lines[..., ends] = np.frombuffer(b",,,,\n", np.uint8)
+                lines[..., : ends[0]] = x_text[c : c + cols]
+                lines[..., ends[1] + 1 : ends[2]] = y_text[c : c + cols]
+            lines[..., ends[0] + 1 : ends[1]] = K_text[r : r + rows, None]
+            lines[..., ends[2] + 1 : ends[3]] = values[..., 0, :]
+            lines[..., ends[3] + 1 : ends[4]] = values[..., 1, :]
+            chunks.append(buffer.translate(None, b"\0").decode("ascii"))
     return "".join(chunks)
 
 

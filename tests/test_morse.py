@@ -519,6 +519,46 @@ class TestRenderGrid:
             assert "%.17g" % v == f"{v:.17g}"
 
 
+def _count_format_calls(monkeypatch):
+    """Wrap morse._format_g17; return the list of the value counts it gets."""
+    sizes = []
+    format_g17 = morse._format_g17
+
+    def counted(values):
+        sizes.append(np.size(values))
+        return format_g17(values)
+
+    monkeypatch.setattr(morse, "_format_g17", counted)
+    return sizes
+
+
+class TestRenderGridBlocks:
+    # mixed signs, values above 10^4 at small x beside values below 1 (so
+    # that blocks need different number widths and different limbs), and a
+    # K = 0 row
+    MIXED = GridSpec(K_min=-2.0, K_max=2.0, x_min=-1.0, x_max=3.0, nx=37, nK=9, alpha=1.0, beta=0.5 - 0.3j, Kprime=1.9)
+
+    @pytest.mark.parametrize("block", [1, 7, 181, 10**6])
+    def test_text_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(morse, "_GRID_BLOCK", block)
+        assert morse.render_grid(self.MIXED) == loop_render_grid(self.MIXED)
+
+    def test_figure_grid_formats_in_few_large_calls(self, monkeypatch):
+        # one call for the x, K and y columns together and one per block of
+        # whole K rows: 22 of the 121 rows of 181 points to a block
+        sizes = _count_format_calls(monkeypatch)
+        morse.render_grid(GridSpec(nx=181, nK=121))
+        assert len(sizes) == 7
+        assert sizes[0] == 181 + 121 + 181
+
+    def test_long_rows_are_split_into_column_ranges(self, monkeypatch):
+        # no call formats more than a block's points, however long a row is
+        sizes = _count_format_calls(monkeypatch)
+        spec = GridSpec(nx=2 * morse._GRID_BLOCK + 5, nK=2)
+        assert morse.render_grid(spec) == loop_render_grid(spec)
+        assert max(sizes) <= 2 * morse._GRID_BLOCK
+
+
 def g17_samples(seed: int) -> np.ndarray:
     """Seeded doubles that exercise every branch of morse._format_g17."""
     rng = np.random.default_rng(seed)
