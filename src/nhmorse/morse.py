@@ -371,9 +371,7 @@ def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the elements whose rounded |v| is in [1e-4, 1e17): no double below
     # 1e-4 or 1e17 rounds up to it
     fast = (a >= _DECADES[1]) & (a < 1e17)
-    every = bool(fast.all())
-    if not every:
-        a[~fast] = 1.0
+    a[~fast] = 1.0
     b = a.view(np.int64) >> 52
     E = _B_DECADE.take(b)
     E += a >= _B_NEXT_DECADE.take(b)
@@ -397,8 +395,6 @@ def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo += a_split[1]
     N = hi.astype(np.int64)
     N += np.rint(lo, out=lo).astype(np.int64)
-    if every:
-        return N, E, fast
     N[~fast] = 0
     E[~fast] = 0
     return N, E, fast | (v == 0.0)
@@ -410,12 +406,8 @@ def _digit_groups(N: np.ndarray, E: np.ndarray) -> np.ndarray:
     to 16 - 4j, so the last five are the fraction (places -1 to -20)."""
     # five 8-digit limbs, the places 19 to -20: N 10^(k mod 8) < 10^24,
     # k = E + 4, fills the three of them that end k div 8 limbs before the
-    # last; where every element starts at the same limb, they are written
-    # in place
+    # last, and its six groups start at group _LIMB_GROUP[k], 0, 2 or 4
     k = E + 4
-    at = _LIMB_GROUP.take(k)
-    lowest = int(at.min(initial=4))
-    uniform = lowest == at.max(initial=4)
     high_low = np.empty((2, N.size), np.int64)
     high, low = high_low
     np.floor_divide(N, 10**8, out=high)
@@ -428,12 +420,15 @@ def _digit_groups(N: np.ndarray, E: np.ndarray) -> np.ndarray:
     limbs[0] = carry[0]
     np.add(high, carry[1], out=limbs[1], casting="unsafe")
     limbs[2] = low
-    groups = np.zeros((10, N.size), np.uint16)
-    split = groups[lowest : lowest + 6] if uniform else np.empty((6, N.size), np.uint16)
+    split = np.empty((6, N.size), np.uint16)
     split[0::2] = upper = limbs // 10**4
     split[1::2] = limbs - upper * 10**4
-    if not uniform:
-        np.put_along_axis(groups, at + np.arange(6)[:, None], split, axis=0)
+    # one masked sum per start: a put_along_axis scatter of the six rows
+    # takes about 30 times as long as a slice copy
+    groups = np.zeros((10, N.size), np.uint16)
+    at = _LIMB_GROUP.take(k)
+    for start in (0, 2, 4):
+        groups[start : start + 6] += split * (at == start)
     return groups
 
 
@@ -534,8 +529,6 @@ def render_grid(spec: GridSpec) -> str:
     range of one row. Each block is laid out as one uint8 array, one row
     per line: the x, K, y, re and im fields, each followed by its
     separator; deleting its NUL bytes leaves the block's lines of the CSV.
-    Consecutive blocks of the same shape and number width share the
-    array, and only their K, re and im fields are written anew.
     """
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     Ks = np.linspace(spec.K_min, spec.K_max, spec.nK)
@@ -553,26 +546,21 @@ def render_grid(spec: GridSpec) -> str:
     chunks = [HEADER + "\n"]
     cols = max(1, min(xs.size, _GRID_BLOCK))
     rows = max(1, _GRID_BLOCK // cols)
-    layout = None
     for r in range(0, Ks.size, rows):
         for c in range(0, xs.size, cols):
             block = w[r : r + rows, c : c + cols]
             text = _format_g17(block.view(float))
             values = text.reshape(*block.shape, 2, text.shape[1])
-            if layout != (c, block.shape, text.shape[1]):
-                # the x and y fields and the separators stay as they are for
-                # every block of the same columns, shape and number width
-                layout = (c, block.shape, text.shape[1])
-                widths = [x_text.shape[1], K_text.shape[1], y_text.shape[1], text.shape[1], text.shape[1]]
-                ends = np.cumsum(widths) + np.arange(5)
-                buffer = bytearray(block.size * (ends[-1] + 1))
-                lines = np.frombuffer(buffer, np.uint8).reshape(*block.shape, ends[-1] + 1)
-                lines[..., ends] = np.frombuffer(b",,,,\n", np.uint8)
-                lines[..., : ends[0]] = x_text[c : c + cols]
-                lines[..., ends[1] + 1 : ends[2]] = y_text[c : c + cols]
-            lines[..., ends[0] + 1 : ends[1]] = K_text[r : r + rows, None]
-            lines[..., ends[2] + 1 : ends[3]] = values[..., 0, :]
-            lines[..., ends[3] + 1 : ends[4]] = values[..., 1, :]
+            fields = (x_text[c : c + cols], K_text[r : r + rows, None], y_text[c : c + cols], values[..., 0, :], values[..., 1, :])
+            widths = [f.shape[-1] for f in fields]
+            line = sum(widths) + len(fields)
+            buffer = bytearray(block.size * line)
+            lines = np.frombuffer(buffer, np.uint8).reshape(*block.shape, line)
+            at = 0
+            for field, width, sep in zip(fields, widths, b",,,,\n"):
+                lines[..., at : at + width] = field
+                lines[..., at + width] = sep
+                at += width + 1
             chunks.append(buffer.translate(None, b"\0").decode("ascii"))
     return "".join(chunks)
 
