@@ -19,11 +19,10 @@ from .morse import MorseParameters, ParameterMap
 from .riccati import MorseRiccati, RiccatiSign
 from .specfun import WhittakerIndices
 from .susy import Ladder, Sector
-from .verify import Grid1D, ResidualReport
+from .verify import ResidualReport
 
 __all__ = [
     "EvaluationError",
-    "Grid1D",
     "Ladder",
     "MorseParameters",
     "MorseRiccati",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import morse, specfun, susy, verify
 from .morse import MorseParameters, ParameterMap
 from .riccati import RiccatiSign
 from .susy import Ladder, Sector
-from .verify import Grid1D, ResidualReport
+from .verify import ResidualReport
 
 FIG_PARAMS = MorseParameters(A=1.0, B=2.0, a=0.5, K=0.0, Kprime=2.0)
 
@@ -80,15 +79,15 @@ def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
     coefficient is one ode_coefficient call over the same columns, and a
     note for each block that raised instead, naming the map, the sector,
     the exception and its message."""
-    grid = Grid1D(0.0, 3.0, 301)
+    xs = np.linspace(0.0, 3.0, 301)
     rows = _m_and_w_rows([0.0, 0.5, 1.0, 2.0])
     worst = 0.0
     skipped: list[str] = []
     for sector in Sector:
-        Q = partial(morse.ode_coefficient, rows, sector)
-        derivs = partial(morse.wavefunction_derivs_grid, rows, sector, pmap)
         try:
-            rep = verify.ode_residual(Q, derivs, grid, tol=tol)
+            q = morse.ode_coefficient(rows, sector, xs)
+            w, _, d2w = morse.wavefunction_derivs_grid(rows, sector, pmap, xs)
+            rep = verify.ode_residual(q, w, d2w, tol=tol)
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             skipped.append(f"{pmap.value} {sector.value}: {type(exc).__name__}: {exc}")
             continue
@@ -105,16 +104,16 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
 
 
 def bound_state_residual(
-    A: float, B: float, a: float, n: int, sector: Sector, kprime_sqs: Sequence[float], grid: Grid1D, tol: float = 1e-8,
+    A: float, B: float, a: float, n: int, sector: Sector, kprime_sqs: Sequence[float], xs: np.ndarray,
+    tol: float = 1e-8,
 ) -> list[ResidualReport]:
     """Residuals of the sector's hermitic bound state n in that sector's K = 0
-    equation, one report for each eigenvalue K'^2 given (which may be
-    negative), all from one evaluation of the state's triple."""
+    equation at the points xs, one report for each eigenvalue K'^2 given
+    (which may be negative), all from one evaluation of the state's triple."""
     hermitic = MorseParameters(A=A, B=B, a=a, K=0.0, Kprime=0.0)
-    xs = grid.points()
     q = morse.ode_coefficient(hermitic, sector, xs)
-    triple = morse.bound_state_wave_derivs(A, B, a, n, sector, xs)
-    return [verify.ode_residual(lambda _, kp2=kp2: q - kp2, lambda _: triple, grid, tol=tol) for kp2 in kprime_sqs]
+    w, _, d2w = morse.bound_state_wave_derivs(A, B, a, n, sector, xs)
+    return [verify.ode_residual(q - kp2, w, d2w, tol=tol) for kp2 in kprime_sqs]
 
 
 def check_residual_derived(tol: float = 1e-8) -> ResidualReport:
@@ -146,7 +145,10 @@ def check_integration_cross(tol: float = 1e-6) -> ResidualReport:
     p = MorseParameters(K=1.0)
     pmap = ParameterMap.DERIVED
     sector = Sector.FERMIONIC
-    Q = partial(morse.ode_coefficient, p, sector)
+
+    def Q(xs):
+        return morse.ode_coefficient(p, sector, xs)
+
     w0, dw0, _ = morse.wavefunction_derivs(p, sector, pmap, 1.0)
     w1, _ = verify.integrate_ode(Q, 1.0, w0, dw0, 2.0, step=1e-4)
     exact = morse.wavefunction_derivs(p, sector, pmap, 2.0)[0]
@@ -158,12 +160,9 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
     """A+ maps the fermionic solution onto a multiple of the bosonic one."""
     p = MorseParameters(K=1.0)
     pmap = ParameterMap.DERIVED
-    raised = partial(raised_fermionic, p, pmap)
-
-    def partner(xs: np.ndarray) -> np.ndarray:
-        return morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
-
-    return verify.intertwining_check(raised, partner, Grid1D(0.2, 3.0, 57), p.Kprime, tol=tol)
+    xs = np.linspace(0.2, 3.0, 57)
+    partner = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
+    return verify.intertwining_check(raised_fermionic(p, pmap, xs), partner, p.Kprime, tol=tol)
 
 
 def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:
@@ -223,13 +222,13 @@ def check_reality_k0(tol: float = 1e-12) -> ResidualReport:
 
 def check_wronskian(tol: float = 1e-8) -> ResidualReport:
     """M/W solution pairs (derived map, K = 1) have an x-independent Wronskian."""
-    grid = Grid1D(0.2, 3.0, 57)
+    xs = np.linspace(0.2, 3.0, 57)
     pair = _m_and_w_rows([1.0])
     worst = 0.0
     for sector in Sector:
         # one block per sector, its M row and its W row, serves both solutions
-        (m, dm, _), (w, dw, _) = zip(*morse.wavefunction_derivs_grid(pair, sector, ParameterMap.DERIVED, grid.points()))
-        rep = verify.wronskian_constancy(lambda xs: (m, dm), lambda xs: (w, dw), grid, tol=tol)
+        (m, w), (dm, dw), _ = morse.wavefunction_derivs_grid(pair, sector, ParameterMap.DERIVED, xs)
+        rep = verify.wronskian_constancy(m, dm, w, dw, tol=tol)
         worst = max(worst, rep.max_rel_residual)
     return _report("wronskian", worst, tol, grid_size=114)
 

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import checks, morse, verify
+from . import checks, morse
 from .morse import GridSpec, MorseParameters, ParameterMap, render_grid
 from .morse import HEADER  # noqa: F401 - not used here; perfbench reads cli.HEADER
 from .riccati import morse_y
@@ -143,7 +143,7 @@ def cmd_params(args) -> int:
 
 def cmd_bound_states(args) -> int:
     A, B, a = args.A, args.B, args.a
-    grid = verify.Grid1D(0.0, 3.0, 301)
+    xs = np.linspace(0.0, 3.0, 301)
     rows = []
     for sector in Sector:
         n = 0
@@ -151,7 +151,7 @@ def cmd_bound_states(args) -> int:
             # bosonic level n is fermionic level n + 1
             kprime = A - a * (n + (sector is Sector.BOSONIC))
             kp2_matched = a * a * s * s - A * A
-            res_conv, res_matched = checks.bound_state_residual(A, B, a, n, sector, (kprime * kprime, kp2_matched), grid)
+            res_conv, res_matched = checks.bound_state_residual(A, B, a, n, sector, (kprime * kprime, kp2_matched), xs)
             rows.append((sector.value, n, kprime, s, res_conv.max_rel_residual, res_matched.max_rel_residual))
             n += 1
     if not rows:

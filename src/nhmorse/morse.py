@@ -160,10 +160,9 @@ def _chain_rule(a: float, g, y, f, f1, f2):
     return w, dw, d2w
 
 
-def _positive_y(shape: MorseRiccati, x):
-    """y = (2B/a) e^{-a x} at a float x or an array of x, raising ValueError
-    naming x where y underflows to 0 (e^{ax/2} overflows only further out)."""
-    y = riccati.morse_y(shape, x)
+def _positive_y(y, x):
+    """y, the (2B/a) e^{-a x} of a float x or an array of x, raising ValueError
+    naming x where y underflowed to 0 (e^{ax/2} overflows only further out)."""
     # a float y is compared directly: np.any on it costs 3 us, a tenth of a W point
     if (y == 0.0).any() if isinstance(y, np.ndarray) else y == 0.0:
         raise ValueError(f"y = (2B/a) e^(-a x) underflows to 0 at x = {_g17([np.max(x)])[0]}")
@@ -181,7 +180,7 @@ def wavefunction_derivs(
     Whittaker derivatives are analytic, not taken from the equation.
     """
     idx = indices(params, sector, pmap)
-    y = _positive_y(params.shape(), x)
+    y = _positive_y(riccati.morse_y(params.shape(), x), x)
     g = math.exp(0.5 * params.a * x)
     alpha, beta = params.amplitudes(sector)
     w = dw = d2w = 0j
@@ -220,6 +219,7 @@ def wavefunction_derivs_grid(
     term.
     """
     xs, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
+    _positive_y(y, xs)
     out = np.zeros((3, len(alpha), xs.size), dtype=complex)
     g = np.exp(0.5 * params.a * xs)
     for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
@@ -585,7 +585,7 @@ def bound_state_wave_derivs(
     s = bound_state_exponent(A, a, n, sector)
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
-    y = _positive_y(MorseRiccati(A=A, B=B, a=a), x)
+    y = _positive_y(riccati.morse_y(MorseRiccati(A=A, B=B, a=a), x), x)
     # the (degree, order) rows (n - k, 2s + k), k = 0, 1, 2, against every y
     k = np.arange(3).reshape((3,) + (1,) * np.ndim(y))
     c = math.prod(j / (2.0 * s + j) for j in range(1, n + 1))

@@ -421,8 +421,9 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     At each step the integrands are taken at the least z and carried to
     every z by one block e^{(z_lo - z) t} <= 1, shared by the rows: one
     real product, (N, nodes) @ (nodes, 12 R), real and imaginary parts of
-    the six weights of each row side by side. A row stops halving once it
-    has settled; NonConvergence names the first row that never does.
+    the six weights of each row side by side. The step halves until every
+    row has settled at once; NonConvergence names the first row that has
+    not.
     """
     rows = a.shape[0]
     if rows == 0 or z.size == 0:
@@ -447,18 +448,14 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     j = min(last + 1 - int(np.argmax(kept[1, :, ::-1], axis=1).min()), last) * step
 
     def node_sum(nodes: slice):
-        # the (N, R', 6) sums over the given nodes of the rows still halving:
-        # the weights as (node, row, sum), whose float view puts the real and
-        # imaginary parts of each side by side, as the product's are
+        # the (N, R, 6) sums over the given nodes: the weights as (node,
+        # row, sum), whose float view puts the real and imaginary parts of
+        # each side by side, as the product's are
         w = np.exp(_ES_LOGS[:, nodes].T @ coef.T)
         x = np.multiply(w[:, :, None], _ES_POWERS[:, nodes].T[:, None, :], order="C")
         carry = np.exp(np.multiply.outer(z_lo - z, _ES_T[nodes]))
         return _serial_product(carry, x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(z.size, -1, 6)
 
-    # the rows still halving, their sums and coefficients; a settled row's
-    # sums go to out
-    live = np.arange(rows)
-    out = np.empty((z.size, rows, 6), dtype=complex)
     h = 2.0**-_ES_FIRST
     sums = h * node_sum(slice(i, j + 1, step))
     for _ in range(_ES_FIRST, _ES_FINEST):
@@ -467,17 +464,14 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
         halved = 0.5 * sums + h * node_sum(slice(i + step, j, 2 * step))
         done = np.all(np.abs(halved - sums) <= _ES_TOL * np.abs(halved), axis=(0, 2))
         sums = halved
-        if done.any():
-            out[:, live[done]] = sums[:, done]
-            live, sums, coef = live[~done], sums[:, ~done], coef[~done]
-            if not live.size:
-                break
+        if done.all():
+            break
     else:
-        r = live[0]
+        r = np.argmax(~done)
         raise NonConvergence(
             f"tricomi_u quadrature did not converge: a={complex(a[r, 0])}, b={complex(b[r, 0])}, z in [{z_lo}, {z_hi}]"
         )
-    out = out.T * _ES_SIGNS
+    out = sums.T * _ES_SIGNS
     out[3:] /= a
     return out
 

@@ -9,10 +9,9 @@ still summed term by term as the one-element loop sums it, a fixed-step
 RK4 integrator for complex linear second-order equations that multiplies
 the steps' propagators, and residual/Wronskian/intertwining evaluators.
 
-The grid oracles take grid callables (checks builds them from the closed
-forms): Q(xs) or w(xs) returns the coefficient or the values at every
-point of a grid, and derivs(xs) returns (w, w', w'') there, so a grid
-costs one evaluation of each.
+The grid oracles take the arrays their caller evaluated (checks evaluates
+the closed forms once on its grid): the coefficient and the values at
+every point, as (N,) arrays or (R, N) blocks of R rows.
 """
 
 from __future__ import annotations
@@ -25,29 +24,8 @@ import numpy as np
 
 from .errors import NonConvergence, ParameterPole
 
-GridMap = Callable[[np.ndarray], np.ndarray]
-GridDerivs = Callable[[np.ndarray], tuple[np.ndarray, ...]]
-
 # integrate_ode evaluates its coefficient this many steps at a time.
 _RK4_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid on [x_min, x_max] with n_points >= 2 points."""
-
-    x_min: float
-    x_max: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max):
-            raise ValueError(f"require x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_points < 2:
-            raise ValueError(f"require n_points >= 2, got {self.n_points}")
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
 @dataclass
@@ -246,39 +224,32 @@ def reference_kummer(a, b, z, target_rel: float = 1e-13):
     return result if is_array else complex(result[()])
 
 
-def fd_derivs(w: GridMap) -> GridDerivs:
-    """derivs callable from a value-only one: (w, w', w'') with w' and w''
+def fd_derivs(w: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, w', w'') at the points xs from a value-only w, with w' and w''
     from 5-point central differences, step 1e-4 (1 + |x|)."""
-
-    def derivs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h = 1e-4 * (1.0 + np.abs(xs))
-        wm2, wm1, w0, wp1, wp2 = (w(xs + k * h) for k in (-2, -1, 0, 1, 2))
-        d1 = (wm2 - 8 * wm1 + 8 * wp1 - wp2) / (12.0 * h)
-        d2 = (-wm2 + 16 * wm1 - 30 * w0 + 16 * wp1 - wp2) / (12.0 * h * h)
-        return w0, d1, d2
-
-    return derivs
+    h = 1e-4 * (1.0 + np.abs(xs))
+    wm2, wm1, w0, wp1, wp2 = (w(xs + k * h) for k in (-2, -1, 0, 1, 2))
+    d1 = (wm2 - 8 * wm1 + 8 * wp1 - wp2) / (12.0 * h)
+    d2 = (-wm2 + 16 * wm1 - 30 * w0 + 16 * wp1 - wp2) / (12.0 * h * h)
+    return w0, d1, d2
 
 
-def ode_residual(Q: GridMap, derivs: GridDerivs, grid: Grid1D, tol: float = 1e-8) -> ResidualReport:
-    """Residual of w'' + Q w = 0 over a grid.
+def ode_residual(q: np.ndarray, w: np.ndarray, d2w: np.ndarray, tol: float = 1e-8) -> ResidualReport:
+    """Residual of w'' + Q w = 0 over a grid, from Q, w and w'' at its N
+    points.
 
-    derivs(xs) gives (w, w', w'') at the grid points; its w'' must be
-    analytic, not a rearrangement of the equation itself (fd_derivs
-    supplies a finite-difference one). The relative residual is
-    normalized by 1 + |Q||w| so decaying tails do not blow it up. Q and
-    derivs may also give (R, N) blocks, one row per solution: the report
-    is the worst over the whole block (grid_size stays the N points).
+    d2w must be analytic, not a rearrangement of the equation itself
+    (fd_derivs supplies a finite-difference one). The relative residual is
+    normalized by 1 + |Q||w| so decaying tails do not blow it up. q, w and
+    d2w may also be (R, N) blocks, one row per solution: the report is the
+    worst over the whole block (grid_size stays the N points).
     """
-    xs = grid.points()
-    q = Q(xs)
-    w, _, d2w = derivs(xs)
     r = np.abs(d2w + q * w)
     rel = r / (1.0 + np.abs(q) * np.abs(w))
     max_rel = float(rel.max())
     return ResidualReport(
         name="ode-residual",
-        grid_size=len(xs),
+        grid_size=r.shape[-1],
         max_abs_residual=float(r.max()),
         max_rel_residual=max_rel,
         passed=max_rel <= tol,
@@ -287,7 +258,7 @@ def ode_residual(Q: GridMap, derivs: GridDerivs, grid: Grid1D, tol: float = 1e-8
 
 
 def integrate_ode(
-    Q: GridMap,
+    Q: Callable[[np.ndarray], np.ndarray],
     x0: float,
     w0: complex,
     dw0: complex,
@@ -370,39 +341,34 @@ def _constancy(name: str, what: str, vals: np.ndarray, tol: float) -> tuple[Resi
     return report, mean
 
 
-def wronskian_constancy(f: GridDerivs, g: GridDerivs, grid: Grid1D, tol: float = 1e-8) -> ResidualReport:
-    """Relative standard deviation of the Wronskian f g' - g f' over the grid.
-
-    f(xs) and g(xs) give (value, derivative, ...) at the grid points. For
-    equations without a first-derivative term the Wronskian of any two
-    solutions is x-independent, so the deviation should vanish. They may
-    also give (R, N) blocks, row r of f paired with row r of g: each row's
-    Wronskian has its own mean, and the report is the worst row's.
-    """
-    xs = grid.points()
-    fv, df = f(xs)[:2]
-    gv, dg = g(xs)[:2]
-    return _constancy("wronskian", "Wronskian", fv * dg - gv * df, tol)[0]
-
-
-def intertwining_check(
-    raised: GridMap, partner: GridMap, grid: Grid1D, Kprime: float, tol: float = 1e-8
+def wronskian_constancy(
+    f: np.ndarray, df: np.ndarray, g: np.ndarray, dg: np.ndarray, tol: float = 1e-8
 ) -> ResidualReport:
-    """Constancy of the ratio raised / partner over the grid.
+    """Relative standard deviation of the Wronskian f g' - g f' over a grid,
+    from the values and derivatives of f and g at its N points.
 
-    raised(xs) is A+ applied to one sector's solution and partner(xs) the
-    other sector's solution at the grid points; the intertwining relation
+    For equations without a first-derivative term the Wronskian of any two
+    solutions is x-independent, so the deviation should vanish. The arrays
+    may also be (R, N) blocks, row r of f paired with row r of g: each
+    row's Wronskian has its own mean, and the report is the worst row's.
+    """
+    return _constancy("wronskian", "Wronskian", f * dg - g * df, tol)[0]
+
+
+def intertwining_check(raised: np.ndarray, partner: np.ndarray, Kprime: float, tol: float = 1e-8) -> ResidualReport:
+    """Constancy of the ratio raised / partner over a grid.
+
+    raised is A+ applied to one sector's solution and partner the other
+    sector's solution at the grid's points; the intertwining relation
     makes them proportional. Points where |partner| <= 1e-12 are dropped.
     The ratio goes through wronskian_constancy's reduction, and for
     K' != 0 the note gives the mean ratio over K', the claimed
     proportionality constant.
     """
-    xs = grid.points()
-    w2 = partner(xs)
-    keep = np.abs(w2) > 1e-12
+    keep = np.abs(partner) > 1e-12
     if not keep.any():
         raise ValueError("all grid points degenerate (|partner| <= 1e-12)")
-    report, mean = _constancy("intertwining", "ratio", raised(xs)[keep] / w2[keep], tol)
+    report, mean = _constancy("intertwining", "ratio", raised[keep] / partner[keep], tol)
     if Kprime != 0.0:
         c = complex(mean) / Kprime
         ratio_note = f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i"

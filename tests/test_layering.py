@@ -33,6 +33,10 @@ GONE_FROM_SUSY_LAYER = (
     "RealCaseParams", "real_partner_potential", "ExtensionParams",
 )
 
+# Names that left verify when its grid oracles came to take the arrays their
+# callers evaluate rather than a grid and callables.
+GONE_FROM_VERIFY = ("Grid1D", "GridMap", "GridDerivs")
+
 
 def relative_imports(path: Path) -> set[str]:
     """The package modules that the file imports with a relative import,
@@ -127,3 +131,9 @@ def test_susy_takes_values_and_imports_nothing_from_the_package():
     text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
     assert [gone for gone in GONE_FROM_SUSY_LAYER if re.search(rf"\b{gone}\b", text)] == []
     assert relative_imports(PACKAGE / "susy.py") == set()
+
+
+def test_grid_oracles_take_arrays():
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [gone for gone in GONE_FROM_VERIFY if re.search(rf"\b{gone}\b", text)] == []
+    assert not hasattr(nhmorse, "Grid1D")

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from nhmorse import checks, morse, riccati, specfun, susy, verify
 from nhmorse.errors import NonConvergence, NonNormalizable
 from nhmorse.morse import GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import Sector
-from nhmorse.verify import Grid1D
 
 FIG = MorseParameters()  # A=1, B=2, a=0.5, K=0, K'=2
 
@@ -204,15 +202,10 @@ class TestWavefunction:
 
     def test_derived_map_solves_printed_ode(self):
         p = MorseParameters(K=1.0)
-        grid = Grid1D(0.0, 3.0, 61)
+        xs = np.linspace(0.0, 3.0, 61)
         for sector in Sector:
-            def Q(xs, sector=sector):
-                return morse.ode_coefficient(p, sector, xs)
-
-            def derivs(xs, sector=sector):
-                return morse.wavefunction_derivs_grid(p, sector, ParameterMap.DERIVED, xs)
-
-            rep = verify.ode_residual(Q, derivs, grid, tol=1e-8)
+            w, _, d2w = morse.wavefunction_derivs_grid(p, sector, ParameterMap.DERIVED, xs)
+            rep = verify.ode_residual(morse.ode_coefficient(p, sector, xs), w, d2w, tol=1e-8)
             assert rep.passed, rep.line()
 
     def test_k_to_zero_continuity(self):
@@ -260,6 +253,10 @@ class TestWavefunction:
         for p in (FIG, MorseParameters(K=1.0, alpha1=0.0, beta1=1.0)):
             with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
                 morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)
+        # and for a block of the grid triple
+        rows = MorseParameters(K=np.array([[0.5]]))
+        with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
+            morse.wavefunction_derivs_grid(rows, Sector.BOSONIC, ParameterMap.DERIVED, np.array([x]))
         # and for a bound state, at a float x or in an array of them
         for xs in (x, np.array([0.0, x])):
             with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
@@ -300,7 +297,7 @@ class TestRowPath:
         # every row of the residual-sweep checks: both maps, K in
         # {0, 0.5, 1, 2}, both sectors, M and W (the integer b = 9 of the
         # printed map at K = 0 too), 301 x
-        xs = Grid1D(0.0, 3.0, 301).points()
+        xs = np.linspace(0.0, 3.0, 301)
         worst = 0.0
         for pmap in ParameterMap:
             for K in (0.0, 0.5, 1.0, 2.0):
@@ -387,7 +384,7 @@ class TestRowPath:
     def test_sweep_blocks_match_single_rows(self):
         # the residual sweeps' blocks, 4 K x {M only, W only} per sector and
         # map over 301 x, against one-row calls
-        xs = Grid1D(0.0, 3.0, 301).points()
+        xs = np.linspace(0.0, 3.0, 301)
         rows = checks._m_and_w_rows([0.0, 0.5, 1.0, 2.0])
         for pmap in ParameterMap:
             for sector in Sector:
@@ -447,14 +444,14 @@ class TestResidualSweep:
     def test_derived_map_over_a_wider_region(self):
         # residual-derived's blocks at B up to 20 and K up to 4: an M row and
         # a W row per K, both sectors, on the check's 301 points
-        grid = Grid1D(0.0, 3.0, 301)
+        xs = np.linspace(0.0, 3.0, 301)
         worst = 0.0
         for B in (2.0, 5.0, 10.0, 20.0):
             rows = dataclasses.replace(checks._m_and_w_rows([0.0, 0.5, 1.0, 2.0, 4.0]), B=B)
             for sector in Sector:
-                Q = partial(morse.ode_coefficient, rows, sector)
-                derivs = partial(morse.wavefunction_derivs_grid, rows, sector, ParameterMap.DERIVED)
-                worst = max(worst, verify.ode_residual(Q, derivs, grid).max_rel_residual)
+                q = morse.ode_coefficient(rows, sector, xs)
+                w, _, d2w = morse.wavefunction_derivs_grid(rows, sector, ParameterMap.DERIVED, xs)
+                worst = max(worst, verify.ode_residual(q, w, d2w).max_rel_residual)
         assert worst <= 1e-8
 
 
@@ -652,7 +649,7 @@ class TestBoundStates:
         A, B, a, n = 1.0, 2.0, 0.5, 0
         s = morse.bound_state_exponent(A, a, n, Sector.BOSONIC)
         kp2 = a * a * s * s - A * A
-        [rep] = checks.bound_state_residual(A, B, a, n, Sector.BOSONIC, [kp2], Grid1D(0.0, 3.0, 101))
+        [rep] = checks.bound_state_residual(A, B, a, n, Sector.BOSONIC, [kp2], np.linspace(0.0, 3.0, 101))
         assert kp2 < 0.0
         assert rep.passed, rep.line()
 
@@ -661,7 +658,7 @@ class TestBoundStates:
         # printed fermionic equation; the residual is recorded, not hidden
         A, B, a, n = 1.0, 2.0, 0.5, 0
         kp = A - a * n
-        [rep] = checks.bound_state_residual(A, B, a, n, Sector.FERMIONIC, [kp * kp], Grid1D(0.0, 3.0, 101))
+        [rep] = checks.bound_state_residual(A, B, a, n, Sector.FERMIONIC, [kp * kp], np.linspace(0.0, 3.0, 101))
         assert math.isfinite(rep.max_rel_residual)
         assert rep.max_rel_residual > 1e-3
 
@@ -730,19 +727,18 @@ class TestWhittakerLaguerreIdentity:
         assert morse.pochhammer(3.0, 2) == 12.0
 
 
-def intertwining(p: MorseParameters, grid: Grid1D):
-    """verify.intertwining_check of A+ w_1 against w_2 at p, derived map."""
+def intertwining(p: MorseParameters, xs: np.ndarray):
+    """verify.intertwining_check of A+ w_1 against w_2 at p on xs, derived map."""
     pmap = ParameterMap.DERIVED
-    raised = partial(checks.raised_fermionic, p, pmap)
-    partner = lambda xs: morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
-    return verify.intertwining_check(raised, partner, grid, p.Kprime)
+    partner = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
+    return verify.intertwining_check(checks.raised_fermionic(p, pmap, xs), partner, p.Kprime)
 
 
 class TestIntertwining:
     def test_raise_maps_w1_onto_w2(self):
-        rep = intertwining(MorseParameters(K=1.0), Grid1D(0.2, 3.0, 29))
+        rep = intertwining(MorseParameters(K=1.0), np.linspace(0.2, 3.0, 29))
         assert rep.passed, rep.line()
 
     def test_k_zero_real_ratio(self):
-        rep = intertwining(FIG, Grid1D(0.2, 3.0, 29))
+        rep = intertwining(FIG, np.linspace(0.2, 3.0, 29))
         assert rep.passed

@@ -432,6 +432,14 @@ class TestWhittakerBlocks:
                             for got, ref in zip(block, fn(row_idx, ys)):
                                 assert np.all(np.abs(got[r] - ref) <= 1e-13 * np.abs(ref)), (B, pmap, sector, r)
 
+    def test_unsettled_w_block_names_its_first_row(self, monkeypatch):
+        # with a zero tolerance no row of the quadrature block settles:
+        # NonConvergence names the first row and the block's z range
+        monkeypatch.setattr(specfun, "_ES_TOL", 0.0)
+        a, b = np.array([[1.5 + 0.5j], [2.0]]), np.array([[3.0 - 1.0j], [4.5]])
+        with pytest.raises(NonConvergence, match=re.escape("a=(1.5+0.5j), b=(3-1j), z in [0.5, 8.0]")):
+            specfun._tricomi_block(a, b, np.array([0.5, 2.0, 8.0]))
+
     def test_block_mixes_shifted_integer_and_plain_rows(self):
         # rows shifted up to Re a >= 1 by one and by three steps, integer a
         # (0 and -2, polynomials in z) and rows needing no shift, in one

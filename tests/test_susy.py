@@ -9,7 +9,6 @@ from nhmorse import morse, susy, verify
 from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.riccati import MorseRiccati, RiccatiSign
 from nhmorse.susy import Ladder, Sector
-from nhmorse.verify import Grid1D
 
 
 @pytest.fixture
@@ -135,12 +134,7 @@ def test_hamiltonian_eigen_residual(shape):
     # w'' + Q w = 0 for the derived-map wavefunction, Q the susy bracket
     # over the whole grid in one call
     p = MorseParameters(K=1.0)
-
-    def Q(xs):
-        return bracket(shape, 1.0, 2.0, Sector.FERMIONIC, xs)
-
-    def derivs(xs):
-        return morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs)
-
-    rep = verify.ode_residual(Q, derivs, Grid1D(0.0, 3.0, 51), tol=1e-8)
+    xs = np.linspace(0.0, 3.0, 51)
+    w, _, d2w = morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs)
+    rep = verify.ode_residual(bracket(shape, 1.0, 2.0, Sector.FERMIONIC, xs), w, d2w, tol=1e-8)
     assert rep.passed

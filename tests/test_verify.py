@@ -5,7 +5,6 @@ import math
 import random
 import re
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,19 +14,6 @@ from nhmorse.errors import NonConvergence, ParameterPole
 from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.specfun import WhittakerIndices
 from nhmorse.susy import Sector
-from nhmorse.verify import Grid1D
-
-
-class TestGrid:
-    def test_points(self):
-        g = Grid1D(0.0, 1.0, 5)
-        assert list(g.points()) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Grid1D(1.0, 0.0, 5)
-        with pytest.raises(ValueError):
-            Grid1D(0.0, 1.0, 1)
 
 
 def scalar_reference_kummer(a, b, z, target_rel=1e-13):
@@ -246,8 +232,8 @@ class TestReferenceKummerChunks:
         assert message([1.0, -18.0, 1.0], [2.0, -18.0, 2.0], [1e17, 2.0, 1e100]) == message(1.0, 2.0, 1e100)
 
 
-def const(c):
-    return lambda xs: np.full(xs.shape, complex(c))
+def const(c, xs):
+    return np.full(xs.shape, complex(c))
 
 
 def exp_derivs(xs):
@@ -259,48 +245,52 @@ def sin_derivs(xs):
     return np.sin(xs) + 0j, np.cos(xs) + 0j, -np.sin(xs) + 0j
 
 
+def residual(q, triple, tol=1e-8):
+    """verify.ode_residual of the value and second derivative of a triple."""
+    w, _, d2w = triple
+    return verify.ode_residual(q, w, d2w, tol=tol)
+
+
 class TestOdeResidual:
     def test_exponential_solution(self):
         # w'' - w = 0 with Q = -1 and w = e^x
-        rep = verify.ode_residual(const(-1.0), exp_derivs, Grid1D(0.0, 2.0, 21))
+        xs = np.linspace(0.0, 2.0, 21)
+        rep = residual(const(-1.0, xs), exp_derivs(xs))
         assert rep.max_rel_residual <= 1e-14
 
     def test_sine_solution_analytic(self):
-        rep = verify.ode_residual(const(1.0), sin_derivs, Grid1D(0.0, 3.0, 31))
+        xs = np.linspace(0.0, 3.0, 31)
+        rep = residual(const(1.0, xs), sin_derivs(xs))
         assert rep.max_rel_residual <= 1e-10
 
     def test_finite_difference_fallback(self):
-        rep = verify.ode_residual(const(1.0), verify.fd_derivs(np.sin), Grid1D(0.5, 3.0, 11))
+        xs = np.linspace(0.5, 3.0, 11)
+        rep = residual(const(1.0, xs), verify.fd_derivs(np.sin, xs))
         assert rep.passed, rep.line()
 
     def test_two_row_block_reports_the_worse_row(self):
-        # Q and derivs as (2, N) blocks, a solution and a non-solution of
-        # w'' + w = 0: the report is the worse of the two single-row ones
-        grid = Grid1D(0.0, 3.0, 31)
-
-        def bad_derivs(xs):
-            return np.sin(xs) + 0.1 * xs**2 + 0j, np.cos(xs) + 0.2 * xs + 0j, -np.sin(xs) + 0.2 + 0j
-
-        def block(xs):
-            return tuple(np.stack(rows) for rows in zip(sin_derivs(xs), bad_derivs(xs)))
-
-        Q = const(1.0)
-        single = [verify.ode_residual(Q, d, grid) for d in (sin_derivs, bad_derivs)]
-        rep = verify.ode_residual(lambda xs: np.stack((Q(xs), Q(xs))), block, grid)
+        # Q and the triple as (2, N) blocks, a solution and a non-solution
+        # of w'' + w = 0: the report is the worse of the two single-row ones
+        xs = np.linspace(0.0, 3.0, 31)
+        bad = np.sin(xs) + 0.1 * xs**2 + 0j, np.cos(xs) + 0.2 * xs + 0j, -np.sin(xs) + 0.2 + 0j
+        q = const(1.0, xs)
+        single = [residual(q, d) for d in (sin_derivs(xs), bad)]
+        rep = residual(np.stack((q, q)), tuple(np.stack(rows) for rows in zip(sin_derivs(xs), bad)))
         assert rep.max_rel_residual == max(r.max_rel_residual for r in single) > 1e-3
         assert rep.max_abs_residual == max(r.max_abs_residual for r in single)
         assert rep.grid_size == 31 and not rep.passed
 
     def test_detects_non_solution(self):
-        rep = verify.ode_residual(const(1.0), exp_derivs, Grid1D(0.0, 1.0, 11), tol=1e-8)
+        xs = np.linspace(0.0, 1.0, 11)
+        rep = residual(const(1.0, xs), exp_derivs(xs), tol=1e-8)
         assert not rep.passed
 
     def test_morse_derived_map(self):
         p = MorseParameters(K=1.0)
-        rep = verify.ode_residual(
-            lambda xs: morse.ode_coefficient(p, Sector.FERMIONIC, xs),
-            lambda xs: morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs),
-            Grid1D(0.0, 3.0, 61),
+        xs = np.linspace(0.0, 3.0, 61)
+        rep = residual(
+            morse.ode_coefficient(p, Sector.FERMIONIC, xs),
+            morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs),
         )
         assert rep.passed
 
@@ -433,51 +423,41 @@ class TestWronskian:
         # row r of f pairs with row r of g, each row's Wronskian with its
         # own mean: constant Wronskians of -1 and -2 in one block are both
         # constant, and a non-constant row makes the report that row's
-        grid = Grid1D(0.0, 3.0, 31)
+        xs = np.linspace(0.0, 3.0, 31)
+        sin_cos = np.sin(xs) + 0j, np.cos(xs) + 0j
+        cos_sin = np.cos(xs) + 0j, -np.sin(xs) + 0j
+        line = xs + 0j, np.ones_like(xs) + 0j
 
-        def sin_cos(xs):
-            return np.sin(xs) + 0j, np.cos(xs) + 0j
+        def stack(*pairs):
+            return tuple(np.stack(rows) for rows in zip(*pairs))
 
-        def cos_sin(xs, scale=1.0):
-            return scale * np.cos(xs) + 0j, -scale * np.sin(xs) + 0j
-
-        def line(xs):
-            return xs + 0j, np.ones_like(xs) + 0j
-
-        def stack(*fs):
-            return lambda xs: tuple(np.stack(rows) for rows in zip(*(f(xs) for f in fs)))
-
-        constant = verify.wronskian_constancy(stack(sin_cos, sin_cos), stack(cos_sin, partial(cos_sin, scale=2.0)), grid)
+        twice = 2.0 * cos_sin[0], 2.0 * cos_sin[1]
+        constant = verify.wronskian_constancy(*stack(sin_cos, sin_cos), *stack(cos_sin, twice))
         assert constant.max_rel_residual <= 1e-14 and constant.passed
-        single = [verify.wronskian_constancy(sin_cos, g, grid) for g in (cos_sin, line)]
-        rep = verify.wronskian_constancy(stack(sin_cos, sin_cos), stack(cos_sin, line), grid)
+        single = [verify.wronskian_constancy(*sin_cos, *g) for g in (cos_sin, line)]
+        rep = verify.wronskian_constancy(*stack(sin_cos, sin_cos), *stack(cos_sin, line))
         assert rep.max_rel_residual == max(r.max_rel_residual for r in single) > 0.1
         assert rep.max_abs_residual == max(r.max_abs_residual for r in single)
         assert rep.grid_size == 31 and not rep.passed
 
     def test_sin_cos(self):
-        rep = verify.wronskian_constancy(
-            lambda xs: (np.sin(xs) + 0j, np.cos(xs) + 0j),
-            lambda xs: (np.cos(xs) + 0j, -np.sin(xs) + 0j),
-            Grid1D(0.0, 3.0, 31),
-        )
+        xs = np.linspace(0.0, 3.0, 31)
+        rep = verify.wronskian_constancy(np.sin(xs) + 0j, np.cos(xs) + 0j, np.cos(xs) + 0j, -np.sin(xs) + 0j)
         assert rep.passed
         assert rep.max_rel_residual <= 1e-14
 
     def test_degenerate_pair_flagged(self):
-        f = lambda xs: (np.sin(xs) + 0j, np.cos(xs) + 0j)
-        rep = verify.wronskian_constancy(f, f, Grid1D(0.0, 3.0, 11))
+        xs = np.linspace(0.0, 3.0, 11)
+        f = np.sin(xs) + 0j, np.cos(xs) + 0j
+        rep = verify.wronskian_constancy(*f, *f)
         assert "zero-scale" in rep.note
 
     def test_zero_mean_reports_finite_deviation(self):
         # W = f g' - g f' = cos x takes 1, 0, -1 on [0, pi]: zero mean, scale 1
+        xs = np.linspace(0.0, math.pi, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = verify.wronskian_constancy(
-                lambda xs: (np.ones_like(xs), np.zeros_like(xs)),
-                lambda xs: (np.zeros_like(xs), np.cos(xs)),
-                Grid1D(0.0, math.pi, 3),
-            )
+            rep = verify.wronskian_constancy(np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs), np.cos(xs))
         assert "degenerate" in rep.note and not rep.passed
         assert type(rep.max_abs_residual) is float
         assert rep.max_abs_residual == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
@@ -487,68 +467,60 @@ class TestWronskian:
         q = MorseParameters(K=1.0, alpha1=0, beta1=1)
         pmap = ParameterMap.DERIVED
         sector = Sector.FERMIONIC
-        rep = verify.wronskian_constancy(
-            lambda xs: morse.wavefunction_derivs_grid(p, sector, pmap, xs),
-            lambda xs: morse.wavefunction_derivs_grid(q, sector, pmap, xs),
-            Grid1D(0.2, 3.0, 29),
-        )
+        xs = np.linspace(0.2, 3.0, 29)
+        f, df, _ = morse.wavefunction_derivs_grid(p, sector, pmap, xs)
+        g, dg, _ = morse.wavefunction_derivs_grid(q, sector, pmap, xs)
+        rep = verify.wronskian_constancy(f, df, g, dg)
         assert rep.passed, rep.line()
 
 
 class TestIntertwiningCheck:
-    @staticmethod
-    def bosonic(p, pmap):
-        return lambda xs: morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
+    xs = np.linspace(0.2, 3.0, 29)
+
+    def sides(self, p):
+        """A+ w1 and w2 at p on xs, derived map."""
+        pmap = ParameterMap.DERIVED
+        w2 = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, self.xs)[0][0]
+        return checks.raised_fermionic(p, pmap, self.xs), w2
 
     def test_corrupted_partner_fails(self):
         # multiplying w2 by x destroys the proportionality
         p = MorseParameters(K=1.0)
-        pmap = ParameterMap.DERIVED
-        w2 = self.bosonic(p, pmap)
-        rep = verify.intertwining_check(
-            partial(checks.raised_fermionic, p, pmap), lambda xs: xs * w2(xs), Grid1D(0.2, 3.0, 29), p.Kprime
-        )
+        raised, w2 = self.sides(p)
+        rep = verify.intertwining_check(raised, self.xs * w2, p.Kprime)
         assert not rep.passed
 
     def test_reports_proportionality_constant(self):
         p = MorseParameters(K=1.0)
-        pmap = ParameterMap.DERIVED
-        rep = verify.intertwining_check(
-            partial(checks.raised_fermionic, p, pmap), self.bosonic(p, pmap), Grid1D(0.2, 3.0, 29), p.Kprime
-        )
+        rep = verify.intertwining_check(*self.sides(p), p.Kprime)
         assert "mean_ratio/Kprime" in rep.note
 
     def test_zero_ratio_is_zero_scale_not_nan(self):
         # alpha1 = beta1 = 0 makes w1, hence A+ w1 and the ratio, zero
         # everywhere; this once gave nan with a RuntimeWarning
         p = MorseParameters(K=1.0, alpha1=0, beta1=0)
-        pmap = ParameterMap.DERIVED
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = verify.intertwining_check(
-                partial(checks.raised_fermionic, p, pmap), self.bosonic(p, pmap), Grid1D(0.2, 3.0, 29), p.Kprime
-            )
+            rep = verify.intertwining_check(*self.sides(p), p.Kprime)
         assert type(rep.max_rel_residual) is float and rep.max_rel_residual == 0.0
         assert rep.passed and "zero-scale" in rep.note
 
     def test_zero_mean_ratio_is_degenerate(self):
         # the ratio cos x takes 1, 0, -1 on [0, pi]: zero mean, scale 1
+        xs = np.linspace(0.0, math.pi, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = verify.intertwining_check(
-                lambda xs: np.cos(xs) + 0j, lambda xs: np.ones_like(xs) + 0j, Grid1D(0.0, math.pi, 3), 2.0
-            )
+            rep = verify.intertwining_check(np.cos(xs) + 0j, np.ones_like(xs) + 0j, 2.0)
         assert rep.max_rel_residual == math.inf and not rep.passed
         assert "degenerate" in rep.note
         assert rep.max_abs_residual == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
 
     def test_same_reduction_as_wronskian(self):
         # a ratio and a Wronskian with the same values give the same report figures
-        vals = lambda xs: np.exp(1j * xs) + 3.0
-        grid = Grid1D(0.0, 1.0, 17)
-        ratio = verify.intertwining_check(vals, lambda xs: np.ones_like(xs) + 0j, grid, 0.0)
-        one = lambda xs: (np.ones_like(xs) + 0j, np.zeros_like(xs) + 0j)
-        wronskian = verify.wronskian_constancy(one, lambda xs: (np.zeros_like(xs), vals(xs)), grid)
+        xs = np.linspace(0.0, 1.0, 17)
+        vals = np.exp(1j * xs) + 3.0
+        ratio = verify.intertwining_check(vals, np.ones_like(xs) + 0j, 0.0)
+        wronskian = verify.wronskian_constancy(np.ones_like(xs) + 0j, np.zeros_like(xs) + 0j, np.zeros_like(xs), vals)
         assert ratio.max_rel_residual == wronskian.max_rel_residual
         assert ratio.max_abs_residual == wronskian.max_abs_residual
         assert ratio.note == ""
@@ -556,14 +528,14 @@ class TestIntertwiningCheck:
 
 class TestReportInvariants:
     def test_pass_iff_within_tolerance(self):
-        rep = verify.ode_residual(const(-1.0), exp_derivs, Grid1D(0.0, 1.0, 11), tol=1e-8)
+        xs = np.linspace(0.0, 1.0, 11)
+        rep = residual(const(-1.0, xs), exp_derivs(xs), tol=1e-8)
         assert rep.passed == (rep.max_rel_residual <= rep.tolerance)
         assert rep.max_abs_residual >= 0.0 and rep.max_rel_residual >= 0.0
 
     def test_deterministic(self):
-        args = (const(1.0), verify.fd_derivs(np.sin), Grid1D(0.0, 3.0, 21))
-        a = verify.ode_residual(*args)
-        b = verify.ode_residual(*args)
+        xs = np.linspace(0.0, 3.0, 21)
+        a, b = (residual(const(1.0, xs), verify.fd_derivs(np.sin, xs)) for _ in range(2))
         assert a.max_rel_residual == b.max_rel_residual
 
     def test_fd_residual_order(self):
