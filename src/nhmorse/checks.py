@@ -4,13 +4,17 @@ Each check returns a ResidualReport; the registry drives both the CLI
 `verify` subcommand and the acceptance test module, so the two surfaces
 can never drift apart. The Morse compositions that the oracles of verify
 check are built here, since verify imports none of the closed forms.
+kummer-oracle's samples and reference values do not change between
+passes: they are read from kummer_oracle.npy beside this module, which
+tests/kummer_oracle_table.py draws and writes, and which tier-1 compares
+bit for bit with a fresh draw.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,30 +40,17 @@ def _report(name, rel, tol, grid_size=0, abs_res=None, note=""):
     )
 
 
-def _admissible_b(rng: random.Random) -> complex:
-    while True:
-        b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
-        r = round(b.real)
-        if not (r <= 0 and abs(b - r) < 0.05):
-            return b
-
-
 def _kummer_oracle_samples():
-    """kummer-oracle's 1000 seeded (a, b, z) samples and reference values,
-    the references from one array call of the oracle."""
-    rng = random.Random(20060515)
-    samples = []
-    for _ in range(1000):
-        a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
-        b = _admissible_b(rng)
-        z = rng.uniform(1e-6, 30.0)
-        samples.append((a, b, z))
-    a, b, z = (np.array(column) for column in zip(*samples))
-    return a, b, z, verify.reference_kummer(a, b, z, target_rel=1e-13)
+    """kummer-oracle's 1000 seeded (a, b, z) samples and their reference
+    values from verify.reference_kummer, read from the table stored beside
+    this module (tests/kummer_oracle_table.py draws and writes it)."""
+    a, b, z, ref = np.load(Path(__file__).with_name("kummer_oracle.npy"))
+    return a, b, z.real.copy(), ref
 
 
 def check_kummer_oracle(tol: float = 1e-10) -> ResidualReport:
-    """kummer_m against the compensated-summation reference, as one block."""
+    """kummer_m against the stored compensated-summation references, as one
+    block."""
     a, b, z, ref = _kummer_oracle_samples()
     val = specfun.kummer_m(a[:, None], b[:, None], z[:, None])[:, 0]
     worst = float(np.max(np.abs(val - ref) / np.maximum(np.abs(ref), 1e-300)))

@@ -392,11 +392,12 @@ _ES_LEVELS = [(_ES_LOGS[:, ::_es_n].astype(complex), _es_w)] + [
 ]
 
 
-def _tricomi_quadrature(a: complex, b: complex, z: float):
+def _tricomi_quadrature(a: complex, b: complex, z: float, named: complex):
     """(U, U', U'') at a and at a + 1, Re a >= 1, at a float z, from one set
     of nodes: the weights of the derivatives gain factors of -t, and those
     at a + 1 a factor t / ((1+t) a). Past the first level, the step halves
-    only while some sum moves by more than _ES_TOL of itself."""
+    only while some sum moves by more than _ES_TOL of itself. NonConvergence
+    names `named`, the caller's a before its shift to Re a >= 1."""
     coef = np.array([a - 1.0, b - a - 1.0, 1.0, z, -log_gamma(a)])
     # the six sums at the last two steps, the coarser first: the first level
     # gives both, each later one the midpoints that halve the step
@@ -407,10 +408,10 @@ def _tricomi_quadrature(a: complex, b: complex, z: float):
         if all(abs(s - c) <= _ES_TOL * abs(s) for c, s in zip(sums[:6], sums[6:])):
             u, du, d2u, v, dv, d2v = sums[6:]
             return u, -du, d2u, v / a, -dv / a, d2v / a
-    raise NonConvergence(f"tricomi_u quadrature did not converge: a={a}, b={b}, z in [{z}, {z}]")
+    raise NonConvergence(f"tricomi_u quadrature did not converge: a={named}, b={b}, z in [{z}, {z}]")
 
 
-def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, named: np.ndarray) -> np.ndarray:
     """_tricomi_quadrature's six values for (R, 1) columns of a, Re a >= 1,
     and b, at every z of shape (N,) > 0, as one (6, R, N) array.
 
@@ -423,7 +424,7 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     real product, (N, nodes) @ (nodes, 12 R), real and imaginary parts of
     the six weights of each row side by side. The step halves until every
     row has settled at once; NonConvergence names the first row that has
-    not.
+    not by its a in the column `named`, the caller's a before the shift.
     """
     rows = a.shape[0]
     if rows == 0 or z.size == 0:
@@ -469,7 +470,7 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     else:
         r = np.argmax(~done)
         raise NonConvergence(
-            f"tricomi_u quadrature did not converge: a={complex(a[r, 0])}, b={complex(b[r, 0])}, z in [{z_lo}, {z_hi}]"
+            f"tricomi_u quadrature did not converge: a={complex(named[r, 0])}, b={complex(b[r, 0])}, z in [{z_lo}, {z_hi}]"
         )
     out = sums.T * _ES_SIGNS
     out[3:] /= a
@@ -513,7 +514,7 @@ def _tricomi_derivs(a, b, z):
         shifted = ~integer[:, 0]
         state = np.zeros((6, a.shape[0], z.size), dtype=complex)
         state[0, ~shifted] = 1.0
-        state[:, shifted] = _tricomi_block(a0[shifted], b[shifted], z)
+        state[:, shifted] = _tricomi_block(a0[shifted], b[shifted], z, a[shifted])
         for m in range(int(n.max(initial=0))):
             r = np.flatnonzero(n[:, 0] > m)
             state[:, r] = _recur_down(a0[r], b[r], z, m, *state[:, r])
@@ -524,7 +525,7 @@ def _tricomi_derivs(a, b, z):
     else:
         n = max(0, math.ceil(1.0 - a.real))
         a0 = a + n
-        state = _tricomi_quadrature(a0, b, z)
+        state = _tricomi_quadrature(a0, b, z, a)
     for m in range(n):
         state = _recur_down(a0, b, z, m, *state)
     return state[:3]

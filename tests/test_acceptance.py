@@ -22,7 +22,7 @@ def _run(name, runtime_limit=None):
 
 
 def test_criterion_01_kummer_oracle():
-    rep = _run("kummer-oracle", runtime_limit=0.1)
+    rep = _run("kummer-oracle", runtime_limit=0.05)
     assert rep.passed and rep.tolerance == 1e-10
 
 

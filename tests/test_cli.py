@@ -115,6 +115,12 @@ class TestGrid:
         assert code == 1 and out == ""
         assert "did not converge" in err
         assert "K=0 to 2" in err and "x=-20 to -19" in err
+        # a bosonic W row whose quadrature does not settle at x = 80 names
+        # its own a = 1/2 + mu - kappa, not the a + 1 that the quadrature took
+        code, out, err = run(capsys, *"grid --solution w --beta 1 --Kprime 0 --K-min 1 --K-max 1 --nK 1 "
+                             "--x-min 80 --x-max 80 --nx 1".split())
+        assert code == 1 and out == ""
+        assert "did not converge: a=(0.5723027555148466-0.544039299028138j)" in err and "K=1 to 1, x=80 to 80" in err
 
     def test_overflow_exits_1(self, capsys):
         # x near -9.07 puts y near 746, where the M series overflows: one

@@ -5,6 +5,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import nhmorse
 from nhmorse import specfun
 
@@ -137,3 +139,13 @@ def test_grid_oracles_take_arrays():
     text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
     assert [gone for gone in GONE_FROM_VERIFY if re.search(rf"\b{gone}\b", text)] == []
     assert not hasattr(nhmorse, "Grid1D")
+
+
+def test_every_data_file_is_package_data():
+    # an installed nhmorse (kummer-oracle reads kummer_oracle.npy) carries
+    # every file of the package that is not a module
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    listed = tomllib.loads((root / "pyproject.toml").read_text())["tool"]["setuptools"]["package-data"]["nhmorse"]
+    data = sorted(p.name for p in (root / "src" / "nhmorse").iterdir() if p.is_file() and p.suffix != ".py")
+    assert "kummer_oracle.npy" in data and sorted(listed) == data

@@ -208,6 +208,18 @@ class TestWavefunction:
             rep = verify.ode_residual(morse.ode_coefficient(p, sector, xs), w, d2w, tol=1e-8)
             assert rep.passed, rep.line()
 
+    def test_recessive_non_convergence_names_the_callers_a(self):
+        # at x = 80 (y = 3.4e-17) the W quadrature does not settle; the error
+        # names the W core's a = 1/2 + mu - kappa of each sector, not the
+        # a + 2 or a + 1 that the quadrature took
+        p = MorseParameters(K=1.0, Kprime=0.0, alpha1=0, beta1=1, alpha2=0, beta2=1)
+        for sector in Sector:
+            a = morse.indices(p, sector, ParameterMap.PRINTED).series_a
+            assert a.real < 1.0
+            for derivs, x in ((morse.wavefunction_derivs, 80.0), (morse.wavefunction_derivs_grid, np.array([80.0]))):
+                with pytest.raises(NonConvergence, match=re.escape(f"did not converge: a={a}, b=")):
+                    derivs(p, sector, ParameterMap.PRINTED, x)
+
     def test_k_to_zero_continuity(self):
         small = MorseParameters(K=1e-8)
         for sector in Sector:

@@ -437,8 +437,15 @@ class TestWhittakerBlocks:
         # NonConvergence names the first row and the block's z range
         monkeypatch.setattr(specfun, "_ES_TOL", 0.0)
         a, b = np.array([[1.5 + 0.5j], [2.0]]), np.array([[3.0 - 1.0j], [4.5]])
+        zs = np.array([0.5, 2.0, 8.0])
         with pytest.raises(NonConvergence, match=re.escape("a=(1.5+0.5j), b=(3-1j), z in [0.5, 8.0]")):
-            specfun._tricomi_block(a, b, np.array([0.5, 2.0, 8.0]))
+            specfun._tricomi_block(a, b, zs, a)
+        # rows shifted up to Re a >= 1 are named by the caller's a, not the
+        # shifted a the quadrature takes, in a block and at a float z
+        with pytest.raises(NonConvergence, match=re.escape("a=(-0.5+0.5j), b=(3-1j), z in [0.5, 8.0]")):
+            specfun.tricomi_u(a - 2.0, b, zs)
+        with pytest.raises(NonConvergence, match=re.escape("a=(-0.5+0.5j), b=(3-1j), z in [0.5, 0.5]")):
+            specfun.tricomi_u(-0.5 + 0.5j, 3.0 - 1.0j, 0.5)
 
     def test_block_mixes_shifted_integer_and_plain_rows(self):
         # rows shifted up to Re a >= 1 by one and by three steps, integer a

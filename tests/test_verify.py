@@ -15,6 +15,8 @@ from nhmorse.morse import MorseParameters, ParameterMap
 from nhmorse.specfun import WhittakerIndices
 from nhmorse.susy import Sector
 
+import kummer_oracle_table
+
 
 def scalar_reference_kummer(a, b, z, target_rel=1e-13):
     """reference_kummer's one-element loop in Python complex arithmetic, as
@@ -131,7 +133,28 @@ class TestReferenceKummer:
                 monkeypatch.setattr(specfun, name, refuse)
         with pytest.raises(AssertionError):
             specfun.kummer_m(1.0, 2.0, 1.0)
-        assert checks._kummer_oracle_samples()[3].tobytes() == expected.tobytes()
+        assert kummer_oracle_table.draw()[3].tobytes() == expected.tobytes()
+
+    def test_stored_oracle_table_is_a_fresh_draw(self):
+        # the samples and references that kummer-oracle reads equal a new
+        # draw and reference_kummer call, bit for bit, so the table cannot
+        # go stale
+        stored = np.load(kummer_oracle_table.PATH)
+        assert (stored.shape, stored.dtype) == ((4, 1000), complex)
+        assert stored.tobytes() == kummer_oracle_table.draw().tobytes()
+        a, b, z, ref = checks._kummer_oracle_samples()
+        assert z.dtype == float and np.all(stored[2].imag == 0.0)
+        assert np.array([a, b, z, ref]).tobytes() == stored.tobytes()
+
+    def test_oracle_check_reads_the_table(self, monkeypatch):
+        # a verify pass neither draws the samples nor sums the references
+        def refuse(*args, **kwargs):
+            raise AssertionError("kummer-oracle drew or summed its table")
+
+        monkeypatch.setattr(verify, "reference_kummer", refuse)
+        monkeypatch.setattr(random, "Random", refuse)
+        rep = checks.check_kummer_oracle()
+        assert rep.passed and rep.grid_size == 1000
 
     def test_within_mpmath_on_the_oracle_samples(self):
         mp = pytest.importorskip("mpmath")
