@@ -77,7 +77,7 @@ def _residual_sweep(pmap: ParameterMap, tol: float) -> tuple[float, list[str]]:
     for sector in Sector:
         try:
             q = morse.ode_coefficient(rows, sector, xs)
-            w, _, d2w = morse.wavefunction_derivs_grid(rows, sector, pmap, xs)
+            w, _, d2w = morse.wavefunction_grid(rows, sector, pmap, xs, derivs=True)
             rep = verify.ode_residual(q, w, d2w, tol=tol)
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             skipped.append(f"{pmap.value} {sector.value}: {type(exc).__name__}: {exc}")
@@ -90,7 +90,7 @@ def raised_fermionic(params: MorseParameters, pmap: ParameterMap, xs: np.ndarray
     """A+ applied to the fermionic closed form at the points xs, with its
     analytic derivative: the side of the intertwining relation that should
     be proportional to the bosonic solution."""
-    w1, dw1, _ = (d[0] for d in morse.wavefunction_derivs_grid(params, Sector.FERMIONIC, pmap, xs))
+    w1, dw1, _ = (d[0] for d in morse.wavefunction_grid(params, Sector.FERMIONIC, pmap, xs, derivs=True))
     return susy.apply_first_order(Ladder.RAISE, params.shape().R(xs), params.K, w1, dw1)
 
 
@@ -152,7 +152,7 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
     p = MorseParameters(K=1.0)
     pmap = ParameterMap.DERIVED
     xs = np.linspace(0.2, 3.0, 57)
-    partner = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
+    partner = morse.wavefunction_grid(p, Sector.BOSONIC, pmap, xs, derivs=True)[0][0]
     return verify.intertwining_check(raised_fermionic(p, pmap, xs), partner, p.Kprime, tol=tol)
 
 
@@ -190,16 +190,41 @@ def check_expansion_identity(tol: float = 1e-12) -> ResidualReport:
     return _report("expansion-identity", worst, tol, grid_size=count)
 
 
+def pochhammer(x: float, n: int) -> float:
+    """Rising factorial (x)_n, empty product = 1."""
+    out = 1.0
+    for k in range(n):
+        out *= x + k
+    return out
+
+
+def whittaker_laguerre_identity(n: int, p: float, y: float) -> tuple[complex, float, float]:
+    """Both sides of the Whittaker-to-Laguerre reduction.
+
+    Returns (lhs, rhs_printed, rhs_corrected) where
+      lhs           = M_{p/2+n+1/2, p/2}(y) = y^{(p+1)/2} e^{-y/2} 1F1(-n; p+1; y),
+      rhs_printed   = y^{(p+1)/2} e^{-y/2} L_n^p(y)  (as published),
+      rhs_corrected = rhs_printed * n! / (p+1)_n     (classical relation).
+    """
+    if n < 0:
+        raise ValueError(f"require n >= 0, got {n}")
+    prefactor = y ** (0.5 * (p + 1.0)) * math.exp(-0.5 * y)
+    lhs = prefactor * specfun.kummer_m(-n, p + 1.0, y)
+    rhs_printed = prefactor * specfun.laguerre_poly(n, p, y)
+    rhs_corrected = rhs_printed * math.factorial(n) / pochhammer(p + 1.0, n)
+    return lhs, rhs_printed, rhs_corrected
+
+
 def check_laguerre_identity(tol: float = 1e-10) -> ResidualReport:
     """Whittaker-to-Laguerre reduction with the explicit Pochhammer factor."""
     worst = 0.0
     for n in (0, 1, 2):
         for p in (1.0, 2.0, 3.0):
             for y in (0.5, 1.0, 8.0):
-                lhs, rhs_printed, rhs_corrected = morse.whittaker_laguerre_identity(n, p, y)
+                lhs, rhs_printed, rhs_corrected = whittaker_laguerre_identity(n, p, y)
                 worst = max(worst, abs(lhs - rhs_corrected) / abs(lhs))
                 if n >= 1 and rhs_printed != 0.0:
-                    factor = math.factorial(n) / morse.pochhammer(p + 1.0, n)
+                    factor = math.factorial(n) / pochhammer(p + 1.0, n)
                     worst = max(worst, abs(lhs / rhs_printed - factor) / abs(factor))
     return _report("laguerre-identity", worst, tol, grid_size=27)
 
@@ -218,7 +243,7 @@ def check_wronskian(tol: float = 1e-8) -> ResidualReport:
     worst = 0.0
     for sector in Sector:
         # one block per sector, its M row and its W row, serves both solutions
-        (m, w), (dm, dw), _ = morse.wavefunction_derivs_grid(pair, sector, ParameterMap.DERIVED, xs)
+        (m, w), (dm, dw), _ = morse.wavefunction_grid(pair, sector, ParameterMap.DERIVED, xs, derivs=True)
         rep = verify.wronskian_constancy(m, dm, w, dw, tol=tol)
         worst = max(worst, rep.max_rel_residual)
     return _report("wronskian", worst, tol, grid_size=114)

@@ -149,85 +149,64 @@ def ode_coefficient(params: MorseParameters, sector: Sector, x) -> complex:
     )
 
 
-def _chain_rule(a: float, g, y, f, f1, f2):
-    """(w, w', w'') in x of w = g F(y) with g = e^{ax/2}, y' = -a y,
-    y'' = a^2 y, from F and its y-derivatives; floats or arrays alike."""
-    yp = -a * y
-    ypp = a * a * y
-    w = g * f
-    dw = g * (0.5 * a * f + f1 * yp)
-    d2w = g * (0.25 * a * a * f + a * f1 * yp + f2 * yp * yp + f1 * ypp)
-    return w, dw, d2w
-
-
 def _positive_y(y, x):
     """y, the (2B/a) e^{-a x} of a float x or an array of x, raising ValueError
-    naming x where y underflowed to 0 (e^{ax/2} overflows only further out)."""
+    naming x where y underflowed to 0: the W term diverges there, as U(a, b, y)
+    needs y > 0."""
     # a float y is compared directly: np.any on it costs 3 us, a tenth of a W point
     if (y == 0.0).any() if isinstance(y, np.ndarray) else y == 0.0:
         raise ValueError(f"y = (2B/a) e^(-a x) underflows to 0 at x = {_g17([np.max(x)])[0]}")
     return y
 
 
+def _whittaker_form(B: float, a: float, mu, x, y, core):
+    """The closed form e^{ax/2} e^{-y/2} y^(mu+1/2) F(y) = P F, where
+    P = (2B/a)^{1/2} y^mu e^{-y/2} as e^{ax/2} = (2B/a)^{1/2} y^{-1/2}: its
+    value from core = (F,), or (w, w', w'') in x from the core triple
+    (F, y F', y^2 F''). With y' = -a y and t = mu + 1/2 - y/2,
+      w' = a P ((y/2 - mu) F - y F'),
+      w'' = a^2 P ((t^2 - mu - 1/4) F + 2 t y F' + y^2 F'').
+    x and y are floats or arrays, mu a number or an (R, 1) column. No y is
+    divided by, and far out in x, where y underflows to 0, log y is
+    log(2B/a) - a x, so y^mu = e^{mu log y} keeps its value at every finite x.
+    """
+    if isinstance(y, np.ndarray):
+        with np.errstate(divide="ignore"):
+            log_y = np.where(y > 0.0, np.log(y), math.log(2.0 * B / a) - a * x)
+        exp = np.exp
+    else:
+        # math and cmath take a float in a fifth of numpy's time
+        log_y = math.log(y) if y > 0.0 else math.log(2.0 * B / a) - a * x
+        exp = cmath.exp
+    p = math.sqrt(2.0 * B / a) * exp(mu * log_y - 0.5 * y)
+    if len(core) == 1:
+        return p * core[0]
+    f, yf1, y2f2 = core
+    t = mu + 0.5 - 0.5 * y
+    return p * f, a * p * ((0.5 * y - mu) * f - yf1), a * a * p * ((t * t - mu - 0.25) * f + 2.0 * t * yf1 + y2f2)
+
+
 def wavefunction_derivs(
     params: MorseParameters, sector: Sector, pmap: ParameterMap, x: float
 ) -> tuple[complex, complex, complex]:
     """Value and first two x-derivatives of the superposed wavefunction
-    alpha e^{ax/2} M + beta e^{ax/2} W at one x.
+    alpha e^{ax/2} M + beta e^{ax/2} W at one x: the amplitude-weighted core
+    triples of 1F1 and U, then _whittaker_form.
 
     A term is only evaluated when its amplitude is nonzero, so W-only
-    parameter sets never reach the rejections of the Kummer core; the
-    Whittaker derivatives are analytic, not taken from the equation.
+    parameter sets never reach the rejections of the Kummer core; the core
+    derivatives are analytic, not taken from the equation.
     """
     idx = indices(params, sector, pmap)
-    y = _positive_y(riccati.morse_y(params.shape(), x), x)
-    g = math.exp(0.5 * params.a * x)
+    y = riccati.morse_y(params.shape(), x)
+    a, b = idx.series_a, idx.series_b
     alpha, beta = params.amplitudes(sector)
-    w = dw = d2w = 0j
-    for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
-        if amp != 0.0:
-            v, v1, v2 = _chain_rule(params.a, g, y, *kernel(idx, y))
-            w, dw, d2w = w + amp * v, dw + amp * v1, d2w + amp * v2
-    return w, dw, d2w
-
-
-def _grid_columns(params: MorseParameters, sector: Sector, pmap: ParameterMap, xs):
-    """The x (as a float array) and y of a grid, and its Whittaker indices
-    and amplitudes (alpha, beta) as (R, 1) columns: R is the length of the
-    fields that are (R, 1) columns, or 1 where every field is a number."""
-    shapes = {name: np.shape(getattr(params, name)) for name in _POINT_FIELDS}
-    for name, field_shape in shapes.items():
-        if field_shape != () and field_shape[1:] != (1,):
-            raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")
-    rows = np.broadcast_shapes((1, 1), *shapes.values())
-    idx = indices(params, sector, pmap)
-    kappa, mu, alpha, beta = (np.broadcast_to(v, rows) for v in (idx.kappa, idx.mu, *params.amplitudes(sector)))
-    xs = np.asarray(xs, dtype=float)
-    return xs, riccati.morse_y(params.shape(), xs), WhittakerIndices(kappa=kappa, mu=mu), alpha, beta
-
-
-def wavefunction_derivs_grid(
-    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """wavefunction_derivs of every parameter row at every x, as three (R, N)
-    blocks (w, w', w'') for R rows and N values of x: the triple twin of
-    wavefunction_grid.
-
-    The M triple is one block over the rows whose alpha is nonzero, the W
-    triple one block over the rows whose beta is nonzero, each over the y
-    shared by every row; a row with a zero amplitude never evaluates that
-    term.
-    """
-    xs, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
-    _positive_y(y, xs)
-    out = np.zeros((3, len(alpha), xs.size), dtype=complex)
-    g = np.exp(0.5 * params.a * xs)
-    for amp, kernel in ((alpha, specfun.whittaker_m_derivs), (beta, specfun.whittaker_w_derivs)):
-        on = amp[:, 0] != 0.0
-        if on.any():
-            triple = kernel(WhittakerIndices(kappa=idx.kappa[on], mu=idx.mu[on]), y)
-            out[:, on] += amp[on] * np.array(_chain_rule(params.a, g, y, *triple))
-    return tuple(out)
+    core = (0j, 0j, 0j)
+    if alpha != 0.0:
+        core = [alpha * f for f in specfun.kummer_m_derivs(a, b, y)]
+    if beta != 0.0:
+        core = [c + beta * u for c, u in zip(core, specfun.tricomi_u_derivs(a, b, _positive_y(y, x)))]
+    return _whittaker_form(params.B, params.a, idx.mu, x, y, core)
 
 
 # wavefunction_grid takes the W term this many rows at a time, which bounds
@@ -235,36 +214,44 @@ def wavefunction_derivs_grid(
 _W_ROWS = 32
 
 
-def wavefunction_grid(
-    params: MorseParameters, sector: Sector, pmap: ParameterMap, xs
-) -> np.ndarray:
-    """Values alpha (Laguerre-form M) + beta (e^{ax/2} W) of every parameter
-    row at every x, as an (R, N) block for R rows and N values of x.
+def wavefunction_grid(params: MorseParameters, sector: Sector, pmap: ParameterMap, xs, derivs: bool = False):
+    """alpha e^{ax/2} M + beta e^{ax/2} W of every parameter row at every x:
+    its values as an (R, N) block for R rows and N values of x, or with
+    derivs, (w, w', w'') as three such blocks, each row and x as
+    wavefunction_derivs gives them. R is the length of the fields that are
+    (R, 1) columns, or 1 where every field is a number.
 
     Both terms are (2B/a)^{1/2} y^mu e^{-y/2} times a core, 1F1 and U
-    with the same (mu - kappa + 1/2, 2 mu + 1). The M term is one 1F1
-    block over the rows whose alpha is nonzero, its terms taken a chunk at
-    a time as one matrix product of the rows' coefficients with the powers
-    of y shared by every row; the W term is one U block per _W_ROWS of the
-    rows whose beta is nonzero, each one quadrature whose exponentials of
-    y are shared by its rows, so it holds one such block of rows at a
-    time. A row with a zero amplitude never evaluates that term.
+    with the same (mu - kappa + 1/2, 2 mu + 1): the cores (or their
+    triples) are summed, weighted by the amplitudes, and _whittaker_form
+    applies the prefactor once. The M term is one 1F1 block over the rows
+    whose alpha is nonzero, its terms taken a chunk at a time as one matrix
+    product of the rows' coefficients with the powers of y shared by every
+    row; the W term is one U block per _W_ROWS of the rows whose beta is
+    nonzero, each one quadrature whose exponentials of y are shared by its
+    rows, so it holds one such block of rows at a time. A row with a zero
+    amplitude never evaluates that term.
     """
-    xs, y, idx, alpha, beta = _grid_columns(params, sector, pmap, xs)
-    a, b = idx.series_a, idx.series_b
-    core = np.zeros((len(alpha), xs.size), dtype=complex)
+    shapes = {name: np.shape(getattr(params, name)) for name in _POINT_FIELDS}
+    for name, field_shape in shapes.items():
+        if field_shape != () and field_shape[1:] != (1,):
+            raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")
+    rows = np.broadcast_shapes((1, 1), *shapes.values())
+    idx = indices(params, sector, pmap)
+    mu, a, b, alpha, beta = (np.broadcast_to(v, rows) for v in (idx.mu, idx.series_a, idx.series_b, *params.amplitudes(sector)))
+    xs = np.asarray(xs, dtype=float)
+    y = riccati.morse_y(params.shape(), xs)
+    core = np.zeros((3 if derivs else 1, len(alpha), xs.size), dtype=complex)
     on = alpha[:, 0] != 0.0
     if on.any():
-        core[on] = alpha[on] * specfun.kummer_m(a[on], b[on], y)
+        m = specfun.kummer_m_derivs(a[on], b[on], y) if derivs else [specfun.kummer_m(a[on], b[on], y)]
+        core[:, on] = alpha[on] * np.array(m)
     on = np.flatnonzero(beta[:, 0])
+    if on.size:
+        _positive_y(y, xs)
     for r in (on[i : i + _W_ROWS] for i in range(0, on.size, _W_ROWS)):
-        core[r] += beta[r] * specfun.tricomi_u(a[r], b[r], y)
-    # far out in x, y underflows to 0 (where a W term has already raised);
-    # log y is then log(2B/a) - a x, so y^mu = e^{mu log y} keeps its value
-    # at every finite x
-    with np.errstate(divide="ignore"):
-        log_y = np.where(y > 0.0, np.log(y), math.log(2.0 * params.B / params.a) - params.a * xs)
-    return math.sqrt(2.0 * params.B / params.a) * np.exp(idx.mu * log_y - 0.5 * y) * core
+        core[:, r] += beta[r] * np.array(specfun.tricomi_u_derivs(a[r], b[r], y)[: len(core)])
+    return _whittaker_form(params.B, params.a, mu, xs, y, core)
 
 
 HEADER = "x,K,y,re,im"
@@ -585,35 +572,9 @@ def bound_state_wave_derivs(
     s = bound_state_exponent(A, a, n, sector)
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
-    y = _positive_y(riccati.morse_y(MorseRiccati(A=A, B=B, a=a), x), x)
+    y = riccati.morse_y(MorseRiccati(A=A, B=B, a=a), x)
     # the (degree, order) rows (n - k, 2s + k), k = 0, 1, 2, against every y
     k = np.arange(3).reshape((3,) + (1,) * np.ndim(y))
     c = math.prod(j / (2.0 * s + j) for j in range(1, n + 1))
     f, f1, f2 = (-1.0) ** k * c * specfun.laguerre_poly(n - k, 2.0 * s + k, y)
-    core = specfun._core_derivs(f, y * f1, y * (y * f2), complex(s), y)
-    return _chain_rule(a, np.exp(0.5 * a * x), y, *core)
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n, empty product = 1."""
-    out = 1.0
-    for k in range(n):
-        out *= x + k
-    return out
-
-
-def whittaker_laguerre_identity(n: int, p: float, y: float) -> tuple[complex, float, float]:
-    """Both sides of the Whittaker-to-Laguerre reduction.
-
-    Returns (lhs, rhs_printed, rhs_corrected) where
-      lhs           = M_{p/2+n+1/2, p/2}(y),
-      rhs_printed   = y^{(p+1)/2} e^{-y/2} L_n^p(y)  (as published),
-      rhs_corrected = rhs_printed * n! / (p+1)_n     (classical relation).
-    """
-    if n < 0:
-        raise ValueError(f"require n >= 0, got {n}")
-    idx = WhittakerIndices(kappa=complex(0.5 * p + n + 0.5), mu=complex(0.5 * p))
-    lhs = specfun.whittaker_m_derivs(idx, y)[0]
-    rhs_printed = y ** (0.5 * (p + 1.0)) * math.exp(-0.5 * y) * specfun.laguerre_poly(n, p, y)
-    rhs_corrected = rhs_printed * math.factorial(n) / pochhammer(p + 1.0, n)
-    return lhs, rhs_printed, rhs_corrected
+    return _whittaker_form(B, a, complex(s), x, y, (f, y * f1, y * (y * f2)))

@@ -1,40 +1,39 @@
 """Complex special-function kernel.
 
 Log-gamma, Kummer (regular) and Tricomi (recessive) confluent
-hypergeometric functions with complex parameters, Whittaker M/W with their
-first two derivatives, and classical associated Laguerre polynomials.
+hypergeometric functions with complex parameters, each also as the core
+triple (F, z F', z^2 F'') that the Whittaker closed forms of `morse` are
+built on, and classical associated Laguerre polynomials.
 
 Each quantity has one entry point, which takes a float or a numpy array.
 Float 1F1 values come from one loop, `_kummer_pass`. Array 1F1 sums, the
-values of `kummer_m` and the M triple's alike, come from one kernel,
-`_kummer_block`, over arguments sharing one parameter set or (R, 1)
-columns of per-row parameters giving an (R, N) block: a chunk of terms
-at a time, as one real matrix product of per-row coefficients with
+values of `kummer_m` and the triples of `kummer_m_derivs` alike, come from
+one kernel, `_kummer_block`, over arguments sharing one parameter set or
+(R, 1) columns of per-row parameters giving an (R, N) block: a chunk of
+terms at a time, as one real matrix product of per-row coefficients with
 per-column powers of z. A Kummer sum that overflows raises
 NonConvergence rather than return inf or NaN, and a non-finite argument
 raises ValueError before any sum starts.
 
-The Whittaker triples (value and first two derivatives) are the only
-Whittaker entry points. M's derivatives come from the term-by-term
-differentiated series: one pass over the 1F1 terms gives all three sums.
-U and its derivatives come from their Laplace integral, summed on one table
-of exp-sinh nodes whose weights gain a factor -t per derivative, for every
-complex a and b and any z > 0; a float z sums the first two steps as one
-product over the whole s range. Like `kummer_m`, `tricomi_u` and both triples
-take (R, 1) columns of parameters (of indices, for the triples) with an
-array of shape (N,), giving (R, N) blocks: an M triple block is one
-`_kummer_block`, a U or W block one `_tricomi_block` over the nodes of
-the rows' union window, its exponentials of z shared by every row, as one
-real matrix product per step. Both kernels take their products in tiles
-that OpenBLAS runs on one thread.
+The 1F1 triple comes from the term-by-term differentiated series: one
+pass over the terms gives all three sums. U and its derivatives come from
+their Laplace integral, summed on one table of exp-sinh nodes whose
+weights gain a factor -t per derivative, for every complex a and b and
+any z > 0; a float z sums the first two steps as one product over the
+whole s range. Like `kummer_m`, `tricomi_u` and both triples take (R, 1)
+columns of parameters with an array of shape (N,), giving (R, N) blocks:
+a 1F1 triple block is one `_kummer_block`, a U block one `_tricomi_block`
+over the nodes of the rows' union window, its exponentials of z shared by
+every row, as one real matrix product per step. Both kernels take their
+products in tiles that OpenBLAS runs on one thread.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
     is taken on the principal branch (argument in (-pi, pi]);
-  * the function argument of the confluent/Whittaker family is real and
-    finite: z >= 0 for 1F1 (kummer_m and verify.reference_kummer), z > 0
-    for Tricomi/Whittaker; parameters may be complex but finite; an
-    argument outside raises ValueError naming it;
+  * the function argument of the confluent family is real and finite:
+    z >= 0 for 1F1 (kummer_m, kummer_m_derivs and verify.reference_kummer),
+    z > 0 for Tricomi; parameters may be complex but finite; an argument
+    outside raises ValueError naming it;
   * one pole rule: b within _INTEGER_TOL of a nonpositive integer raises
     ParameterPole unless the series terminates first;
   * all functions are pure and hold no mutable state, so repeated calls
@@ -344,6 +343,21 @@ def kummer_m(a, b, z):
     return _kummer_pass(a, b, z)[0]
 
 
+def kummer_m_derivs(a, b, z):
+    """(F, z F', z^2 F'') of F = 1F1(a; b; z), the sums of t_n, n t_n and
+    n(n-1) t_n over its terms, taking the arguments of kummer_m: one float
+    pass, or one _kummer_block for an array z. The k-th derivative is
+    (a)_k/(b)_k 1F1(a+k; b+k; z), so the triple is rejected wherever one of
+    those three series is."""
+    a, b, z = _arguments("kummer_m_derivs", a, b, z, positive=False)
+    if isinstance(z, np.ndarray):
+        _check_kummer_b(a + np.arange(3.0), b + np.arange(3.0))
+        return _kummer_block(a, b, z, triple=True)
+    for k in range(3):
+        _check_kummer_b(a + k, b + k)
+    return _kummer_pass(a, b, z)
+
+
 # Tricomi U and its first two derivatives come from the Laplace integral
 # (DLMF 13.4.4)
 #   U^(k)(a, b, z) = (-1)^k / Gamma(a) int_0^inf e^{-zt} t^{a-1+k} (1+t)^{b-a-1} dt,
@@ -538,6 +552,13 @@ def tricomi_u(a, b, z):
     return _tricomi_derivs(*_arguments("tricomi_u", a, b, z, positive=True))[0]
 
 
+def tricomi_u_derivs(a, b, z):
+    """(U, z U', z^2 U'') of U(a, b, z), taking the arguments of tricomi_u."""
+    a, b, z = _arguments("tricomi_u_derivs", a, b, z, positive=True)
+    u, u1, u2 = _tricomi_derivs(a, b, z)
+    return u, z * u1, z * (z * u2)
+
+
 @dataclass(frozen=True)
 class WhittakerIndices:
     """The complex index pair (kappa, mu) of a Whittaker function, or (R, 1)
@@ -553,56 +574,6 @@ class WhittakerIndices:
     @property
     def series_b(self) -> complex:
         return 2.0 * self.mu + 1.0
-
-
-def _core_derivs(core, y_d1, y2_d2, mu: complex, y):
-    """Value and first two y-derivatives of e^{-y/2} y^{mu+1/2} F(y), at a
-    float y or elementwise over an array, from F, y F' and y^2 F''; no y * y
-    is formed, so it cannot underflow to 0 at a tiny y.
-
-    The core derivatives are supplied analytically (term-by-term
-    differentiated series), never through the differential equation, so
-    residual checks built on these stay non-circular.
-    """
-    s = mu + 0.5
-    # the prefactor e^{-y/2} y^s, principal branch of the power
-    if isinstance(y, np.ndarray):
-        pre = np.exp(-0.5 * y + s * np.log(y))
-    else:
-        pre = cmath.exp(-0.5 * y + s * math.log(y))
-    t = s - 0.5 * y  # y (d/dy prefactor) / prefactor
-    f = pre * core
-    d1 = pre / y * (t * core + y_d1)
-    d2 = pre / y / y * ((t * t - s) * core + 2.0 * t * y_d1 + y2_d2)
-    return f, d1, d2
-
-
-def whittaker_m_derivs(idx: WhittakerIndices, y):
-    """(M, dM/dy, d2M/dy2) with analytic derivatives of the Kummer core, at
-    a float y > 0, or over a numpy array of them: elementwise for complex
-    indices, as (R, N) blocks for (R, 1) columns of them and y of shape
-    (N,) (one series pass, one _kummer_block for a block)."""
-    a, b, y = _arguments("whittaker_m_derivs", idx.series_a, idx.series_b, y, positive=True)
-    # the k-th derivative of 1F1(a; b; z) is (a)_k/(b)_k 1F1(a+k; b+k; z):
-    # reject the triple wherever one of those three series is rejected
-    if isinstance(y, np.ndarray):
-        _check_kummer_b(a + np.arange(3.0), b + np.arange(3.0))
-        s0, s1, s2 = _kummer_block(a, b, y, triple=True)
-    else:
-        for k in range(3):
-            _check_kummer_b(a + k, b + k)
-        s0, s1, s2 = _kummer_pass(a, b, y)
-    return _core_derivs(s0, s1, s2, idx.mu, y)
-
-
-def whittaker_w_derivs(idx: WhittakerIndices, y):
-    """(W, dW/dy, d2W/dy2) with analytic derivatives of the Tricomi core, at
-    a float y > 0, or over a numpy array of them: elementwise for complex
-    indices, as (R, N) blocks for (R, 1) columns of them and y of shape
-    (N,) (one quadrature for all of them)."""
-    a, b, y = _arguments("whittaker_w_derivs", idx.series_a, idx.series_b, y, positive=True)
-    u, u1, u2 = _tricomi_derivs(a, b, y)
-    return _core_derivs(u, y * u1, y * (y * u2), idx.mu, y)
 
 
 def laguerre_poly(n, p, y):

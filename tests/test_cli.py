@@ -205,11 +205,15 @@ class TestGrid:
         assert abs(complex(float(re), float(im)) - expected) <= 1e-12
 
     def test_recessive_at_underflowed_y_exits_1(self, capsys):
-        # W diverges as y -> 0, so U keeps its z > 0 error at y = 0
+        # W diverges as y -> 0: the error names the x where y underflows to
+        # 0, as the float and triple paths do, not U's z > 0
         argv = "grid --solution w --beta 1 --x-min 1500 --x-max 1500 --nx 1 --nK 1".split()
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert "z > 0" in err and "x=1500 to 1500" in err
+        assert err == (
+            "error: evaluation failed on the grid K=0 to 0, x=1500 to 1500: "
+            "y = (2B/a) e^(-a x) underflows to 0 at x = 1500\n"
+        )
 
     def test_recessive_grid_at_the_figure_point(self, capsys):
         # the W solution on the default grid: printed map, K = 0 gives the
@@ -332,9 +336,9 @@ class TestBoundStates:
         assert code == 0
         assert out == (
             "sector  n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)\n"
-            "fermionic  0  1  2  1.643e+00  1.624e-15\n"
-            "fermionic  1  0.5  1  7.748e-01  3.405e-16\n"
-            "bosonic  0  0.5  1  8.359e-01  2.929e-16\n"
+            "fermionic  0  1  2  1.643e+00  1.495e-15\n"
+            "fermionic  1  0.5  1  7.748e-01  2.799e-16\n"
+            "bosonic  0  0.5  1  8.359e-01  2.257e-16\n"
         )
 
     def test_bosonic_row_is_the_next_fermionic_row(self, capsys):

@@ -73,9 +73,39 @@ def test_removed_specfun_paths_stay_out():
     assert not hasattr(specfun.WhittakerIndices, "check")
 
 
+# Names of the second wavefunction path: the triple grid and the Whittaker
+# triples in y, with their chain rule to x, that wavefunction_grid(derivs=True)
+# and the core triples replaced.
+GONE_SECOND_PATH = (
+    "wavefunction_derivs_row", "wavefunction_derivs_grid", "_chain_rule", "_core_derivs",
+    "whittaker_m_derivs", "whittaker_w_derivs",
+)
+
+
 def test_one_triple_grid_entry_point():
-    # wavefunction_derivs_grid replaced the one-row wavefunction_derivs_row
-    assert "wavefunction_derivs_row" not in "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    # wavefunction_derivs_grid replaced the one-row wavefunction_derivs_row,
+    # and wavefunction_grid(derivs=True) replaced it
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [gone for gone in GONE_SECOND_PATH if re.search(rf"\b{gone}\b", text)] == []
+
+
+def test_one_wavefunction_prefactor():
+    # morse forms the prefactor y^mu e^{-y/2} (an exp or log of y) in one
+    # function, which every value and triple path goes through
+    tree = ast.parse((PACKAGE / "morse.py").read_text())
+    forming = set()
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        for node in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) in ("exp", "log"):
+                names = {n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                if names & {"y", "ys", "log_y"}:
+                    forming.add(fn.name)
+    assert forming == {"_whittaker_form"}
+    callers = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_whittaker_form"
+    }
+    assert callers == {"wavefunction_derivs", "wavefunction_grid", "bound_state_wave_derivs"}
 
 
 def test_one_layout_for_a_set_of_parameter_points():
@@ -106,7 +136,7 @@ def test_one_bound_state_path():
         getattr(node.func, "attr", getattr(node.func, "id", None)) for node in ast.walk(body) if isinstance(node, ast.Call)
     }
     assert "laguerre_poly" in called
-    assert called & {"whittaker_m_derivs", "kummer_m"} == set()
+    assert called & {"kummer_m", "kummer_m_derivs"} == set()
 
 
 def test_one_number_formatter():

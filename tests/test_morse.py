@@ -204,7 +204,7 @@ class TestWavefunction:
         p = MorseParameters(K=1.0)
         xs = np.linspace(0.0, 3.0, 61)
         for sector in Sector:
-            w, _, d2w = morse.wavefunction_derivs_grid(p, sector, ParameterMap.DERIVED, xs)
+            w, _, d2w = morse.wavefunction_grid(p, sector, ParameterMap.DERIVED, xs, derivs=True)
             rep = verify.ode_residual(morse.ode_coefficient(p, sector, xs), w, d2w, tol=1e-8)
             assert rep.passed, rep.line()
 
@@ -216,9 +216,10 @@ class TestWavefunction:
         for sector in Sector:
             a = morse.indices(p, sector, ParameterMap.PRINTED).series_a
             assert a.real < 1.0
-            for derivs, x in ((morse.wavefunction_derivs, 80.0), (morse.wavefunction_derivs_grid, np.array([80.0]))):
-                with pytest.raises(NonConvergence, match=re.escape(f"did not converge: a={a}, b=")):
-                    derivs(p, sector, ParameterMap.PRINTED, x)
+            with pytest.raises(NonConvergence, match=re.escape(f"did not converge: a={a}, b=")):
+                morse.wavefunction_derivs(p, sector, ParameterMap.PRINTED, 80.0)
+            with pytest.raises(NonConvergence, match=re.escape(f"did not converge: a={a}, b=")):
+                morse.wavefunction_grid(p, sector, ParameterMap.PRINTED, np.array([80.0]), derivs=True)
 
     def test_k_to_zero_continuity(self):
         small = MorseParameters(K=1e-8)
@@ -244,35 +245,45 @@ class TestWavefunction:
             morse.wavefunction_derivs(FIG, Sector.FERMIONIC, ParameterMap.PRINTED, -9.07)
 
     def test_far_x_triples_equal_the_grid(self):
-        # at x = 1400, y = 7.9e-304: y * y would underflow to 0, but the
-        # prefactor y^(mu + 1/2) already has, so the M triples are 0, as the
-        # grid value is, with no warning
-        xs = np.array([1400.0])
+        # at x = 1400, y = 7.9e-304, and past x = 1490 (a = 0.5) y = 0: log y
+        # is then log(2B/a) - a x, the prefactor y^mu e^{-y/2} has underflowed
+        # to 0, and the M triples are the grid value and zeros, with no
+        # warning; e^{ax/2} alone would overflow past x = 2839
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for pmap in ParameterMap:
-                for sector in Sector:
-                    value = morse.wavefunction_grid(FIG, sector, pmap, xs)[0, 0]
-                    block = [d[0, 0] for d in morse.wavefunction_derivs_grid(FIG, sector, pmap, xs)]
-                    for triple in (morse.wavefunction_derivs(FIG, sector, pmap, 1400.0), block):
-                        assert list(triple) == [value, 0.0, 0.0]
+            for x in (1400.0, 1500.0, 2900.0):
+                xs = np.array([x])
+                for pmap in ParameterMap:
+                    for sector in Sector:
+                        value = morse.wavefunction_grid(FIG, sector, pmap, xs)[0, 0]
+                        block = [d[0, 0] for d in morse.wavefunction_grid(FIG, sector, pmap, xs, derivs=True)]
+                        for triple in (morse.wavefunction_derivs(FIG, sector, pmap, x), block):
+                            assert list(triple) == [value, 0.0, 0.0]
+                # a bound state of exponent s is the M row at K = 0, K' = a s of
+                # the printed map; where y is 0 or below 1e-300 its triple is
+                # that row's value w and the limits -a s w and a^2 s^2 w
+                for sector, n in ((Sector.FERMIONIC, 0), (Sector.FERMIONIC, 1), (Sector.BOSONIC, 0)):
+                    s = morse.bound_state_exponent(1.0, 0.5, n, sector)
+                    value = morse.wavefunction_grid(MorseParameters(Kprime=0.5 * s), sector, ParameterMap.PRINTED, xs)[0, 0]
+                    for triple in (morse.bound_state_wave_derivs(1.0, 2.0, 0.5, n, sector, x),
+                                   [d[0] for d in morse.bound_state_wave_derivs(1.0, 2.0, 0.5, n, sector, xs)]):
+                        for got, ref in zip(triple, (value, -0.5 * s * value, 0.25 * s * s * value)):
+                            assert abs(got - ref) <= 1e-15 * abs(ref), (x, sector, n)
+                        assert (triple[0] == 0.0) == (x > 1400.0 or s > 1.0)
         assert caught == []
 
     @pytest.mark.parametrize("x", [1500.0, 2900.0])
     def test_underflowed_y_names_x(self, x):
-        # at a = 0.5, y = 0 past x = 1490, and e^{ax/2} overflows past x = 2839:
-        # one error naming x, for M and W terms alike
-        for p in (FIG, MorseParameters(K=1.0, alpha1=0.0, beta1=1.0)):
-            with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
-                morse.wavefunction_derivs(p, Sector.FERMIONIC, ParameterMap.DERIVED, x)
-        # and for a block of the grid triple
-        rows = MorseParameters(K=np.array([[0.5]]))
+        # at a = 0.5, y = 0 past x = 1490: W diverges there, and one error
+        # names x for a W term, at a float x and in a block of the grid, of
+        # values or triples alike
+        w_only = MorseParameters(K=1.0, alpha1=0.0, beta1=1.0)
         with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
-            morse.wavefunction_derivs_grid(rows, Sector.BOSONIC, ParameterMap.DERIVED, np.array([x]))
-        # and for a bound state, at a float x or in an array of them
-        for xs in (x, np.array([0.0, x])):
+            morse.wavefunction_derivs(w_only, Sector.FERMIONIC, ParameterMap.DERIVED, x)
+        rows = MorseParameters(K=np.array([[0.5], [1.0]]), alpha2=_column([1.0, 0.0]), beta2=_column([0.0, 1.0]))
+        for derivs in (False, True):
             with pytest.raises(ValueError, match=rf"underflows to 0 at x = {x:g}\b"):
-                morse.bound_state_wave_derivs(1.0, 2.0, 0.5, 0, Sector.FERMIONIC, xs)
+                morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.DERIVED, np.array([0.0, x]), derivs)
 
     def test_recessive_branch_residual_to_y_80(self):
         # the W branch over the recessive-sweep region: B in {2, 5, 10, 20},
@@ -298,7 +309,7 @@ class TestWavefunction:
             w, _, d2w = morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x)
             q = morse.ode_coefficient(p, sector, x)
             worst = max(worst, abs(d2w + q * w) / (1.0 + abs(q) * abs(w)))
-            w, _, d2w = (d[0] for d in morse.wavefunction_derivs_grid(p, sector, ParameterMap.DERIVED, xs))
+            w, _, d2w = (d[0] for d in morse.wavefunction_grid(p, sector, ParameterMap.DERIVED, xs, derivs=True))
             q = morse.ode_coefficient(p, sector, xs)
             worst = max(worst, np.max(np.abs(d2w + q * w) / (1.0 + np.abs(q) * np.abs(w))))
         assert worst <= 1e-8
@@ -316,7 +327,7 @@ class TestRowPath:
                 for sector in Sector:
                     for alpha, beta in ((1, 0), (0, 1)):
                         p = MorseParameters(K=K, alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta)
-                        row = [d[0] for d in morse.wavefunction_derivs_grid(p, sector, pmap, xs)]
+                        row = [d[0] for d in morse.wavefunction_grid(p, sector, pmap, xs, derivs=True)]
                         for i, x in enumerate(xs.tolist()):
                             for j, ref in enumerate(morse.wavefunction_derivs(p, sector, pmap, x)):
                                 worst = max(worst, abs(row[j][i] - ref) / abs(ref))
@@ -358,7 +369,7 @@ class TestRowPath:
                 assert abs(v - ref) <= 1e-12 * abs(ref)
 
     def test_derivs_grid_rows_match_scalar(self):
-        # wavefunction_derivs_grid, the triple twin of wavefunction_grid:
+        # the grid's triples (derivs=True):
         # M only, M + W, W only, the integer b = 5 W row and a row with no
         # term, in one block, each row equal to its scalar triples
         xs = np.linspace(0.0, 3.0, 7)
@@ -366,7 +377,7 @@ class TestRowPath:
             K=_column([0.0, 1.0, 0.5, 0.0, 2.0]), Kprime=1.0,
             alpha2=_column([1.0, 0.5, 0.0, 0.0, 0.0]), beta2=_column([0.0, 1.0 - 1.0j, 0.25j, 1.0, 0.0]),
         )
-        block = morse.wavefunction_derivs_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
+        block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs, derivs=True)
         assert [v.shape for v in block] == [(5, 7)] * 3
         for r in range(5):
             for i, x in enumerate(xs.tolist()):
@@ -376,7 +387,7 @@ class TestRowPath:
     def test_one_record_of_numbers_is_one_row(self):
         xs = np.linspace(0.0, 3.0, 5)
         p = MorseParameters(K=0.7, beta2=0.5j)
-        block = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, xs)
+        block = morse.wavefunction_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, xs, derivs=True)
         assert [v.shape for v in block] == [(1, 5)] * 3
         assert morse.wavefunction_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, xs).shape == (1, 5)
         for i, x in enumerate(xs.tolist()):
@@ -389,9 +400,9 @@ class TestRowPath:
     def test_fields_are_numbers_or_columns(self, field, value):
         # any shape but a number or an (R, 1) column is rejected by name
         p = MorseParameters(**{field: value})
-        for grid in (morse.wavefunction_grid, morse.wavefunction_derivs_grid):
+        for derivs in (False, True):
             with pytest.raises(ValueError, match=rf"^{field} must be a number or an \(R, 1\) column, got shape"):
-                grid(p, Sector.BOSONIC, ParameterMap.DERIVED, np.linspace(0.0, 3.0, 4))
+                morse.wavefunction_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, np.linspace(0.0, 3.0, 4), derivs)
 
     def test_sweep_blocks_match_single_rows(self):
         # the residual sweeps' blocks, 4 K x {M only, W only} per sector and
@@ -400,19 +411,32 @@ class TestRowPath:
         rows = checks._m_and_w_rows([0.0, 0.5, 1.0, 2.0])
         for pmap in ParameterMap:
             for sector in Sector:
-                block = morse.wavefunction_derivs_grid(rows, sector, pmap, xs)
+                block = morse.wavefunction_grid(rows, sector, pmap, xs, derivs=True)
                 for r in range(8):
-                    for got, ref in zip(block, morse.wavefunction_derivs_grid(_row(rows, r), sector, pmap, xs)):
+                    for got, ref in zip(block, morse.wavefunction_grid(_row(rows, r), sector, pmap, xs, derivs=True)):
                         assert np.all(np.abs(got[r] - ref[0]) <= 1e-13 * np.abs(ref[0])), (pmap, sector, r)
 
     def test_w_term_in_row_chunks_matches_single_rows(self):
         # more W rows than one chunk of the W term: every row as its own call
         xs = np.linspace(0.0, 3.0, 13)
         rows = MorseParameters(K=np.linspace(0.0, 2.0, 2 * morse._W_ROWS + 5)[:, None], Kprime=1.9, alpha2=0.0, beta2=1.0)
-        block = morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs)
-        for r, values in enumerate(block):
-            ref = morse.wavefunction_grid(_row(rows, r), Sector.BOSONIC, ParameterMap.PRINTED, xs)[0]
-            assert np.all(np.abs(values - ref) <= 1e-13 * np.abs(ref))
+        for derivs in (False, True):
+            block = np.reshape(morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.PRINTED, xs, derivs), (-1, len(rows.K), xs.size))
+            for r in range(len(rows.K)):
+                ref = np.reshape(morse.wavefunction_grid(_row(rows, r), Sector.BOSONIC, ParameterMap.PRINTED, xs, derivs), (-1, xs.size))
+                assert np.all(np.abs(block[:, r] - ref) <= 1e-13 * np.abs(ref)), (derivs, r)
+
+    def test_w_terms_do_not_call_the_public_tricomi_u(self, monkeypatch):
+        # U and its triple come from tricomi_u_derivs: perfbench's span of the
+        # public tricomi_u reads its z as a float, so no array z may reach it
+        def refuse(*args):
+            raise AssertionError("tricomi_u called")
+
+        monkeypatch.setattr(specfun, "tricomi_u", refuse)
+        rows = checks._m_and_w_rows([0.0, 1.0])
+        for derivs in (False, True):
+            morse.wavefunction_grid(rows, Sector.BOSONIC, ParameterMap.DERIVED, np.linspace(0.0, 3.0, 5), derivs)
+        morse.wavefunction_derivs(MorseParameters(beta1=1.0), Sector.FERMIONIC, ParameterMap.DERIVED, 1.0)
 
     def test_large_grid_csv_does_not_depend_on_blas_threads(self, tmp_path):
         # every matrix product of the M and W blocks stays within OpenBLAS's
@@ -436,15 +460,15 @@ class TestResidualSweep:
         # a block that raises is named by map, sector and exception, once,
         # with no per-row fallback; the other sector is still measured
         calls = []
-        grid = morse.wavefunction_derivs_grid
+        grid = morse.wavefunction_grid
 
-        def fail_fermionic(rows, sector, pmap, xs):
+        def fail_fermionic(rows, sector, pmap, xs, derivs=False):
             calls.append(sector)
             if sector is Sector.FERMIONIC:
                 raise NonConvergence("quadrature did not converge")
-            return grid(rows, sector, pmap, xs)
+            return grid(rows, sector, pmap, xs, derivs)
 
-        monkeypatch.setattr(morse, "wavefunction_derivs_grid", fail_fermionic)
+        monkeypatch.setattr(morse, "wavefunction_grid", fail_fermionic)
         rep = checks.check_residual_derived()
         assert calls == [Sector.FERMIONIC, Sector.BOSONIC]
         assert not rep.passed
@@ -462,7 +486,7 @@ class TestResidualSweep:
             rows = dataclasses.replace(checks._m_and_w_rows([0.0, 0.5, 1.0, 2.0, 4.0]), B=B)
             for sector in Sector:
                 q = morse.ode_coefficient(rows, sector, xs)
-                w, _, d2w = morse.wavefunction_derivs_grid(rows, sector, ParameterMap.DERIVED, xs)
+                w, _, d2w = morse.wavefunction_grid(rows, sector, ParameterMap.DERIVED, xs, derivs=True)
                 worst = max(worst, verify.ode_residual(q, w, d2w).max_rel_residual)
         assert worst <= 1e-8
 
@@ -721,28 +745,28 @@ class TestBoundStates:
 
 class TestWhittakerLaguerreIdentity:
     def test_degree_zero_all_equal(self):
-        lhs, rhs_printed, rhs_corrected = morse.whittaker_laguerre_identity(0, 2.0, 1.5)
+        lhs, rhs_printed, rhs_corrected = checks.whittaker_laguerre_identity(0, 2.0, 1.5)
         assert abs(lhs - rhs_printed) <= 1e-12 * abs(lhs)
         assert rhs_printed == rhs_corrected
 
     def test_degree_one_pochhammer_factor(self):
-        lhs, rhs_printed, rhs_corrected = morse.whittaker_laguerre_identity(1, 2.0, 1.0)
+        lhs, rhs_printed, rhs_corrected = checks.whittaker_laguerre_identity(1, 2.0, 1.0)
         assert abs(lhs - rhs_corrected) <= 1e-10 * abs(lhs)
         assert abs(lhs / rhs_printed - 1.0 / 3.0) <= 1e-10
 
     def test_degree_two(self):
-        lhs, _, rhs_corrected = morse.whittaker_laguerre_identity(2, 3.0, 4.0)
+        lhs, _, rhs_corrected = checks.whittaker_laguerre_identity(2, 3.0, 4.0)
         assert abs(lhs - rhs_corrected) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_pochhammer(self):
-        assert morse.pochhammer(3.0, 0) == 1.0
-        assert morse.pochhammer(3.0, 2) == 12.0
+        assert checks.pochhammer(3.0, 0) == 1.0
+        assert checks.pochhammer(3.0, 2) == 12.0
 
 
 def intertwining(p: MorseParameters, xs: np.ndarray):
     """verify.intertwining_check of A+ w_1 against w_2 at p on xs, derived map."""
     pmap = ParameterMap.DERIVED
-    partner = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, xs)[0][0]
+    partner = morse.wavefunction_grid(p, Sector.BOSONIC, pmap, xs, derivs=True)[0][0]
     return verify.intertwining_check(checks.raised_fermionic(p, pmap, xs), partner, p.Kprime)
 
 

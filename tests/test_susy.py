@@ -135,6 +135,6 @@ def test_hamiltonian_eigen_residual(shape):
     # over the whole grid in one call
     p = MorseParameters(K=1.0)
     xs = np.linspace(0.0, 3.0, 51)
-    w, _, d2w = morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs)
+    w, _, d2w = morse.wavefunction_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs, derivs=True)
     rep = verify.ode_residual(bracket(shape, 1.0, 2.0, Sector.FERMIONIC, xs), w, d2w, tol=1e-8)
     assert rep.passed

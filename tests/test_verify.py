@@ -16,6 +16,7 @@ from nhmorse.specfun import WhittakerIndices
 from nhmorse.susy import Sector
 
 import kummer_oracle_table
+from whittaker_triples import whittaker_m
 
 
 def scalar_reference_kummer(a, b, z, target_rel=1e-13):
@@ -313,7 +314,7 @@ class TestOdeResidual:
         xs = np.linspace(0.0, 3.0, 61)
         rep = residual(
             morse.ode_coefficient(p, Sector.FERMIONIC, xs),
-            morse.wavefunction_derivs_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs),
+            morse.wavefunction_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, xs, derivs=True),
         )
         assert rep.passed
 
@@ -360,7 +361,7 @@ def _whittaker_problem():
     """The Whittaker normal form in y at kappa = 2.5, mu = 4, seeded from
     M at y = 1; integrated over [1, 3]."""
     idx = WhittakerIndices(kappa=2.5, mu=4.0)
-    f0, f1, _ = specfun.whittaker_m_derivs(idx, 1.0)
+    f0, f1, _ = whittaker_m(idx, 1.0)
     return (lambda ys: -0.25 + idx.kappa / ys + (0.25 - idx.mu * idx.mu) / (ys * ys)), 1.0, f0, f1, 3.0
 
 
@@ -435,9 +436,9 @@ class TestIntegrator:
         def Q(ys):
             return -0.25 + idx.kappa / ys + (0.25 - idx.mu * idx.mu) / (ys * ys)
 
-        f0, f1, _ = specfun.whittaker_m_derivs(idx, 1.0)
+        f0, f1, _ = whittaker_m(idx, 1.0)
         f, _ = verify.integrate_ode(Q, 1.0, f0, f1, 8.0, step=1e-4)
-        exact = specfun.whittaker_m_derivs(idx, 8.0)[0]
+        exact = whittaker_m(idx, 8.0)[0]
         assert abs(f - exact) <= 1e-6 * abs(exact)
 
 
@@ -491,8 +492,8 @@ class TestWronskian:
         pmap = ParameterMap.DERIVED
         sector = Sector.FERMIONIC
         xs = np.linspace(0.2, 3.0, 29)
-        f, df, _ = morse.wavefunction_derivs_grid(p, sector, pmap, xs)
-        g, dg, _ = morse.wavefunction_derivs_grid(q, sector, pmap, xs)
+        f, df, _ = morse.wavefunction_grid(p, sector, pmap, xs, derivs=True)
+        g, dg, _ = morse.wavefunction_grid(q, sector, pmap, xs, derivs=True)
         rep = verify.wronskian_constancy(f, df, g, dg)
         assert rep.passed, rep.line()
 
@@ -503,7 +504,7 @@ class TestIntertwiningCheck:
     def sides(self, p):
         """A+ w1 and w2 at p on xs, derived map."""
         pmap = ParameterMap.DERIVED
-        w2 = morse.wavefunction_derivs_grid(p, Sector.BOSONIC, pmap, self.xs)[0][0]
+        w2 = morse.wavefunction_grid(p, Sector.BOSONIC, pmap, self.xs, derivs=True)[0][0]
         return checks.raised_fermionic(p, pmap, self.xs), w2
 
     def test_corrupted_partner_fails(self):
