@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -314,5 +315,8 @@ def run_checks(only: str | None = None, tol: float | None = None) -> list[Residu
     reports = []
     for name in names:
         fn = CHECKS[name]
-        reports.append(fn(tol) if tol is not None else fn())
+        start = time.perf_counter()
+        rep = fn(tol) if tol is not None else fn()
+        rep.elapsed_s = time.perf_counter() - start
+        reports.append(rep)
     return reports

@@ -24,8 +24,13 @@ whole s range. Like `kummer_m`, `tricomi_u` and both triples take (R, 1)
 columns of parameters with an array of shape (N,), giving (R, N) blocks:
 a 1F1 triple block is one `_kummer_block`, a U block one `_tricomi_block`
 over the nodes of the rows' union window, its exponentials of z shared by
-every row, as one real matrix product per step. Both kernels take their
-products in tiles that OpenBLAS runs on one thread.
+every row, as one real matrix product per step, (N, nodes) @ (nodes, 6R)
+for the sums at a alone or (nodes, 12R) with those at a + 1, which only a
+block with a row to recur down takes. The log integrand is a real product
+too, of the node table with the coefficients' real and imaginary parts.
+Both kernels take every product in tiles that OpenBLAS runs on one
+thread. A U sum that overflows raises NonConvergence without a numpy
+warning, as a Kummer sum does.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -425,24 +430,30 @@ def _tricomi_quadrature(a: complex, b: complex, z: float, named: complex):
     raise NonConvergence(f"tricomi_u quadrature did not converge: a={named}, b={b}, z in [{z}, {z}]")
 
 
-def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, named: np.ndarray) -> np.ndarray:
-    """_tricomi_quadrature's six values for (R, 1) columns of a, Re a >= 1,
-    and b, at every z of shape (N,) > 0, as one (6, R, N) array.
+# a sum that overflows, inf or NaN, fails the stop test and raises
+# NonConvergence, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
+def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, named: np.ndarray, sums: int) -> np.ndarray:
+    """The first `sums` of _tricomi_quadrature's six values, three (U, U',
+    U'' at a) or all six, for (R, 1) columns of a, Re a >= 1, and b, at
+    every z of shape (N,) > 0, as one (sums, R, N) array.
 
     The nodes serve every row and the whole z range: each row's window
     keeps the nodes where its integrand of U at the largest z or of U'' at
     the smallest z is within e^-_ES_CUT of its peak (outside, every z's
     integrand is below that), and the rows share the union of the windows.
-    At each step the integrands are taken at the least z and carried to
-    every z by one block e^{(z_lo - z) t} <= 1, shared by the rows: one
-    real product, (N, nodes) @ (nodes, 12 R), real and imaginary parts of
-    the six weights of each row side by side. The step halves until every
-    row has settled at once; NonConvergence names the first row that has
-    not by its a in the column `named`, the caller's a before the shift.
+    At each step the integrands are taken at the least z, their logs as one
+    real product of the node table with the real and imaginary parts of
+    each row's coefficients, and carried to every z by one block
+    e^{(z_lo - z) t} <= 1, shared by the rows: one real product,
+    (N, nodes) @ (nodes, 2 sums R), real and imaginary parts of each row's
+    weights side by side. The step halves until every row has settled at
+    once; NonConvergence names the first row that has not by its a in the
+    column `named`, the caller's a before the shift.
     """
     rows = a.shape[0]
     if rows == 0 or z.size == 0:
-        return np.zeros((6, rows, z.size), dtype=complex)
+        return np.zeros((sums, rows, z.size), dtype=complex)
     z_lo, z_hi = float(z.min()), float(z.max())
     # each row's (a-1, b-a-1, 1, z_lo, -log Gamma(a)), whose product with
     # _ES_LOGS is the log of its integrand times dt/ds at z_lo
@@ -456,29 +467,36 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, named: np.ndarra
     env[0, :, 3] = z_hi
     env[1, :, 0] += 2.0
     env[..., 4] = 0.0
-    env = env @ _ES_LOGS[:, ::step]
+    env = _serial_product(env.reshape(2 * rows, -1), _ES_LOGS[:, ::step]).reshape(2, rows, -1)
     last = env.shape[2] - 1
     kept = env >= env.max(axis=2, keepdims=True) - _ES_CUT
     i = max(int(np.argmax(kept[0], axis=1).min()) - 1, 0) * step
     j = min(last + 1 - int(np.argmax(kept[1, :, ::-1], axis=1).min()), last) * step
+    # the coefficients as (5, 2 R) reals, each row's real and imaginary
+    # parts side by side, so that the log integrand's float view is complex
+    coef = np.ascontiguousarray(coef.T).view(float)
+    shift = z_lo - z
 
-    def node_sum(nodes: slice):
-        # the (N, R, 6) sums over the given nodes: the weights as (node,
-        # row, sum), whose float view puts the real and imaginary parts of
-        # each side by side, as the product's are
-        w = np.exp(_ES_LOGS[:, nodes].T @ coef.T)
-        x = np.multiply(w[:, :, None], _ES_POWERS[:, nodes].T[:, None, :], order="C")
-        carry = np.exp(np.multiply.outer(z_lo - z, _ES_T[nodes]))
-        return _serial_product(carry, x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(z.size, -1, 6)
+    def node_sum(nodes: slice, h: float):
+        # h times the (R, sums, N) sums over the given nodes: the weights as
+        # (node, row, sum), whose float view puts the real and imaginary
+        # parts of each side by side, as the product's are
+        w = np.exp(_serial_product(_ES_LOGS[:, nodes].T, coef).view(complex))
+        x = np.multiply(w[:, :, None], _ES_POWERS[:sums, nodes].T[:, None, :], order="C")
+        carry = np.multiply.outer(shift, _ES_T[nodes])
+        np.exp(carry, out=carry)
+        out = _serial_product(carry, x.reshape(x.shape[0], -1).view(float)).view(complex)
+        return np.multiply(out.reshape(z.size, rows, sums).transpose(1, 2, 0), h, order="C")
 
     h = 2.0**-_ES_FIRST
-    sums = h * node_sum(slice(i, j + 1, step))
+    total = node_sum(slice(i, j + 1, step), h)
     for _ in range(_ES_FIRST, _ES_FINEST):
         step //= 2
         h /= 2.0
-        halved = 0.5 * sums + h * node_sum(slice(i + step, j, 2 * step))
-        done = np.all(np.abs(halved - sums) <= _ES_TOL * np.abs(halved), axis=(0, 2))
-        sums = halved
+        halved = node_sum(slice(i + step, j, 2 * step), h)
+        halved += 0.5 * total
+        done = (np.abs(halved - total) <= _ES_TOL * np.abs(halved)).reshape(rows, -1).all(axis=1)
+        total = halved
         if done.all():
             break
     else:
@@ -486,7 +504,7 @@ def _tricomi_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, named: np.ndarra
         raise NonConvergence(
             f"tricomi_u quadrature did not converge: a={complex(named[r, 0])}, b={complex(b[r, 0])}, z in [{z_lo}, {z_hi}]"
         )
-    out = sums.T * _ES_SIGNS
+    out = total.transpose(1, 0, 2) * _ES_SIGNS[:sums]
     out[3:] /= a
     return out
 
@@ -528,7 +546,9 @@ def _tricomi_derivs(a, b, z):
         shifted = ~integer[:, 0]
         state = np.zeros((6, a.shape[0], z.size), dtype=complex)
         state[0, ~shifted] = 1.0
-        state[:, shifted] = _tricomi_block(a0[shifted], b[shifted], z, a[shifted])
+        # the values at a0 + 1 only where a row recurs
+        sums = 6 if (n[shifted] > 0).any() else 3
+        state[:sums, shifted] = _tricomi_block(a0[shifted], b[shifted], z, a[shifted], sums)
         for m in range(int(n.max(initial=0))):
             r = np.flatnonzero(n[:, 0] > m)
             state[:, r] = _recur_down(a0[r], b[r], z, m, *state[:, r])

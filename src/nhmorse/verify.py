@@ -30,7 +30,8 @@ _RK4_BLOCK = 1024
 
 @dataclass
 class ResidualReport:
-    """Outcome of one verification check."""
+    """Outcome of one verification check; elapsed_s is the check's wall
+    time in seconds where checks.run_checks ran it, and is not printed."""
 
     name: str
     grid_size: int
@@ -39,6 +40,7 @@ class ResidualReport:
     passed: bool
     tolerance: float
     note: str = ""
+    elapsed_s: float = 0.0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines; the same checks back the `nhmorse verify` CLI subcommand.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -86,3 +87,15 @@ def test_criterion_12_rk4_order():
     assert rep.passed
     # tolerance 0.25 on |ratio/16 - 1| is exactly the window [12, 20]
     assert rep.tolerance == 0.25
+
+
+def test_every_check_reports_its_wall_time():
+    # run_checks times each check; the times fit inside the pass and leave
+    # the printed lines as they were
+    start = time.perf_counter()
+    reports = checks.run_checks()
+    wall = time.perf_counter() - start
+    assert [rep.name for rep in reports] == list(checks.CHECKS)
+    assert all(rep.elapsed_s > 0.0 for rep in reports)
+    assert sum(rep.elapsed_s for rep in reports) <= wall
+    assert all(dataclasses.replace(rep, elapsed_s=0.0).line() == rep.line() for rep in reports)

@@ -152,6 +152,18 @@ class TestGrid:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "x = -2000" in err
 
+    def test_recessive_overflow_exits_1_without_warnings(self, capsys):
+        # at x = 300 the W quadrature's sums overflow: one error line naming
+        # the row's a and b, and no numpy warning before it
+        argv = "grid --solution w --beta 1 --x-min 300 --x-max 300 --nx 1 --K-max 0 --nK 1".split()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert caught == []
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tricomi_u quadrature did not converge: a=(3+0j), b=(9+0j)" in err
+
     @pytest.mark.parametrize("argv, flag", [
         ("grid --solution w", "--beta"),
         ("grid --alpha 0", "--alpha"),

@@ -5,6 +5,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nhmorse
@@ -179,3 +180,39 @@ def test_every_data_file_is_package_data():
     listed = tomllib.loads((root / "pyproject.toml").read_text())["tool"]["setuptools"]["package-data"]["nhmorse"]
     data = sorted(p.name for p in (root / "src" / "nhmorse").iterdir() if p.is_file() and p.suffix != ".py")
     assert "kummer_oracle.npy" in data and sorted(listed) == data
+
+
+# The array kernels, whose every matrix product goes through _serial_product.
+BLOCK_KERNELS = ("_kummer_block", "_tricomi_block")
+
+
+def test_block_kernels_multiply_only_in_serial_products():
+    # no @ or matmul in the bodies of the block kernels: each product is
+    # taken in _serial_product's one-thread tiles
+    tree = ast.parse((PACKAGE / "specfun.py").read_text())
+    kernels = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in BLOCK_KERNELS]
+    assert sorted(fn.name for fn in kernels) == sorted(BLOCK_KERNELS)
+    found = [
+        (fn.name, node.lineno) for fn in kernels for node in ast.walk(fn)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or getattr(node, "attr", getattr(node, "id", None)) in ("matmul", "dot")
+    ]
+    assert found == []
+
+
+def test_block_kernels_take_real_products(monkeypatch):
+    # one W block and one 1F1 block: every operand of their products is real
+    operands = []
+    product = specfun._serial_product
+
+    def recording(left, right):
+        operands.append((left.dtype, right.dtype))
+        return product(left, right)
+
+    monkeypatch.setattr(specfun, "_serial_product", recording)
+    zs = np.geomspace(0.5, 30.0, 9)
+    specfun.tricomi_u_derivs(np.array([[0.3 + 0.4j], [2.0 + 1.0j]]), np.array([[2.1 - 0.7j], [3.5]]), zs)
+    w_products = len(operands)
+    specfun.kummer_m_derivs(np.array([[0.3 + 0.4j]]), np.array([[2.1 - 0.7j]]), zs)
+    assert 0 < w_products < len(operands)
+    assert set(operands) == {(np.dtype(float), np.dtype(float))}

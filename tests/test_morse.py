@@ -221,6 +221,17 @@ class TestWavefunction:
             with pytest.raises(NonConvergence, match=re.escape(f"did not converge: a={a}, b=")):
                 morse.wavefunction_grid(p, sector, ParameterMap.PRINTED, np.array([80.0]), derivs=True)
 
+    def test_recessive_overflow_raises_without_warnings(self):
+        # at x = 300 (y = 5.7e-65) U(a, b, y) overflows before W's prefactor
+        # brings it back: the W block raises its typed error and no numpy
+        # warning comes before it
+        p = MorseParameters(alpha1=0, beta1=1, alpha2=0, beta2=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonConvergence, match="tricomi_u quadrature did not converge"):
+                morse.wavefunction_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, np.array([300.0]), derivs=True)
+        assert caught == []
+
     def test_k_to_zero_continuity(self):
         small = MorseParameters(K=1e-8)
         for sector in Sector:

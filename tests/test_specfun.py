@@ -441,7 +441,7 @@ class TestWhittakerBlocks:
         a, b = np.array([[1.5 + 0.5j], [2.0]]), np.array([[3.0 - 1.0j], [4.5]])
         zs = np.array([0.5, 2.0, 8.0])
         with pytest.raises(NonConvergence, match=re.escape("a=(1.5+0.5j), b=(3-1j), z in [0.5, 8.0]")):
-            specfun._tricomi_block(a, b, zs, a)
+            specfun._tricomi_block(a, b, zs, a, 6)
         # rows shifted up to Re a >= 1 are named by the caller's a, not the
         # shifted a the quadrature takes, in a block and at a float z
         with pytest.raises(NonConvergence, match=re.escape("a=(-0.5+0.5j), b=(3-1j), z in [0.5, 8.0]")):
@@ -449,7 +449,7 @@ class TestWhittakerBlocks:
         with pytest.raises(NonConvergence, match=re.escape("a=(-0.5+0.5j), b=(3-1j), z in [0.5, 0.5]")):
             specfun.tricomi_u(-0.5 + 0.5j, 3.0 - 1.0j, 0.5)
 
-    def test_block_mixes_shifted_integer_and_plain_rows(self):
+    def test_block_mixes_shifted_integer_and_plain_rows(self, monkeypatch):
         # rows shifted up to Re a >= 1 by one and by three steps, integer a
         # (0 and -2, polynomials in z) and rows needing no shift, in one
         # block: each row as its own array call and as float calls
@@ -467,6 +467,28 @@ class TestWhittakerBlocks:
         # U(-2, 3, z) = z^2 - 8z + 12 and U(0, b, z) = 1
         assert np.all(np.abs(block[0][2] - (zs**2 - 8.0 * zs + 12.0)) <= 1e-13 * (zs**2 + 8.0 * zs + 12.0))
         assert block[0][4].tolist() == [1.0] * zs.size and block[1][4].tolist() == [0.0] * zs.size
+        # the rows needing no shift, alone (the block sums only U and its
+        # derivatives at a) and beside a row that recurs (the sums at a + 1
+        # as well): the same values, each that of its one-row call
+        taken = []
+        block_fn = specfun._tricomi_block
+
+        def recording(*args):
+            taken.append(args[-1])
+            return block_fn(*args)
+
+        monkeypatch.setattr(specfun, "_tricomi_block", recording)
+        plain = [rows[1], rows[5]]
+        a_col, b_col = (np.array(c, dtype=complex)[:, None] for c in zip(*plain))
+        alone = specfun._tricomi_derivs(a_col, b_col, zs)
+        beside = specfun._tricomi_derivs(np.vstack((a_col, [[rows[0][0]]])), np.vstack((b_col, [[rows[0][1]]])), zs)
+        assert taken == [3, 6]
+        for r, (a, b) in enumerate(plain):
+            row = specfun._tricomi_derivs(np.array(complex(a)), np.array(complex(b)), zs)
+            for three, six, ref in zip(alone, beside, row):
+                assert np.all(np.abs(three[r] - six[r]) <= 1e-13 * np.abs(six[r])), (a, b)
+                assert np.all(np.abs(three[r] - ref) <= 1e-13 * np.abs(ref)), (a, b)
+                assert np.all(np.abs(six[r] - ref) <= 1e-13 * np.abs(ref)), (a, b)
 
     def test_block_non_convergence_names_the_failing_row(self):
         # a = b = 1+16i does not converge on the real ray (the derived map at
