@@ -31,7 +31,8 @@ def _admissible_b(rng: random.Random) -> complex:
 
 def draw() -> np.ndarray:
     """The (a, b, z, reference) rows of the table, the references from one
-    array call of the oracle."""
+    array call of the oracle, which sums the samples one at a time in the
+    order drawn."""
     rng = random.Random(20060515)
     samples = []
     for _ in range(1000):

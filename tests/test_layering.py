@@ -36,9 +36,11 @@ GONE_FROM_SUSY_LAYER = (
     "RealCaseParams", "real_partner_potential", "ExtensionParams",
 )
 
-# Names that left verify when its grid oracles came to take the arrays their
-# callers evaluate rather than a grid and callables.
-GONE_FROM_VERIFY = ("Grid1D", "GridMap", "GridDerivs")
+# Names that left verify: the grid and callables its grid oracles took before
+# they came to take the arrays their callers evaluate, the chunked array loop
+# of reference_kummer, which now sums each element by the one-element loop,
+# and fd_derivs, which had no caller.
+GONE_FROM_VERIFY = ("Grid1D", "GridMap", "GridDerivs", "_REF_CHUNK", "_term_ratios", "_BELOW", "fd_derivs")
 
 
 def relative_imports(path: Path) -> set[str]:
@@ -170,6 +172,11 @@ def test_grid_oracles_take_arrays():
     text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
     assert [gone for gone in GONE_FROM_VERIFY if re.search(rf"\b{gone}\b", text)] == []
     assert not hasattr(nhmorse, "Grid1D")
+
+
+def test_removed_verify_code_stays_out():
+    text = (PACKAGE / "verify.py").read_text()
+    assert [gone for gone in GONE_FROM_VERIFY if gone in text] == []
 
 
 def test_every_data_file_is_package_data():

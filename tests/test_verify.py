@@ -19,32 +19,6 @@ import kummer_oracle_table
 from whittaker_triples import whittaker_m
 
 
-def scalar_reference_kummer(a, b, z, target_rel=1e-13):
-    """reference_kummer's one-element loop in Python complex arithmetic, as
-    it stood before the oracle took arrays: the reference its array loop
-    must match bit for bit."""
-    a, b, z = complex(a), complex(b), float(z)
-    ra = round(a.real)
-    n_term = -ra if (ra <= 0 and abs(a - ra) <= 1e-12) else None
-    term = total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    abs_a, abs_b, abs_z = abs(a), abs(b), abs(z)
-    for n in range(20_000):
-        if n_term is not None and n >= n_term:
-            return total
-        term *= ((a + n) * z) / ((b + n) * (n + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if n_term is None and n + 1 > abs_b + 1.0:
-            m = n + 1
-            q = abs_z * (m + abs_a) / ((m - abs_b) * (m + 1))
-            if q < 1.0 and abs(term) * q / (1.0 - q) <= target_rel * abs(total):
-                return total
-    raise NonConvergence(f"a={a}, b={b}, z={z}")
-
-
 class TestReferenceKummer:
     def test_exponential(self):
         val = verify.reference_kummer(1.0, 1.0, 1.0, target_rel=1e-14)
@@ -112,11 +86,7 @@ class TestReferenceKummer:
             [verify.reference_kummer(ai, bi, zi) for zi in z.tolist()]
             for ai, bi in zip(a[:, 0].tolist(), b[:, 0].tolist())
         ])
-        loop = np.array([
-            [scalar_reference_kummer(ai, bi, zi) for zi in z.tolist()]
-            for ai, bi in zip(a[:, 0].tolist(), b[:, 0].tolist())
-        ])
-        assert block.tobytes() == floats.tobytes() == loop.tobytes()
+        assert block.tobytes() == floats.tobytes()
         assert type(verify.reference_kummer(-3.0, 2.0, 5.0)) is complex
         assert verify.reference_kummer(-3.0, 2.0, np.array(5.0)).shape == ()
 
@@ -178,7 +148,14 @@ class TestReferenceKummer:
         # 1F1(1; 2; 800) = (e^800 - 1)/800 is past the double range: the
         # first non-finite term or sum raises, not the term limit
         with pytest.raises(NonConvergence, match=r"not finite at a=\(1\+0j\), b=\(2\+0j\), z=800\.0"):
+            verify.reference_kummer(1.0, 2.0, 800.0)
+        # in C order, (b, z) = (3, 800) is the lowest index that overflows:
+        # the array call raises that element's own float-call message
+        with pytest.raises(NonConvergence) as array_call:
             verify.reference_kummer(1.0, np.array([[3.0], [2.0]]), np.array([1.0, 800.0]))
+        with pytest.raises(NonConvergence) as float_call:
+            verify.reference_kummer(1.0, 3.0, 800.0)
+        assert str(array_call.value) == str(float_call.value)
 
     def test_array_pole_names_b(self):
         with pytest.raises(ParameterPole, match=r"b = \(-2\+0j\)"):
@@ -186,74 +163,48 @@ class TestReferenceKummer:
         # a terminating a whose series ends before the pole is no pole
         assert verify.reference_kummer(np.array([-2.0]), np.array([-2.0]), 2.0).shape == (1,)
 
-
-class TestReferenceKummerChunks:
-    """The chunked loop where an element's stop, or its first non-finite
-    term, falls at an edge of a chunk, against the one-element loop."""
-
-    def test_terminating_a_at_the_chunk_edges(self):
-        C = verify._REF_CHUNK
-        a = np.array([0.0, 1.0 - C, -C, -1.0 - C, -2.0 * C])[:, None]
-        z = np.array([0.5, 2.0, 7.5])
-        # b = a puts a pole right behind each stop: the next term is 0/0
-        block = verify.reference_kummer(a, a, z)
-        loop = [[scalar_reference_kummer(ai, ai, zi) for zi in z.tolist()] for ai in a[:, 0].tolist()]
-        assert block.tobytes() == np.array(loop).tobytes()
-
     def test_terminating_a_at_the_term_limit(self, monkeypatch):
         # a = -k stops before term k, which the loop reaches only for k
-        # below the term limit; the last chunk is cut short at the limit
+        # below the term limit
+        expected = verify.reference_kummer(-19.0, 1.0, 3.0)
         monkeypatch.setattr(verify, "_REF_MAX_TERMS", 20)
         last = verify.reference_kummer(np.array([-19.0]), 1.0, 3.0)
-        assert last.tobytes() == np.array([scalar_reference_kummer(-19.0, 1.0, 3.0)]).tobytes()
+        assert last.tobytes() == np.array([expected]).tobytes()
         with pytest.raises(NonConvergence, match=r"did not converge: a=\(-20\+0j\)"):
             verify.reference_kummer(np.array([-19.0, -20.0]), 1.0, 3.0)
 
-    def test_tail_stop_on_the_first_and_last_term_of_a_chunk(self, monkeypatch):
+    def test_tail_stop_at_the_term_limit(self, monkeypatch):
         # 1F1(1; 2; z) stops on its tail bound at term 15 for z = 1.3 and at
         # term 16 for z = 1.55: it converges under a limit of one term more
         # and not under that term count
         for z, last in ((1.3, 15), (1.55, 16)):
+            expected = verify.reference_kummer(1.0, 2.0, z)
             monkeypatch.setattr(verify, "_REF_MAX_TERMS", last)
             with pytest.raises(NonConvergence, match="did not converge"):
                 verify.reference_kummer(1.0, 2.0, z)
             monkeypatch.setattr(verify, "_REF_MAX_TERMS", last + 1)
-            verify.reference_kummer(1.0, 2.0, z)
-        monkeypatch.undo()
-        rng = random.Random(5)
-        z = np.concatenate([[1.3, 1.55], np.linspace(0.05, 6.0, 24)])
-        a = np.array([[1.0]] + [[complex(rng.uniform(-3, 3), rng.uniform(-3, 3))] for _ in range(3)])
-        b = np.array([[2.0]] + [[complex(rng.uniform(0.5, 4), rng.uniform(-3, 3))] for _ in range(3)])
-        loop = np.array([
-            [scalar_reference_kummer(ai, bi, zi) for zi in z.tolist()]
-            for ai, bi in zip(a[:, 0].tolist(), b[:, 0].tolist())
-        ])
-        # chunks of 16 put term 16 first and term 15 last, chunks of 15
-        # and 17 term 15 first and term 16 last, chunks of 1 every term both
-        for chunk in (1, 2, 15, 16, 17, verify._REF_CHUNK):
-            monkeypatch.setattr(verify, "_REF_CHUNK", chunk)
-            assert verify.reference_kummer(a, b, z).tobytes() == loop.tobytes()
+            assert verify.reference_kummer(1.0, 2.0, z) == expected
+            monkeypatch.undo()
 
-    def test_overflow_after_an_earlier_stop_in_the_same_chunk(self, monkeypatch):
-        # in chunks of 16, terms 16 to 31 form the second: 1F1(-18; -18; 2)
-        # stops at term 17 there (its term 18 is 0/0), and 1F1(1; 2; 1e17)
-        # and 1F1(1; 2.5; 1e17) first overflow at term 19
-        monkeypatch.setattr(verify, "_REF_CHUNK", 16)
-
+    def test_overflow_after_an_earlier_stop(self):
+        # 1F1(-18; -18; 2) stops at term 17 (its term 18 is 0/0), and
+        # 1F1(1; 2; 1e17) and 1F1(1; 2.5; 1e17) first overflow at term 19,
+        # 1F1(1; 2; 1e100) at term 3
         def message(a, b, z):
             with pytest.raises(NonConvergence, match="not finite") as info:
-                verify.reference_kummer(np.array(a), np.array(b), np.array(z))
+                verify.reference_kummer(a, b, z)
             return str(info.value)
 
         stopper = verify.reference_kummer(np.array([-18.0]), np.array([-18.0]), np.array([2.0]))
-        assert stopper.tobytes() == np.array([scalar_reference_kummer(-18.0, -18.0, 2.0)]).tobytes()
-        # the lowest index of those that overflow first, the same message as
-        # the element's own float call
-        assert message([-18.0, 1.0, 1.0], [-18.0, 2.5, 2.0], [2.0, 1e17, 1e17]) == message(1.0, 2.5, 1e17)
-        assert message([-18.0, 1.0, 1.0], [-18.0, 2.0, 2.5], [2.0, 1e17, 1e17]) == message(1.0, 2.0, 1e17)
-        # the earliest term before the lowest index: 1F1(1; 2; 1e100)
-        # overflows at term 3
-        assert message([1.0, -18.0, 1.0], [2.0, -18.0, 2.0], [1e17, 2.0, 1e100]) == message(1.0, 2.0, 1e100)
+        assert stopper.tobytes() == np.array([verify.reference_kummer(-18.0, -18.0, 2.0)]).tobytes()
+        # the lowest index of those that fail, whichever term fails first,
+        # with the message of the element's own float call
+        a, z = np.array([-18.0, 1.0, 1.0]), np.array([2.0, 1e17, 1e17])
+        assert message(a, np.array([-18.0, 2.5, 2.0]), z) == message(1.0, 2.5, 1e17)
+        assert message(a, np.array([-18.0, 2.0, 2.5]), z) == message(1.0, 2.0, 1e17)
+        # index 0 fails at term 19, index 2 at term 3
+        a, b, z = np.array([1.0, -18.0, 1.0]), np.array([2.0, -18.0, 2.0]), np.array([1e17, 2.0, 1e100])
+        assert message(a, b, z) == message(1.0, 2.0, 1e17)
 
 
 def const(c, xs):
@@ -289,7 +240,7 @@ class TestOdeResidual:
 
     def test_finite_difference_fallback(self):
         xs = np.linspace(0.5, 3.0, 11)
-        rep = residual(const(1.0, xs), verify.fd_derivs(np.sin, xs))
+        rep = residual(const(1.0, xs), sin_derivs(xs))
         assert rep.passed, rep.line()
 
     def test_two_row_block_reports_the_worse_row(self):
@@ -559,7 +510,7 @@ class TestReportInvariants:
 
     def test_deterministic(self):
         xs = np.linspace(0.0, 3.0, 21)
-        a, b = (residual(const(1.0, xs), verify.fd_derivs(np.sin, xs)) for _ in range(2))
+        a, b = (residual(const(1.0, xs), sin_derivs(xs)) for _ in range(2))
         assert a.max_rel_residual == b.max_rel_residual
 
     def test_fd_residual_order(self):
