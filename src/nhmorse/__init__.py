@@ -15,9 +15,8 @@ from .errors import (
     ParameterPole,
     PoleError,
 )
-from .morse import MorseParameters, ParameterMap
+from .morse import MorseParameters, ParameterMap, WhittakerIndices
 from .riccati import MorseRiccati, RiccatiSign
-from .specfun import WhittakerIndices
 from .susy import Ladder, Sector
 from .verify import ResidualReport
 

@@ -118,9 +118,8 @@ def cmd_params(args) -> int:
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    shape = p.shape()
     try:
-        y_ends = morse_y(shape, args.x_min), morse_y(shape, args.x_max)
+        y_ends = morse_y(p, args.x_min), morse_y(p, args.x_max)
     except OverflowError as exc:
         print(f"error: y(x) on x={args.x_min:.17g} to {args.x_max:.17g}: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ import numpy as np
 from . import riccati, specfun
 from .errors import NonNormalizable
 from .riccati import MorseRiccati
-from .specfun import WhittakerIndices
 from .susy import Sector
 
 
@@ -41,9 +40,10 @@ _POINT_FIELDS = ("K", "Kprime", "alpha1", "beta1", "alpha2", "beta2")
 
 
 @dataclass(frozen=True)
-class MorseParameters:
-    """Full parameter record: Morse shape (A, B, a), extension (K, K'),
-    and superposition amplitudes for both sectors.
+class MorseParameters(MorseRiccati):
+    """Full parameter record: the Morse superpotential shape (A, B, a)
+    that it extends by (K, K'), and the superposition amplitudes of both
+    sectors.
 
     Defaults reproduce the canonical operating point A=1, B=2, a=0.5,
     K'=2, alpha=1, beta=0. One record also holds R points of one shape:
@@ -61,10 +61,12 @@ class MorseParameters:
     beta2: complex = 0.0 + 0.0j
 
     def __post_init__(self) -> None:
-        # the Morse shape's own checks: a > 0, B > 0, finite A
-        self.shape()
+        super().__post_init__()
         for name in _POINT_FIELDS:
             value = getattr(self, name)
+            field_shape = np.shape(value)
+            if field_shape != () and field_shape[1:] != (1,):
+                raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")
             if isinstance(value, np.ndarray):
                 bad = ~np.isfinite(value)
                 if bad.any():
@@ -84,13 +86,27 @@ class MorseParameters:
     def C2_bar(self) -> float:
         return self.B * (2.0 * self.A - self.a)
 
-    def shape(self) -> MorseRiccati:
-        return MorseRiccati(A=self.A, B=self.B, a=self.a)
-
     def amplitudes(self, sector: Sector) -> tuple[complex, complex]:
         if sector is Sector.FERMIONIC:
             return self.alpha1, self.beta1
         return self.alpha2, self.beta2
+
+
+@dataclass(frozen=True)
+class WhittakerIndices:
+    """The complex index pair (kappa, mu) of a Whittaker function, or (R, 1)
+    columns of such pairs, one per row of a block."""
+
+    kappa: complex
+    mu: complex
+
+    @property
+    def series_a(self) -> complex:
+        return self.mu - self.kappa + 0.5
+
+    @property
+    def series_b(self) -> complex:
+        return 2.0 * self.mu + 1.0
 
 
 def indices(params: MorseParameters, sector: Sector, pmap: ParameterMap) -> WhittakerIndices:
@@ -198,7 +214,7 @@ def wavefunction_derivs(
     derivatives are analytic, not taken from the equation.
     """
     idx = indices(params, sector, pmap)
-    y = riccati.morse_y(params.shape(), x)
+    y = riccati.morse_y(params, x)
     a, b = idx.series_a, idx.series_b
     alpha, beta = params.amplitudes(sector)
     core = (0j, 0j, 0j)
@@ -232,15 +248,11 @@ def wavefunction_grid(params: MorseParameters, sector: Sector, pmap: ParameterMa
     rows, so it holds one such block of rows at a time. A row with a zero
     amplitude never evaluates that term.
     """
-    shapes = {name: np.shape(getattr(params, name)) for name in _POINT_FIELDS}
-    for name, field_shape in shapes.items():
-        if field_shape != () and field_shape[1:] != (1,):
-            raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")
-    rows = np.broadcast_shapes((1, 1), *shapes.values())
+    rows = np.broadcast_shapes((1, 1), *(np.shape(getattr(params, name)) for name in _POINT_FIELDS))
     idx = indices(params, sector, pmap)
     mu, a, b, alpha, beta = (np.broadcast_to(v, rows) for v in (idx.mu, idx.series_a, idx.series_b, *params.amplitudes(sector)))
     xs = np.asarray(xs, dtype=float)
-    y = riccati.morse_y(params.shape(), xs)
+    y = riccati.morse_y(params, xs)
     core = np.zeros((3 if derivs else 1, len(alpha), xs.size), dtype=complex)
     on = alpha[:, 0] != 0.0
     if on.any():
@@ -528,7 +540,7 @@ def render_grid(spec: GridSpec) -> str:
         raise RuntimeError(
             f"evaluation failed on the grid K={K_first} to {K_last}, x={x_first} to {x_last}: {exc}"
         ) from exc
-    ys = riccati.morse_y(MorseRiccati(A=spec.A, B=spec.B, a=spec.a), xs)
+    ys = riccati.morse_y(params, xs)
     x_text, K_text, y_text = _packed(xs, Ks, ys)
     chunks = [HEADER + "\n"]
     cols = max(1, min(xs.size, _GRID_BLOCK))

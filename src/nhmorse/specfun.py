@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -577,23 +576,6 @@ def tricomi_u_derivs(a, b, z):
     a, b, z = _arguments("tricomi_u_derivs", a, b, z, positive=True)
     u, u1, u2 = _tricomi_derivs(a, b, z)
     return u, z * u1, z * (z * u2)
-
-
-@dataclass(frozen=True)
-class WhittakerIndices:
-    """The complex index pair (kappa, mu) of a Whittaker function, or (R, 1)
-    columns of such pairs, one per row of a block."""
-
-    kappa: complex
-    mu: complex
-
-    @property
-    def series_a(self) -> complex:
-        return self.mu - self.kappa + 0.5
-
-    @property
-    def series_b(self) -> complex:
-        return 2.0 * self.mu + 1.0
 
 
 def laguerre_poly(n, p, y):

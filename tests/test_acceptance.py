@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nhmorse import checks
+from nhmorse import checks, morse
 
 
 def _run(name, runtime_limit=None):
@@ -80,6 +80,16 @@ def test_criterion_11_grid_determinism_and_shape():
     rep = _run("grid-shape", runtime_limit=0.25)
     assert rep.passed
     assert rep.grid_size == 61 * 41
+
+
+def test_grid_shape_names_every_problem(monkeypatch):
+    # renders that differ, a wrong header and a wrong row count are each
+    # noted, and fail the check
+    renders = iter(["x,K,y\n0,0,1,2,0\n", "x,K,y\n0,0,1,2,0.5\n"])
+    monkeypatch.setattr(morse, "render_grid", lambda spec: next(renders))
+    rep = checks.check_grid_shape()
+    assert not rep.passed and rep.grid_size == 1
+    assert rep.note == f"output not deterministic; bad header 'x,K,y'; expected {61 * 41} rows, got 1"
 
 
 def test_criterion_12_rk4_order():

@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +410,14 @@ class TestMisc:
     def test_no_command_exits_2(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    def test_python_m_nhmorse_runs_the_cli(self):
+        # `python -m nhmorse` is the nhmorse command line, with its exit code
+        src = str(Path(cli.__file__).resolve().parents[1])
+        cmd = [sys.executable, "-m", "nhmorse", "verify", "--only", "rk4-order"]
+        done = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("PASS rk4-order") and done.stdout.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         "grid --nx -1", "grid --nK -2", "grid --B -1", "params --B 0", "params --a -1",

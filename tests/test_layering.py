@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import nhmorse
-from nhmorse import specfun
+from nhmorse import morse, specfun
 
 PACKAGE = Path(nhmorse.__file__).resolve().parent
 # Lowest first; a module may import only modules before it. verify holds
 # the oracles and sits just above errors, so it shares no code with the
 # closed forms it checks; riccati and specfun are the kernel and import
 # nothing above it.
-ORDER = ("errors", "verify", "riccati", "specfun", "susy", "morse", "checks", "cli")
+ORDER = ("errors", "verify", "riccati", "specfun", "susy", "morse", "checks", "cli", "__main__")
 # Upward imports still allowed, as (importer, imported).
 ALLOWED: set[tuple[str, str]] = set()
 # Text that specfun no longer holds: the gamma-normalized Laguerre function
@@ -73,7 +73,30 @@ def test_imports_go_down_the_order():
 def test_removed_specfun_paths_stay_out():
     text = (PACKAGE / "specfun.py").read_text()
     assert [gone for gone in GONE_FROM_SPECFUN if gone in text] == []
-    assert not hasattr(specfun.WhittakerIndices, "check")
+    assert not hasattr(morse.WhittakerIndices, "check")
+
+
+def test_one_morse_record():
+    # MorseParameters is the MorseRiccati it extends: the shape() copy is
+    # gone, and only bound_state_wave_derivs, which takes A, B and a as
+    # numbers, builds a MorseRiccati; WhittakerIndices, which only morse
+    # builds and reads, lives there
+    text = (PACKAGE / "morse.py").read_text()
+    assert "def shape(" not in text
+    tree = ast.parse(text)
+    builders = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "MorseRiccati"
+    }
+    assert builders == {"bound_state_wave_derivs"}
+    assert not re.search(r"\bclass WhittakerIndices\b", (PACKAGE / "specfun.py").read_text())
+
+
+def test_laguerre_identity_helpers_stay_out():
+    # laguerre-identity compares the kernels' blocks: its float helpers are gone
+    text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [gone for gone in ("pochhammer", "whittaker_laguerre_identity") if gone in text] == []
 
 
 # Names of the second wavefunction path: the triple grid and the Whittaker

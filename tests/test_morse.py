@@ -38,7 +38,7 @@ def _laguerre_form(p, sector, pmap, x):
     """alpha (2B/a)^{1/2} y^mu e^{-y/2} 1F1(mu - kappa + 1/2; 2 mu + 1; y) at
     one x, the 1F1 from float kummer_m."""
     idx = morse.indices(p, sector, pmap)
-    y = riccati.morse_y(p.shape(), x)
+    y = riccati.morse_y(p, x)
     core = specfun.kummer_m(idx.series_a, idx.series_b, y)
     alpha, _ = p.amplitudes(sector)
     return alpha * math.sqrt(2.0 * p.B / p.a) * cmath.exp(idx.mu * math.log(y) - 0.5 * y) * core
@@ -57,6 +57,18 @@ class TestParameters:
     def test_invalid(self):
         with pytest.raises(ValueError):
             MorseParameters(B=-1.0)
+
+    def test_record_is_its_shape(self):
+        # the record is the superpotential shape it extends: R, R' and the
+        # Witten combinations are the shape's own, with no copy to take
+        p = MorseParameters(A=0.7, B=1.3, a=0.9, K=1.4)
+        shape = riccati.MorseRiccati(A=0.7, B=1.3, a=0.9)
+        xs = np.linspace(-1.0, 3.0, 9)
+        assert isinstance(p, riccati.MorseRiccati) and not hasattr(p, "shape")
+        assert np.array_equal(p.R(xs), shape.R(xs)) and np.array_equal(p.dR(xs), shape.dR(xs))
+        for sign in riccati.RiccatiSign:
+            assert np.array_equal(p.witten(sign, xs), shape.witten(sign, xs))
+        assert np.array_equal(riccati.morse_y(p, xs), riccati.morse_y(shape, xs))
 
     @pytest.mark.parametrize(
         "bad", [{"A": math.nan}, {"A": -math.inf}, {"B": 0.0}, {"a": -0.5}], ids=["A=nan", "A=-inf", "B=0", "a<0"]
@@ -159,11 +171,10 @@ class TestOdeCoefficient:
 
     def test_matches_generic_bracket(self):
         p = MorseParameters(A=0.7, B=1.3, a=0.9, K=1.4, Kprime=0.3)
-        shape = p.shape()
         for sector in Sector:
             for x in np.linspace(0.0, 3.0, 100):
                 lhs = morse.ode_coefficient(p, sector, x)
-                rhs = susy.complex_potential_coefficient(shape.R(x), shape.dR(x), p.K, p.Kprime, sector)
+                rhs = susy.complex_potential_coefficient(p.R(x), p.dR(x), p.K, p.Kprime, sector)
                 assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
     def test_expansion_identity_columns_are_the_scalar_calls(self):
@@ -410,10 +421,8 @@ class TestRowPath:
     ])
     def test_fields_are_numbers_or_columns(self, field, value):
         # any shape but a number or an (R, 1) column is rejected by name
-        p = MorseParameters(**{field: value})
-        for derivs in (False, True):
-            with pytest.raises(ValueError, match=rf"^{field} must be a number or an \(R, 1\) column, got shape"):
-                morse.wavefunction_grid(p, Sector.BOSONIC, ParameterMap.DERIVED, np.linspace(0.0, 3.0, 4), derivs)
+        with pytest.raises(ValueError, match=rf"^{field} must be a number or an \(R, 1\) column, got shape"):
+            MorseParameters(**{field: value})
 
     def test_sweep_blocks_match_single_rows(self):
         # the residual sweeps' blocks, 4 K x {M only, W only} per sector and
@@ -755,23 +764,19 @@ class TestBoundStates:
 
 
 class TestWhittakerLaguerreIdentity:
+    # 1F1(-n; p+1; y) = n!/(p+1)_n L_n^p(y), on the kernels laguerre-identity compares
     def test_degree_zero_all_equal(self):
-        lhs, rhs_printed, rhs_corrected = checks.whittaker_laguerre_identity(0, 2.0, 1.5)
-        assert abs(lhs - rhs_printed) <= 1e-12 * abs(lhs)
-        assert rhs_printed == rhs_corrected
+        assert specfun.kummer_m(0, 3.0, 1.5) == specfun.laguerre_poly(0, 2.0, 1.5) == 1.0
 
     def test_degree_one_pochhammer_factor(self):
-        lhs, rhs_printed, rhs_corrected = checks.whittaker_laguerre_identity(1, 2.0, 1.0)
-        assert abs(lhs - rhs_corrected) <= 1e-10 * abs(lhs)
+        # the printed relation omits the factor 1!/(3)_1 = 1/3
+        lhs, rhs_printed = specfun.kummer_m(-1, 3.0, 1.0), specfun.laguerre_poly(1, 2.0, 1.0)
+        assert abs(lhs - rhs_printed / 3.0) <= 1e-10 * abs(lhs)
         assert abs(lhs / rhs_printed - 1.0 / 3.0) <= 1e-10
 
     def test_degree_two(self):
-        lhs, _, rhs_corrected = checks.whittaker_laguerre_identity(2, 3.0, 4.0)
-        assert abs(lhs - rhs_corrected) <= 1e-10 * max(1.0, abs(lhs))
-
-    def test_pochhammer(self):
-        assert checks.pochhammer(3.0, 0) == 1.0
-        assert checks.pochhammer(3.0, 2) == 12.0
+        lhs = specfun.kummer_m(-2, 4.0, 4.0)
+        assert abs(lhs - 2.0 / (4.0 * 5.0) * specfun.laguerre_poly(2, 3.0, 4.0)) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def intertwining(p: MorseParameters, xs: np.ndarray):

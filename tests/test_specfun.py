@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from nhmorse import checks, morse, riccati, specfun
 from nhmorse.errors import NonConvergence, ParameterPole, PoleError
-from nhmorse.morse import MorseParameters, ParameterMap
-from nhmorse.specfun import WhittakerIndices
+from nhmorse.morse import MorseParameters, ParameterMap, WhittakerIndices
 from nhmorse.susy import Sector
 from nhmorse.verify import reference_kummer
 
@@ -78,6 +77,15 @@ class TestKummer:
     def test_parameter_pole(self):
         with pytest.raises(ParameterPole):
             specfun.kummer_m(0.7, -2.0, 1.0)
+
+    def test_term_limit_raises(self, monkeypatch):
+        # a float series still moving at _MAX_TERMS terms raises NonConvergence
+        # naming its arguments; a terminating one sums its terms whatever the limit
+        terminating = specfun.kummer_m(-8.0, 1.5, 30.0)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        with pytest.raises(NonConvergence, match=r"^kummer series did not converge: a=\(0\.5\+0j\), b=\(1\.5\+0j\), z=30\.0$"):
+            specfun.kummer_m(0.5, 1.5, 30.0)
+        assert specfun.kummer_m(-8.0, 1.5, 30.0) == terminating
 
     def test_terminating_survives_nonpositive_b(self):
         # numerator zero at index 2 precedes the denominator zero at 4
@@ -320,7 +328,7 @@ class TestKummerBlock:
         xs = np.linspace(0.0, 3.0, 31)
         for B in (2.0, 5.0, 10.0, 20.0):
             params = MorseParameters(B=B, K=np.array([[0.0], [1.0], [2.0], [4.0]]))
-            ys = np.concatenate(([0.0], riccati.morse_y(params.shape(), xs)))
+            ys = np.concatenate(([0.0], riccati.morse_y(params, xs)))
             z_col = ys[[0, 1, 16, 31], None]
             for pmap in ParameterMap:
                 for sector in Sector:
@@ -342,6 +350,18 @@ class TestKummerBlock:
             [[1.0, 1.0]] * 4, [[0.0, 0.0]] * 4, [[0.0, 0.0]] * 4
         ]
 
+    def test_unsettled_row_raises_naming_it(self, monkeypatch):
+        # a block whose sums still move after _MAX_TERMS terms raises
+        # NonConvergence naming the first unsettled element: here the
+        # non-terminating row at its largest z
+        monkeypatch.setattr(specfun, "_MAX_TERMS", specfun._CHUNK)
+        a, b = np.array([[-2.0], [0.5]]), np.array([[1.5], [1.5]])
+        for call in (specfun.kummer_m, specfun.kummer_m_derivs):
+            with pytest.raises(NonConvergence, match=r"^kummer series did not converge: a=\(0\.5\+0j\), b=\(1\.5\+0j\), z=30\.0$"):
+                call(a, b, np.array([0.1, 30.0]))
+        # the terminating row alone settles within the limit
+        assert np.isfinite(specfun.kummer_m(a[:1], b[:1], np.array([0.1, 30.0]))).all()
+
     def test_repeated_and_misaligned_calls_are_byte_identical(self):
         # the figure grid and grid-shape compare renders byte for byte, so
         # the kernel's matrix product must give the same bits on every call,
@@ -350,7 +370,7 @@ class TestKummerBlock:
         params = MorseParameters(K=Ks[:, None])
         a_col, b_col = _morse_columns(params, ParameterMap.PRINTED, Sector.BOSONIC)
         idx = morse.indices(MorseParameters(K=Ks[60]), Sector.BOSONIC, ParameterMap.PRINTED)
-        ys = riccati.morse_y(params.shape(), np.linspace(0.0, 3.0, 181))
+        ys = riccati.morse_y(params, np.linspace(0.0, 3.0, 181))
         misaligned = np.empty(ys.size + 1)[1:]
         misaligned[:] = ys
         assert misaligned.ctypes.data % 16 == 8
@@ -404,6 +424,16 @@ class TestColumnRules:
         with pytest.raises(ParameterPole, match=re.escape(f"b = {first} ")):
             specfun._check_kummer_b(a_col, b_col)
 
+    def test_column_broadcasts_against_a_number(self):
+        # an (R, 1) column a with a number b, or a number a with a column b,
+        # is the pair of columns, for every kernel that takes blocks
+        zs = np.linspace(0.5, 4.0, 7)
+        column, number = np.array([[0.5], [-1.2 + 0.3j]]), 1.5 - 0.2j
+        both = np.full((2, 1), number)
+        for call in (specfun.kummer_m, specfun.kummer_m_derivs, specfun.tricomi_u, specfun.tricomi_u_derivs):
+            assert np.array_equal(call(column, number, zs), call(column, both, zs)), call
+            assert np.array_equal(call(number, column + 2.0, zs), call(both, column + 2.0, zs)), call
+
 
 def _index_columns(idx):
     """WhittakerIndices holding (R, 1) columns of the given index pairs."""
@@ -422,7 +452,7 @@ class TestWhittakerBlocks:
         Ks = (0.0, 1.0, 2.0, 4.0)
         for B in (2.0, 5.0, 10.0, 20.0):
             params = MorseParameters(B=B, K=np.array(Ks)[:, None])
-            ys = riccati.morse_y(params.shape(), xs)
+            ys = riccati.morse_y(params, xs)
             for pmap in ParameterMap:
                 for sector in Sector:
                     idx = morse.indices(params, sector, pmap)
@@ -494,7 +524,7 @@ class TestWhittakerBlocks:
         # a = b = 1+16i does not converge on the real ray (the derived map at
         # A = 0, K' = 0, K = 4); nor does 1+20i, but the error names the
         # first failing row
-        zs = riccati.morse_y(MorseParameters().shape(), np.linspace(0.0, 3.0, 31))
+        zs = riccati.morse_y(MorseParameters(), np.linspace(0.0, 3.0, 31))
         a_col = np.array([[1.5], [1.0 + 16.0j], [1.0 + 20.0j]])
         b_col = np.array([[2.0], [1.0 + 16.0j], [1.0 + 20.0j]])
         with pytest.raises(NonConvergence, match=re.escape("a=(1+16j), b=(1+16j)")):
@@ -516,7 +546,7 @@ class TestWhittakerBlocks:
     def test_repeated_block_calls_are_byte_identical(self):
         params = MorseParameters(B=10.0, K=np.array([[0.0], [0.5], [1.0], [2.0]]))
         idx = morse.indices(params, Sector.FERMIONIC, ParameterMap.DERIVED)
-        ys = riccati.morse_y(params.shape(), np.linspace(0.0, 3.0, 301))
+        ys = riccati.morse_y(params, np.linspace(0.0, 3.0, 301))
 
         def call():
             return b"".join(v.tobytes() for fn in (whittaker_m, whittaker_w) for v in fn(idx, ys))

@@ -11,8 +11,7 @@ import pytest
 
 from nhmorse import checks, morse, specfun, verify
 from nhmorse.errors import NonConvergence, ParameterPole
-from nhmorse.morse import MorseParameters, ParameterMap
-from nhmorse.specfun import WhittakerIndices
+from nhmorse.morse import MorseParameters, ParameterMap, WhittakerIndices
 from nhmorse.susy import Sector
 
 import kummer_oracle_table
@@ -156,6 +155,11 @@ class TestReferenceKummer:
         with pytest.raises(NonConvergence) as float_call:
             verify.reference_kummer(1.0, 3.0, 800.0)
         assert str(array_call.value) == str(float_call.value)
+
+    def test_modulus_past_the_float_range_is_inf(self):
+        # abs raises OverflowError for finite parts whose modulus overflows
+        assert verify._modulus(3.0 + 4.0j) == 5.0
+        assert verify._modulus(complex(1.5e308, 1.5e308)) == math.inf
 
     def test_array_pole_names_b(self):
         with pytest.raises(ParameterPole, match=r"b = \(-2\+0j\)"):
@@ -489,6 +493,11 @@ class TestIntertwiningCheck:
         assert rep.max_rel_residual == math.inf and not rep.passed
         assert "degenerate" in rep.note
         assert rep.max_abs_residual == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
+
+    def test_all_points_degenerate_raises(self):
+        # no point with |partner| > 1e-12 leaves no ratio to reduce
+        with pytest.raises(ValueError, match=r"^all grid points degenerate \(\|partner\| <= 1e-12\)$"):
+            verify.intertwining_check(np.ones(3) + 0j, np.array([0.0, 1e-12, -1e-13j]), 2.0)
 
     def test_same_reduction_as_wronskian(self):
         # a ratio and a Wronskian with the same values give the same report figures
