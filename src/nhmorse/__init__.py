@@ -8,6 +8,7 @@ residual, integration cross-check, Wronskian constancy and intertwining
 constancy.
 """
 
+from .checks import ResidualReport
 from .errors import (
     EvaluationError,
     NonConvergence,
@@ -18,7 +19,6 @@ from .errors import (
 from .morse import MorseParameters, ParameterMap, WhittakerIndices
 from .riccati import MorseRiccati, RiccatiSign
 from .susy import Ladder, Sector
-from .verify import ResidualReport
 
 __all__ = [
     "EvaluationError",

@@ -150,8 +150,8 @@ def cmd_bound_states(args) -> int:
             # bosonic level n is fermionic level n + 1
             kprime = A - a * (n + (sector is Sector.BOSONIC))
             kp2_matched = a * a * s * s - A * A
-            res_conv, res_matched = checks.bound_state_residual(A, B, a, n, sector, (kprime * kprime, kp2_matched), xs)
-            rows.append((sector.value, n, kprime, s, res_conv.max_rel_residual, res_matched.max_rel_residual))
+            res = checks.bound_state_residual(A, B, a, n, sector, (kprime * kprime, kp2_matched), xs)
+            rows.append((sector.value, n, kprime, s, *res))
             n += 1
     if not rows:
         print("no bound states")

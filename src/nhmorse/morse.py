@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,6 +65,10 @@ class MorseParameters(MorseRiccati):
         super().__post_init__()
         for name in _POINT_FIELDS:
             value = getattr(self, name)
+            is_numpy = isinstance(value, (np.ndarray, np.generic))
+            if not (value.dtype.kind in "biufc" if is_numpy else isinstance(value, numbers.Number)):
+                got = f"ndarray of dtype {value.dtype}" if isinstance(value, np.ndarray) else type(value).__name__
+                raise ValueError(f"{name} must be a number or a numeric numpy array, got {got}")
             field_shape = np.shape(value)
             if field_shape != () and field_shape[1:] != (1,):
                 raise ValueError(f"{name} must be a number or an (R, 1) column, got shape {field_shape}")

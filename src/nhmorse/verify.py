@@ -5,19 +5,19 @@ code paths, so it imports nothing of the package but errors: a
 compensated-summation Kummer reference with a majorized tail bound
 (deliberately different accumulation order and stopping rule than
 specfun.kummer_m) summed one element at a time, a fixed-step RK4
-integrator for complex linear second-order equations that multiplies the
-steps' propagators, and residual/Wronskian/intertwining evaluators.
+integrator for complex linear second-order equations stepped one scalar
+step at a time, and residual/Wronskian/intertwining evaluators.
 
 The grid oracles take the arrays their caller evaluated (checks evaluates
 the closed forms once on its grid): the coefficient and the values at
-every point, as (N,) arrays or (R, N) blocks of R rows.
+every point, as (N,) arrays or (R, N) blocks of R rows. Each oracle
+returns what it measured; checks judges that against a tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,34 +27,10 @@ from .errors import NonConvergence, ParameterPole
 # integrate_ode evaluates its coefficient this many steps at a time.
 _RK4_BLOCK = 1024
 
-
-@dataclass
-class ResidualReport:
-    """Outcome of one verification check; elapsed_s is the check's wall
-    time in seconds where checks.run_checks ran it, and is not printed."""
-
-    name: str
-    grid_size: int
-    max_abs_residual: float
-    max_rel_residual: float
-    passed: bool
-    tolerance: float
-    note: str = ""
-    elapsed_s: float = 0.0
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        out = (
-            f"{status} {self.name} max_rel_residual={self.max_rel_residual:.3e} "
-            f"tol={self.tolerance:.3e}"
-        )
-        if self.note:
-            out += f" ({self.note})"
-        return out
-
-
-# reference_kummer gives up after this many terms.
+# reference_kummer gives up after this many terms, and stops once its tail
+# bound is below this fraction of the sum.
 _REF_MAX_TERMS = 20_000
+_REF_TARGET_REL = 1e-13
 
 
 def _modulus(c: complex) -> float:
@@ -66,7 +42,7 @@ def _modulus(c: complex) -> float:
         return math.inf
 
 
-def _reference_one(a, b, z, target_rel: float) -> complex:
+def _reference_one(a, b, z) -> complex:
     """reference_kummer at one (a, b, z), in Python complex arithmetic."""
     a, b, z = complex(a), complex(b), float(z)
     named = f"a={a}, b={b}, z={z}"
@@ -99,64 +75,51 @@ def _reference_one(a, b, z, target_rel: float) -> complex:
         m = n + 1
         if n_terms is None and m > abs_b + 1.0:
             q = z * (m + abs_a) / ((m - abs_b) * (m + 1))
-            if q < 1.0 and _modulus(term) * q / (1.0 - q) <= target_rel * size:
+            if q < 1.0 and _modulus(term) * q / (1.0 - q) <= _REF_TARGET_REL * size:
                 return total
     raise NonConvergence(f"reference_kummer did not converge: {named}")
 
 
-def reference_kummer(a, b, z, target_rel: float = 1e-13):
+def reference_kummer(a, b, z):
     """High-accuracy 1F1(a; b; z) reference, at a float z >= 0 or at every
     element of numpy arrays.
 
     Independent of specfun.kummer_m by construction: terms are built with
     a differently grouped recurrence, t_{n+1} = t_n ((a+n) z) / ((b+n)(n+1)),
-    accumulated with Kahan-compensated summation, and stopped by a
+    accumulated with Kahan-compensated summation, and stopped once a
     geometric majorization of the tail (|t_n| q / (1 - q) with q an upper
-    bound on subsequent term ratios) instead of a consecutive-small-terms
-    heuristic. A nonpositive integer a = -n stops after its n terms, and b
-    at a nonpositive integer raises ParameterPole unless that comes first.
+    bound on subsequent term ratios) is within _REF_TARGET_REL of the sum,
+    instead of by a consecutive-small-terms heuristic. A nonpositive
+    integer a = -n stops after its n terms, and b at a nonpositive integer
+    raises ParameterPole unless that comes first.
 
     a, b and z broadcast together. A call with no numpy array among them
     returns a complex, any other an array of the broadcast shape, each
     element summed by the one-element loop in C order. A non-finite
-    target_rel or one below 1e-14, a non-finite argument or a z < 0 raises
-    ValueError, and a term or sum that goes non-finite at or before the
-    stop, or a series still running after _REF_MAX_TERMS terms, raises
-    NonConvergence; each names the a, b and z of the lowest-index element
-    that fails.
+    argument or a z < 0 raises ValueError, and a term or sum that goes
+    non-finite at or before the stop, or a series still running after
+    _REF_MAX_TERMS terms, raises NonConvergence; each names the a, b and z
+    of the lowest-index element that fails.
     """
-    if not 1e-14 <= target_rel < math.inf:
-        raise ValueError(f"target_rel must be finite and >= 1e-14, got {target_rel}")
     if not any(isinstance(v, np.ndarray) for v in (a, b, z)):
-        return _reference_one(a, b, z, target_rel)
+        return _reference_one(a, b, z)
     a, b, z = np.broadcast_arrays(
         np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(z, dtype=float)
     )
-    values = [_reference_one(*e, target_rel) for e in zip(a.ravel().tolist(), b.ravel().tolist(), z.ravel().tolist())]
+    values = [_reference_one(*e) for e in zip(a.ravel().tolist(), b.ravel().tolist(), z.ravel().tolist())]
     return np.array(values, dtype=complex).reshape(a.shape)
 
 
-def ode_residual(q: np.ndarray, w: np.ndarray, d2w: np.ndarray, tol: float = 1e-8) -> ResidualReport:
-    """Residual of w'' + Q w = 0 over a grid, from Q, w and w'' at its N
-    points.
+def ode_residual(q: np.ndarray, w: np.ndarray, d2w: np.ndarray) -> np.ndarray:
+    """Relative residual of w'' + Q w = 0 at every point of a grid, from Q,
+    w and w'' there.
 
     d2w must be analytic, not a rearrangement of the equation itself. The
-    relative residual is normalized by 1 + |Q||w| so decaying tails do not
-    blow it up. q, w and d2w may also be (R, N) blocks, one row per
-    solution: the report is the worst over the whole block (grid_size
-    stays the N points).
+    residual |w'' + Q w| is normalized by 1 + |Q||w| so decaying tails do
+    not blow it up. q, w and d2w may also be (R, N) blocks, one row per
+    solution; the result has their shape.
     """
-    r = np.abs(d2w + q * w)
-    rel = r / (1.0 + np.abs(q) * np.abs(w))
-    max_rel = float(rel.max())
-    return ResidualReport(
-        name="ode-residual",
-        grid_size=r.shape[-1],
-        max_abs_residual=float(r.max()),
-        max_rel_residual=max_rel,
-        passed=max_rel <= tol,
-        tolerance=tol,
-    )
+    return np.abs(d2w + q * w) / (1.0 + np.abs(q) * np.abs(w))
 
 
 def integrate_ode(
@@ -167,19 +130,13 @@ def integrate_ode(
     x1: float,
     step: float = 1e-4,
 ) -> tuple[complex, complex]:
-    """Fixed-step classical RK4 for (w, w')' = (w', -Q w) from x0 to x1.
+    """Fixed-step classical RK4 for (w, w')' = (w', -Q w) from x0 to x1,
+    one scalar step at a time.
 
     Q(xs) gives the coefficient at every point of an array. It is
     evaluated once per block of _RK4_BLOCK steps, on all the stage points
-    x, x + h/2 and x + h of the block. The equation is linear, so each
-    step maps the state (w, w') by a 2 x 2 propagator I + N; the RK4
-    stages run as arrays on the basis states (1, 0) and (0, 1) to give
-    every step's N, and the block's propagator is their product, taken
-    pairwise with the later step on the left,
-    (I + N1)(I + N0) = I + (N1 + N0 + N1 N0). Only the deviations N are
-    multiplied, so the identity's rounding never enters them. The state
-    is known at block ends only: a non-finite one raises OverflowError
-    naming the block's x range.
+    x, x + h/2 and x + h of the block. The state is tested at block ends:
+    a non-finite one raises OverflowError naming the block's x range.
     """
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -187,42 +144,29 @@ def integrate_ode(
         return complex(w0), complex(dw0)
     n = max(1, math.ceil(abs(x1 - x0) / step))
     h = (x1 - x0) / n
-    state = np.array([w0, dw0], dtype=complex)
-    # row j is basis state j, (w, w') = (1, 0) then (0, 1); its increments
-    # over a step are column j of that step's N
-    w, dw = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    w, dw = complex(w0), complex(dw0)
     for start in range(0, n, _RK4_BLOCK):
         xs = x0 + np.arange(start, min(start + _RK4_BLOCK, n)) * h
         m = len(xs)
-        q = Q(np.concatenate([xs, xs + 0.5 * h, xs + h]))
-        qs, qm, qe = q[:m], q[m : 2 * m], q[2 * m :]
-        # an overflow shows as a non-finite state below
-        with np.errstate(over="ignore", invalid="ignore"):
+        q = Q(np.concatenate([xs, xs + 0.5 * h, xs + h])).tolist()
+        for qs, qm, qe in zip(q[:m], q[m : 2 * m], q[2 * m :]):
             k1w, k1d = dw, -qs * w
             k2w, k2d = dw + 0.5 * h * k1d, -qm * (w + 0.5 * h * k1w)
             k3w, k3d = dw + 0.5 * h * k2d, -qm * (w + 0.5 * h * k2w)
             k4w, k4d = dw + h * k3d, -qe * (w + h * k3w)
-            # N[:, :, i] of step i, padded to a power of two with N = 0 steps
-            N = np.zeros((2, 2, 1 << (m - 1).bit_length()), dtype=complex)
-            N[0, :, :m] = h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            N[1, :, :m] = h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
-            while N.shape[-1] > 1:
-                # later @ earlier of every pair as a broadcast sum: numpy's
-                # stacked matmul is several times slower on 2 x 2 matrices
-                later, earlier = N[..., 1::2], N[..., ::2]
-                N = later + earlier + (later[:, :, None] * earlier[None]).sum(1)
-            state = state + N[..., 0] @ state
-        if not np.isfinite(state).all():
+            w = w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            dw = dw + h / 6.0 * (k1d + 2 * k2d + 2 * k3d + k4d)
+        if not (cmath.isfinite(w) and cmath.isfinite(dw)):
             raise OverflowError(f"integration overflowed between x = {float(xs[0])} and x = {float(xs[-1] + h)}")
-    return complex(state[0]), complex(state[1])
+    return w, dw
 
 
-def _constancy(name: str, what: str, vals: np.ndarray, tol: float) -> tuple[ResidualReport, np.ndarray]:
-    """Report on the RMS deviation of vals from their mean along the last
-    axis (absolute, and relative to |mean|), the largest over the rows of
-    an (R, N) block, and the mean of each row. A row of values zero
-    everywhere gives 0 with a zero-scale note, a mean below 1e-13 of the
-    row's max |vals| inf with a degenerate one."""
+def _constancy(what: str, vals: np.ndarray) -> tuple[float, str, np.ndarray]:
+    """The RMS deviation of vals from their mean along the last axis,
+    relative to |mean| and the largest over the rows of an (R, N) block; a
+    note; and the mean of each row. A row of values zero everywhere gives
+    0 with a zero-scale note, a mean below 1e-13 of the row's max |vals|
+    inf with a degenerate one."""
     scale = np.max(np.abs(vals), axis=-1)
     mean = vals.mean(axis=-1)
     dev = np.sqrt(np.mean(np.abs(vals - mean[..., None]) ** 2, axis=-1))
@@ -231,34 +175,24 @@ def _constancy(name: str, what: str, vals: np.ndarray, tol: float) -> tuple[Resi
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = float(np.where(zero, 0.0, np.where(degenerate, math.inf, dev / np.abs(mean))).max())
     notes = ((zero, f"zero-scale: {what} identically zero"), (degenerate, f"degenerate: zero-mean {what}"))
-    report = ResidualReport(
-        name=name,
-        grid_size=vals.shape[-1],
-        max_abs_residual=float(dev.max()),
-        max_rel_residual=rel,
-        passed=rel <= tol,
-        tolerance=tol,
-        note="; ".join(note for flags, note in notes if flags.any()),
-    )
-    return report, mean
+    return rel, "; ".join(note for flags, note in notes if flags.any()), mean
 
 
-def wronskian_constancy(
-    f: np.ndarray, df: np.ndarray, g: np.ndarray, dg: np.ndarray, tol: float = 1e-8
-) -> ResidualReport:
+def wronskian_constancy(f: np.ndarray, df: np.ndarray, g: np.ndarray, dg: np.ndarray) -> tuple[float, str]:
     """Relative standard deviation of the Wronskian f g' - g f' over a grid,
-    from the values and derivatives of f and g at its N points.
+    from the values and derivatives of f and g at its N points, and a note.
 
     For equations without a first-derivative term the Wronskian of any two
     solutions is x-independent, so the deviation should vanish. The arrays
     may also be (R, N) blocks, row r of f paired with row r of g: each
-    row's Wronskian has its own mean, and the report is the worst row's.
+    row's Wronskian has its own mean, and the deviation is the worst row's.
     """
-    return _constancy("wronskian", "Wronskian", f * dg - g * df, tol)[0]
+    return _constancy("Wronskian", f * dg - g * df)[:2]
 
 
-def intertwining_check(raised: np.ndarray, partner: np.ndarray, Kprime: float, tol: float = 1e-8) -> ResidualReport:
-    """Constancy of the ratio raised / partner over a grid.
+def intertwining_check(raised: np.ndarray, partner: np.ndarray, Kprime: float) -> tuple[float, str]:
+    """Relative standard deviation of the ratio raised / partner over a
+    grid, and a note.
 
     raised is A+ applied to one sector's solution and partner the other
     sector's solution at the grid's points; the intertwining relation
@@ -270,9 +204,8 @@ def intertwining_check(raised: np.ndarray, partner: np.ndarray, Kprime: float, t
     keep = np.abs(partner) > 1e-12
     if not keep.any():
         raise ValueError("all grid points degenerate (|partner| <= 1e-12)")
-    report, mean = _constancy("intertwining", "ratio", raised[keep] / partner[keep], tol)
+    rel, note, mean = _constancy("ratio", raised[keep] / partner[keep])
     if Kprime != 0.0:
         c = complex(mean) / Kprime
-        ratio_note = f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i"
-        report.note = f"{report.note}; {ratio_note}" if report.note else ratio_note
-    return report
+        note = "; ".join(filter(None, (note, f"mean_ratio/Kprime = {c.real:.12g}{c.imag:+.12g}i")))
+    return rel, note

@@ -99,6 +99,12 @@ def test_criterion_12_rk4_order():
     assert rep.tolerance == 0.25
 
 
+def test_every_check_keeps_its_grid_size():
+    # perfbench's verify-suite points_per_s sums these sizes over a pass
+    sizes = (1000, 301, 301, 0, 57, 602, 2640, 27, 122, 114, 2501, 0)
+    assert {rep.name: rep.grid_size for rep in checks.run_checks()} == dict(zip(checks.CHECKS, sizes))
+
+
 def test_every_check_reports_its_wall_time():
     # run_checks times each check; the times fit inside the pass and leave
     # the printed lines as they were

@@ -2,6 +2,8 @@
 specfun holds none of the paths it dropped."""
 
 import ast
+import inspect
+import math
 import re
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import nhmorse
-from nhmorse import morse, specfun
+from nhmorse import checks, morse, specfun
 
 PACKAGE = Path(nhmorse.__file__).resolve().parent
 # Lowest first; a module may import only modules before it. verify holds
@@ -200,6 +202,22 @@ def test_grid_oracles_take_arrays():
 def test_removed_verify_code_stays_out():
     text = (PACKAGE / "verify.py").read_text()
     assert [gone for gone in GONE_FROM_VERIFY if gone in text] == []
+
+
+def test_verify_measures_and_checks_judges():
+    # the oracles return what they measured and take no tolerance or
+    # target; ResidualReport, its verdict and every tolerance live in
+    # checks, and no registered check passes whatever it measures
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []
+    knobs = [
+        (fn.name, arg.arg) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs if arg.arg in ("tol", "target_rel")
+    ]
+    assert knobs == []
+    assert nhmorse.ResidualReport is checks.ResidualReport
+    defaults = {name: inspect.signature(fn).parameters["tol"].default for name, fn in checks.CHECKS.items()}
+    assert [name for name, tol in defaults.items() if not 0.0 < tol < math.inf] == []
 
 
 def test_every_data_file_is_package_data():
