@@ -29,6 +29,8 @@ from .riccati import RiccatiSign
 from .susy import Ladder, Sector
 
 FIG_PARAMS = MorseParameters()
+# Notes of verify._constancy that flag a row its deviation does not measure.
+_UNMEASURED = ("zero-scale", "degenerate")
 
 
 @dataclass
@@ -178,9 +180,10 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
     p = MorseParameters(K=1.0)
     pmap = ParameterMap.DERIVED
     xs = np.linspace(0.2, 3.0, 57)
-    partner = morse.wavefunction_grid(p, Sector.BOSONIC, pmap, xs, derivs=True)[0][0]
+    partner = morse.wavefunction_grid(p, Sector.BOSONIC, pmap, xs)[0]
     rel, note = verify.intertwining_check(raised_fermionic(p, pmap, xs), partner, p.Kprime)
-    return _report("intertwining", rel, tol, grid_size=len(xs), note=note)
+    failed = any(flag in note for flag in _UNMEASURED)
+    return _report("intertwining", rel, tol, grid_size=len(xs), note=note, failed=failed)
 
 
 def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:
@@ -241,12 +244,16 @@ def check_wronskian(tol: float = 1e-8) -> ResidualReport:
     """M/W solution pairs (derived map, K = 1) have an x-independent Wronskian."""
     xs = np.linspace(0.2, 3.0, 57)
     pair = _m_and_w_rows([1.0])
-    worst = 0.0
+    worst, notes = 0.0, []
     for sector in Sector:
         # one block per sector, its M row and its W row, serves both solutions
         (m, w), (dm, dw), _ = morse.wavefunction_grid(pair, sector, ParameterMap.DERIVED, xs, derivs=True)
-        worst = max(worst, verify.wronskian_constancy(m, dm, w, dw)[0])
-    return _report("wronskian", worst, tol, grid_size=114)
+        rel, note = verify.wronskian_constancy(m, dm, w, dw)
+        worst = max(worst, rel)
+        notes += [f"{sector.value}: {note}"] if note else []
+    note = "; ".join(notes)
+    failed = any(flag in note for flag in _UNMEASURED)
+    return _report("wronskian", worst, tol, grid_size=114, note=note, failed=failed)
 
 
 def check_grid_shape(tol: float = 1e-12) -> ResidualReport:

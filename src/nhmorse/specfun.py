@@ -6,14 +6,14 @@ triple (F, z F', z^2 F'') that the Whittaker closed forms of `morse` are
 built on, and classical associated Laguerre polynomials.
 
 Each quantity has one entry point, which takes a float or a numpy array.
-Float 1F1 values come from one loop, `_kummer_pass`. Array 1F1 sums, the
-values of `kummer_m` and the triples of `kummer_m_derivs` alike, come from
-one kernel, `_kummer_block`, over arguments sharing one parameter set or
-(R, 1) columns of per-row parameters giving an (R, N) block: a chunk of
-terms at a time, as one real matrix product of per-row coefficients with
-per-column powers of z. A Kummer sum that overflows raises
-NonConvergence rather than return inf or NaN, and a non-finite argument
-raises ValueError before any sum starts.
+Every 1F1 value, and the 1F1 triple at an array, comes from one kernel,
+`_kummer_block`, over arguments sharing one parameter set or (R, 1)
+columns of per-row parameters giving an (R, N) block: a chunk of terms at
+a time, as one real matrix product of per-row coefficients with
+per-column powers of z. The triple at a float z comes from one loop,
+`_kummer_pass`. A Kummer sum that overflows raises NonConvergence rather
+than return inf or NaN, and a non-finite argument raises ValueError
+before any sum starts.
 
 The 1F1 triple comes from the term-by-term differentiated series: one
 pass over the terms gives all three sums. U and its derivatives come from
@@ -39,8 +39,8 @@ Conventions fixed here and used everywhere else in the library:
     z >= 0 for 1F1 (kummer_m, kummer_m_derivs and verify.reference_kummer),
     z > 0 for Tricomi; parameters may be complex but finite; an argument
     outside raises ValueError naming it;
-  * one pole rule: b within _INTEGER_TOL of a nonpositive integer raises
-    ParameterPole unless the series terminates first;
+  * one pole rule: degree(a) > degree(b) raises ParameterPole, the series
+    reaching a zero denominator before it ends (_degree);
   * all functions are pure and hold no mutable state, so repeated calls
     with identical inputs are bit-identical and thread-safe, whatever the
     BLAS thread count.
@@ -78,12 +78,12 @@ _LANCZOS = (
 )
 
 
-def _integer_near(z: complex):
-    """Return the nonpositive integer within _INTEGER_TOL of z, or None."""
+def _degree(z: complex) -> float:
+    """n where z is within _INTEGER_TOL of the nonpositive integer -n, else
+    inf: the last term of a 1F1 series with a = z, or the first with b = z
+    in its denominator at zero."""
     r = round(z.real)
-    if abs(z - r) <= _INTEGER_TOL and r <= 0:
-        return r
-    return None
+    return 0.0 - r if abs(z - r) <= _INTEGER_TOL and r <= 0 else math.inf
 
 
 def log_gamma(z: complex) -> complex:
@@ -95,7 +95,7 @@ def log_gamma(z: complex) -> complex:
     exponentiates).
     """
     z = complex(z)
-    if _integer_near(z) is not None:
+    if _degree(z) < math.inf:
         raise PoleError(f"log_gamma pole at z = {z}")
     if z.real < 0.5:
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
@@ -108,34 +108,28 @@ def log_gamma(z: complex) -> complex:
     return 0.5 * math.log(2.0 * math.pi) + (zz + 0.5) * cmath.log(t) - t + cmath.log(s)
 
 
-def _terminating_degree(a: complex):
-    """If a is (numerically) a nonpositive integer -n, return n, else None."""
-    r = _integer_near(a)
-    return None if r is None else -r
-
-
 def _degrees(a: np.ndarray) -> np.ndarray:
-    """_terminating_degree over an array, with inf for None: n where a is
-    within _INTEGER_TOL of the nonpositive integer -n."""
+    """_degree over an array: n where a is within _INTEGER_TOL of the
+    nonpositive integer -n, else inf."""
     r = np.round(a.real)
     return np.where((np.abs(a - r) <= _INTEGER_TOL) & (r <= 0.0), 0.0 - r, np.inf)
 
 
 def _kummer_pass(a: complex, b: complex, z):
     """(S0, S1, S2) = sums of t_n, n t_n and n(n-1) t_n over the terms t_n
-    of 1F1(a; b; z) in one pass, the one float 1F1 loop: 1F1 then has value
-    S0, first derivative S1/z and second derivative S2/z^2.
+    of 1F1(a; b; z) at a float z in one pass, the float triple's loop: 1F1
+    then has value S0, first derivative S1/z and second derivative S2/z^2.
 
     A terminating series (a a nonpositive integer -n) sums its n terms;
     otherwise each sum stops once three consecutive terms fall below
     _STOP_REL of it. Overflow raises NonConvergence.
     """
-    n_term = _terminating_degree(a)
-    stop = _STOP_REL if n_term is None else -1.0
+    n_term = _degree(a)
+    stop = _STOP_REL if n_term == math.inf else -1.0
     term = s0 = 1.0 + 0.0j
     s1 = s2 = 0j
     small = 0
-    for n in range(_MAX_TERMS if n_term is None else n_term):
+    for n in range(_MAX_TERMS if n_term == math.inf else int(n_term)):
         term *= (a + n) / (b + n) * z / (n + 1)
         d1 = (n + 1) * term
         d2 = n * d1
@@ -150,7 +144,7 @@ def _kummer_pass(a: complex, b: complex, z):
             small = 0
     if not (cmath.isfinite(s0) and cmath.isfinite(s1) and cmath.isfinite(s2)):
         raise NonConvergence(f"kummer series did not converge: overflow at a={a}, b={b}, z={z}")
-    if n_term is None and small < 3:
+    if n_term == math.inf and small < 3:
         raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
     return s0, s1, s2
 
@@ -210,10 +204,10 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
     P @ [Re c, Im c], P[j, n] = (z_j/zhat)^n <= 1, to the real and
     imaginary parts of the sums, the triple's n c_n and n(n-1) c_n being
     more columns of the same real product (P is 1 for z given per row). A
-    row whose a is a nonpositive integer -n keeps its first n terms; past
-    the last of those, the sums stop at the end of a chunk whose last
-    three terms, bounded by their largest c_n times (z/zhat)^n at the least
-    of their n, are below _STOP_REL of every sum at every element.
+    row's terms past its degree in a are zeroed; past the rows' last degree,
+    the sums stop at the end of a chunk whose last three terms, bounded by
+    their largest c_n times (z/zhat)^n at the least of their n, are below
+    _STOP_REL of every sum at every element.
     Overflow raises NonConvergence naming the first element to overflow.
     The product is taken in tiles that OpenBLAS runs on one thread, so
     the sums do not depend on the BLAS thread count, and repeated calls
@@ -229,7 +223,6 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
         x = z / zhat if zhat > 0.0 else z
     rows, sums_per_row = a.shape[0], 3 if triple else 1
     n_stop = _degrees(a[:, 0])
-    terminating = settled = bool(np.isfinite(n_stop).all())
     n_last = int(np.where(np.isfinite(n_stop), n_stop, 0.0).max(initial=0.0))
     # the chunk's (term, row) arrays, one row per term
     a_rows, b_rows = (np.tile(v[:, 0], (_CHUNK, 1)) for v in (a, b))
@@ -243,10 +236,10 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
     # times x^_CHUNK
     powers = x[:, None] ** np.arange(1, _CHUNK + 1)
     step = powers[:, -1:].copy()
-    for n0 in range(0, n_last if terminating else max(_MAX_TERMS, n_last + 3), _CHUNK):
+    for n0 in range(0, max(_MAX_TERMS, n_last + 3), _CHUNK):
         n = np.arange(n0, n0 + _CHUNK)[:, None]
         # term n + 1 is term n times (a + n) / (b + n) zhat / (n + 1); a
-        # terminating row is zeroed past its last term, where b + n may vanish
+        # row is zeroed past its degree, where b + n may vanish
         ratio = a_rows + n
         ratio /= b_rows + n
         ratio *= zhat / (n + 1)
@@ -262,7 +255,7 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
         cv = c.view(float)
         terms = np.hstack((cv, (n + 1.0) * cv, (n + 1.0) * n * cv)) if triple else cv
         sums += _serial_product(powers, terms)
-        if not terminating and n0 + _CHUNK >= n_last:
+        if n0 + _CHUNK >= n_last:
             tail = np.abs(terms[-3:].view(complex)).max(axis=0) * powers[:, -3, None]
             # an overflowed sum, inf or NaN, counts as settled: the
             # overflow is raised once the others settle
@@ -282,21 +275,14 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
 
 
 def _check_kummer_b(a, b) -> None:
-    """Reject b at a nonpositive integer unless the series terminates first;
-    a and b complex numbers, or arrays checked elementwise (b at -m is
-    rejected where a's degree exceeds m), naming the first rejected b."""
+    """Reject b where degree(a) > degree(b), naming the first rejected b; a
+    and b complex numbers, or arrays checked elementwise."""
     if isinstance(a, np.ndarray):
-        poles = _degrees(b)
-        if np.isfinite(poles).any():
-            bad = _degrees(a) > poles
-            if bad.any():
-                raise ParameterPole(f"kummer_m: b = {complex(b.ravel()[np.argmax(bad.ravel())])} at a nonpositive integer")
-        return
-    pole = _integer_near(b)
-    if pole is not None:
-        n_term = _terminating_degree(a)
-        if n_term is None or n_term > -pole:
-            raise ParameterPole(f"kummer_m: b = {b} at a nonpositive integer")
+        bad = _degrees(a) > _degrees(b)
+        if bad.any():
+            raise ParameterPole(f"kummer_m: b = {complex(b.ravel()[np.argmax(bad.ravel())])} at a nonpositive integer")
+    elif _degree(a) > _degree(b):
+        raise ParameterPole(f"kummer_m: b = {b} at a nonpositive integer")
 
 
 def _arguments(name: str, a, b, z, positive: bool):
@@ -328,37 +314,28 @@ def _arguments(name: str, a, b, z, positive: bool):
 
 
 def kummer_m(a, b, z):
-    """Confluent hypergeometric function 1F1(a; b; z) at a float z, or at
-    every z of a numpy array, one series summed over all of them; z >= 0.
-
-    A float z takes the one float loop, _kummer_pass's. For an array z, a
-    and b are scalars, giving an array of the shape of z, or (R, 1) columns
-    of per-row values with z of shape (N,), giving an (R, N) block, or of
-    shape (R, 1), one z per row; the rows are checked by the rule of a
-    float call, as one array operation, and a rejection names the first
-    rejected row's b. Arrays are summed by _kummer_block. Terminating
-    series (a a nonpositive integer) are allowed even for b at a
-    nonpositive integer, provided the numerator zero comes first.
+    """Confluent hypergeometric function 1F1(a; b; z), z >= 0, one
+    _kummer_block over every z: a float z gives a complex scalar, an array
+    z with scalar a and b an array of its shape; (R, 1) columns of a and b
+    with z of shape (N,) give an (R, N) block, and with z of shape (R, 1)
+    one z per row. b at a nonpositive integer -m is allowed where a's
+    degree is at most m; a rejection names the first rejected row's b.
     """
-    a, b, z = _arguments("kummer_m", a, b, z, positive=False)
+    a, b, z = _arguments("kummer_m", a, b, np.asarray(z, dtype=float), positive=False)
     _check_kummer_b(a, b)
-    if isinstance(z, np.ndarray):
-        return _kummer_block(a, b, z, triple=False)[0]
-    return _kummer_pass(a, b, z)[0]
+    return _kummer_block(a, b, z, triple=False)[0]
 
 
 def kummer_m_derivs(a, b, z):
     """(F, z F', z^2 F'') of F = 1F1(a; b; z), the sums of t_n, n t_n and
     n(n-1) t_n over its terms, taking the arguments of kummer_m: one float
     pass, or one _kummer_block for an array z. The k-th derivative is
-    (a)_k/(b)_k 1F1(a+k; b+k; z), so the triple is rejected wherever one of
-    those three series is."""
+    (a)_k/(b)_k 1F1(a+k; b+k; z), and (a)_k vanishes past a's degree, so
+    the triple exists wherever the value does."""
     a, b, z = _arguments("kummer_m_derivs", a, b, z, positive=False)
+    _check_kummer_b(a, b)
     if isinstance(z, np.ndarray):
-        _check_kummer_b(a + np.arange(3.0), b + np.arange(3.0))
         return _kummer_block(a, b, z, triple=True)
-    for k in range(3):
-        _check_kummer_b(a + k, b + k)
     return _kummer_pass(a, b, z)
 
 

@@ -7,6 +7,7 @@ lines; the same checks back the `nhmorse verify` CLI subcommand.
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 from nhmorse import checks, morse
@@ -90,6 +91,31 @@ def test_grid_shape_names_every_problem(monkeypatch):
     rep = checks.check_grid_shape()
     assert not rep.passed and rep.grid_size == 1
     assert rep.note == f"output not deterministic; bad header 'x,K,y'; expected {61 * 41} rows, got 1"
+
+
+def test_wronskian_fails_on_a_zero_solution(monkeypatch):
+    # a W row of zeros makes every Wronskian zero: the oracle measures 0
+    # with a zero-scale note, and the check keeps the note and fails
+    grid = morse.wavefunction_grid
+
+    def zero_w_row(*args, **kwargs):
+        return tuple(np.vstack((v[:1], 0.0 * v[1:])) for v in grid(*args, **kwargs))
+
+    monkeypatch.setattr(morse, "wavefunction_grid", zero_w_row)
+    rep = checks.check_wronskian()
+    assert not rep.passed and rep.max_rel_residual == 0.0
+    assert rep.note == "; ".join(f"{s}: zero-scale: Wronskian identically zero" for s in ("fermionic", "bosonic"))
+    assert rep.line().startswith("FAIL wronskian ")
+
+
+def test_intertwining_fails_on_a_zero_raised_side(monkeypatch):
+    # a zero A+ w1 makes the ratio zero everywhere: the check keeps the
+    # oracle's zero-scale note and fails
+    raised = checks.raised_fermionic
+    monkeypatch.setattr(checks, "raised_fermionic", lambda *args: 0.0 * raised(*args))
+    rep = checks.check_intertwining()
+    assert not rep.passed and rep.max_rel_residual == 0.0
+    assert rep.note.startswith("zero-scale: ratio identically zero; mean_ratio/Kprime = ")
 
 
 def test_criterion_12_rk4_order():

@@ -24,11 +24,11 @@ ALLOWED: set[tuple[str, str]] = set()
 # Text that specfun no longer holds: the gamma-normalized Laguerre function
 # (no caller), WhittakerIndices.check (a second pole rule beside
 # _check_kummer_b), the Kummer transformation's z < 0 branch (outside
-# 1F1's domain z >= 0) and the per-term array loops that _kummer_block
-# replaced.
+# 1F1's domain z >= 0), the per-term array loops that _kummer_block
+# replaced, and the float helpers of the pole rule that _degree replaced.
 GONE_FROM_SPECFUN = (
     "laguerre_function", "def check(", "Kummer transformation", "M(b - a, b, -z)",
-    "_kummer_series_row", "_kummer_pass_row",
+    "_kummer_series_row", "_kummer_pass_row", "_integer_near", "_terminating_degree",
 )
 
 # Names that left the SUSY layer when it came to take the values R and R'
@@ -76,6 +76,15 @@ def test_removed_specfun_paths_stay_out():
     text = (PACKAGE / "specfun.py").read_text()
     assert [gone for gone in GONE_FROM_SPECFUN if gone in text] == []
     assert not hasattr(morse.WhittakerIndices, "check")
+
+
+def test_one_1f1_value_path():
+    # kummer_m sums every z, a float one too, by _kummer_block: the float
+    # loop _kummer_pass serves the float triple alone
+    tree = ast.parse((PACKAGE / "specfun.py").read_text())
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "kummer_m")
+    called = {getattr(node.func, "id", None) for node in ast.walk(body) if isinstance(node, ast.Call)}
+    assert "_kummer_block" in called and "_kummer_pass" not in called
 
 
 def test_one_morse_record():

@@ -228,6 +228,20 @@ class TestKummerRow:
                 worst = max(worst, abs(v - specfun.kummer_m(a, b, z)) / _abs_term_sum(a, b, z))
         assert worst <= 1e-14
 
+    def test_float_is_its_one_element_block(self):
+        # a float z is summed as a one-element block, bit for bit, on the
+        # samples above, and gives a complex scalar
+        rng = random.Random(20060515)
+        for _ in range(200):
+            a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
+            if not _admissible_b(b):
+                continue
+            for z in [rng.uniform(1e-6, 30.0) for _ in range(16)]:
+                got = specfun.kummer_m(a, b, z)
+                assert isinstance(got, np.complex128) and np.ndim(got) == 0
+                assert got.tobytes() == specfun.kummer_m(a, b, np.array([z]))[0].tobytes()
+
     def test_terminating_series_is_the_finite_sum(self):
         zs = np.linspace(0.0, 30.0, 31)
         for n in range(7):
@@ -385,7 +399,7 @@ class TestKummerBlock:
 
 class TestColumnRules:
     # the pole and termination rules over (R, 1) columns, one array
-    # operation, against the float path's _integer_near
+    # operation, against the float path's _degree
 
     VALUES = [
         0.0, -0.0, 1e-12, -1e-12, 1.5e-12, -1.5e-12, -1e-12j, 0.5, 3.0,
@@ -397,8 +411,7 @@ class TestColumnRules:
     def test_degrees_match_the_scalar_rule(self):
         column = specfun._degrees(np.array(self.VALUES, dtype=complex)[:, None])[:, 0]
         for v, got in zip(self.VALUES, column.tolist()):
-            want = specfun._terminating_degree(complex(v))
-            assert got == (math.inf if want is None else want), v
+            assert got == specfun._degree(complex(v)), v
 
     def test_pole_rule_matches_the_scalar_rule(self):
         # every (a, b) pair of VALUES: an (R, 1) column is rejected exactly
@@ -1004,15 +1017,22 @@ class TestWhittaker:
             worst = max(worst, abs(s1 / z - d1) / abs(d1), abs(s2 / (z * z) - d2) / abs(d2))
         assert worst <= 1e-12
 
-    def test_triple_rejections_unchanged(self):
-        # the rejections of the shifted-parameter series the triples used to
-        # sum: 1F1(0; b+1) and 1F1(-1; b+2) past a nonpositive b
-        for kappa, mu in ((-0.5, -1.0), (0.0, -1.5)):
-            idx = WhittakerIndices(kappa=kappa, mu=mu)
-            with pytest.raises(ParameterPole, match="^kummer_m: b = "):
-                whittaker_m(idx, 1.0)
-            with pytest.raises(ParameterPole, match="^kummer_m: b = "):
-                whittaker_m(idx, np.array([1.0]))
+    def test_triple_exists_wherever_the_value_does(self):
+        # the triple takes the value's one pole rule, on the float and the
+        # block path: 1F1(0; -1; z) = 1 and 1F1(-1; -2; z) = 1 + z/2 end
+        # before their denominators vanish, and their derivatives with them
+        def both_paths(a, b, z):
+            block = specfun.kummer_m_derivs(a, b, np.array([z]))
+            return [complex(v) for v in specfun.kummer_m_derivs(a, b, z)], [complex(v[0]) for v in block]
+
+        for z in (0.5, 1.0, 3.0):
+            assert both_paths(0.0, -1.0, z) == ([1.0, 0.0, 0.0],) * 2
+            assert both_paths(-1.0, -2.0, z) == ([1.0 + z / 2.0, z / 2.0, 0.0],) * 2
+        # a series that reaches its vanishing denominator is still rejected
+        for a in (0.7, -3.0):
+            for z in (1.0, np.array([1.0])):
+                with pytest.raises(ParameterPole, match=re.escape("kummer_m: b = (-2+0j) at a nonpositive integer")):
+                    specfun.kummer_m_derivs(a, -2.0, z)
 
 
 def _laguerre_series(n, p, y):
