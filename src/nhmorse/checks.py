@@ -29,22 +29,24 @@ from .riccati import RiccatiSign
 from .susy import Ladder, Sector
 
 FIG_PARAMS = MorseParameters()
-# Notes of verify._constancy that flag a row its deviation does not measure.
-_UNMEASURED = ("zero-scale", "degenerate")
 
 
 @dataclass
 class ResidualReport:
     """Outcome of one verification check; elapsed_s is the check's wall
-    time in seconds where run_checks ran it, and is not printed."""
+    time in seconds where run_checks ran it, and is not printed. A fault
+    the residual does not measure reads inf, so no tolerance passes it."""
 
     name: str
     grid_size: int
     max_rel_residual: float
-    passed: bool
     tolerance: float
     note: str = ""
     elapsed_s: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.max_rel_residual) and self.max_rel_residual <= self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -55,19 +57,6 @@ class ResidualReport:
         if self.note:
             out += f" ({self.note})"
         return out
-
-
-def _report(name, rel, tol, grid_size=0, note="", failed=False):
-    """The check's report: it passes where rel is within tol, unless the
-    check found a fault that rel does not measure (failed)."""
-    return ResidualReport(
-        name=name,
-        grid_size=grid_size,
-        max_rel_residual=rel,
-        passed=rel <= tol and not failed,
-        tolerance=tol,
-        note=note,
-    )
 
 
 def _kummer_oracle_samples():
@@ -84,7 +73,7 @@ def check_kummer_oracle(tol: float = 1e-10) -> ResidualReport:
     a, b, z, ref = _kummer_oracle_samples()
     val = specfun.kummer_m(a[:, None], b[:, None], z[:, None])[:, 0]
     worst = float(np.max(np.abs(val - ref) / np.maximum(np.abs(ref), 1e-300)))
-    return _report("kummer-oracle", worst, tol, grid_size=len(ref))
+    return ResidualReport("kummer-oracle", len(ref), worst, tol)
 
 
 def _m_and_w_rows(Ks: list[float]) -> MorseParameters:
@@ -98,9 +87,9 @@ def _residual_sweep(pmap: ParameterMap, shifts: Sequence[float]) -> tuple[list[f
     """The worst residual in w'' + (Q + s) w = 0 at each shift s given, of
     the M and W solutions at K in {0, 0.5, 1, 2}, one block of eight rows
     (an M row and a W row per K) per sector, whose coefficient is one
-    ode_coefficient call over the same columns, and a note for each block
-    that raised instead, naming the map, the sector, the exception and its
-    message."""
+    ode_coefficient call over the same columns. A block that raises makes
+    every shift inf, and leaves a note naming the map, the sector, the
+    exception and its message."""
     xs = np.linspace(0.0, 3.0, 301)
     rows = _m_and_w_rows([0.0, 0.5, 1.0, 2.0])
     worst = [0.0] * len(shifts)
@@ -112,7 +101,7 @@ def _residual_sweep(pmap: ParameterMap, shifts: Sequence[float]) -> tuple[list[f
             rels = [float(verify.ode_residual(q + s, w, d2w).max()) for s in shifts]
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             skipped.append(f"{pmap.value} {sector.value}: {type(exc).__name__}: {exc}")
-            continue
+            rels = [math.inf] * len(shifts)
         worst = [max(pair) for pair in zip(worst, rels)]
     return worst, skipped
 
@@ -141,7 +130,7 @@ def bound_state_residual(
 def check_residual_derived(tol: float = 1e-8) -> ResidualReport:
     """Derived-map closed forms satisfy their printed equations."""
     [worst], skipped = _residual_sweep(ParameterMap.DERIVED, [0.0])
-    return _report("residual-derived", worst, tol, grid_size=301, note="; ".join(skipped), failed=bool(skipped))
+    return ResidualReport("residual-derived", 301, worst, tol, "; ".join(skipped))
 
 
 def check_residual_printed(tol: float = 1e-8) -> ResidualReport:
@@ -156,7 +145,7 @@ def check_residual_printed(tol: float = 1e-8) -> ResidualReport:
     note = f"documented finding: printed map max residual {plain:.3e}"
     if skipped:
         note += "; skipped " + "; ".join(skipped)
-    return _report("residual-printed-report", shifted, tol, grid_size=301, note=note, failed=bool(skipped))
+    return ResidualReport("residual-printed-report", 301, shifted, tol, note)
 
 
 def check_integration_cross(tol: float = 1e-6) -> ResidualReport:
@@ -172,7 +161,7 @@ def check_integration_cross(tol: float = 1e-6) -> ResidualReport:
     w1, _ = verify.integrate_ode(Q, 1.0, w0, dw0, 2.0, step=5e-4)
     exact = morse.wavefunction_derivs(p, sector, pmap, 2.0)[0]
     rel = abs(w1 - exact) / abs(exact)
-    return _report("integration-cross-check", rel, tol)
+    return ResidualReport("integration-cross-check", 0, rel, tol)
 
 
 def check_intertwining(tol: float = 1e-8) -> ResidualReport:
@@ -182,8 +171,7 @@ def check_intertwining(tol: float = 1e-8) -> ResidualReport:
     xs = np.linspace(0.2, 3.0, 57)
     partner = morse.wavefunction_grid(p, Sector.BOSONIC, pmap, xs)[0]
     rel, note = verify.intertwining_check(raised_fermionic(p, pmap, xs), partner, p.Kprime)
-    failed = any(flag in note for flag in _UNMEASURED)
-    return _report("intertwining", rel, tol, grid_size=len(xs), note=note, failed=failed)
+    return ResidualReport("intertwining", len(xs), rel, tol, note)
 
 
 def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:
@@ -198,7 +186,7 @@ def check_riccati_closure(tol: float = 1e-12) -> ResidualReport:
     for sign, C in ((RiccatiSign.PLUS, p.C2_bar), (RiccatiSign.MINUS, p.C1_bar)):
         V = sign.value * (p.B_bar * e * e - C * e + p.A * p.A)
         worst = max(worst, float(np.max(np.abs(p.witten(sign, xs) - V) / (1.0 + np.abs(V)))))
-    return _report("riccati-closure", worst, tol, grid_size=602)
+    return ResidualReport("riccati-closure", 602, worst, tol)
 
 
 def check_expansion_identity(tol: float = 1e-12) -> ResidualReport:
@@ -216,7 +204,7 @@ def check_expansion_identity(tol: float = 1e-12) -> ResidualReport:
             rhs = susy.complex_potential_coefficient(R, dR, K, Kp, sector)
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
             count += lhs.size
-    return _report("expansion-identity", worst, tol, grid_size=count)
+    return ResidualReport("expansion-identity", count, worst, tol)
 
 
 def check_laguerre_identity(tol: float = 1e-10) -> ResidualReport:
@@ -230,14 +218,14 @@ def check_laguerre_identity(tol: float = 1e-10) -> ResidualReport:
     factor = np.array([[math.factorial(k) / math.prod(q + 1.0 + j for j in range(k))] for k, q in rows])
     lhs = specfun.kummer_m(-n, p + 1.0, y)
     worst = float(np.max(np.abs(lhs - factor * specfun.laguerre_poly(n, p, y)) / np.abs(lhs)))
-    return _report("laguerre-identity", worst, tol, grid_size=27)
+    return ResidualReport("laguerre-identity", 27, worst, tol)
 
 
 def check_reality_k0(tol: float = 1e-12) -> ResidualReport:
     """K = 0 slice of the figure grid is purely real (printed map)."""
     xs = np.linspace(0.0, 3.0, 61)
     w = np.array([morse.wavefunction_grid(FIG_PARAMS, s, ParameterMap.PRINTED, xs) for s in Sector])
-    return _report("reality-k0", float(np.abs(w.imag).max()), tol, grid_size=w.size)
+    return ResidualReport("reality-k0", w.size, float(np.abs(w.imag).max()), tol)
 
 
 def check_wronskian(tol: float = 1e-8) -> ResidualReport:
@@ -251,14 +239,12 @@ def check_wronskian(tol: float = 1e-8) -> ResidualReport:
         rel, note = verify.wronskian_constancy(m, dm, w, dw)
         worst = max(worst, rel)
         notes += [f"{sector.value}: {note}"] if note else []
-    note = "; ".join(notes)
-    failed = any(flag in note for flag in _UNMEASURED)
-    return _report("wronskian", worst, tol, grid_size=114, note=note, failed=failed)
+    return ResidualReport("wronskian", 114, worst, tol, "; ".join(notes))
 
 
 def check_grid_shape(tol: float = 1e-12) -> ResidualReport:
     """Default figure grid: exact header, 61 x 41 rows, byte-identical reruns,
-    real K = 0 rows."""
+    real K = 0 rows. A problem of the first three reads inf."""
     first = morse.render_grid(morse.GridSpec())
     second = morse.render_grid(morse.GridSpec())
     lines = first.split("\n")
@@ -273,7 +259,8 @@ def check_grid_shape(tol: float = 1e-12) -> ResidualReport:
     # the K = 0 rows, picked by their K field; only their im field is parsed
     k0_im = (ln.rsplit(",", 1)[1] for ln in body if ln.split(",", 2)[1] == "0")
     worst_im = max((abs(float(im)) for im in k0_im), default=0.0)
-    return _report("grid-shape", worst_im, tol, grid_size=len(body), note="; ".join(problems), failed=bool(problems))
+    rel = math.inf if problems else worst_im
+    return ResidualReport("grid-shape", len(body), rel, tol, "; ".join(problems))
 
 
 def check_rk4_order(tol: float = 0.25) -> ResidualReport:
@@ -292,7 +279,7 @@ def check_rk4_order(tol: float = 0.25) -> ResidualReport:
         w, dw = verify.integrate_ode(Q, 0.0, 0.0, 1.0, 1.0, step=h)
         errs.append(math.hypot(abs(w - math.sin(1.0)), abs(dw - math.cos(1.0))))
     ratio = errs[0] / errs[1]
-    return _report("rk4-order", abs(ratio / 16.0 - 1.0), tol, note=f"ratio = {ratio:.3f}")
+    return ResidualReport("rk4-order", 0, abs(ratio / 16.0 - 1.0), tol, f"ratio = {ratio:.3f}")
 
 
 CHECKS: dict[str, Callable[..., ResidualReport]] = {

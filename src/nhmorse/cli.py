@@ -43,10 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--Kprime", type=float, default=2.0)
     g.add_argument("--component", choices=[s.value for s in Sector], default="bosonic")
     g.add_argument("--param-map", choices=[m.value for m in ParameterMap], default="printed")
-    g.add_argument("--solution", choices=["m", "w", "mix"], default="m",
-                   help="m: regular (Laguerre-form), w: recessive, mix: alpha*M + beta*W")
-    g.add_argument("--alpha", type=_parse_complex, default=1.0 + 0.0j, metavar="RE[,IM]")
-    g.add_argument("--beta", type=_parse_complex, default=0.0 + 0.0j, metavar="RE[,IM]")
+    g.add_argument("--alpha", type=_parse_complex, default=1.0 + 0.0j, metavar="RE[,IM]",
+                   help="amplitude of the regular solution M")
+    g.add_argument("--beta", type=_parse_complex, default=0.0 + 0.0j, metavar="RE[,IM]",
+                   help="amplitude of the recessive solution W")
     g.add_argument("--x-min", type=float, default=0.0)
     g.add_argument("--x-max", type=float, default=3.0)
     g.add_argument("--nx", type=int, default=61)
@@ -74,17 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_grid(args) -> int:
-    alpha = 0j if args.solution == "w" else args.alpha
-    beta = 0j if args.solution == "m" else args.beta
-    if alpha == 0 and beta == 0:
-        flag = {"m": "--alpha", "w": "--beta"}.get(args.solution, "--alpha or --beta")
-        print(f"error: the grid is zero everywhere; set a nonzero {flag}", file=sys.stderr)
+    if args.alpha == 0 and args.beta == 0:
+        print("error: the grid is zero everywhere; set a nonzero --alpha or --beta", file=sys.stderr)
         return 2
     spec = GridSpec(
         A=args.A, B=args.B, a=args.a, Kprime=args.Kprime,
         component=Sector(args.component),
         param_map=ParameterMap(args.param_map),
-        alpha=alpha, beta=beta,
+        alpha=args.alpha, beta=args.beta,
         x_min=args.x_min, x_max=args.x_max, nx=args.nx,
         K_min=args.K_min, K_max=args.K_max, nK=args.nK,
     )

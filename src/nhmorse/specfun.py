@@ -20,7 +20,7 @@ pass over the terms gives all three sums. U and its derivatives come from
 their Laplace integral, summed on one table of exp-sinh nodes whose
 weights gain a factor -t per derivative, for every complex a and b and
 any z > 0; a float z sums the first two steps as one product over the
-whole s range. Like `kummer_m`, `tricomi_u` and both triples take (R, 1)
+whole s range. Like `kummer_m`, both triples take (R, 1)
 columns of parameters with an array of shape (N,), giving (R, N) blocks:
 a 1F1 triple block is one `_kummer_block`, a U block one `_tricomi_block`
 over the nodes of the rows' union window, its exponentials of z shared by
@@ -541,15 +541,11 @@ def _tricomi_derivs(a, b, z):
     return state[:3]
 
 
-def tricomi_u(a, b, z):
-    """Tricomi confluent hypergeometric function U(a, b, z), any complex a
-    and b: at a float z > 0; elementwise over a numpy array of them; or, for
-    (R, 1) columns of a and b, as an (R, N) block over z of shape (N,)."""
-    return _tricomi_derivs(*_arguments("tricomi_u", a, b, z, positive=True))[0]
-
-
 def tricomi_u_derivs(a, b, z):
-    """(U, z U', z^2 U'') of U(a, b, z), taking the arguments of tricomi_u."""
+    """(U, z U', z^2 U'') of the Tricomi confluent hypergeometric function
+    U(a, b, z), any complex a and b: at a float z > 0; elementwise over a
+    numpy array of them; or, for (R, 1) columns of a and b, as an (R, N)
+    block over z of shape (N,)."""
     a, b, z = _arguments("tricomi_u_derivs", a, b, z, positive=True)
     u, u1, u2 = _tricomi_derivs(a, b, z)
     return u, z * u1, z * (z * u2)

@@ -11,7 +11,8 @@ step at a time, and residual/Wronskian/intertwining evaluators.
 The grid oracles take the arrays their caller evaluated (checks evaluates
 the closed forms once on its grid): the coefficient and the values at
 every point, as (N,) arrays or (R, N) blocks of R rows. Each oracle
-returns what it measured; checks judges that against a tolerance.
+returns what it measured, inf where it cannot measure; checks judges
+that against a tolerance.
 """
 
 from __future__ import annotations
@@ -164,17 +165,17 @@ def integrate_ode(
 def _constancy(what: str, vals: np.ndarray) -> tuple[float, str, np.ndarray]:
     """The RMS deviation of vals from their mean along the last axis,
     relative to |mean| and the largest over the rows of an (R, N) block; a
-    note; and the mean of each row. A row of values zero everywhere gives
-    0 with a zero-scale note, a mean below 1e-13 of the row's max |vals|
-    inf with a degenerate one."""
+    note; and the mean of each row. A row whose |mean| is at most 1e-13
+    of its max |vals| is not measured and gives inf, with a zero-scale note
+    where the row is zero everywhere and a degenerate one elsewhere."""
     scale = np.max(np.abs(vals), axis=-1)
     mean = vals.mean(axis=-1)
     dev = np.sqrt(np.mean(np.abs(vals - mean[..., None]) ** 2, axis=-1))
     zero = scale == 0.0
-    degenerate = ~zero & (np.abs(mean) <= 1e-13 * scale)
+    unmeasured = np.abs(mean) <= 1e-13 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = float(np.where(zero, 0.0, np.where(degenerate, math.inf, dev / np.abs(mean))).max())
-    notes = ((zero, f"zero-scale: {what} identically zero"), (degenerate, f"degenerate: zero-mean {what}"))
+        rel = float(np.where(unmeasured, math.inf, dev / np.abs(mean)).max())
+    notes = ((zero, f"zero-scale: {what} identically zero"), (unmeasured & ~zero, f"degenerate: zero-mean {what}"))
     return rel, "; ".join(note for flags, note in notes if flags.any()), mean
 
 
@@ -196,14 +197,14 @@ def intertwining_check(raised: np.ndarray, partner: np.ndarray, Kprime: float) -
 
     raised is A+ applied to one sector's solution and partner the other
     sector's solution at the grid's points; the intertwining relation
-    makes them proportional. Points where |partner| <= 1e-12 are dropped.
-    The ratio goes through wronskian_constancy's reduction, and for
-    K' != 0 the note gives the mean ratio over K', the claimed
-    proportionality constant.
+    makes them proportional. Points where |partner| <= 1e-12 are dropped,
+    and a grid with none left gives inf. The ratio goes through
+    wronskian_constancy's reduction, and for K' != 0 the note gives the
+    mean ratio over K', the claimed proportionality constant.
     """
     keep = np.abs(partner) > 1e-12
     if not keep.any():
-        raise ValueError("all grid points degenerate (|partner| <= 1e-12)")
+        return math.inf, "all grid points degenerate (|partner| <= 1e-12)"
     rel, note, mean = _constancy("ratio", raised[keep] / partner[keep])
     if Kprime != 0.0:
         c = complex(mean) / Kprime

@@ -5,12 +5,14 @@ lines; the same checks back the `nhmorse verify` CLI subcommand.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
 import pytest
 
-from nhmorse import checks, morse
+from nhmorse import checks, cli, morse
+from nhmorse.susy import Sector
 
 
 def _run(name, runtime_limit=None):
@@ -85,36 +87,65 @@ def test_criterion_11_grid_determinism_and_shape():
 
 def test_grid_shape_names_every_problem(monkeypatch):
     # renders that differ, a wrong header and a wrong row count are each
-    # noted, and fail the check
+    # noted, and read inf
     renders = iter(["x,K,y\n0,0,1,2,0\n", "x,K,y\n0,0,1,2,0.5\n"])
     monkeypatch.setattr(morse, "render_grid", lambda spec: next(renders))
     rep = checks.check_grid_shape()
-    assert not rep.passed and rep.grid_size == 1
+    assert not rep.passed and rep.grid_size == 1 and rep.max_rel_residual == math.inf
     assert rep.note == f"output not deterministic; bad header 'x,K,y'; expected {61 * 41} rows, got 1"
 
 
-def test_wronskian_fails_on_a_zero_solution(monkeypatch):
-    # a W row of zeros makes every Wronskian zero: the oracle measures 0
-    # with a zero-scale note, and the check keeps the note and fails
+def zero_w_row(monkeypatch):
+    """Make the W row of every wavefunction_grid block zero."""
     grid = morse.wavefunction_grid
 
-    def zero_w_row(*args, **kwargs):
+    def zeroed(*args, **kwargs):
         return tuple(np.vstack((v[:1], 0.0 * v[1:])) for v in grid(*args, **kwargs))
 
-    monkeypatch.setattr(morse, "wavefunction_grid", zero_w_row)
+    monkeypatch.setattr(morse, "wavefunction_grid", zeroed)
+
+
+def test_wronskian_fails_on_a_zero_solution(monkeypatch):
+    # a W row of zeros makes every Wronskian zero: the oracle cannot measure
+    # it and reads inf with a zero-scale note, and the check keeps the note
+    zero_w_row(monkeypatch)
     rep = checks.check_wronskian()
-    assert not rep.passed and rep.max_rel_residual == 0.0
+    assert not rep.passed and rep.max_rel_residual == math.inf
     assert rep.note == "; ".join(f"{s}: zero-scale: Wronskian identically zero" for s in ("fermionic", "bosonic"))
-    assert rep.line().startswith("FAIL wronskian ")
+    assert rep.line().startswith("FAIL wronskian max_rel_residual=inf ")
+
+
+def test_an_unmeasured_wronskian_fails_under_any_tolerance(monkeypatch, capsys):
+    zero_w_row(monkeypatch)
+    assert cli.main(["verify", "--only", "wronskian", "--tol", "inf"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL wronskian max_rel_residual=inf tol=inf ")
+
+
+def test_a_zero_partner_fails_intertwining_without_raising(monkeypatch, capsys):
+    # every partner point is degenerate: the oracle reads inf, and verify
+    # prints its FAIL line instead of a traceback
+    grid = morse.wavefunction_grid
+
+    def zero_bosonic(rows, sector, *args, **kwargs):
+        out = grid(rows, sector, *args, **kwargs)
+        return tuple(0.0 * v for v in out) if sector is Sector.BOSONIC else out
+
+    monkeypatch.setattr(morse, "wavefunction_grid", zero_bosonic)
+    assert cli.main(["verify", "--only", "intertwining"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "FAIL intertwining max_rel_residual=inf tol=1.000e-08 (all grid points degenerate (|partner| <= 1e-12))\n"
+    )
+    assert captured.err == ""
 
 
 def test_intertwining_fails_on_a_zero_raised_side(monkeypatch):
-    # a zero A+ w1 makes the ratio zero everywhere: the check keeps the
-    # oracle's zero-scale note and fails
+    # a zero A+ w1 makes the ratio zero everywhere: the oracle reads inf,
+    # and the check keeps its zero-scale note
     raised = checks.raised_fermionic
     monkeypatch.setattr(checks, "raised_fermionic", lambda *args: 0.0 * raised(*args))
     rep = checks.check_intertwining()
-    assert not rep.passed and rep.max_rel_residual == 0.0
+    assert not rep.passed and rep.max_rel_residual == math.inf
     assert rep.note.startswith("zero-scale: ratio identically zero; mean_ratio/Kprime = ")
 
 

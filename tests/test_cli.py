@@ -88,11 +88,20 @@ class TestGrid:
 
     def test_solution_kinds(self, capsys):
         code_w, out_w, _ = run(capsys, "grid", "--nx", "3", "--nK", "2",
-                               "--solution", "w", "--beta", "1,0", "--K-min", "0.5")
+                               "--alpha", "0", "--beta", "1,0", "--K-min", "0.5")
         code_mix, out_mix, _ = run(capsys, "grid", "--nx", "3", "--nK", "2",
-                                   "--solution", "mix", "--beta", "0.5,0.5", "--K-min", "0.5")
+                                   "--beta", "0.5,0.5", "--K-min", "0.5")
         assert code_w == 0 and code_mix == 0
         assert out_w != out_mix
+
+    def test_amplitudes_alone_pick_the_terms(self, capsys):
+        # a nonzero --beta adds W to the default M; there is no flag that
+        # overrides the amplitudes
+        _, default, _ = run(capsys, "grid", "--nx", "3", "--nK", "2")
+        _, mixed, _ = run(capsys, "grid", "--nx", "3", "--nK", "2", "--beta", "1")
+        assert mixed != default
+        code, out, err = run(capsys, "grid", "--solution", "w")
+        assert code == 2 and out == "" and "unrecognized arguments: --solution w" in err
 
     def test_flag_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "grid", "--component", "spinless")
@@ -100,11 +109,12 @@ class TestGrid:
 
     @pytest.mark.parametrize("solution, beta", [("w", "1,0"), ("mix", "0.5,-0.25")])
     def test_recessive_grids_match_scalar_wavefunction(self, capsys, solution, beta):
-        # K' = 1.9 keeps b = 2 mu + 1 off the integers on every row
-        code, out, _ = run(capsys, "grid", "--solution", solution, "--beta", beta, "--alpha", "0.75,0.5",
+        # W alone (alpha = 0) and alpha M + beta W; K' = 1.9 keeps
+        # b = 2 mu + 1 off the integers on every row
+        alpha = 0.0 if solution == "w" else 0.75 + 0.5j
+        code, out, _ = run(capsys, "grid", "--alpha", f"{alpha.real},{alpha.imag}", "--beta", beta,
                            "--Kprime", "1.9", "--nx", "7", "--nK", "5", "--component", "fermionic")
         assert code == 0
-        alpha = 0.0 if solution == "w" else 0.75 + 0.5j
         beta = complex(*map(float, beta.split(",")))
         for line in out.splitlines()[1:]:
             x, K, _, re, im = map(float, line.split(","))
@@ -121,7 +131,7 @@ class TestGrid:
         assert "K=0 to 2" in err and "x=-20 to -19" in err
         # a bosonic W row whose quadrature does not settle at x = 80 names
         # its own a = 1/2 + mu - kappa, not the a + 1 that the quadrature took
-        code, out, err = run(capsys, *"grid --solution w --beta 1 --Kprime 0 --K-min 1 --K-max 1 --nK 1 "
+        code, out, err = run(capsys, *"grid --alpha 0 --beta 1 --Kprime 0 --K-min 1 --K-max 1 --nK 1 "
                              "--x-min 80 --x-max 80 --nx 1".split())
         assert code == 1 and out == ""
         assert "did not converge: a=(0.5723027555148466-0.544039299028138j)" in err and "K=1 to 1, x=80 to 80" in err
@@ -159,7 +169,7 @@ class TestGrid:
     def test_recessive_overflow_exits_1_without_warnings(self, capsys):
         # at x = 300 the W quadrature's sums overflow: one error line naming
         # the row's a and b, and no numpy warning before it
-        argv = "grid --solution w --beta 1 --x-min 300 --x-max 300 --nx 1 --K-max 0 --nK 1".split()
+        argv = "grid --alpha 0 --beta 1 --x-min 300 --x-max 300 --nx 1 --K-max 0 --nK 1".split()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, *argv)
@@ -168,18 +178,13 @@ class TestGrid:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "tricomi_u quadrature did not converge: a=(3+0j), b=(9+0j)" in err
 
-    @pytest.mark.parametrize("argv, flag", [
-        ("grid --solution w", "--beta"),
-        ("grid --alpha 0", "--alpha"),
-        ("grid --solution mix --alpha 0,0", "--alpha or --beta"),
-    ])
-    def test_all_zero_grid_exits_2(self, capsys, argv, flag):
-        # both amplitudes zero after --solution picks the terms: a grid of
-        # zeros says nothing, so one error line names the flag to set
+    @pytest.mark.parametrize("argv", ["grid --alpha 0", "grid --alpha 0,0 --beta 0,0"])
+    def test_all_zero_grid_exits_2(self, capsys, argv):
+        # both amplitudes zero: a grid of zeros says nothing, so one error
+        # line names the flags to set
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert err.rstrip().endswith(f"set a nonzero {flag}")
+        assert err == "error: the grid is zero everywhere; set a nonzero --alpha or --beta\n"
 
     def test_huge_k_exits_1(self, capsys):
         # K^2 overflows past |K| = 1.3e154: one error line naming K, and no
@@ -223,7 +228,7 @@ class TestGrid:
     def test_recessive_at_underflowed_y_exits_1(self, capsys):
         # W diverges as y -> 0: the error names the x where y underflows to
         # 0, as the float and triple paths do, not U's z > 0
-        argv = "grid --solution w --beta 1 --x-min 1500 --x-max 1500 --nx 1 --nK 1".split()
+        argv = "grid --alpha 0 --beta 1 --x-min 1500 --x-max 1500 --nx 1 --nK 1".split()
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == (
@@ -234,7 +239,7 @@ class TestGrid:
     def test_recessive_grid_at_the_figure_point(self, capsys):
         # the W solution on the default grid: printed map, K = 0 gives the
         # integer b = 2 mu + 1 = 9, and there W is real
-        code, out, _ = run(capsys, "grid", "--solution", "w", "--beta", "1,0")
+        code, out, _ = run(capsys, "grid", "--alpha", "0", "--beta", "1,0")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "x,K,y,re,im" and len(lines) == FIG_ROWS + 1
@@ -424,7 +429,7 @@ class TestMisc:
         "bound-states --B 0", "bound-states --a 0", "bound-states --a -1",
         "grid --Kprime nan", "grid --x-min=-inf", "grid --K-max inf", "params --A inf",
         "params --x-max nan", "bound-states --A inf", "params --K=-inf",
-        "grid --alpha nan --nx 2 --nK 2", "grid --solution w --beta inf --nx 2 --nK 2",
+        "grid --alpha nan --nx 2 --nK 2", "grid --alpha 0 --beta inf --nx 2 --nK 2",
     ])
     def test_nonpositive_parameter_exits_2(self, capsys, argv):
         # B, a and the grid sizes must be positive, and the float flags

@@ -2,6 +2,7 @@
 specfun holds none of the paths it dropped."""
 
 import ast
+import dataclasses
 import inspect
 import math
 import re
@@ -25,10 +26,12 @@ ALLOWED: set[tuple[str, str]] = set()
 # (no caller), WhittakerIndices.check (a second pole rule beside
 # _check_kummer_b), the Kummer transformation's z < 0 branch (outside
 # 1F1's domain z >= 0), the per-term array loops that _kummer_block
-# replaced, and the float helpers of the pole rule that _degree replaced.
+# replaced, the float helpers of the pole rule that _degree replaced, and
+# tricomi_u, which was tricomi_u_derivs(...)[0].
 GONE_FROM_SPECFUN = (
     "laguerre_function", "def check(", "Kummer transformation", "M(b - a, b, -z)",
     "_kummer_series_row", "_kummer_pass_row", "_integer_near", "_terminating_degree",
+    "def tricomi_u(",
 )
 
 # Names that left the SUSY layer when it came to take the values R and R'
@@ -227,6 +230,14 @@ def test_verify_measures_and_checks_judges():
     assert nhmorse.ResidualReport is checks.ResidualReport
     defaults = {name: inspect.signature(fn).parameters["tol"].default for name, fn in checks.CHECKS.items()}
     assert [name for name, tol in defaults.items() if not 0.0 < tol < math.inf] == []
+
+
+def test_a_verdict_is_its_number_and_tolerance():
+    # a check reports what it cannot measure as inf: no flag beside the
+    # number decides the verdict, and passed is derived, not stored
+    text = (PACKAGE / "checks.py").read_text()
+    assert [gone for gone in ("_report", "_UNMEASURED", "failed=") if gone in text] == []
+    assert "passed" not in {field.name for field in dataclasses.fields(checks.ResidualReport)}
 
 
 def test_every_data_file_is_package_data():

@@ -194,8 +194,8 @@ _NAN, _INF = math.nan, math.inf
     [
         (lambda z: specfun.kummer_m(1.0, 2.0, z), _NAN, "z = nan"),
         (lambda z: specfun.kummer_m(1.0, 2.0, z), _INF, "z = inf"),
-        (lambda z: specfun.tricomi_u(1.0, 2.0, z), _NAN, "z = nan"),
-        (lambda z: specfun.tricomi_u(1.0, 2.0, z), _INF, "z = inf"),
+        (lambda z: specfun.tricomi_u_derivs(1.0, 2.0, z)[0], _NAN, "z = nan"),
+        (lambda z: specfun.tricomi_u_derivs(1.0, 2.0, z)[0], _INF, "z = inf"),
         (lambda z: specfun.kummer_m(complex(_NAN, 0.0), 2.0, z), 1.0, "a = (nan+0j)"),
         (lambda z: specfun.kummer_m(1.0, _INF, z), 1.0, "b = inf"),
         (lambda z: whittaker_m(WhittakerIndices(kappa=0.3, mu=0.8), z), _NAN, "z = nan"),
@@ -309,7 +309,7 @@ class TestKummerRow:
 
     def test_empty_array(self):
         # an empty z array sums nothing and returns an empty result, as
-        # tricomi_u does
+        # tricomi_u_derivs does
         assert specfun.kummer_m(1.0, 2.0, np.array([])).shape == (0,)
         assert specfun.kummer_m(np.array([[1.0], [2.0]]), np.array([[2.0], [3.0]]), np.array([])).shape == (2, 0)
         idx = WhittakerIndices(kappa=0.3, mu=0.8)
@@ -443,7 +443,7 @@ class TestColumnRules:
         zs = np.linspace(0.5, 4.0, 7)
         column, number = np.array([[0.5], [-1.2 + 0.3j]]), 1.5 - 0.2j
         both = np.full((2, 1), number)
-        for call in (specfun.kummer_m, specfun.kummer_m_derivs, specfun.tricomi_u, specfun.tricomi_u_derivs):
+        for call in (specfun.kummer_m, specfun.kummer_m_derivs, specfun.tricomi_u_derivs):
             assert np.array_equal(call(column, number, zs), call(column, both, zs)), call
             assert np.array_equal(call(number, column + 2.0, zs), call(both, column + 2.0, zs)), call
 
@@ -488,9 +488,9 @@ class TestWhittakerBlocks:
         # rows shifted up to Re a >= 1 are named by the caller's a, not the
         # shifted a the quadrature takes, in a block and at a float z
         with pytest.raises(NonConvergence, match=re.escape("a=(-0.5+0.5j), b=(3-1j), z in [0.5, 8.0]")):
-            specfun.tricomi_u(a - 2.0, b, zs)
+            specfun.tricomi_u_derivs(a - 2.0, b, zs)
         with pytest.raises(NonConvergence, match=re.escape("a=(-0.5+0.5j), b=(3-1j), z in [0.5, 0.5]")):
-            specfun.tricomi_u(-0.5 + 0.5j, 3.0 - 1.0j, 0.5)
+            specfun.tricomi_u_derivs(-0.5 + 0.5j, 3.0 - 1.0j, 0.5)
 
     def test_block_mixes_shifted_integer_and_plain_rows(self, monkeypatch):
         # rows shifted up to Re a >= 1 by one and by three steps, integer a
@@ -541,9 +541,9 @@ class TestWhittakerBlocks:
         a_col = np.array([[1.5], [1.0 + 16.0j], [1.0 + 20.0j]])
         b_col = np.array([[2.0], [1.0 + 16.0j], [1.0 + 20.0j]])
         with pytest.raises(NonConvergence, match=re.escape("a=(1+16j), b=(1+16j)")):
-            specfun.tricomi_u(a_col, b_col, zs)
+            specfun.tricomi_u_derivs(a_col, b_col, zs)
         with pytest.raises(NonConvergence, match=re.escape("a=(1+20j), b=(1+20j)")):
-            specfun.tricomi_u(a_col[::2], b_col[::2], zs)
+            specfun.tricomi_u_derivs(a_col[::2], b_col[::2], zs)
 
     def test_empty_blocks(self):
         # no rows, or no y: empty (R, N) results, no quadrature or series
@@ -552,7 +552,7 @@ class TestWhittakerBlocks:
         for fn in (whittaker_m, whittaker_w):
             assert [v.shape for v in fn(none, np.array([1.0, 2.0]))] == [(0, 2)] * 3
             assert [v.shape for v in fn(idx, np.array([]))] == [(2, 0)] * 3
-        assert specfun.tricomi_u(np.zeros((0, 1)), np.zeros((0, 1)), np.array([1.0])).shape == (0, 1)
+        assert specfun.tricomi_u_derivs(np.zeros((0, 1)), np.zeros((0, 1)), np.array([1.0]))[0].shape == (0, 1)
         no_rows = MorseParameters(K=np.zeros((0, 1)))
         assert [v.shape for v in morse.wavefunction_grid(no_rows, Sector.BOSONIC, ParameterMap.DERIVED, [1.0], derivs=True)] == [(0, 1)] * 3
 
@@ -572,11 +572,10 @@ class TestWhittakerBlocks:
         # whose triple then equals the float loop's
         idx = _index_columns([WhittakerIndices(kappa=0.3, mu=0.8), WhittakerIndices(kappa=-0.4, mu=1.1)])
         a, b = idx.series_a, idx.series_b
-        for fn in (specfun.tricomi_u, specfun.tricomi_u_derivs):
-            with pytest.raises(ValueError, match="do not fit"):
-                fn(a, b, np.ones((2, 1)))
         with pytest.raises(ValueError, match="do not fit"):
-            specfun.tricomi_u(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 3)))
+            specfun.tricomi_u_derivs(a, b, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="do not fit"):
+            specfun.tricomi_u_derivs(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="do not fit"):
             specfun.kummer_m_derivs(a, b, np.ones((2, 3)))
         zs = np.array([[0.5], [3.0]])
@@ -595,18 +594,18 @@ def _hyperu(a, b, z):
 
 
 class TestTricomiRow:
-    # tricomi_u over a numpy array of z: one quadrature for the whole array
+    # U over a numpy array of z: one quadrature for the whole array
 
     def test_row_matches_float_calls(self):
         # each element agrees with its float call
         a, b = 0.5 + 0.5j, 2.3 - 1.1j
         zs = np.array([0.5, 2.0, 4.0, 8.0, 19.9, 20.0, 25.0, 40.0])
-        row = specfun.tricomi_u(a, b, zs)
+        row = specfun.tricomi_u_derivs(a, b, zs)[0]
         for z, v in zip(zs.tolist(), row.tolist()):
-            assert_close(v, specfun.tricomi_u(a, b, z), rel=1e-13)
+            assert_close(v, specfun.tricomi_u_derivs(a, b, z)[0], rel=1e-13)
         with pytest.raises(ValueError):
-            specfun.tricomi_u(1.0, 1.5, np.array([2.0, 0.0]))
-        assert specfun.tricomi_u(1.0, 1.5, np.array([])).shape == (0,)
+            specfun.tricomi_u_derivs(1.0, 1.5, np.array([2.0, 0.0]))
+        assert specfun.tricomi_u_derivs(1.0, 1.5, np.array([]))[0].shape == (0,)
 
     def test_integer_b_rejected_like_scalar(self):
         # neither call rejects integer b any longer: the array call takes
@@ -614,14 +613,14 @@ class TestTricomiRow:
         # call rejects, a nonpositive z
         zs = np.array([3.0, 25.0])
         for b in (2.0, 2.0 + 5e-7, -3.0):
-            row = specfun.tricomi_u(1.0, b, zs)
+            row = specfun.tricomi_u_derivs(1.0, b, zs)[0]
             for z, v in zip(zs.tolist(), row.tolist()):
-                assert_close(v, specfun.tricomi_u(1.0, b, z), rel=1e-13)
+                assert_close(v, specfun.tricomi_u_derivs(1.0, b, z)[0], rel=1e-13)
         for z in (0.0, -2.0):
             with pytest.raises(ValueError):
-                specfun.tricomi_u(1.0, 2.0, z)
+                specfun.tricomi_u_derivs(1.0, 2.0, z)
             with pytest.raises(ValueError):
-                specfun.tricomi_u(1.0, 2.0, np.array([3.0, z]))
+                specfun.tricomi_u_derivs(1.0, 2.0, np.array([3.0, z]))
 
     def test_block_integer_b_row_named(self):
         # the parameter rows of a block whose middle row has b within 1e-6
@@ -629,18 +628,18 @@ class TestTricomiRow:
         # over the array; a rejected array names its least z
         zs = np.array([3.0, 25.0])
         for a, b in ((1.0, 1.5), (0.5 + 0.5j, 3.0 + 4e-7j), (2.0, 2.5 - 1.0j)):
-            row = specfun.tricomi_u(a, b, zs)
+            row = specfun.tricomi_u_derivs(a, b, zs)[0]
             for z, v in zip(zs.tolist(), row.tolist()):
                 assert_close(v, _hyperu(a, b, z), rel=1e-13)
         with pytest.raises(ValueError, match=re.escape(str(-1.5))):
-            specfun.tricomi_u(0.5 + 0.5j, 3.0 + 4e-7j, np.array([3.0, -1.5, 25.0]))
+            specfun.tricomi_u_derivs(0.5 + 0.5j, 3.0 + 4e-7j, np.array([3.0, -1.5, 25.0]))
 
     def test_integer_b_row_matches_mpmath(self):
         # integer b, including b = a + n, b = 1 and nonpositive b, and a
         # nonpositive integer a (a polynomial in z), over z in [0.05, 80]
         zs = np.geomspace(0.05, 80.0, 9)
         for a, b in ((3.0, 9.0), (1.3 + 0.4j, 1.0), (2.0, -3.0), (1.0, 2.0), (-2.0, 3.0), (0.7 - 0.2j, 2.0 + 5e-7)):
-            row = specfun.tricomi_u(a, b, zs)
+            row = specfun.tricomi_u_derivs(a, b, zs)[0]
             for z, v in zip(zs.tolist(), row.tolist()):
                 assert_close(v, _hyperu(a, b, z), rel=1e-13)
 
@@ -654,23 +653,23 @@ class TestTricomiRow:
             a = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
             b = complex(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0))
             zs = np.sort([rng.uniform(0.05, 30.0) for _ in range(4)])
-            row = specfun.tricomi_u(a, b, zs)
+            row = specfun.tricomi_u_derivs(a, b, zs)[0]
             for z, v in zip(zs.tolist(), row.tolist()):
                 ref = _hyperu(a, b, z)
-                assert_close(v, specfun.tricomi_u(a, b, z), rel=1e-12)
+                assert_close(v, specfun.tricomi_u_derivs(a, b, z)[0], rel=1e-12)
                 worst = max(worst, abs(v - ref) / abs(ref))
         assert worst <= 1e-12
 
 
 class TestTricomi:
     def test_a_zero(self):
-        assert_close(specfun.tricomi_u(0.0, 1.3, 2.0), 1.0)
+        assert_close(specfun.tricomi_u_derivs(0.0, 1.3, 2.0)[0], 1.0)
 
     def test_frozen_values(self):
         # mpmath.hyperu, 30 digits
-        assert_close(specfun.tricomi_u(1.0, 1.5, 2.0), 0.421369229288054473224934333542, rel=1e-12)
+        assert_close(specfun.tricomi_u_derivs(1.0, 1.5, 2.0)[0], 0.421369229288054473224934333542, rel=1e-12)
         assert_close(
-            specfun.tricomi_u(0.5 + 0.5j, 2.3 - 1.1j, 4.0),
+            specfun.tricomi_u_derivs(0.5 + 0.5j, 2.3 - 1.1j, 4.0)[0],
             0.430639534101488061106449126402 - 0.473131261216224586144770785594j,
             rel=1e-11,
         )
@@ -679,19 +678,19 @@ class TestTricomi:
         # U(1, 2, z) = 1/z and U(-n, b, z) a polynomial; the rest against
         # mpmath, z from 0.05 to 80
         for z in (0.05, 3.0, 19.9, 20.0, 25.0, 80.0):
-            assert_close(specfun.tricomi_u(1.0, 2.0, z), 1.0 / z, rel=1e-14)
+            assert_close(specfun.tricomi_u_derivs(1.0, 2.0, z)[0], 1.0 / z, rel=1e-14)
             # U(-2, b, z) = z^2 - 2(b + 1) z + b(b + 1)
-            assert_close(specfun.tricomi_u(-2.0, 9.0, z), z * z - 20.0 * z + 90.0, rel=1e-13)
+            assert_close(specfun.tricomi_u_derivs(-2.0, 9.0, z)[0], z * z - 20.0 * z + 90.0, rel=1e-13)
             for a, b in ((3.0, 9.0), (1.3 + 0.4j, 1.0), (2.0, -3.0), (1.0, 2.0 + 5e-7)):
-                assert_close(specfun.tricomi_u(a, b, z), _hyperu(a, b, z), rel=1e-13)
+                assert_close(specfun.tricomi_u_derivs(a, b, z)[0], _hyperu(a, b, z), rel=1e-13)
 
     def test_decay_in_z(self):
-        vals = [abs(specfun.tricomi_u(1.5, 0.3, z)) for z in range(5, 31, 5)]
+        vals = [abs(specfun.tricomi_u_derivs(1.5, 0.3, z)[0]) for z in range(5, 31, 5)]
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ValueError):
-            specfun.tricomi_u(1.0, 1.5, -2.0)
+            specfun.tricomi_u_derivs(1.0, 1.5, -2.0)
 
     def test_float_sum_edges(self):
         # U(1, 2, z) = 1/z, with derivatives -1/z^2 and 2/z^3, from z = 1e-20,
@@ -714,7 +713,7 @@ class TestTricomi:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match=re.escape(f"a={complex(a)}, b={complex(b)}")):
-                specfun.tricomi_u(a, b, z)
+                specfun.tricomi_u_derivs(a, b, z)
 
     def test_float_sum_has_one_node_table(self):
         # the float quadrature's levels, the step 2^-(_ES_FIRST+1) nodes and
@@ -857,10 +856,11 @@ class TestWhittaker:
             for i, y in enumerate(ys.tolist()):
                 for row, ref in zip(rows, fn(idx, y)):
                     assert_close(row[i], ref, rel=1e-12)
-        a, b, u = idx.series_a, idx.series_b, specfun.tricomi_u
+        a, b = idx.series_a, idx.series_b
         for y in ys.tolist():
             # from_core takes U, y U' and y^2 U''
-            core = (u(a, b, y), -a * y * u(a + 1, b + 1, y), a * (a + 1) * y * y * u(a + 2, b + 2, y))
+            u = [specfun.tricomi_u_derivs(a + k, b + k, y)[0] for k in range(3)]
+            core = (u[0], -a * y * u[1], a * (a + 1) * y * y * u[2])
             for got, ref in zip(whittaker_w(idx, y), from_core(core, idx.mu, y)):
                 assert_close(got, ref, rel=1e-12)
 

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import re
@@ -394,7 +395,7 @@ class TestWronskian:
     def test_degenerate_pair_flagged(self):
         xs = np.linspace(0.0, 3.0, 11)
         f = np.sin(xs) + 0j, np.cos(xs) + 0j
-        assert verify.wronskian_constancy(*f, *f) == (0.0, "zero-scale: Wronskian identically zero")
+        assert verify.wronskian_constancy(*f, *f) == (math.inf, "zero-scale: Wronskian identically zero")
 
     def test_zero_mean_is_degenerate_without_warning(self):
         # W = f g' - g f' = cos x takes 1, 0, -1 on [0, pi]: zero mean, scale 1
@@ -443,7 +444,7 @@ class TestIntertwiningCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rel, note = verify.intertwining_check(*self.sides(p), p.Kprime)
-        assert type(rel) is float and rel == 0.0
+        assert type(rel) is float and rel == math.inf
         assert note.startswith("zero-scale: ratio identically zero; mean_ratio/Kprime = ")
 
     def test_zero_mean_ratio_is_degenerate(self):
@@ -455,10 +456,10 @@ class TestIntertwiningCheck:
         assert rel == math.inf
         assert note.startswith("degenerate: zero-mean ratio; mean_ratio/Kprime = ")
 
-    def test_all_points_degenerate_raises(self):
+    def test_all_points_degenerate_reads_inf(self):
         # no point with |partner| > 1e-12 leaves no ratio to reduce
-        with pytest.raises(ValueError, match=r"^all grid points degenerate \(\|partner\| <= 1e-12\)$"):
-            verify.intertwining_check(np.ones(3) + 0j, np.array([0.0, 1e-12, -1e-13j]), 2.0)
+        rel, note = verify.intertwining_check(np.ones(3) + 0j, np.array([0.0, 1e-12, -1e-13j]), 2.0)
+        assert rel == math.inf and note == "all grid points degenerate (|partner| <= 1e-12)"
 
     def test_same_reduction_as_wronskian(self):
         # a ratio and a Wronskian with the same values give the same deviation
@@ -472,14 +473,13 @@ class TestIntertwiningCheck:
 class TestReportInvariants:
     def test_pass_iff_within_tolerance(self):
         # checks judges an oracle's number: a report passes where it is
-        # within the tolerance and the check found no other fault
+        # finite and within the tolerance, so an unmeasured inf never does
         xs = np.linspace(0.0, 1.0, 11)
         worst = residual(const(-1.0, xs), exp_derivs(xs))
         assert worst >= 0.0
-        for tol in (worst, worst / 2.0, 1e-8):
-            rep = checks._report("ode-residual", worst, tol, grid_size=11)
-            assert rep.passed == (rep.max_rel_residual <= rep.tolerance)
-            assert not checks._report("ode-residual", worst, tol, failed=True).passed
+        for rel, tol in itertools.product((worst, math.inf), (worst, worst / 2.0, 1e-8, math.inf)):
+            rep = checks.ResidualReport("ode-residual", 11, rel, tol)
+            assert rep.passed == (math.isfinite(rel) and rel <= tol)
 
     def test_deterministic(self):
         xs = np.linspace(0.0, 3.0, 21)
