@@ -582,16 +582,10 @@ def bound_state_wave_derivs(
 ) -> tuple[complex, complex, complex]:
     """(w, w', w'') of bound state n of the sector, up to its constant
     amplitude, at a float x or elementwise over an array of them: the state
-    is e^{ax/2} M_{s+n+1/2, s}(y), whose core 1F1(-n; 2s+1; y) is
-    c L_n^{2s}(y), c = n!/(2s+1)_n, with the analytic y-derivatives
-    -c L_{n-1}^{2s+1}(y) and c L_{n-2}^{2s+2}(y), all three from one pass of
-    the Laguerre recurrence; c is a product of ratios, as n! overflows past 170."""
+    is e^{ax/2} M_{s+n+1/2, s}(y), whose core 1F1(-n; 2s+1; y) =
+    n!/(2s+1)_n L_n^{2s}(y) is a terminating kummer_m_derivs row."""
     s = bound_state_exponent(A, a, n, sector)
     if s <= 0.0:
         raise NonNormalizable(f"bound-state exponent {s} <= 0 for n = {n}")
     y = riccati.morse_y(MorseRiccati(A=A, B=B, a=a), x)
-    # the (degree, order) rows (n - k, 2s + k), k = 0, 1, 2, against every y
-    k = np.arange(3).reshape((3,) + (1,) * np.ndim(y))
-    c = math.prod(j / (2.0 * s + j) for j in range(1, n + 1))
-    f, f1, f2 = (-1.0) ** k * c * specfun.laguerre_poly(n - k, 2.0 * s + k, y)
-    return _whittaker_form(B, a, complex(s), x, y, (f, y * f1, y * (y * f2)))
+    return _whittaker_form(B, a, complex(s), x, y, specfun.kummer_m_derivs(-n, 2.0 * s + 1.0, y))

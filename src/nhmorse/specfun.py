@@ -3,34 +3,33 @@
 Log-gamma, Kummer (regular) and Tricomi (recessive) confluent
 hypergeometric functions with complex parameters, each also as the core
 triple (F, z F', z^2 F'') that the Whittaker closed forms of `morse` are
-built on, and classical associated Laguerre polynomials.
+built on.
 
 Each quantity has one entry point, which takes a float or a numpy array.
-Every 1F1 value, and the 1F1 triple at an array, comes from one kernel,
-`_kummer_block`, over arguments sharing one parameter set or (R, 1)
-columns of per-row parameters giving an (R, N) block: a chunk of terms at
-a time, as one real matrix product of per-row coefficients with
-per-column powers of z. The triple at a float z comes from one loop,
-`_kummer_pass`. A Kummer sum that overflows raises NonConvergence rather
-than return inf or NaN, and a non-finite argument raises ValueError
-before any sum starts.
+A terminating 1F1 row (a = -n), value or triple, comes from one Laguerre
+recurrence, `_kummer_poly`. Every other 1F1 value, and triple at an array,
+comes from one series kernel, `_kummer_block`, over arguments sharing one
+parameter set or (R, 1) columns of per-row parameters giving an (R, N)
+block: a chunk of terms at a time, as one real matrix product of per-row
+coefficients with per-column powers of z; the triple at a float z from
+one loop, `_kummer_pass`. Neither series kernel holds degree logic. A
+Kummer sum that overflows raises NonConvergence rather than return inf or
+NaN, and a non-finite argument raises ValueError before any sum starts.
 
-The 1F1 triple comes from the term-by-term differentiated series: one
-pass over the terms gives all three sums. U and its derivatives come from
-their Laplace integral, summed on one table of exp-sinh nodes whose
-weights gain a factor -t per derivative, for every complex a and b and
-any z > 0; a float z sums the first two steps as one product over the
-whole s range. Like `kummer_m`, both triples take (R, 1)
-columns of parameters with an array of shape (N,), giving (R, N) blocks:
-a 1F1 triple block is one `_kummer_block`, a U block one `_tricomi_block`
-over the nodes of the rows' union window, its exponentials of z shared by
-every row, as one real matrix product per step, (N, nodes) @ (nodes, 6R)
-for the sums at a alone or (nodes, 12R) with those at a + 1, which only a
-block with a row to recur down takes. The log integrand is a real product
-too, of the node table with the coefficients' real and imaginary parts.
-Both kernels take every product in tiles that OpenBLAS runs on one
-thread. A U sum that overflows raises NonConvergence without a numpy
-warning, as a Kummer sum does.
+U and its derivatives come from their Laplace integral, summed on one
+table of exp-sinh nodes whose weights gain a factor -t per derivative,
+for every complex a and b and any z > 0; a float z sums the first two
+steps as one product over the whole s range. Like `kummer_m`, both
+triples take (R, 1) columns of parameters with an array of shape (N,),
+giving (R, N) blocks: a U block is one `_tricomi_block` over the nodes of
+the rows' union window, its exponentials of z shared by every row, as one
+real matrix product per step, (N, nodes) @ (nodes, 6R) for the sums at a
+alone or (nodes, 12R) with those at a + 1, which only a block with a row
+to recur down takes. The log integrand is a real product too, of the node
+table with the coefficients' real and imaginary parts. Both kernels take
+every product in tiles that OpenBLAS runs on one thread. A U sum that
+overflows raises NonConvergence without a numpy warning, as a Kummer sum
+does.
 
 Conventions fixed here and used everywhere else in the library:
   * double precision throughout; every complex power, root and logarithm
@@ -117,26 +116,21 @@ def _degrees(a: np.ndarray) -> np.ndarray:
 
 def _kummer_pass(a: complex, b: complex, z):
     """(S0, S1, S2) = sums of t_n, n t_n and n(n-1) t_n over the terms t_n
-    of 1F1(a; b; z) at a float z in one pass, the float triple's loop: 1F1
-    then has value S0, first derivative S1/z and second derivative S2/z^2.
-
-    A terminating series (a a nonpositive integer -n) sums its n terms;
-    otherwise each sum stops once three consecutive terms fall below
-    _STOP_REL of it. Overflow raises NonConvergence.
-    """
-    n_term = _degree(a)
-    stop = _STOP_REL if n_term == math.inf else -1.0
+    of a 1F1(a; b; z) that does not terminate, at a float z in one pass: 1F1
+    then has value S0 and derivatives S1/z and S2/z^2. Each sum stops once
+    three consecutive terms fall below _STOP_REL of it; overflow raises
+    NonConvergence."""
     term = s0 = 1.0 + 0.0j
     s1 = s2 = 0j
     small = 0
-    for n in range(_MAX_TERMS if n_term == math.inf else int(n_term)):
+    for n in range(_MAX_TERMS):
         term *= (a + n) / (b + n) * z / (n + 1)
         d1 = (n + 1) * term
         d2 = n * d1
         s0 += term
         s1 += d1
         s2 += d2
-        if abs(term) <= stop * abs(s0) and abs(d1) <= stop * abs(s1) and abs(d2) <= stop * abs(s2):
+        if abs(term) <= _STOP_REL * abs(s0) and abs(d1) <= _STOP_REL * abs(s1) and abs(d2) <= _STOP_REL * abs(s2):
             small += 1
             if small >= 3:
                 break
@@ -144,7 +138,7 @@ def _kummer_pass(a: complex, b: complex, z):
             small = 0
     if not (cmath.isfinite(s0) and cmath.isfinite(s1) and cmath.isfinite(s2)):
         raise NonConvergence(f"kummer series did not converge: overflow at a={a}, b={b}, z={z}")
-    if n_term == math.inf and small < 3:
+    if small < 3:
         raise NonConvergence(f"kummer series did not converge: a={a}, b={b}, z={z}")
     return s0, s1, s2
 
@@ -190,9 +184,8 @@ def _serial_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-# overflow raises NonConvergence here, and a division by a vanishing b + n
-# is zeroed, so numpy need not warn of either
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+# overflow raises NonConvergence here, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
     """The sums of _kummer_pass, of t_n (and for the triple also of n t_n
     and n(n-1) t_n) over the terms of 1F1(a; b; z), at every z of an
@@ -203,16 +196,14 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
     terms at its largest z, zhat, so t_n(z) = c_n (z/zhat)^n: a chunk adds
     P @ [Re c, Im c], P[j, n] = (z_j/zhat)^n <= 1, to the real and
     imaginary parts of the sums, the triple's n c_n and n(n-1) c_n being
-    more columns of the same real product (P is 1 for z given per row). A
-    row's terms past its degree in a are zeroed; past the rows' last degree,
-    the sums stop at the end of a chunk whose last three terms, bounded by
-    their largest c_n times (z/zhat)^n at the least of their n, are below
-    _STOP_REL of every sum at every element.
-    Overflow raises NonConvergence naming the first element to overflow.
-    The product is taken in tiles that OpenBLAS runs on one thread, so
-    the sums do not depend on the BLAS thread count, and repeated calls
-    agree bit for bit.
-    """
+    more columns of the same real product (P is 1 for z given per row). The
+    sums stop at the end of a chunk whose last three terms, bounded by their
+    largest c_n times (z/zhat)^n at the least of their n, are below
+    _STOP_REL of every sum at every element; terminating rows go to
+    _kummer_poly. Overflow raises NonConvergence naming the first element to
+    overflow. The product is taken in tiles that OpenBLAS runs on one
+    thread, so the sums do not depend on the BLAS thread count, and repeated
+    calls agree bit for bit."""
     shape = np.broadcast_shapes(a.shape, z.shape)
     if a.ndim == 0:
         a, b, z = a.reshape(1, 1), b.reshape(1, 1), z.ravel()
@@ -222,8 +213,6 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
         zhat = z.max(initial=0.0)
         x = z / zhat if zhat > 0.0 else z
     rows, sums_per_row = a.shape[0], 3 if triple else 1
-    n_stop = _degrees(a[:, 0])
-    n_last = int(np.where(np.isfinite(n_stop), n_stop, 0.0).max(initial=0.0))
     # the chunk's (term, row) arrays, one row per term
     a_rows, b_rows = (np.tile(v[:, 0], (_CHUNK, 1)) for v in (a, b))
     # the sums, one row per z, the real and imaginary parts of each
@@ -236,16 +225,14 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
     # times x^_CHUNK
     powers = x[:, None] ** np.arange(1, _CHUNK + 1)
     step = powers[:, -1:].copy()
-    for n0 in range(0, max(_MAX_TERMS, n_last + 3), _CHUNK):
+    for n0 in range(0, _MAX_TERMS, _CHUNK):
         n = np.arange(n0, n0 + _CHUNK)[:, None]
-        # term n + 1 is term n times (a + n) / (b + n) zhat / (n + 1); a
-        # row is zeroed past its degree, where b + n may vanish
+        # term n + 1 is term n times (a + n) / (b + n) zhat / (n + 1)
         ratio = a_rows + n
         ratio /= b_rows + n
         ratio *= zhat / (n + 1)
         ratio[0] *= c[-1]
         c = np.multiply.accumulate(ratio, axis=0, out=ratio)
-        np.copyto(c, 0.0, where=n >= n_stop)
         bad = ~np.isfinite(c)
         if bad.any():
             # the terms at zhat are the largest: name the first row to overflow there
@@ -255,23 +242,63 @@ def _kummer_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
         cv = c.view(float)
         terms = np.hstack((cv, (n + 1.0) * cv, (n + 1.0) * n * cv)) if triple else cv
         sums += _serial_product(powers, terms)
-        if n0 + _CHUNK >= n_last:
-            tail = np.abs(terms[-3:].view(complex)).max(axis=0) * powers[:, -3, None]
-            # an overflowed sum, inf or NaN, counts as settled: the
-            # overflow is raised once the others settle
-            unsettled = tail > _STOP_REL * np.abs(sums.view(complex))
-            settled = not unsettled.any()
-            if settled:
-                break
+        tail = np.abs(terms[-3:].view(complex)).max(axis=0) * powers[:, -3, None]
+        # an overflowed sum, inf or NaN, counts as settled: the overflow is
+        # raised once the others settle
+        unsettled = tail > _STOP_REL * np.abs(sums.view(complex))
+        if not unsettled.any():
+            break
         powers *= step
     s = sums.view(complex).reshape(x.size, sums_per_row, rows).transpose(1, 2, 0)
     bad = ~np.isfinite(s).all(axis=0)
     if bad.any():
         raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(a, b, z, bad)}")
-    if not settled:
+    if unsettled.any():
         unsettled = unsettled.reshape(x.size, sums_per_row, rows).any(axis=1).T
         raise NonConvergence(f"kummer series did not converge: {_at_first(a, b, z, unsettled)}")
     return tuple(np.ascontiguousarray(s).reshape((len(s),) + shape))
+
+
+# overflow raises NonConvergence and steps past a row's degree are dropped
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _kummer_poly(n, b, z):
+    """(F, z F', z^2 F'') of the terminating F = 1F1(-n; b; z) =
+    n!/(b)_n L_n^(b-1)(z) by the Laguerre recurrence (DLMF 18.9.1) scaled to
+    F_0 = 1, (b + k) F_{k+1} = (2k + b - z) F_k - k F_{k-1}, and its z
+    derivatives, driven by -z F_k and -2z (z F'_k). Forward, it keeps the
+    digits the alternating series cancels (Gil, Segura and Temme, Numerical
+    Methods for Special Functions, ch. 4). n, b, z: numbers, or (R, 1)
+    columns of degrees and b with z of shape (N,) or (R, 1), each row
+    stopping at its own degree. Overflow raises NonConvergence."""
+    top, low = int(np.max(n)), int(np.min(n))
+    real_b = np.asarray(b.real if not np.any(b.imag) else b)[()]  # float steps; a 0-d b as a scalar
+    prev, cur = np.zeros((2, 3) + np.shape(real_b - z))  # the triples at degrees k - 1 and k
+    cur[0] = 1.0
+    c = prev + (real_b - z)  # 2k + b - z
+    drive = np.reshape([1.0, 2.0], (2,) + (1,) * (prev.ndim - 1)) * z
+    for k in range(top):
+        step = c * cur - k * prev
+        step[1:] -= drive * cur[:2]
+        step /= real_b + k
+        prev, cur = cur, step if k < low else np.where(k < n, step, cur)
+        c += 2.0
+    if (bad := ~np.isfinite(cur).all(axis=0)).any():
+        raise NonConvergence(f"kummer series did not converge: overflow at {_at_first(-n + 0j, b, z, bad)}")
+    return tuple(cur.astype(complex))
+
+
+def _kummer_sums(a: np.ndarray, b: np.ndarray, z: np.ndarray, triple: bool):
+    """kummer_m's sums (or the triple's) at an array z, row by row
+    _kummer_poly's where a is a degree n, else _kummer_block's; each kernel
+    sees the other's rows as 1F1(0; 1; z) = 1."""
+    poly = np.isfinite(n := _degrees(a))
+    if not poly.any():
+        return _kummer_block(a, b, z, triple)
+    sums = _kummer_poly(np.where(poly, n, 0.0).astype(int), b, z)
+    if poly.all():
+        return sums
+    block = _kummer_block(np.where(poly, 0j, a), np.where(poly, 1.0 + 0j, b), z, triple)
+    return tuple(np.where(poly, p, s) for p, s in zip(sums, block))
 
 
 def _check_kummer_b(a, b) -> None:
@@ -314,29 +341,28 @@ def _arguments(name: str, a, b, z, positive: bool):
 
 
 def kummer_m(a, b, z):
-    """Confluent hypergeometric function 1F1(a; b; z), z >= 0, one
-    _kummer_block over every z: a float z gives a complex scalar, an array
+    """Confluent hypergeometric function 1F1(a; b; z), z >= 0, summed by
+    _kummer_sums over every z: a float z gives a complex scalar, an array
     z with scalar a and b an array of its shape; (R, 1) columns of a and b
     with z of shape (N,) give an (R, N) block, and with z of shape (R, 1)
     one z per row. b at a nonpositive integer -m is allowed where a's
-    degree is at most m; a rejection names the first rejected row's b.
-    """
+    degree is at most m; a rejection names the first rejected row's b."""
     a, b, z = _arguments("kummer_m", a, b, np.asarray(z, dtype=float), positive=False)
     _check_kummer_b(a, b)
-    return _kummer_block(a, b, z, triple=False)[0]
+    return _kummer_sums(a, b, z, triple=False)[0]
 
 
 def kummer_m_derivs(a, b, z):
-    """(F, z F', z^2 F'') of F = 1F1(a; b; z), the sums of t_n, n t_n and
-    n(n-1) t_n over its terms, taking the arguments of kummer_m: one float
-    pass, or one _kummer_block for an array z. The k-th derivative is
+    """(F, z F', z^2 F'') of F = 1F1(a; b; z), taking the arguments of
+    kummer_m: at a float z, one _kummer_poly where a is a degree, else one
+    _kummer_pass; at an array z, one _kummer_sums. The k-th derivative is
     (a)_k/(b)_k 1F1(a+k; b+k; z), and (a)_k vanishes past a's degree, so
     the triple exists wherever the value does."""
     a, b, z = _arguments("kummer_m_derivs", a, b, z, positive=False)
     _check_kummer_b(a, b)
     if isinstance(z, np.ndarray):
-        return _kummer_block(a, b, z, triple=True)
-    return _kummer_pass(a, b, z)
+        return _kummer_sums(a, b, z, triple=True)
+    return _kummer_pass(a, b, z) if (n := _degree(a)) == math.inf else _kummer_poly(int(n), b, z)
 
 
 # Tricomi U and its first two derivatives come from the Laplace integral
@@ -391,18 +417,21 @@ def _tricomi_quadrature(a: complex, b: complex, z: float, named: complex):
     """(U, U', U'') at a and at a + 1, Re a >= 1, at a float z, from one set
     of nodes: the weights of the derivatives gain factors of -t, and those
     at a + 1 a factor t / ((1+t) a). Past the first level, the step halves
-    only while some sum moves by more than _ES_TOL of itself. NonConvergence
-    names `named`, the caller's a before its shift to Re a >= 1."""
+    only while some sum moves by more than _ES_TOL of itself. NonConvergence,
+    also for a sum past the double range, names `named`, the caller's a."""
     coef = np.array([a - 1.0, b - a - 1.0, 1.0, z, -log_gamma(a)])
     # the six sums at the last two steps, the coarser first: the first level
     # gives both, each later one the midpoints that halve the step
     sums = []
-    for logs, weights in _ES_LEVELS:
-        level = (weights @ np.exp(coef @ logs).view(float).reshape(-1, 2)).view(complex).ravel().tolist()
-        sums = level if not sums else sums[6:] + [0.5 * s + m for s, m in zip(sums[6:], level)]
-        if all(abs(s - c) <= _ES_TOL * abs(s) for c, s in zip(sums[:6], sums[6:])):
-            u, du, d2u, v, dv, d2v = sums[6:]
-            return u, -du, d2u, v / a, -dv / a, d2v / a
+    try:
+        for logs, weights in _ES_LEVELS:
+            level = (weights @ np.exp(coef @ logs).view(float).reshape(-1, 2)).view(complex).ravel().tolist()
+            sums = level if not sums else sums[6:] + [0.5 * s + m for s, m in zip(sums[6:], level)]
+            if all(abs(s - c) <= _ES_TOL * abs(s) for c, s in zip(sums[:6], sums[6:])):
+                u, du, d2u, v, dv, d2v = sums[6:]
+                return u, -du, d2u, v / a, -dv / a, d2v / a
+    except OverflowError:
+        pass
     raise NonConvergence(f"tricomi_u quadrature did not converge: a={named}, b={b}, z in [{z}, {z}]")
 
 
@@ -549,25 +578,3 @@ def tricomi_u_derivs(a, b, z):
     a, b, z = _arguments("tricomi_u_derivs", a, b, z, positive=True)
     u, u1, u2 = _tricomi_derivs(a, b, z)
     return u, z * u1, z * (z * u2)
-
-
-def laguerre_poly(n, p, y):
-    """Classical associated Laguerre polynomial L_n^p(y) by its three-term
-    recurrence (DLMF 18.9.1) from L_{-1} = 0 and L_0 = 1; a negative degree
-    gives 0, so d/dy L_n^p = -L_{n-1}^{p+1} holds at n = 0 too. n, p and y
-    broadcast: (R, 1) columns of degrees and orders with y of shape (N,)
-    give an (R, N) block from one pass up to the largest degree, each row
-    keeping its value from its own degree on."""
-    n = np.asarray(n)
-    top = int(n.max(initial=0))
-    lowest = int(n.min(initial=top))
-    # the coefficients 2k - 1 + p and k - 1 + p of every step k
-    ks = np.arange(1, top + 1).reshape((-1,) + (1,) * np.ndim(p))
-    c1, c2 = 2 * ks - 1 + p, ks - 1 + p
-    prev, cur = 0.0, np.ones(np.broadcast_shapes(n.shape, np.shape(p), np.shape(y)))
-    for k in range(1, top + 1):
-        step = (c1[k - 1] - y) * cur
-        step -= c2[k - 1] * prev
-        step /= k
-        prev, cur = cur, step if k <= lowest else np.where(k <= n, step, cur)
-    return np.where(n < 0, 0.0, cur)[()]

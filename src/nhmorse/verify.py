@@ -91,8 +91,9 @@ def reference_kummer(a, b, z):
     geometric majorization of the tail (|t_n| q / (1 - q) with q an upper
     bound on subsequent term ratios) is within _REF_TARGET_REL of the sum,
     instead of by a consecutive-small-terms heuristic. A nonpositive
-    integer a = -n stops after its n terms, and b at a nonpositive integer
-    raises ParameterPole unless that comes first.
+    integer a = -n stops after its n terms, which cancel at large n (error
+    9.1e-2 at n = 60, b = 3, z = 8), and b at a nonpositive integer raises
+    ParameterPole unless that comes first.
 
     a, b and z broadcast together. A call with no numpy array among them
     returns a complex, any other an array of the broadcast shape, each
@@ -100,8 +101,7 @@ def reference_kummer(a, b, z):
     argument or a z < 0 raises ValueError, and a term or sum that goes
     non-finite at or before the stop, or a series still running after
     _REF_MAX_TERMS terms, raises NonConvergence; each names the a, b and z
-    of the lowest-index element that fails.
-    """
+    of the lowest-index element that fails."""
     if not any(isinstance(v, np.ndarray) for v in (a, b, z)):
         return _reference_one(a, b, z)
     a, b, z = np.broadcast_arrays(

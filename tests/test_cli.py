@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhmorse import cli, morse
+from nhmorse import cli, morse, verify
 from nhmorse.morse import GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import Sector
 
@@ -249,6 +249,24 @@ class TestGrid:
             assert abs(float(im)) <= 1e-12 * abs(float(re))
 
 
+    @pytest.mark.parametrize("A", [20.0, 30.0, 40.0])
+    def test_terminating_row_solves_its_equation(self, capsys, A):
+        # printed map, fermionic, K = 0, K' = 0.5: the M row's 1F1 is the
+        # terminating row a = -(2A - 1), b = 3, whose alternating series
+        # read shifted residuals 4.2e-6, 6.7e-2 and 1.8 here; the grid
+        # prints the values whose triple solves w'' + (Q + A^2) w = 0
+        code, out, _ = run(capsys, "grid", "--param-map", "printed", "--component", "fermionic", "--A", str(A),
+                           "--Kprime", "0.5", "--K-max", "0", "--nK", "1", "--nx", "4")
+        assert code == 0
+        xs = np.linspace(0.0, 3.0, 4)
+        params = MorseParameters(A=A, K=0.0, Kprime=0.5)
+        w, _, d2w = morse.wavefunction_grid(params, Sector.FERMIONIC, ParameterMap.PRINTED, xs, derivs=True)
+        printed = [complex(float(line.split(",")[3]), float(line.split(",")[4])) for line in out.splitlines()[1:]]
+        assert printed == w[0].tolist()
+        q = morse.ode_coefficient(params, Sector.FERMIONIC, xs)
+        assert verify.ode_residual(q + A * A, w, d2w).max() <= 1e-8
+
+
 class TestParams:
     def test_fig_values(self, capsys):
         code, out, _ = run(capsys, "params", "--K", "0")
@@ -358,7 +376,7 @@ class TestBoundStates:
         assert out == (
             "sector  n  Kprime  exponent  residual(Kprime^2)  residual(matched Kprime^2)\n"
             "fermionic  0  1  2  1.643e+00  1.495e-15\n"
-            "fermionic  1  0.5  1  7.748e-01  2.799e-16\n"
+            "fermionic  1  0.5  1  7.748e-01  3.469e-16\n"
             "bosonic  0  0.5  1  8.359e-01  2.257e-16\n"
         )
 

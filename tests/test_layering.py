@@ -26,12 +26,13 @@ ALLOWED: set[tuple[str, str]] = set()
 # (no caller), WhittakerIndices.check (a second pole rule beside
 # _check_kummer_b), the Kummer transformation's z < 0 branch (outside
 # 1F1's domain z >= 0), the per-term array loops that _kummer_block
-# replaced, the float helpers of the pole rule that _degree replaced, and
-# tricomi_u, which was tricomi_u_derivs(...)[0].
+# replaced, the float helpers of the pole rule that _degree replaced,
+# tricomi_u, which was tricomi_u_derivs(...)[0], and laguerre_poly, whose
+# recurrence _kummer_poly runs for every terminating 1F1 row.
 GONE_FROM_SPECFUN = (
     "laguerre_function", "def check(", "Kummer transformation", "M(b - a, b, -z)",
     "_kummer_series_row", "_kummer_pass_row", "_integer_near", "_terminating_degree",
-    "def tricomi_u(",
+    "def tricomi_u(", "def laguerre_poly(",
 )
 
 # Names that left the SUSY layer when it came to take the values R and R'
@@ -81,13 +82,21 @@ def test_removed_specfun_paths_stay_out():
     assert not hasattr(morse.WhittakerIndices, "check")
 
 
-def test_one_1f1_value_path():
-    # kummer_m sums every z, a float one too, by _kummer_block: the float
-    # loop _kummer_pass serves the float triple alone
+def _specfun_calls(name: str) -> set:
+    """The names that the body of specfun's function `name` calls."""
     tree = ast.parse((PACKAGE / "specfun.py").read_text())
-    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "kummer_m")
-    called = {getattr(node.func, "id", None) for node in ast.walk(body) if isinstance(node, ast.Call)}
-    assert "_kummer_block" in called and "_kummer_pass" not in called
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return {getattr(node.func, "id", None) for node in ast.walk(body) if isinstance(node, ast.Call)}
+
+
+def test_one_1f1_value_path():
+    # kummer_m sums every z, a float one too, through the router
+    # _kummer_sums: _kummer_poly for a terminating row, else _kummer_block;
+    # the float loop _kummer_pass serves the float triple alone
+    assert "_kummer_sums" in _specfun_calls("kummer_m")
+    assert {"_kummer_block", "_kummer_poly"} <= _specfun_calls("_kummer_sums")
+    reached = _specfun_calls("kummer_m") | _specfun_calls("_kummer_sums")
+    assert "_kummer_pass" not in reached
 
 
 def test_one_morse_record():
@@ -165,9 +174,10 @@ def test_one_bound_state_index_rule():
 
 
 def test_one_bound_state_path():
-    # a bound state is taken by the Laguerre recurrence alone: the second
-    # profile and the float-or-array body it shared with wavefunction_derivs
-    # are gone, and no Kummer series is summed for it
+    # a bound state's core is a terminating kummer_m_derivs row, which the
+    # kernel's one Laguerre recurrence sums: the second profile, the
+    # float-or-array body it shared with wavefunction_derivs and its own
+    # Laguerre rows are gone, and the series kernels hold no degree logic
     text = "".join(p.read_text() for p in PACKAGE.glob("*.py"))
     assert [gone for gone in (r"\bhermitic_bound_state\b", r"\b_wave_derivs\b") if re.search(gone, text)] == []
     tree = ast.parse((PACKAGE / "morse.py").read_text())
@@ -175,8 +185,9 @@ def test_one_bound_state_path():
     called = {
         getattr(node.func, "attr", getattr(node.func, "id", None)) for node in ast.walk(body) if isinstance(node, ast.Call)
     }
-    assert "laguerre_poly" in called
-    assert called & {"kummer_m", "kummer_m_derivs"} == set()
+    assert "kummer_m_derivs" in called and "laguerre_poly" not in called
+    for kernel in ("_kummer_block", "_kummer_pass"):
+        assert _specfun_calls(kernel) & {"_degree", "_degrees"} == set()
 
 
 def test_one_number_formatter():

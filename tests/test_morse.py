@@ -20,6 +20,8 @@ from nhmorse.errors import NonConvergence, NonNormalizable
 from nhmorse.morse import GridSpec, MorseParameters, ParameterMap
 from nhmorse.susy import Sector
 
+from whittaker_triples import laguerre_series
+
 FIG = MorseParameters()  # A=1, B=2, a=0.5, K=0, K'=2
 
 
@@ -253,6 +255,23 @@ class TestWavefunction:
             with pytest.raises(NonConvergence, match="tricomi_u quadrature did not converge"):
                 morse.wavefunction_grid(p, Sector.FERMIONIC, ParameterMap.DERIVED, np.array([300.0]), derivs=True)
         assert caught == []
+
+    @pytest.mark.parametrize("x", [180.0, 200.0])
+    def test_float_recessive_overflow_is_typed(self, x):
+        # at x = 180 and 200 the float W quadrature's sums pass the double
+        # range, and Python cannot take their modulus: both paths raise the
+        # same typed error naming a and the z range, after numpy's warnings
+        p = MorseParameters(alpha1=0, beta1=1, alpha2=0, beta2=1)
+        for sector in Sector:
+            messages = []
+            for call in (lambda: morse.wavefunction_derivs(p, sector, ParameterMap.DERIVED, x),
+                         lambda: morse.wavefunction_grid(p, sector, ParameterMap.DERIVED, np.array([x]))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    with pytest.raises(NonConvergence, match=r"^tricomi_u quadrature did not converge: a=") as info:
+                        call()
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
 
     def test_k_to_zero_continuity(self):
         small = MorseParameters(K=1e-8)
@@ -778,20 +797,44 @@ class TestBoundStates:
         assert worst <= 1e-11
 
 
+    def test_triples_match_mpmath_at_large_A(self):
+        # at A = 100 the degrees reach 199, where the alternating series
+        # lost every digit: sampled states against mpmath's whitm at 30
+        # digits, derivatives by mp.diff
+        mp = pytest.importorskip("mpmath")
+        A, B, a = 100.0, 2.0, 0.5
+        xs = [0.0, 1.5, 3.0]
+        worst = 0.0
+        with mp.workdps(30):
+            for sector, n in ((Sector.FERMIONIC, 0), (Sector.FERMIONIC, 99), (Sector.FERMIONIC, 199), (Sector.BOSONIC, 150)):
+                s = morse.bound_state_exponent(A, a, n, sector)
+                triple = morse.bound_state_wave_derivs(A, B, a, n, sector, np.array(xs))
+
+                def w(x, s=s, n=n):
+                    return mp.exp(a * x / 2) * mp.whitm(s + n + 0.5, s, 2 * B / a * mp.exp(-a * x))
+
+                for i, x in enumerate(xs):
+                    refs = [w(mp.mpf(x))] + [mp.diff(w, mp.mpf(x), k) for k in (1, 2)]
+                    for got, ref in zip(triple, map(complex, refs)):
+                        worst = max(worst, abs(got[i] - ref) / abs(ref))
+        assert worst <= 1e-12
+
+
 class TestWhittakerLaguerreIdentity:
-    # 1F1(-n; p+1; y) = n!/(p+1)_n L_n^p(y), on the kernels laguerre-identity compares
+    # 1F1(-n; p+1; y) = n!/(p+1)_n L_n^p(y): the kernel's terminating rows
+    # against the explicit Laguerre sum
     def test_degree_zero_all_equal(self):
-        assert specfun.kummer_m(0, 3.0, 1.5) == specfun.laguerre_poly(0, 2.0, 1.5) == 1.0
+        assert specfun.kummer_m(0, 3.0, 1.5) == laguerre_series(0, 2.0, 1.5) == 1.0
 
     def test_degree_one_pochhammer_factor(self):
         # the printed relation omits the factor 1!/(3)_1 = 1/3
-        lhs, rhs_printed = specfun.kummer_m(-1, 3.0, 1.0), specfun.laguerre_poly(1, 2.0, 1.0)
+        lhs, rhs_printed = specfun.kummer_m(-1, 3.0, 1.0), laguerre_series(1, 2.0, 1.0)
         assert abs(lhs - rhs_printed / 3.0) <= 1e-10 * abs(lhs)
         assert abs(lhs / rhs_printed - 1.0 / 3.0) <= 1e-10
 
     def test_degree_two(self):
         lhs = specfun.kummer_m(-2, 4.0, 4.0)
-        assert abs(lhs - 2.0 / (4.0 * 5.0) * specfun.laguerre_poly(2, 3.0, 4.0)) <= 1e-10 * max(1.0, abs(lhs))
+        assert abs(lhs - 2.0 / (4.0 * 5.0) * laguerre_series(2, 3.0, 4.0)) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def intertwining(p: MorseParameters, xs: np.ndarray):

@@ -15,7 +15,7 @@ from nhmorse.morse import MorseParameters, ParameterMap, WhittakerIndices
 from nhmorse.susy import Sector
 from nhmorse.verify import reference_kummer
 
-from whittaker_triples import from_core, whittaker_m, whittaker_w
+from whittaker_triples import from_core, laguerre_series, whittaker_m, whittaker_w
 
 
 def assert_close(a, b, rel=1e-12):
@@ -967,8 +967,8 @@ class TestWhittaker:
 
     def test_terminating_m_triple_is_the_differentiated_finite_sum(self):
         # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24 and its derivatives,
-        # through the float loop and the array kernel: exactly four terms,
-        # no stopping rule
+        # through the float and the array triple, both the Laguerre
+        # recurrence of the terminating row: three steps, no stopping rule
         zs = np.linspace(1.0, 30.0, 30)
         exact = (
             1.0 - 1.5 * zs + 0.5 * zs**2 - zs**3 / 24.0,
@@ -977,16 +977,16 @@ class TestWhittaker:
         )
         scale = (1.0 + 1.5 * zs + 0.5 * zs**2 + zs**3 / 24.0, 1.5 + zs + zs**2 / 8.0, 1.0 + zs / 4.0)
         for i, z in enumerate(zs.tolist()):
-            s0, s1, s2 = specfun._kummer_pass(-3.0, 2.0, z)
+            s0, s1, s2 = specfun.kummer_m_derivs(-3.0, 2.0, z)
             for got, ref, sc in zip((s0, s1 / z, s2 / (z * z)), exact, scale):
                 assert abs(got - ref[i]) <= 1e-14 * sc[i]
-        s0, s1, s2 = specfun._kummer_block(np.array(-3.0 + 0j), np.array(2.0 + 0j), zs, triple=True)
+        s0, s1, s2 = specfun.kummer_m_derivs(-3.0, 2.0, zs)
         for got, ref, sc in zip((s0, s1 / zs, s2 / zs**2), exact, scale):
             assert np.all(np.abs(got - ref) <= 1e-14 * sc)
         # dyadic case summed without rounding: 1F1(-2; 1; 2) = 1 - 2z + z^2/2
         # at z = 2, with derivatives -2 + z = 0 and 1
-        assert specfun._kummer_pass(-2.0, 1.0, 2.0) == (-1.0, 0.0, 4.0)
-        block = specfun._kummer_block(np.array(-2.0 + 0j), np.array(1.0 + 0j), np.array([2.0]), triple=True)
+        assert specfun.kummer_m_derivs(-2.0, 1.0, 2.0) == (-1.0, 0.0, 4.0)
+        block = specfun.kummer_m_derivs(-2.0, 1.0, np.array([2.0]))
         assert [v.tolist() for v in block] == [[-1.0], [0.0], [4.0]]
         # a terminating triple whose b is a nonpositive integer past its
         # last term: 1F1(-2; -4; y) = 1 + y/2 + y^2/12
@@ -1035,26 +1035,18 @@ class TestWhittaker:
                     specfun.kummer_m_derivs(a, -2.0, z)
 
 
-def _laguerre_series(n, p, y):
-    # independent evaluation: L_n^p(y) = sum_k (-1)^k C(n+p, n-k) y^k / k!
-    total = 0.0
-    for k in range(n + 1):
-        binom = 1.0
-        for j in range(n - k):
-            binom *= (p + k + 1 + j) / (j + 1)
-        total += (-1) ** k * binom * y**k / math.factorial(k)
-    return total
-
-
 class TestLaguerre:
+    # terminating kummer_m and kummer_m_derivs rows: 1F1(-n; p+1; y) is
+    # n!/(p+1)_n L_n^p(y), which the kernel sums by the Laguerre recurrence
     def test_degree_zero_and_one(self):
-        assert specfun.laguerre_poly(0, 3.7, 11.0) == 1.0
-        assert_close(specfun.laguerre_poly(1, 2.5, 0.7), 1 + 2.5 - 0.7)
+        assert specfun.kummer_m(0, 4.7, 11.0) == 1.0
+        assert_close(specfun.kummer_m(-1, 3.5, 0.7), (1 + 2.5 - 0.7) / 3.5)
 
     def test_l2_value(self):
-        # independent series: (p+1)(p+2)/2 - (p+2) y + y^2/2 at p=2, y=3
-        assert_close(specfun.laguerre_poly(2, 2.0, 3.0), -1.5)
-        assert_close(_laguerre_series(2, 2.0, 3.0), -1.5)
+        # independent series: (p+1)(p+2)/2 - (p+2) y + y^2/2 at p=2, y=3,
+        # times 2!/(3)_2
+        assert_close(specfun.kummer_m(-2, 3.0, 3.0), -1.5 / 6.0)
+        assert_close(laguerre_series(2, 2.0, 3.0), -1.5)
 
     @given(
         st.integers(min_value=0, max_value=8),
@@ -1063,22 +1055,54 @@ class TestLaguerre:
     )
     @settings(max_examples=80, deadline=None)
     def test_recurrence_vs_series(self, n, p, y):
-        lhs = specfun.laguerre_poly(n, p, y)
-        rhs = _laguerre_series(n, p, y)
+        lhs = specfun.kummer_m(-n, p + 1.0, y)
+        # n!/(p+1)_n L_n^p(y) from the explicit Laguerre sum
+        rhs = math.prod(j / (p + j) for j in range(1, n + 1)) * laguerre_series(n, p, y)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+        assert specfun.kummer_m_derivs(-n, p + 1.0, y)[0] == lhs
 
     def test_rows_equal_the_float_calls(self):
-        # (R, 1) columns of degrees and orders against an array of y: one
-        # pass of the recurrence, each row bit for bit its float calls; a
-        # negative degree is 0
-        n = np.array([[7], [6], [0], [-1], [-2], [3]])
-        p = np.array([[2.5], [3.5], [1.0], [0.3], [4.0], [-0.5]])
+        # (R, 1) columns of degrees and of b against an array of y: one
+        # pass of the recurrence, each row stopping at its own degree, bit
+        # for bit its float calls, the value's and the triple's
+        n = np.array([[7], [6], [0], [3]])
+        b = np.array([[3.5], [4.5], [2.0], [0.5]])
         y = np.array([0.0, 0.7, 3.0, 11.0])
-        block = specfun.laguerre_poly(n, p, y)
-        assert block.shape == (6, 4)
-        for (deg,), (order,), row in zip(n.tolist(), p.tolist(), block):
-            assert row.tolist() == [specfun.laguerre_poly(deg, order, v) for v in y.tolist()]
-        assert (block[3:5] == 0.0).all()
+        block, triple = specfun.kummer_m(-n, b, y), specfun.kummer_m_derivs(-n, b, y)
+        assert block.shape == (4, 4)
+        assert np.array_equal(triple[0], block)
+        for r, (deg, order) in enumerate(zip(n[:, 0].tolist(), b[:, 0].tolist())):
+            assert block[r].tolist() == [specfun.kummer_m(-deg, order, v) for v in y.tolist()]
+            floats = [specfun.kummer_m_derivs(-deg, order, v) for v in y.tolist()]
+            assert [list(v) for v in zip(*floats)] == [v[r].tolist() for v in triple]
+
+    def test_rows_match_mpmath_to_degree_200(self):
+        # the alternating series lost every digit here (relative error
+        # 5.1e-2 at n = 60, 2.8e14 at n = 199, b = 3, y = 8): against mpmath
+        # at 40 digits, each value to 1e-13 of itself, and each member of
+        # the triple (F, y F', y^2 F'') to 1e-13 of the triple's largest,
+        # as a member alone is as small as it likes near its zeros
+        mp = pytest.importorskip("mpmath")
+        degrees = np.array([[0], [1], [2], [5], [20], [60], [100], [150], [199], [200]])
+        ys = np.array([0.0, 0.5, 8.0, 25.0, 40.0])
+        worst_value = worst_triple = 0.0
+        with mp.workdps(40):
+            for b in (1.5, 3.0, 9.0, 2.5 - 1.5j):
+                values = specfun.kummer_m(-degrees, np.full(degrees.shape, b), ys)
+                triple = specfun.kummer_m_derivs(-degrees, np.full(degrees.shape, b), ys)
+                for r, n in enumerate(degrees[:, 0].tolist()):
+                    for j, y in enumerate(ys.tolist()):
+                        bm, ym = mp.mpmathify(b), mp.mpf(y)
+                        refs = [
+                            complex(mp.hyp1f1(-n, bm, ym)),
+                            complex(-n / bm * ym * mp.hyp1f1(1 - n, bm + 1, ym)),
+                            complex(n * (n - 1) / (bm * (bm + 1)) * ym**2 * mp.hyp1f1(2 - n, bm + 2, ym)),
+                        ]
+                        worst_value = max(worst_value, abs(values[r, j] - refs[0]) / abs(refs[0]))
+                        scale = max(map(abs, refs))
+                        worst_triple = max(worst_triple, *(abs(v[r, j] - ref) / scale for v, ref in zip(triple, refs)))
+        assert worst_value <= 1e-13
+        assert worst_triple <= 1e-13
 
     def test_core_nu_zero(self):
         # the Laguerre-like core 1F1(-nu; alpha + 1; y) at nu = 0
@@ -1095,4 +1119,4 @@ class TestLaguerre:
         p = 2.3
         core = specfun.kummer_m(-1.0, p + 1.0, 1.1)
         assert_close(core, 1.0 - 1.1 / (p + 1.0))
-        assert_close(core, specfun.laguerre_poly(1, p, 1.1) * 1.0 / (p + 1.0))
+        assert_close(core, laguerre_series(1, p, 1.1) * 1.0 / (p + 1.0))

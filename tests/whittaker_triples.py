@@ -1,6 +1,8 @@
 """Whittaker M and W with their first two y-derivatives, for the tests: the
 core triples (F, y F', y^2 F'') of nhmorse.specfun times e^{-y/2} y^(mu+1/2),
-differentiated in y. The library forms this product only in x, inside morse."""
+differentiated in y. The library forms this product only in x, inside morse.
+Also the associated Laguerre polynomial by its explicit sum, which shares no
+code with the library's recurrence."""
 
 import cmath
 import math
@@ -31,3 +33,14 @@ def whittaker_m(idx, y):
 def whittaker_w(idx, y):
     """(W, W', W'') of W_{kappa, mu}(y) from specfun.tricomi_u_derivs."""
     return from_core(specfun.tricomi_u_derivs(idx.series_a, idx.series_b, y), idx.mu, y)
+
+
+def laguerre_series(n, p, y):
+    """L_n^p(y) = sum_k (-1)^k C(n+p, n-k) y^k / k!, term by term."""
+    total = 0.0
+    for k in range(n + 1):
+        binom = 1.0
+        for j in range(n - k):
+            binom *= (p + k + 1 + j) / (j + 1)
+        total += (-1) ** k * binom * y**k / math.factorial(k)
+    return total
